@@ -60,11 +60,24 @@ type t = {
           core and interpreters to notice self-modifying code *)
   mutable map_watch : (map_event -> unit) list;
       (** called on every map/unmap, before the pages change *)
+  mutable last_pi : int;
+      (** one-entry cache: page index of [last_page], or [-1] when empty.
+          Cleared by every operation that changes the page table or a
+          permission ({!map}, {!unmap}, {!protect}, {!restore}). *)
+  mutable last_page : page;
 }
+
+(* Stands for "no page" in the cache and in the int-address fast paths;
+   it has no permissions and no bytes, so nothing can go through it. *)
+let no_page = { data = Bytes.empty; perm = perm_none }
 
 let create () =
   { pages = Hashtbl.create 1024; bytes_mapped = 0; store_watch = [];
-    map_watch = [] }
+    map_watch = []; last_pi = -1; last_page = no_page }
+
+let clear_cache t =
+  t.last_pi <- -1;
+  t.last_page <- no_page
 
 let add_store_watch t f = t.store_watch <- f :: t.store_watch
 let notify_store t addr size = List.iter (fun f -> f addr size) t.store_watch
@@ -99,6 +112,7 @@ let iter_pages addr len f =
     existing mapping would zero it — we zero too when [zero] is true). *)
 let map ?(zero = true) t ~addr ~len ~perm =
   if len > 0 then notify_map t (Mapped { addr; len; perm; zero });
+  clear_cache t;
   iter_pages addr len (fun pi ->
       match Hashtbl.find_opt t.pages pi with
       | Some p ->
@@ -110,6 +124,7 @@ let map ?(zero = true) t ~addr ~len ~perm =
 
 let unmap t ~addr ~len =
   if len > 0 then notify_map t (Unmapped { addr; len });
+  clear_cache t;
   iter_pages addr len (fun pi ->
       if Hashtbl.mem t.pages pi then begin
         Hashtbl.remove t.pages pi;
@@ -117,6 +132,7 @@ let unmap t ~addr ~len =
       end)
 
 let protect t ~addr ~len ~perm =
+  clear_cache t;
   iter_pages addr len (fun pi ->
       match Hashtbl.find_opt t.pages pi with
       | Some p -> p.perm <- perm
@@ -153,10 +169,42 @@ let find_free t ~hint ~limit ~len =
   in
   search (page_index hint)
 
+(* The page at index [pi] through the last-page cache, or [no_page]. *)
+let lookup t pi =
+  if pi = t.last_pi then t.last_page
+  else
+    match Hashtbl.find t.pages pi with
+    | p ->
+        t.last_pi <- pi;
+        t.last_page <- p;
+        p
+    | exception Not_found -> no_page
+
 let get_page t addr kind =
-  match Hashtbl.find_opt t.pages (page_index addr) with
-  | Some p -> p
-  | None -> raise (Fault { addr; kind })
+  let p = lookup t (page_index addr) in
+  if p == no_page then raise (Fault { addr; kind }) else p
+
+(** {2 Int-address fast paths}
+
+    [a] is a 32-bit address held in an [int].  [page_r t a] is the data
+    of the page holding [a] if that page is mapped readable, and
+    [Bytes.empty] otherwise; [page_w] likewise for writable, and always
+    [Bytes.empty] while any store watch is registered, so that every
+    store reaches the watches through {!write}.  They never raise: a
+    caller that gets [Bytes.empty], or whose access crosses the page
+    end, must fall back to {!read}/{!write}, which raise the exact
+    {!Fault}. *)
+
+let page_r t a =
+  let p = lookup t (a lsr page_shift) in
+  if p.perm.r then p.data else Bytes.empty
+
+let page_w t a =
+  match t.store_watch with
+  | _ :: _ -> Bytes.empty
+  | [] ->
+      let p = lookup t (a lsr page_shift) in
+      if p.perm.w then p.data else Bytes.empty
 
 (** {2 Byte-level access with permission checks} *)
 
@@ -284,6 +332,7 @@ let snapshot (t : t) : snap =
     s_bytes_mapped = t.bytes_mapped }
 
 let restore (t : t) (s : snap) : unit =
+  clear_cache t;
   Hashtbl.reset t.pages;
   List.iter
     (fun (pi, data, perm) ->

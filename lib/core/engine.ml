@@ -58,8 +58,9 @@ let create ~(id : int) ~(mem : Aspace.t) ~(dispatch_size : int)
 
 (** Cycles of actual work this core has performed. *)
 let work_cycles (e : t) : int64 =
-  List.fold_left Int64.add 0L
-    [ e.cpu.cycles; e.overhead_cycles; e.jit_cycles; e.smc_cycles ]
+  Int64.add
+    (Int64.add e.cpu.cycles e.overhead_cycles)
+    (Int64.add e.jit_cycles e.smc_cycles)
 
 (** The core's scheduling clock: work plus idle padding.  This is the
     value the round-robin scheduler compares (and what "wall time up to
@@ -97,7 +98,7 @@ let recent_blocks (e : t) : int64 list =
     non-resident source anyway, with identical charges). *)
 
 type snap = {
-  sn_hregs : int64 array;
+  sn_hregs : Bytes.t;
   sn_hvregs : Support.V128.t array;
   sn_cycles : int64;
   sn_insns : int64;
@@ -119,7 +120,7 @@ let snapshot (e : t)
     ~(remap : Jit.Pipeline.translation -> Jit.Pipeline.translation option) :
     snap =
   {
-    sn_hregs = Array.copy e.cpu.Host.Interp.hregs;
+    sn_hregs = Bytes.copy e.cpu.Host.Interp.hregs;
     sn_hvregs = Array.copy e.cpu.Host.Interp.hvregs;
     sn_cycles = e.cpu.Host.Interp.cycles;
     sn_insns = e.cpu.Host.Interp.insns;
@@ -144,7 +145,7 @@ let snapshot (e : t)
 
 let restore (e : t) (s : snap)
     ~(remap : Jit.Pipeline.translation -> Jit.Pipeline.translation option) =
-  Array.blit s.sn_hregs 0 e.cpu.Host.Interp.hregs 0 (Array.length s.sn_hregs);
+  Bytes.blit s.sn_hregs 0 e.cpu.Host.Interp.hregs 0 (Bytes.length s.sn_hregs);
   Array.blit s.sn_hvregs 0 e.cpu.Host.Interp.hvregs 0
     (Array.length s.sn_hvregs);
   e.cpu.Host.Interp.cycles <- s.sn_cycles;

@@ -1697,7 +1697,7 @@ let run_block (s : t) =
         else t
       in
       t.t_hotness <- Int64.add t.t_hotness 1L;
-      e.Engine.cpu.hregs.(HA.gsp) <- th.ts_addr;
+      Host.Interp.set_hreg e.Engine.cpu HA.gsp th.ts_addr;
       let env = helper_env s in
       let prof_cycles0 = e.Engine.cpu.cycles in
       match Host.Interp.run e.Engine.cpu ~env t.t_decoded with

@@ -15,39 +15,51 @@ open Support
 (** Raised when translated code divides by zero (guest SIGFPE). *)
 exception Host_sigfpe
 
+(** The integer register file is a 128-byte [Bytes.t], [h]{i i} at byte
+    offset [8i], little-endian: reading and writing it with
+    [Bytes.get/set_int64_le] keeps register values unboxed, where an
+    [int64 array] would box every result.  Go through {!get_hreg} and
+    {!set_hreg} from outside this module. *)
 type cpu = {
-  hregs : int64 array;  (** h0..h15 *)
+  hregs : Bytes.t;  (** h0..h15 *)
   hvregs : V128.t array;  (** hv0..hv7 *)
   mem : Aspace.t;
   mutable cycles : int64;
   mutable insns : int64;
+  call_args : int64 array array;
+      (** [call_args.(n)] is the argument array lent to every helper
+          [Call] of arity [n] (see {!Vex_ir.Helpers.fn}) *)
 }
 
 let create mem =
   {
-    hregs = Array.make n_hregs 0L;
+    hregs = Bytes.make (8 * n_hregs) '\000';
     hvregs = Array.make n_hvregs V128.zero;
     mem;
     cycles = 0L;
     insns = 0L;
+    call_args = Array.init (n_hregs + 1) (fun n -> Array.make n 0L);
   }
 
-let alu_eval (w : width) (op : alu_op) (a : int64) (b : int64) : int64 =
-  let fin v = match w with W32 -> Bits.trunc32 v | W64 -> v in
+let[@inline] rget r i = Bytes.get_int64_le r (8 * i)
+let[@inline] rset r i x = Bytes.set_int64_le r (8 * i) x
+let get_hreg (cpu : cpu) i = rget cpu.hregs i
+let set_hreg (cpu : cpu) i x = rset cpu.hregs i x
+
+(* The ALU ops that {!alu_eval} leaves to a call. *)
+let alu_rare (w : width) (op : alu_op) (a : int64) (b : int64) : int64 =
   let a32 () = Bits.sext32 a and b32 () = Bits.sext32 b in
   match (op, w) with
-  | Add, _ -> fin (Int64.add a b)
-  | Sub, _ -> fin (Int64.sub a b)
-  | And, _ -> fin (Int64.logand a b)
-  | Or, _ -> fin (Int64.logor a b)
-  | Xor, _ -> fin (Int64.logxor a b)
+  | (Add | Sub | And | Or | Xor | CmpEq | CmpNe), _ ->
+      invalid_arg "Host.Interp.alu_rare: common op"
   | Shl, W32 -> Bits.shl32 a b
   | Shl, W64 -> Bits.shl64 a b
   | Shr, W32 -> Bits.shr32 a b
   | Shr, W64 -> Bits.shr64 a b
   | Sar, W32 -> Bits.sar32 a b
   | Sar, W64 -> Bits.sar64 a b
-  | Mul, _ -> fin (Int64.mul a b)
+  | Mul, W32 -> Bits.trunc32 (Int64.mul a b)
+  | Mul, W64 -> Int64.mul a b
   | Mulhs, W32 ->
       Bits.trunc32 (Int64.shift_right (Int64.mul (a32 ()) (b32 ())) 32)
   | Mulhs, W64 ->
@@ -75,10 +87,6 @@ let alu_eval (w : width) (op : alu_op) (a : int64) (b : int64) : int64 =
       if Bits.trunc32 b = 0L then raise Host_sigfpe
       else Bits.trunc32 (Int64.unsigned_div (Bits.trunc32 a) (Bits.trunc32 b))
   | Divu, W64 -> if b = 0L then raise Host_sigfpe else Int64.unsigned_div a b
-  | CmpEq, W32 -> Bits.bool64 (Bits.trunc32 a = Bits.trunc32 b)
-  | CmpEq, W64 -> Bits.bool64 (a = b)
-  | CmpNe, W32 -> Bits.bool64 (Bits.trunc32 a <> Bits.trunc32 b)
-  | CmpNe, W64 -> Bits.bool64 (a <> b)
   | CmpLts, W32 -> Bits.bool64 (Bits.cmp32s a b < 0)
   | CmpLts, W64 -> Bits.bool64 (Int64.compare a b < 0)
   | CmpLes, W32 -> Bits.bool64 (Bits.cmp32s a b <= 0)
@@ -87,6 +95,30 @@ let alu_eval (w : width) (op : alu_op) (a : int64) (b : int64) : int64 =
   | CmpLtu, W64 -> Bits.bool64 (Int64.unsigned_compare a b < 0)
   | CmpLeu, W32 -> Bits.bool64 (Bits.cmp32u a b <= 0)
   | CmpLeu, W64 -> Bits.bool64 (Int64.unsigned_compare a b <= 0)
+
+(* [a op b] at width [w].  The common ops are written out here without
+   local closures, so once inlined into {!run} neither the operands nor
+   the result are boxed; the rest go through {!alu_rare}. *)
+let[@inline] alu_eval (w : width) (op : alu_op) (a : int64) (b : int64) :
+    int64 =
+  match (op, w) with
+  | Add, W64 -> Int64.add a b
+  | Add, W32 -> Int64.logand (Int64.add a b) 0xFFFF_FFFFL
+  | Sub, W64 -> Int64.sub a b
+  | Sub, W32 -> Int64.logand (Int64.sub a b) 0xFFFF_FFFFL
+  | And, W64 -> Int64.logand a b
+  | And, W32 -> Int64.logand (Int64.logand a b) 0xFFFF_FFFFL
+  | Or, W64 -> Int64.logor a b
+  | Or, W32 -> Int64.logand (Int64.logor a b) 0xFFFF_FFFFL
+  | Xor, W64 -> Int64.logxor a b
+  | Xor, W32 -> Int64.logand (Int64.logxor a b) 0xFFFF_FFFFL
+  | CmpEq, W64 -> if a = b then 1L else 0L
+  | CmpEq, W32 ->
+      if Int64.logand (Int64.logxor a b) 0xFFFF_FFFFL = 0L then 1L else 0L
+  | CmpNe, W64 -> if a <> b then 1L else 0L
+  | CmpNe, W32 ->
+      if Int64.logand (Int64.logxor a b) 0xFFFF_FFFFL <> 0L then 1L else 0L
+  | _ -> alu_rare w op a b
 
 let falu_eval op a b =
   let fa = Bits.float_of_bits a and fb = Bits.float_of_bits b in
@@ -123,6 +155,20 @@ let valu_eval op a b =
   | VAdd8 -> V128.add8x16 a b
   | VSub8 -> V128.sub8x16 a b
 
+(* The checked path behind [Ld], taken when the access leaves its page
+   or the page is unmapped or unreadable; [Aspace.read] raises the exact
+   fault.  ([St]'s checked path is [Aspace.write] itself, also taken
+   while a store watch is registered.)  Decoded sizes are 1, 2, 4 or 8. *)
+let load_slow mem addr sz sx =
+  let x = Aspace.read mem addr sz in
+  if sx then
+    match sz with
+    | 1 -> Bits.sext8 x
+    | 2 -> Bits.sext16 x
+    | 4 -> Bits.sext32 x
+    | _ -> x
+  else x
+
 (** Execute decoded translation [code] until an exit instruction fires.
     Returns the exit kind, the next guest PC, and the index in [code] of
     the exit instruction that fired — the "exit site".  A site whose
@@ -130,7 +176,13 @@ let valu_eval op a b =
     translation chaining patches: the core maps the index back to the
     translation's chain slot to decide whether the transfer can bypass
     the dispatcher.  [env] is the helper environment (built by the core
-    around the current ThreadState). *)
+    around the current ThreadState).
+
+    The loop is written so a typical block allocates almost nothing:
+    registers are read and written unboxed, loads and stores that stay
+    inside one page touch the page bytes directly (through
+    {!Aspace.page_r}/{!Aspace.page_w} and the address space's last-page
+    cache), and helper calls borrow [cpu.call_args]. *)
 let run (cpu : cpu) ~(env : Vex_ir.Helpers.env) (code : insn array) :
     exit_kind * int64 * int =
   let r = cpu.hregs and v = cpu.hvregs in
@@ -138,65 +190,113 @@ let run (cpu : cpu) ~(env : Vex_ir.Helpers.env) (code : insn array) :
   let pc = ref 0 in
   let cycles = ref 0 in
   let steps = ref 0 in
-  let result = ref None in
+  let exited = ref false in
+  let exit_kind = ref 0 and exit_dest = ref 0L in
   let n = Array.length code in
-  while !result = None && !pc < n do
-    let i = code.(!pc) in
+  while not !exited do
+    if !pc >= n then
+      (* fell off the end of a translation: a JIT bug *)
+      invalid_arg "Host.Interp.run: translation fell through";
+    let i = Array.unsafe_get code !pc in
     incr pc;
     cycles := !cycles + cost i;
     incr steps;
-    (match i with
-    | Movi (d, imm) -> r.(d) <- imm
-    | Mov (d, s) -> r.(d) <- r.(s)
-    | Alu (w, op, d, s1, s2) -> r.(d) <- alu_eval w op r.(s1) r.(s2)
-    | Alui (w, op, d, s1, imm) -> r.(d) <- alu_eval w op r.(s1) imm
+    match i with
+    | Movi (d, imm) -> rset r d imm
+    | Mov (d, s) -> rset r d (rget r s)
+    (* [let]-bound, not passed straight to [rset]: ocamlopt unboxes a
+       let-bound match over the common ops but boxes it as an argument *)
+    | Alu (w, op, d, s1, s2) ->
+        let x = alu_eval w op (rget r s1) (rget r s2) in
+        rset r d x
+    | Alui (w, op, d, s1, imm) ->
+        let x = alu_eval w op (rget r s1) imm in
+        rset r d x
     | Ld (sz, sx, d, b, disp) ->
-        let addr = Int64.add r.(b) (Int64.of_int disp) in
-        let x = Aspace.read mem addr sz in
-        r.(d) <-
-          (if sx then
-             match sz with
-             | 1 -> Bits.sext8 x
-             | 2 -> Bits.sext16 x
-             | 4 -> Bits.sext32 x
-             | _ -> x
-           else x)
-    | St (sz, s, b, disp) ->
-        Aspace.write mem (Int64.add r.(b) (Int64.of_int disp)) sz r.(s)
-    | Cmov (d, c, s) -> if r.(c) <> 0L then r.(d) <- r.(s)
-    | Falu (op, d, s1, s2) -> r.(d) <- falu_eval op r.(s1) r.(s2)
-    | Fun1 (op, d, s) -> r.(d) <- fun1_eval op r.(s)
+        let base = rget r b in
+        let a = (Int64.to_int base + disp) land 0xFFFF_FFFF in
+        let off = a land (Aspace.page_size - 1) in
+        let data =
+          if off + sz <= Aspace.page_size then Aspace.page_r mem a
+          else Bytes.empty
+        in
+        if Bytes.length data = 0 then
+          rset r d (load_slow mem (Int64.add base (Int64.of_int disp)) sz sx)
+        else
+          rset r d
+            (match (sz, sx) with
+            | 1, false -> Int64.of_int (Bytes.get_uint8 data off)
+            | 1, true -> Int64.of_int (Bytes.get_int8 data off)
+            | 2, false -> Int64.of_int (Bytes.get_uint16_le data off)
+            | 2, true -> Int64.of_int (Bytes.get_int16_le data off)
+            | 4, false ->
+                Int64.logand
+                  (Int64.of_int32 (Bytes.get_int32_le data off))
+                  0xFFFF_FFFFL
+            | 4, true -> Int64.of_int32 (Bytes.get_int32_le data off)
+            | _ -> Bytes.get_int64_le data off)
+    | St (sz, s, b, disp) -> (
+        let base = rget r b in
+        let a = (Int64.to_int base + disp) land 0xFFFF_FFFF in
+        let off = a land (Aspace.page_size - 1) in
+        let data =
+          if off + sz <= Aspace.page_size then Aspace.page_w mem a
+          else Bytes.empty
+        in
+        let x = rget r s in
+        if Bytes.length data = 0 then
+          Aspace.write mem (Int64.add base (Int64.of_int disp)) sz x
+        else
+          match sz with
+          | 1 -> Bytes.set_uint8 data off (Int64.to_int x land 0xFF)
+          | 2 -> Bytes.set_uint16_le data off (Int64.to_int x land 0xFFFF)
+          | 4 -> Bytes.set_int32_le data off (Int64.to_int32 x)
+          | _ -> Bytes.set_int64_le data off x)
+    | Cmov (d, c, s) -> if rget r c <> 0L then rset r d (rget r s)
+    | Falu (op, d, s1, s2) -> rset r d (falu_eval op (rget r s1) (rget r s2))
+    | Fun1 (op, d, s) -> rset r d (fun1_eval op (rget r s))
     | Vld (d, b, disp) ->
-        let addr = Int64.add r.(b) (Int64.of_int disp) in
+        let addr = Int64.add (rget r b) (Int64.of_int disp) in
         v.(d) <-
           V128.make ~lo:(Aspace.read mem addr 8)
             ~hi:(Aspace.read mem (Int64.add addr 8L) 8)
     | Vst (s, b, disp) ->
-        let addr = Int64.add r.(b) (Int64.of_int disp) in
+        let addr = Int64.add (rget r b) (Int64.of_int disp) in
         Aspace.write mem addr 8 (V128.lo v.(s));
         Aspace.write mem (Int64.add addr 8L) 8 (V128.hi v.(s))
     | Vmov (d, s) -> v.(d) <- v.(s)
     | Valu (op, d, s1, s2) -> v.(d) <- valu_eval op v.(s1) v.(s2)
     | Vnot (d, s) -> v.(d) <- V128.lognot v.(s)
-    | Vsplat32 (d, s) -> v.(d) <- V128.splat32 r.(s)
-    | Vpack (d, hi, lo) -> v.(d) <- V128.make ~hi:r.(hi) ~lo:r.(lo)
+    | Vsplat32 (d, s) -> v.(d) <- V128.splat32 (rget r s)
+    | Vpack (d, hi, lo) -> v.(d) <- V128.make ~hi:(rget r hi) ~lo:(rget r lo)
     | Vunpack (d, s, half) ->
-        r.(d) <- (if half = 0 then V128.lo v.(s) else V128.hi v.(s))
+        rset r d (if half = 0 then V128.lo v.(s) else V128.hi v.(s))
     | Call (id, nargs, _cost) ->
-        let args = Array.init nargs (fun k -> r.(k)) in
-        r.(ret_reg) <- Vex_ir.Helpers.call id env args
-    | Jz (c, l) -> if r.(c) = 0L then pc := l
-    | Jnz (c, l) -> if r.(c) <> 0L then pc := l
+        let args = cpu.call_args.(nargs) in
+        for k = 0 to nargs - 1 do
+          args.(k) <- rget r k
+        done;
+        rset r ret_reg (Vex_ir.Helpers.call id env args)
+    | Jz (c, l) -> if rget r c = 0L then pc := l
+    | Jnz (c, l) -> if rget r c <> 0L then pc := l
     | Jmp l -> pc := l
     | Label _ -> ()
     | ExitIf (c, ek, dest) ->
-        if r.(c) <> 0L then result := Some (ek, dest, !pc - 1)
-    | Goto (ek, s) -> result := Some (ek, Bits.trunc32 r.(s), !pc - 1)
-    | GotoI (ek, dest) -> result := Some (ek, dest, !pc - 1));
-    if !result = None && !pc >= n then
-      (* fell off the end of a translation: a JIT bug *)
-      invalid_arg "Host.Interp.run: translation fell through"
+        if rget r c <> 0L then begin
+          exited := true;
+          exit_kind := ek;
+          exit_dest := dest
+        end
+    | Goto (ek, s) ->
+        exited := true;
+        exit_kind := ek;
+        exit_dest := Bits.trunc32 (rget r s)
+    | GotoI (ek, dest) ->
+        exited := true;
+        exit_kind := ek;
+        exit_dest := dest
   done;
   cpu.cycles <- Int64.add cpu.cycles (Int64.of_int !cycles);
   cpu.insns <- Int64.add cpu.insns (Int64.of_int !steps);
-  match !result with Some x -> x | None -> assert false
+  (* the exit instruction is the last one executed *)
+  (!exit_kind, !exit_dest, !pc - 1)

@@ -820,17 +820,33 @@ let leak_check (st : state) : int * int64 =
     (* conservative mark-and-sweep: roots are the guest registers and
        every addressable aligned word outside heap payloads *)
     let reachable : (int64, unit) Hashtbl.t = Hashtbl.create 64 in
+    (* Live payloads never overlap (each has its own client_alloc
+       region), so the block holding [p], if any, is the last one in
+       address order that starts at or below [p]. *)
+    let blocks =
+      Hashtbl.fold (fun _ b acc -> b :: acc) st.live []
+      |> List.sort (fun a b -> Int64.unsigned_compare a.hb_addr b.hb_addr)
+      |> Array.of_list
+    in
     let block_of_ptr (p : int64) : heap_block option =
-      Hashtbl.fold
-        (fun _ b acc ->
-          if
-            Int64.unsigned_compare b.hb_addr p <= 0
-            && Int64.unsigned_compare p
-                 (Int64.add b.hb_addr (Int64.of_int b.hb_size))
-               < 0
-          then Some b
-          else acc)
-        st.live None
+      (* blocks before [lo] start at or below [p], blocks from [hi] on
+         start above it *)
+      let lo = ref 0 and hi = ref (Array.length blocks) in
+      while !lo < !hi do
+        let mid = (!lo + !hi) / 2 in
+        if Int64.unsigned_compare blocks.(mid).hb_addr p <= 0 then
+          lo := mid + 1
+        else hi := mid
+      done;
+      if !lo = 0 then None
+      else
+        let b = blocks.(!lo - 1) in
+        if
+          Int64.unsigned_compare p
+            (Int64.add b.hb_addr (Int64.of_int b.hb_size))
+          < 0
+        then Some b
+        else None
     in
     let work = Queue.create () in
     let mark p =

@@ -18,7 +18,12 @@ type env = {
 }
 
 (** A helper takes the environment and its (integer) arguments, and returns
-    an integer result (0 for void helpers). *)
+    an integer result (0 for void helpers).
+
+    The [args] array is borrowed: it is valid only during the call.  The
+    host interpreter lends the same array to every call of the same
+    arity and overwrites it on the next one, so a helper must copy out
+    any argument it wants to keep and must never store the array. *)
 type fn = env -> int64 array -> int64
 
 let table : fn array ref = ref (Array.make 0 (fun _ _ -> 0L))

@@ -76,6 +76,52 @@ let test_store_watch () =
   Aspace.write_u8 m 0x1008L 2;
   Alcotest.(check int) "two notifications" 2 (List.length !hits)
 
+(* The last-page cache must never outlive a change to the page table:
+   after protect, unmap, a zeroing map and restore, reads, writes and the
+   int-address fast paths all see the new state. *)
+let test_page_cache_invalidation () =
+  let m = Aspace.create () in
+  let a = 0x5008L and ai = 0x5008 in
+  let read_fault () =
+    match Aspace.read m a 4 with
+    | _ -> Alcotest.fail "expected a read fault"
+    | exception Aspace.Fault { addr; kind = Aspace.Read } ->
+        Alcotest.check i64 "fault address" a addr
+  in
+  Aspace.map m ~addr:0x5000L ~len:4096 ~perm:Aspace.perm_rw;
+  Aspace.write m a 4 0x1234L;
+  let snap = Aspace.snapshot m in
+  Alcotest.check i64 "cached read" 0x1234L (Aspace.read m a 4);
+  Alcotest.(check int) "page_r sees the page" 4096
+    (Bytes.length (Aspace.page_r m ai));
+  Aspace.protect m ~addr:0x5000L ~len:4096 ~perm:Aspace.perm_none;
+  read_fault ();
+  Alcotest.(check int) "page_r after protect none" 0
+    (Bytes.length (Aspace.page_r m ai));
+  Alcotest.(check int) "page_w after protect none" 0
+    (Bytes.length (Aspace.page_w m ai));
+  Aspace.protect m ~addr:0x5000L ~len:4096 ~perm:Aspace.perm_rw;
+  Alcotest.check i64 "readable again" 0x1234L (Aspace.read m a 4);
+  Aspace.unmap m ~addr:0x5000L ~len:4096;
+  read_fault ();
+  Alcotest.(check int) "page_r after unmap" 0 (Bytes.length (Aspace.page_r m ai));
+  Aspace.map m ~addr:0x5000L ~len:4096 ~perm:Aspace.perm_rw;
+  Alcotest.check i64 "re-mapped page is zeroed" 0L (Aspace.read m a 4);
+  Aspace.write m a 4 0x5678L;
+  Aspace.map ~zero:true m ~addr:0x5000L ~len:4096 ~perm:Aspace.perm_rw;
+  Alcotest.check i64 "zeroing map over a cached page" 0L (Aspace.read m a 4);
+  Aspace.write m a 4 0x9ABCL;
+  Aspace.restore m snap;
+  Alcotest.check i64 "restored value" 0x1234L (Aspace.read m a 4);
+  Bytes.set_int32_le (Aspace.page_w m ai) (ai land 0xFFF) 0x4321l;
+  Alcotest.check i64 "page_w writes the restored page" 0x4321L
+    (Aspace.read m a 4);
+  Aspace.add_store_watch m (fun _ _ -> ());
+  Alcotest.(check int) "no page_w while a store watch is registered" 0
+    (Bytes.length (Aspace.page_w m ai));
+  Alcotest.(check int) "page_r unaffected by a store watch" 4096
+    (Bytes.length (Aspace.page_r m ai))
+
 let test_rounding () =
   Alcotest.check i64 "round_up" 0x2000L (Aspace.round_up 0x1001L);
   Alcotest.check i64 "round_up exact" 0x1000L (Aspace.round_up 0x1000L);
@@ -101,6 +147,7 @@ let tests =
     t "find_free" test_find_free;
     t "asciiz + overlapping move" test_asciiz_move;
     t "store watch" test_store_watch;
+    t "last-page cache invalidation" test_page_cache_invalidation;
     t "page rounding" test_rounding;
     QCheck_alcotest.to_alcotest prop_rw_roundtrip;
   ]

@@ -93,9 +93,9 @@ let test_alu_widths () =
         GotoI (ek_boring, 0L);
       ]
   in
-  Alcotest.check i64 "w32 wrap" 0L cpu.hregs.(3);
-  Alcotest.check i64 "w64 no wrap" 0x100000000L cpu.hregs.(4);
-  Alcotest.check i64 "w32 sar" 0xFFFFFFFFL cpu.hregs.(5)
+  Alcotest.check i64 "w32 wrap" 0L (Host.Interp.get_hreg cpu 3);
+  Alcotest.check i64 "w64 no wrap" 0x100000000L (Host.Interp.get_hreg cpu 4);
+  Alcotest.check i64 "w32 sar" 0xFFFFFFFFL (Host.Interp.get_hreg cpu 5)
 
 let test_memory_and_exits () =
   let cpu, dest =
@@ -112,9 +112,9 @@ let test_memory_and_exits () =
         Goto (ek_ret, 3);
       ]
   in
-  Alcotest.check i64 "zext load" 0x12345678L cpu.hregs.(3);
-  Alcotest.check i64 "sext load" 0xFFFFFFFFCAFEBABEL cpu.hregs.(4);
-  Alcotest.check i64 "halfword" 0xCAFEL cpu.hregs.(5);
+  Alcotest.check i64 "zext load" 0x12345678L (Host.Interp.get_hreg cpu 3);
+  Alcotest.check i64 "sext load" 0xFFFFFFFFCAFEBABEL (Host.Interp.get_hreg cpu 4);
+  Alcotest.check i64 "halfword" 0xCAFEL (Host.Interp.get_hreg cpu 5);
   Alcotest.check i64 "goto truncates to 32" 0x12345678L dest
 
 let test_fp_on_gprs () =
@@ -131,9 +131,9 @@ let test_fp_on_gprs () =
         GotoI (ek_boring, 0L);
       ]
   in
-  Alcotest.(check (float 1e-9)) "fmul" 10.0 (Int64.float_of_bits cpu.hregs.(3));
-  Alcotest.check i64 "f2i" 10L cpu.hregs.(4);
-  Alcotest.(check (float 1e-9)) "sqrt" 3.0 (Int64.float_of_bits cpu.hregs.(7))
+  Alcotest.(check (float 1e-9)) "fmul" 10.0 (Int64.float_of_bits (Host.Interp.get_hreg cpu 3));
+  Alcotest.check i64 "f2i" 10L (Host.Interp.get_hreg cpu 4);
+  Alcotest.(check (float 1e-9)) "sqrt" 3.0 (Int64.float_of_bits (Host.Interp.get_hreg cpu 7))
 
 let test_helper_call () =
   let callee =
@@ -149,7 +149,122 @@ let test_helper_call () =
         GotoI (ek_boring, 0L);
       ]
   in
-  Alcotest.check i64 "result in h0" 42L cpu.hregs.(0)
+  Alcotest.check i64 "result in h0" 42L (Host.Interp.get_hreg cpu 0)
+
+(* Two consecutive calls of different arity borrow different argument
+   arrays; a third call of the first arity sees only its own values. *)
+let test_helper_args_per_arity () =
+  let seen = ref [] in
+  let record _env args =
+    seen := Array.to_list args :: !seen;
+    0L
+  in
+  let f3 = Vex_ir.Helpers.register ~name:"host_test_args3" ~cost:0 record in
+  let f1 = Vex_ir.Helpers.register ~name:"host_test_args1" ~cost:0 record in
+  ignore
+    (run_host
+       [
+         Movi (0, 1L); Movi (1, 2L); Movi (2, 3L);
+         Call (f3.c_id, 3, 0);
+         Movi (0, 9L);
+         Call (f1.c_id, 1, 0);
+         Movi (0, 4L); Movi (1, 5L); Movi (2, 6L);
+         Call (f3.c_id, 3, 0);
+         GotoI (ek_boring, 0L);
+       ]);
+  Alcotest.(check (list (list i64)))
+    "each call sees exactly its own arguments"
+    [ [ 1L; 2L; 3L ]; [ 9L ]; [ 4L; 5L; 6L ] ]
+    (List.rev !seen)
+
+(* Loads of every size, zero- and sign-extended, inside a page (the
+   direct page-bytes path) and straddling the page end at 0x2000 (the
+   checked path; a byte cannot straddle), agree with Aspace.read plus
+   the reference extension. *)
+let test_load_sizes () =
+  let sext sz x =
+    match sz with
+    | 1 -> Support.Bits.sext8 x
+    | 2 -> Support.Bits.sext16 x
+    | 4 -> Support.Bits.sext32 x
+    | _ -> x
+  in
+  let fill (cpu : Host.Interp.cpu) =
+    List.iter
+      (fun base ->
+        for k = 0 to 15 do
+          Aspace.write cpu.mem (Int64.add base (Int64.of_int k)) 1
+            (Int64.of_int (0x80 + (k * 7)))
+        done)
+      [ 0x1100L; 0x1FF8L ]
+  in
+  List.iter
+    (fun sz ->
+      List.iter
+        (fun at ->
+          List.iter
+            (fun sx ->
+              let cpu, _ =
+                run_host ~setup:fill
+                  [ Movi (1, Int64.sub at 16L); Ld (sz, sx, 3, 1, 16);
+                    GotoI (ek_boring, 0L) ]
+              in
+              let raw = Aspace.read cpu.mem at sz in
+              Alcotest.check i64
+                (Printf.sprintf "ld%d%s at 0x%LX" sz (if sx then "s" else "u") at)
+                (if sx then sext sz raw else raw)
+                (Host.Interp.get_hreg cpu 3))
+            [ false; true ])
+        [ 0x1104L; Int64.sub 0x2000L (Int64.of_int (sz / 2)) ])
+    [ 1; 2; 4; 8 ]
+
+(* A store to a read-only page faults with the exact address, inside the
+   page and across a page end (where the first read-only byte faults). *)
+let test_store_read_only () =
+  let ro (cpu : Host.Interp.cpu) =
+    Aspace.map cpu.mem ~addr:0x3000L ~len:4096 ~perm:Aspace.perm_rx
+  in
+  List.iter
+    (fun (addr, expect) ->
+      match
+        run_host ~setup:ro
+          [ Movi (1, addr); Movi (2, -1L); St (4, 2, 1, 0); GotoI (ek_boring, 0L) ]
+      with
+      | _ -> Alcotest.fail "expected a write fault"
+      | exception Aspace.Fault { addr = a; kind = Aspace.Write } ->
+          Alcotest.check i64 "fault address" expect a)
+    [ (0x3010L, 0x3010L); (0x2FFEL, 0x3000L) ]
+
+(* A registered store watch sees every store, in-page and crossing,
+   exactly as Aspace.write reports it. *)
+let test_store_watch_sees_all () =
+  let hits = ref [] in
+  let watch (cpu : Host.Interp.cpu) =
+    Aspace.add_store_watch cpu.mem (fun a sz -> hits := (a, sz) :: !hits)
+  in
+  let cpu, _ =
+    run_host ~setup:watch
+      [
+        Movi (1, 0x1100L);
+        Movi (2, 0x1122334455667788L);
+        St (1, 2, 1, 0);
+        St (2, 2, 1, 2);
+        St (4, 2, 1, 4);
+        St (8, 2, 1, 8);
+        Movi (1, 0x1FFEL);
+        St (4, 2, 1, 0);
+        GotoI (ek_boring, 0L);
+      ]
+  in
+  Alcotest.(check (list (pair i64 int)))
+    "every store notified"
+    [
+      (0x1100L, 1); (0x1102L, 2); (0x1104L, 4); (0x1108L, 8);
+      (0x1FFEL, 1); (0x1FFFL, 1); (0x2000L, 1); (0x2001L, 1);
+    ]
+    (List.rev !hits);
+  Alcotest.check i64 "crossing store landed" 0x55667788L
+    (Aspace.read cpu.mem 0x1FFEL 4)
 
 let test_div_trap () =
   try
@@ -165,25 +280,40 @@ let test_cost_accounting () =
   Alcotest.check i64 "3 cycles for 3 single-cycle insns" 3L cpu.cycles;
   Alcotest.check i64 "3 insns" 3L cpu.insns
 
-(* property: W32 ALU ops match the reference semantics of Bits *)
-let prop_alu32 =
+(* Reference semantics of the ALU ops that {!Host.Interp.alu_eval}
+   writes out inline, plus [Mul] from the rest, at both widths. *)
+let alu_ref w op a b =
+  let fin v = match w with W32 -> Support.Bits.trunc32 v | W64 -> v in
+  match op with
+  | Add -> fin (Int64.add a b)
+  | Sub -> fin (Int64.sub a b)
+  | And -> fin (Int64.logand a b)
+  | Or -> fin (Int64.logor a b)
+  | Xor -> fin (Int64.logxor a b)
+  | Mul -> fin (Int64.mul a b)
+  | CmpEq -> Support.Bits.bool64 (fin a = fin b)
+  | CmpNe -> Support.Bits.bool64 (fin a <> fin b)
+  | _ -> assert false
+
+let alu_ops = [ Add; Sub; And; Or; Xor; Mul; CmpEq; CmpNe ]
+
+(* Operands are full 64-bit values, as registers may hold; a W32 op
+   sees only their low halves.  Equal operands are drawn often enough
+   to exercise both outcomes of the compares. *)
+let alu_prop w name =
   let open QCheck in
-  Test.make ~count:300 ~name:"host W32 alu = Bits semantics"
-    (triple (oneofl [ Add; Sub; And; Or; Xor; Mul ]) int64 int64)
-    (fun (op, a, b) ->
-      let a = Support.Bits.trunc32 a and b = Support.Bits.trunc32 b in
-      let expected =
-        Support.Bits.trunc32
-          (match op with
-          | Add -> Int64.add a b
-          | Sub -> Int64.sub a b
-          | And -> Int64.logand a b
-          | Or -> Int64.logor a b
-          | Xor -> Int64.logxor a b
-          | Mul -> Int64.mul a b
-          | _ -> assert false)
-      in
-      Host.Interp.alu_eval W32 op a b = expected)
+  let operands =
+    oneof [ pair int64 int64; map (fun a -> (a, a)) int64;
+            map (fun (a, h) -> (a, Int64.logxor a (Int64.shift_left h 32)))
+              (pair int64 int64) ]
+  in
+  Test.make ~count:300 ~name
+    (pair (oneofl alu_ops) operands)
+    (fun (op, (a, b)) -> Host.Interp.alu_eval w op a b = alu_ref w op a b)
+
+(* property: ALU ops match the reference semantics of Bits *)
+let prop_alu32 = alu_prop W32 "host W32 alu = Bits semantics"
+let prop_alu64 = alu_prop W64 "host W64 alu = Int64 semantics"
 
 let tests =
   [
@@ -193,7 +323,12 @@ let tests =
     t "memory + exits" test_memory_and_exits;
     t "fp on gprs" test_fp_on_gprs;
     t "helper calls" test_helper_call;
+    t "helper args per arity" test_helper_args_per_arity;
+    t "loads: sizes, extension, page crossing" test_load_sizes;
+    t "store to read-only page" test_store_read_only;
+    t "store watch sees every store" test_store_watch_sees_all;
     t "div traps" test_div_trap;
     t "cycle accounting" test_cost_accounting;
     QCheck_alcotest.to_alcotest prop_alu32;
+    QCheck_alcotest.to_alcotest prop_alu64;
   ]

@@ -516,7 +516,7 @@ let test_regalloc_spills () =
   Aspace.map mem ~addr:0x10000L ~len:Host.Arch.threadstate_size
     ~perm:Aspace.perm_rw;
   let cpu = Host.Interp.create mem in
-  cpu.hregs.(Host.Arch.gsp) <- 0x10000L;
+  Host.Interp.set_hreg cpu Host.Arch.gsp 0x10000L;
   let env =
     {
       Vex_ir.Helpers.he_get_guest = (fun _ _ -> 0L);

@@ -150,6 +150,44 @@ let test_no_leak_when_reachable () =
   in
   Alcotest.(check bool) "no leak for reachable" false (has_kind errors "Leak")
 
+(* The leak check's pointer lookup: an interior pointer keeps its
+   block, and so does a pointer to the last byte that is found only by
+   scanning a reachable block; a pointer one past the end does not.  A
+   zero-size request gets a one-byte block.  The records, their sizes
+   and their order are pinned. *)
+let test_leak_pointer_edges () =
+  let _, errors, _ =
+    run_mc
+      {| char *inner; char *past; char *empty; char *past0; char *head;
+         int main() {
+           int *h; char *p;
+           inner = malloc(24) + 12;
+           past = malloc(16) + 16;
+           empty = malloc(0);
+           past0 = malloc(0) + 1;
+           head = malloc(8);
+           h = (int*)head;
+           h[0] = (int)(malloc(40) + 39);
+           p = malloc(20);
+           p = (char*)0;
+           return 0;
+         } |}
+  in
+  let leaks =
+    List.filter_map
+      (fun e ->
+        if e.Vg_core.Errors.err_kind = "Leak" then Some e.Vg_core.Errors.err_msg
+        else None)
+      errors.errors
+  in
+  Alcotest.(check (list string)) "leak records, newest first"
+    [
+      "1 bytes in 1 blocks are definitely lost";
+      "16 bytes in 1 blocks are definitely lost";
+      "20 bytes in 1 blocks are definitely lost";
+    ]
+    leaks
+
 let test_client_requests () =
   let _, errors, _ =
     run_mc ~expect_exit:1
@@ -331,6 +369,7 @@ let tests =
     t "double free" test_double_free;
     t "leak detected" test_leak;
     t "reachable block not leaked" test_no_leak_when_reachable;
+    t "leak check pointer edges" test_leak_pointer_edges;
     t "client requests" test_client_requests;
     t "calloc is defined" test_calloc_defined;
     t "realloc copies definedness" test_realloc_copies_definedness;
