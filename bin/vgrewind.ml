@@ -131,8 +131,7 @@ let record tool_name cores chaos_seed chaos_mode workload scale stdin_file out
 
 (* --- building a session back from a log ------------------------------- *)
 
-let session_of_log ?(snapshot_every = 0L) (file : string) :
-    Vg_core.Session.t * Replay.player =
+let session_of_log (file : string) : Vg_core.Session.t * Replay.player =
   let p =
     try Replay.player_of_file file with
     | Replay.Corrupt m -> die "%s: corrupt log: %s" file m
@@ -154,7 +153,6 @@ let session_of_log ?(snapshot_every = 0L) (file : string) :
       cores = log.Replay.l_cores;
       chaos = None;
       rr = Replay.Replay p;
-      snapshot_every;
     }
   in
   (Vg_core.Session.create ~options ~tool img, p)
@@ -221,22 +219,21 @@ let replay quiet file =
 
 (* --- seek / back ------------------------------------------------------ *)
 
-let seek snapshot_every cycle file =
-  let s, _p = session_of_log ~snapshot_every file in
+let seek cycle file =
+  let s, _p = session_of_log file in
   with_divergence_report (fun () ->
-      Vg_core.Session.seek s ~cycle;
-      print_state s;
+      print_state (Vg_core.Session.seek s ~cycle);
       exit 0)
 
-let back snapshot_every insns file =
-  let s, _p = session_of_log ~snapshot_every file in
+let back insns file =
+  let s, _p = session_of_log file in
   with_divergence_report (fun () ->
-      (* run to the end of the recording, then step back *)
+      (* replay to the end of the recording, then re-execute afresh to
+         K instructions before it *)
       Vg_core.Session.run_to s ~stop:(fun _ -> false);
       Printf.printf "==vgrewind== end of recording: %s\n"
         (exit_str s.exit_reason);
-      Vg_core.Session.back s ~insns;
-      print_state s;
+      print_state (Vg_core.Session.back s ~insns);
       exit 0)
 
 (* --- when ------------------------------------------------------------- *)
@@ -311,13 +308,6 @@ let when_ file =
 let log_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"LOG" ~doc:"Recording (.vgrw) to load.")
 
-let snapshot_every_arg =
-  Arg.(
-    value
-    & opt int64 50_000L
-    & info [ "snapshot-every" ] ~docv:"N"
-        ~doc:"Checkpoint cadence in wall cycles while replaying (time travel restores the nearest checkpoint and re-executes).")
-
 let record_cmd =
   let tool =
     Arg.(value & opt string "memcheck" & info [ "tool" ] ~doc:"Tool plug-in to record under.")
@@ -384,7 +374,7 @@ let seek_cmd =
   in
   Cmd.v
     (Cmd.info "seek" ~doc:"time-travel a recording to a wall cycle and show thread state")
-    Term.(const seek $ snapshot_every_arg $ cycle $ log_arg)
+    Term.(const seek $ cycle $ log_arg)
 
 let back_cmd =
   let insns =
@@ -395,7 +385,7 @@ let back_cmd =
   Cmd.v
     (Cmd.info "back"
        ~doc:"replay to the end, then step backwards K instructions")
-    Term.(const back $ snapshot_every_arg $ insns $ log_arg)
+    Term.(const back $ insns $ log_arg)
 
 let when_cmd =
   Cmd.v

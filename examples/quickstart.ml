@@ -73,8 +73,6 @@ let branch_profiler : Vg_core.Tool.t =
                          count (caps.symbolize site)))
                 rows);
           client_request = (fun ~code:_ ~args:_ -> None);
-          snapshot = Vg_core.Tool.snapshot_nothing;
-          restore = Vg_core.Tool.restore_nothing;
         });
   }
 

@@ -63,7 +63,7 @@ type t = {
   mutable last_pi : int;
       (** one-entry cache: page index of [last_page], or [-1] when empty.
           Cleared by every operation that changes the page table or a
-          permission ({!map}, {!unmap}, {!protect}, {!restore}). *)
+          permission ({!map}, {!unmap}, {!protect}). *)
   mutable last_page : page;
 }
 
@@ -314,28 +314,14 @@ let move t ~src ~dst ~len =
   let tmp = read_bytes t src len in
   write_bytes t dst tmp
 
-(** {2 Snapshot / restore}
-
-    A deep copy of every page plus the mapped-byte count.  Watches are
-    deliberately not part of a snapshot: they belong to the observers,
-    not to the observed state.  Restoring mutates [t] in place so every
-    existing reference (kernel, engines, threads) stays valid. *)
-
-type snap = { s_pages : (int * Bytes.t * perm) list; s_bytes_mapped : int }
-
-let snapshot (t : t) : snap =
-  let s_pages =
-    Hashtbl.fold (fun pi p acc -> (pi, Bytes.copy p.data, p.perm) :: acc)
-      t.pages []
-  in
-  { s_pages = List.sort (fun (a, _, _) (b, _, _) -> compare a b) s_pages;
-    s_bytes_mapped = t.bytes_mapped }
-
-let restore (t : t) (s : snap) : unit =
-  clear_cache t;
-  Hashtbl.reset t.pages;
-  List.iter
-    (fun (pi, data, perm) ->
-      Hashtbl.replace t.pages pi { data = Bytes.copy data; perm })
-    s.s_pages;
-  t.bytes_mapped <- s.s_bytes_mapped
+(** Fold [f acc pi data perm] over every mapped page in ascending page
+    index order.  [data] is the live page, not a copy: [f] must not
+    keep or mutate it. *)
+let fold_pages t f acc =
+  Hashtbl.fold (fun pi _ acc -> pi :: acc) t.pages []
+  |> List.sort compare
+  |> List.fold_left
+       (fun acc pi ->
+         let p = Hashtbl.find t.pages pi in
+         f acc pi p.data p.perm)
+       acc

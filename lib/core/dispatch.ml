@@ -100,55 +100,6 @@ let purge_dead (t : t) =
     | _ -> ()
   done
 
-(** {2 Snapshot / restore}
-
-    Cache entries are remapped through the transtab snapshot memo; an
-    entry whose translation is dead or gone from the memo is dropped,
-    which is behaviour-identical (a dead hit already counts and charges
-    as a miss, and dead slots have no patched chains left). *)
-
-type snap = {
-  s_keys : int64 array;
-  s_values : Jit.Pipeline.translation option array;
-  s_hits : int64;
-  s_misses : int64;
-}
-
-let snapshot (t : t)
-    ~(remap : Jit.Pipeline.translation -> Jit.Pipeline.translation option) :
-    snap =
-  let s_keys = Array.copy t.keys in
-  let s_values = Array.make t.size None in
-  for i = 0 to t.size - 1 do
-    match t.values.(i) with
-    | Some tr when not tr.Jit.Pipeline.t_dead -> (
-        match remap tr with
-        | Some c -> s_values.(i) <- Some c
-        | None -> s_keys.(i) <- Int64.minus_one)
-    | Some _ -> s_keys.(i) <- Int64.minus_one
-    | None -> ()
-  done;
-  { s_keys; s_values; s_hits = t.hits; s_misses = t.misses }
-
-let restore (t : t) (s : snap)
-    ~(remap : Jit.Pipeline.translation -> Jit.Pipeline.translation option) =
-  for i = 0 to t.size - 1 do
-    match s.s_values.(i) with
-    | Some tr -> (
-        match remap tr with
-        | Some c ->
-            t.keys.(i) <- s.s_keys.(i);
-            t.values.(i) <- Some c
-        | None ->
-            t.keys.(i) <- Int64.minus_one;
-            t.values.(i) <- None)
-    | None ->
-        t.keys.(i) <- Int64.minus_one;
-        t.values.(i) <- None
-  done;
-  t.hits <- s.s_hits;
-  t.misses <- s.s_misses
-
 (** Total over all states: a dispatcher that has never been entered has
     a hit rate of 0.0 (not 1.0, and never NaN — this value flows into
     the stats record and the JSON export unguarded). *)

@@ -89,88 +89,6 @@ let recent_blocks (e : t) : int64 list =
   List.init count (fun i ->
       e.dispatch_trace.((e.dispatch_trace_n - count + i) mod n))
 
-(** {2 Snapshot / restore}
-
-    Everything execution-rate-local: the CPU clocks and host registers,
-    the private dispatch cache, the cycle accounts and the last
-    chainable exit.  Translation references go through the transtab
-    memo; a dead last-exit is dropped ({!Transtab.link} would refuse a
-    non-resident source anyway, with identical charges). *)
-
-type snap = {
-  sn_hregs : Bytes.t;
-  sn_hvregs : Support.V128.t array;
-  sn_cycles : int64;
-  sn_insns : int64;
-  sn_dispatch : Dispatch.snap;
-  sn_overhead : int64;
-  sn_jit : int64;
-  sn_smc : int64;
-  sn_idle : int64;
-  sn_blocks : int64;
-  sn_chained : int64;
-  sn_handoffs : int64;
-  sn_last_exit : (Jit.Pipeline.translation * int) option;
-      (** translation copy + [cs_index] of the slot *)
-  sn_trace : int64 array;
-  sn_trace_n : int;
-}
-
-let snapshot (e : t)
-    ~(remap : Jit.Pipeline.translation -> Jit.Pipeline.translation option) :
-    snap =
-  {
-    sn_hregs = Bytes.copy e.cpu.Host.Interp.hregs;
-    sn_hvregs = Array.copy e.cpu.Host.Interp.hvregs;
-    sn_cycles = e.cpu.Host.Interp.cycles;
-    sn_insns = e.cpu.Host.Interp.insns;
-    sn_dispatch = Dispatch.snapshot e.dispatch ~remap;
-    sn_overhead = e.overhead_cycles;
-    sn_jit = e.jit_cycles;
-    sn_smc = e.smc_cycles;
-    sn_idle = e.idle_cycles;
-    sn_blocks = e.blocks_executed;
-    sn_chained = e.chained_transfers;
-    sn_handoffs = e.handoffs;
-    sn_last_exit =
-      (match e.last_exit with
-      | Some (tr, slot) when not tr.Jit.Pipeline.t_dead -> (
-          match remap tr with
-          | Some c -> Some (c, slot.Jit.Pipeline.cs_index)
-          | None -> None)
-      | _ -> None);
-    sn_trace = Array.copy e.dispatch_trace;
-    sn_trace_n = e.dispatch_trace_n;
-  }
-
-let restore (e : t) (s : snap)
-    ~(remap : Jit.Pipeline.translation -> Jit.Pipeline.translation option) =
-  Bytes.blit s.sn_hregs 0 e.cpu.Host.Interp.hregs 0 (Bytes.length s.sn_hregs);
-  Array.blit s.sn_hvregs 0 e.cpu.Host.Interp.hvregs 0
-    (Array.length s.sn_hvregs);
-  e.cpu.Host.Interp.cycles <- s.sn_cycles;
-  e.cpu.Host.Interp.insns <- s.sn_insns;
-  Dispatch.restore e.dispatch s.sn_dispatch ~remap;
-  e.overhead_cycles <- s.sn_overhead;
-  e.jit_cycles <- s.sn_jit;
-  e.smc_cycles <- s.sn_smc;
-  e.idle_cycles <- s.sn_idle;
-  e.blocks_executed <- s.sn_blocks;
-  e.chained_transfers <- s.sn_chained;
-  e.handoffs <- s.sn_handoffs;
-  e.last_exit <-
-    (match s.sn_last_exit with
-    | Some (tr, idx) -> (
-        match remap tr with
-        | Some c -> (
-            match Jit.Pipeline.find_chain_slot c idx with
-            | Some slot -> Some (c, slot)
-            | None -> None)
-        | None -> None)
-    | None -> None);
-  Array.blit s.sn_trace 0 e.dispatch_trace 0 (Array.length s.sn_trace);
-  e.dispatch_trace_n <- s.sn_trace_n
-
 (** Publish this core's counters under [sched.core<i>.*] — the per-core
     view the aggregate [core.*] probes sum over. *)
 let publish (r : Obs.Registry.t) (e : t) =

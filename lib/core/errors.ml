@@ -142,23 +142,6 @@ let record (t : t) ~kind ~msg ~(stack : int64 list) : bool =
         (match t.on_record with Some f -> f e | None -> ());
         true
 
-(** {2 Snapshot / restore} — the recorded error list (with per-error
-    dedup counts) and the suppression counter.  Suppressions, the
-    symbolizer and the sinks are wiring and survive untouched. *)
-
-type snap = { s_errors : (error * int) list; s_n_suppressed : int }
-
-let snapshot (t : t) : snap =
-  {
-    s_errors = List.map (fun e -> (e, e.err_count)) t.errors;
-    s_n_suppressed = t.n_suppressed;
-  }
-
-let restore (t : t) (s : snap) : unit =
-  List.iter (fun (e, n) -> e.err_count <- n) s.s_errors;
-  t.errors <- List.map fst s.s_errors;
-  t.n_suppressed <- s.s_n_suppressed
-
 let distinct_errors t = List.length t.errors
 let total_errors t = List.fold_left (fun a e -> a + e.err_count) 0 t.errors
 

@@ -195,27 +195,19 @@ let tick_chain_patched t = tick t.c_chain_patched
 let tick_chain_unlinked t = tick t.c_chain_unlinked
 let tick_chain_followed t = tick t.c_chain_followed
 
-(** {2 Snapshot / restore} — the invocation counters, in a fixed order
-    (callbacks are wiring, not state; they survive a time-travel seek
-    untouched). *)
-
-let all_counters (t : t) : counted list =
-  [
-    t.c_pre_reg_read; t.c_post_reg_write; t.c_pre_mem_read;
-    t.c_pre_mem_read_asciiz; t.c_pre_mem_write; t.c_post_mem_write;
-    t.c_new_mem_startup; t.c_new_mem_mmap; t.c_die_mem_munmap;
-    t.c_new_mem_brk; t.c_die_mem_brk; t.c_copy_mem_mremap;
-    t.c_new_mem_stack; t.c_die_mem_stack; t.c_chain_patched;
-    t.c_chain_unlinked; t.c_chain_followed;
-  ]
-
-type snap = int64 array
-
-let snapshot (t : t) : snap =
-  Array.of_list (List.map (fun c -> c.count) (all_counters t))
-
-let restore (t : t) (s : snap) : unit =
-  List.iteri (fun i c -> c.count <- s.(i)) (all_counters t)
+(** The invocation counters, in a fixed order (the replay digest hashes
+    them). *)
+let counts (t : t) : int64 array =
+  Array.map
+    (fun c -> c.count)
+    [|
+      t.c_pre_reg_read; t.c_post_reg_write; t.c_pre_mem_read;
+      t.c_pre_mem_read_asciiz; t.c_pre_mem_write; t.c_post_mem_write;
+      t.c_new_mem_startup; t.c_new_mem_mmap; t.c_die_mem_munmap;
+      t.c_new_mem_brk; t.c_die_mem_brk; t.c_copy_mem_mremap;
+      t.c_new_mem_stack; t.c_die_mem_stack; t.c_chain_patched;
+      t.c_chain_unlinked; t.c_chain_followed;
+    |]
 
 (** (event name, trigger site, observed count) rows for the Table-1
     harness. *)

@@ -121,11 +121,6 @@ type options = {
           session from [p]'s log instead of the kernel and the chaos
           RNG; a replaying session must be created with the log's core
           count and with [chaos = None]. *)
-  snapshot_every : int64;
-      (** time-travel checkpoint cadence in simulated wall cycles
-          (replay mode only; 0 = no checkpoints).  {!seek} and {!back}
-          restore the nearest checkpoint at or before the target and
-          re-execute forward. *)
 }
 
 let default_options =
@@ -157,52 +152,12 @@ let default_options =
     aot_seed = false;
     aot_limit = 8192;
     rr = Replay.No_rr;
-    snapshot_every = 0L;
   }
 
 type exit_reason =
   | Exited of int
   | Fatal_signal of int
   | Out_of_fuel
-
-(** One full-state checkpoint (time travel, replay mode): everything a
-    scheduler step reads or writes, deep-copied.  Restoring mutates the
-    live session in place; a snapshot can be restored any number of
-    times (the translation graph is re-copied on every restore). *)
-type snapshot = {
-  sp_cycle : int64;  (** simulated wall cycles at capture *)
-  sp_insns : int64;  (** host instructions executed at capture *)
-  sp_mem : Aspace.snap;
-  sp_kern : Kernel.snap;
-  sp_threads : Threads.snap;
-  sp_transtab : Transtab.snap;
-  sp_engines : Engine.snap array;
-  sp_active : int;
-  sp_events : Events.snap;
-  sp_errors : Errors.snap;
-  sp_output : string;
-  sp_tool : Bytes.t;  (** the tool instance's serialized private state *)
-  sp_marks : Replay.marks option;  (** log cursor positions *)
-  sp_sched_iters : int64;
-  sp_trans_reqs : int64;
-  sp_blocks : int64;
-  sp_translations : int * int * int * int;  (** made, tier0, full, super *)
-  sp_retrans_smc : int;
-  sp_verify_checks : int;
-  sp_interp_fallbacks : int;
-  sp_uninstr : int;
-  sp_chaos_flushes : int;
-  sp_promotions : int * int;  (** promotions, promotions_failed *)
-  sp_super_aborts : int;
-  sp_jit_t0 : int64;
-  sp_jit_phase : int64 array;
-  sp_jit_phase_t0 : int64 array;
-  sp_sysw : int * int * int * int;
-  sp_arena_next : int64;
-  sp_regstacks : int * (int * int64 * int64) list;
-  sp_cfg : int * int;  (** cfg_checked, cfg_miss *)
-  sp_exit : exit_reason option;
-}
 
 type t = {
   opts : options;
@@ -291,9 +246,6 @@ type t = {
   mutable trans_reqs : int64;
       (** translation-request ordinal: the replay key for chaos-condemned
           translations *)
-  mutable snapshots : (int64 * snapshot) list;
-      (** time-travel checkpoints, newest first, keyed by wall cycle *)
-  mutable next_snap_at : int64;  (** next checkpoint wall-cycle mark *)
 }
 
 (** Total work cycles across every core (host + overhead + jit + smc;
@@ -401,8 +353,7 @@ let publish_metrics (s : t) =
       List.iter
         (fun (k, _) ->
           pi ("replay." ^ k) (fun () -> List.assoc k (Replay.progress p)))
-        (Replay.progress p);
-      pi "replay.snapshots" (fun () -> List.length s.snapshots)
+        (Replay.progress p)
   | Replay.No_rr -> ());
   Array.iter (fun e -> Engine.publish r e) s.cores;
   Transtab.publish r s.transtab;
@@ -507,8 +458,6 @@ let create ?(options = default_options) ~(tool : Tool.t)
       started = false;
       sched_iters = 0L;
       trans_reqs = 0L;
-      snapshots = [];
-      next_snap_at = 0L;
     }
   in
   (* record/replay wiring.  Recording: capture the kernel's stores and
@@ -1067,7 +1016,7 @@ let handle_client_request (s : t) =
         | None -> set_result 0L
 
 (* ------------------------------------------------------------------ *)
-(* Time travel (Vgrewind): snapshots, digests                           *)
+(* Record/replay (Vgrewind): digests                                    *)
 (* ------------------------------------------------------------------ *)
 
 (** Host instructions executed so far, summed over every core — the
@@ -1075,137 +1024,11 @@ let handle_client_request (s : t) =
 let host_insns (s : t) : int64 =
   Array.fold_left (fun acc e -> Int64.add acc e.Engine.cpu.insns) 0L s.cores
 
-(** Capture a full-state checkpoint of the running session.  Charges
-    nothing: checkpoints are a debugger feature, not simulated work. *)
-let take_snapshot (s : t) : unit =
-  let tt, remap = Transtab.snapshot s.transtab in
-  let sp =
-    {
-      sp_cycle = wall_cycles s;
-      sp_insns = host_insns s;
-      sp_mem = Aspace.snapshot s.mem;
-      sp_kern = Kernel.snapshot s.kern;
-      sp_threads = Threads.snapshot s.threads;
-      sp_transtab = tt;
-      sp_engines = Array.map (fun e -> Engine.snapshot e ~remap) s.cores;
-      sp_active = s.active.Engine.id;
-      sp_events = Events.snapshot s.events;
-      sp_errors = Errors.snapshot s.errors;
-      sp_output = Buffer.contents s.output_buf;
-      sp_tool =
-        (match s.instance with
-        | Some i -> i.Tool.snapshot ()
-        | None -> Bytes.empty);
-      sp_marks =
-        (match s.opts.rr with
-        | Replay.Replay p -> Some (Replay.mark p)
-        | _ -> None);
-      sp_sched_iters = s.sched_iters;
-      sp_trans_reqs = s.trans_reqs;
-      sp_blocks = s.blocks_executed;
-      sp_translations =
-        ( s.translations_made, s.translations_tier0, s.translations_full,
-          s.translations_super );
-      sp_retrans_smc = s.retranslations_smc;
-      sp_verify_checks = s.verify_checks;
-      sp_interp_fallbacks = s.interp_fallbacks;
-      sp_uninstr = s.uninstrumented_steps;
-      sp_chaos_flushes = s.chaos_flushes;
-      sp_promotions = (s.promotions, s.promotions_failed);
-      sp_super_aborts = s.superblock_aborts;
-      sp_jit_t0 = s.jit_cycles_tier0;
-      sp_jit_phase = Array.copy s.jit_phase_cycles;
-      sp_jit_phase_t0 = Array.copy s.jit_phase_cycles_tier0;
-      sp_sysw =
-        ( s.sysw.Syswrap.n_restarts, s.sysw.Syswrap.n_injected_errnos,
-          s.sysw.Syswrap.n_short_io, s.sysw.Syswrap.n_map_retries );
-      sp_arena_next = s.arena_next;
-      sp_regstacks = (s.regstacks.next_id, s.regstacks.stacks);
-      sp_cfg = (s.cfg_checked, s.cfg_miss);
-      sp_exit = s.exit_reason;
-    }
-  in
-  s.snapshots <- (sp.sp_cycle, sp) :: s.snapshots
-
-(** Restore the session, in place, to a previously captured checkpoint.
-    The address space goes first (ThreadStates and shadow state live in
-    guest memory), then the kernel, threads, translation table and
-    per-core caches (through the translation-copy memo so every
-    reference lands on the same fresh copy), then the flat counters. *)
-let restore_snapshot (s : t) (sp : snapshot) : unit =
-  Aspace.restore s.mem sp.sp_mem;
-  Kernel.restore s.kern sp.sp_kern;
-  Threads.restore s.threads sp.sp_threads;
-  let remap = Transtab.restore s.transtab sp.sp_transtab in
-  Array.iteri (fun i e -> Engine.restore e sp.sp_engines.(i) ~remap) s.cores;
-  s.active <- s.cores.(sp.sp_active);
-  Events.restore s.events sp.sp_events;
-  Errors.restore s.errors sp.sp_errors;
-  Buffer.clear s.output_buf;
-  Buffer.add_string s.output_buf sp.sp_output;
-  (match s.instance with
-  | Some i -> i.Tool.restore sp.sp_tool
-  | None -> ());
-  (match (s.opts.rr, sp.sp_marks) with
-  | Replay.Replay p, Some m -> Replay.reset p m
-  | _ -> ());
-  s.sched_iters <- sp.sp_sched_iters;
-  s.trans_reqs <- sp.sp_trans_reqs;
-  s.blocks_executed <- sp.sp_blocks;
-  let tm, t0, tf, tsu = sp.sp_translations in
-  s.translations_made <- tm;
-  s.translations_tier0 <- t0;
-  s.translations_full <- tf;
-  s.translations_super <- tsu;
-  s.retranslations_smc <- sp.sp_retrans_smc;
-  s.verify_checks <- sp.sp_verify_checks;
-  s.interp_fallbacks <- sp.sp_interp_fallbacks;
-  s.uninstrumented_steps <- sp.sp_uninstr;
-  s.chaos_flushes <- sp.sp_chaos_flushes;
-  let pm, pf = sp.sp_promotions in
-  s.promotions <- pm;
-  s.promotions_failed <- pf;
-  s.superblock_aborts <- sp.sp_super_aborts;
-  s.jit_cycles_tier0 <- sp.sp_jit_t0;
-  Array.blit sp.sp_jit_phase 0 s.jit_phase_cycles 0
-    (Array.length s.jit_phase_cycles);
-  Array.blit sp.sp_jit_phase_t0 0 s.jit_phase_cycles_tier0 0
-    (Array.length s.jit_phase_cycles_tier0);
-  let r1, r2, r3, r4 = sp.sp_sysw in
-  s.sysw.Syswrap.n_restarts <- r1;
-  s.sysw.Syswrap.n_injected_errnos <- r2;
-  s.sysw.Syswrap.n_short_io <- r3;
-  s.sysw.Syswrap.n_map_retries <- r4;
-  s.arena_next <- sp.sp_arena_next;
-  let rid, rstacks = sp.sp_regstacks in
-  s.regstacks.next_id <- rid;
-  s.regstacks.stacks <- rstacks;
-  let cchk, cmiss = sp.sp_cfg in
-  s.cfg_checked <- cchk;
-  s.cfg_miss <- cmiss;
-  s.exit_reason <- sp.sp_exit
-
-(* Checkpoint cadence: replay mode only, keyed on simulated wall cycles.
-   [next_snap_at] is deliberately NOT restored by time travel — it is a
-   high-water mark, so re-executing a stretch never re-captures the
-   checkpoints already taken over it. *)
-let maybe_snapshot (s : t) =
-  match s.opts.rr with
-  | Replay.Replay _
-    when Int64.compare s.opts.snapshot_every 0L > 0
-         && Int64.compare (wall_cycles s) s.next_snap_at >= 0 ->
-      take_snapshot s;
-      s.next_snap_at <- Int64.add (wall_cycles s) s.opts.snapshot_every
-  | _ -> ()
-
 let ensure_started (s : t) =
   if not s.started then begin
     s.started <- true;
     startup s;
-    aot_seed_blocks s;
-    (* replay mode: a base checkpoint right after start-up, so seeking
-       near cycle zero never needs a run-from-nothing *)
-    maybe_snapshot s
+    aot_seed_blocks s
   end
 
 (** Final-state digests, written to the log trailer by a recording
@@ -1238,7 +1061,7 @@ let digests (s : t) : (string * string) list =
     Array.fold_left
       (fun h v -> Replay.fnv_string ~h (Int64.to_string v))
       Replay.fnv_basis
-      (Events.snapshot s.events)
+      (Events.counts s.events)
   in
   [
     ("exit", exit_str);
@@ -1785,15 +1608,14 @@ let pick_core (s : t) : Engine.t option =
         | _ -> Some e)
     None s.cores
 
-(** One scheduler-loop iteration: checkpoint if due, bump the iteration
-    ordinal, roll (or replay) the chaos scheduling points, pick a core
-    and run one block.  Returns [false] once the session has exited. *)
+(** One scheduler-loop iteration: bump the iteration ordinal, roll (or
+    replay) the chaos scheduling points, pick a core and run one block.
+    Returns [false] once the session has exited. *)
 let step (s : t) : bool =
   ensure_started s;
   (match s.exit_reason with
   | Some _ -> ()
   | None -> (
-      maybe_snapshot s;
       s.sched_iters <- Int64.add s.sched_iters 1L;
       if
         s.opts.max_blocks > 0L
@@ -1951,33 +1773,33 @@ let run (s : t) : exit_reason =
 (* Time travel: seek / back                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Restore the newest checkpoint satisfying [pick], else the oldest one
-   there is (the post-start-up base checkpoint, when cadence is on). *)
-let rewind_to_best (s : t) (pick : snapshot -> bool) =
-  match List.find_opt (fun (_, sp) -> pick sp) s.snapshots with
-  | Some (_, sp) -> restore_snapshot s sp
-  | None -> (
-      match List.rev s.snapshots with
-      | (_, sp) :: _ -> restore_snapshot s sp
-      | [] -> ())
+(* A fresh session over the same log, image, tool and options, not yet
+   started.  Replay is deterministic, so running it forward reaches any
+   earlier point of [s] exactly. *)
+let rewound (s : t) : t =
+  match s.opts.rr with
+  | Replay.Replay p ->
+      let rr = Replay.Replay (Replay.player p.Replay.p_log) in
+      create ~options:{ s.opts with rr } ~tool:s.tool s.image
+  | _ -> invalid_arg "Session: going backwards needs a replaying session"
 
-(** Move the session to the first block boundary at or after wall-cycle
-    [cycle] — backwards via checkpoint restore + re-execution, forwards
-    by plain execution.  Replay mode with [snapshot_every > 0]. *)
-let seek (s : t) ~(cycle : int64) : unit =
-  ensure_started s;
-  if Int64.compare (wall_cycles s) cycle > 0 then
-    rewind_to_best s (fun sp -> Int64.compare sp.sp_cycle cycle <= 0);
-  run_to s ~stop:(fun s -> Int64.compare (wall_cycles s) cycle >= 0)
+(** The session at the first block boundary at or after wall-cycle
+    [cycle]: [s] itself run forward when [cycle] is not behind it, else a
+    fresh replaying session re-executed from the start (going back needs
+    [s] to be replaying). *)
+let seek (s : t) ~(cycle : int64) : t =
+  let s = if Int64.compare (wall_cycles s) cycle > 0 then rewound s else s in
+  run_to s ~stop:(fun s -> Int64.compare (wall_cycles s) cycle >= 0);
+  s
 
-(** Step backwards [insns] host instructions (block granularity: lands
-    on the first block boundary at or after the target). *)
-let back (s : t) ~(insns : int64) : unit =
-  ensure_started s;
-  let target = Int64.sub (host_insns s) insns in
-  let target = if Int64.compare target 0L < 0 then 0L else target in
-  rewind_to_best s (fun sp -> Int64.compare sp.sp_insns target <= 0);
-  run_to s ~stop:(fun s -> Int64.compare (host_insns s) target >= 0)
+(** The session [insns] host instructions before [s], at block
+    granularity (the first block boundary at or after the target),
+    re-executed in a fresh replaying session. *)
+let back (s : t) ~(insns : int64) : t =
+  let target = max 0L (Int64.sub (host_insns s) insns) in
+  let s = rewound s in
+  run_to s ~stop:(fun s -> Int64.compare (host_insns s) target >= 0);
+  s
 
 (* ------------------------------------------------------------------ *)
 (* Statistics                                                           *)

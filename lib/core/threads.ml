@@ -206,84 +206,6 @@ let restore_frame (t : t) (th : thread) : bool =
       th.sig_frames <- rest;
       true
 
-(** {2 Snapshot / restore}
-
-    ThreadState blocks themselves live in the address space and are
-    captured by the {!Aspace} snapshot; this records only the thread
-    set's own bookkeeping.  [restore] mutates the existing thread
-    records in place (outstanding references stay valid) and drops
-    records spawned after the snapshot — tids are monotonic and threads
-    are never removed, so every snapshotted tid still has its record. *)
-
-type thread_snap = {
-  th_tid : int;
-  th_status : status;
-  th_frames : Bytes.t list;
-  th_blocks : int64;
-  th_slice : int64;
-  th_exit : int64;
-}
-
-type snap = {
-  s_threads : thread_snap list;
-  s_next_tid : int;
-  s_current : int;  (** tid *)
-  s_currents : int option array;  (** per-core scheduled tid *)
-  s_handoffs : int64;
-}
-
-let snapshot (t : t) : snap =
-  {
-    s_threads =
-      List.map
-        (fun th ->
-          {
-            th_tid = th.tid;
-            th_status = th.status;
-            th_frames = List.map Bytes.copy th.sig_frames;
-            th_blocks = th.blocks_run;
-            th_slice = th.slice_start;
-            th_exit = th.exit_value;
-          })
-        t.threads;
-    s_next_tid = t.next_tid;
-    s_current = t.current.tid;
-    s_currents = Array.map (Option.map (fun th -> th.tid)) t.currents;
-    s_handoffs = t.lock_handoffs;
-  }
-
-let restore (t : t) (s : snap) : unit =
-  let revived =
-    List.map
-      (fun sn ->
-        match find t sn.th_tid with
-        | None -> failwith "Threads.restore: snapshotted thread is gone"
-        | Some th ->
-            th.status <- sn.th_status;
-            th.sig_frames <- List.map Bytes.copy sn.th_frames;
-            th.blocks_run <- sn.th_blocks;
-            th.slice_start <- sn.th_slice;
-            th.exit_value <- sn.th_exit;
-            th)
-      s.s_threads
-  in
-  t.threads <- revived;
-  t.next_tid <- s.s_next_tid;
-  Array.iteri
-    (fun core tid ->
-      t.currents.(core) <-
-        Option.map
-          (fun tid ->
-            match find t tid with
-            | Some th -> th
-            | None -> failwith "Threads.restore: scheduled thread is gone")
-          tid)
-    s.s_currents;
-  (match find t s.s_current with
-  | Some th -> t.current <- th
-  | None -> failwith "Threads.restore: current thread is gone");
-  t.lock_handoffs <- s.s_handoffs
-
 (** Walk the frame-pointer chain for a stack trace: current PC, then
     return addresses found through fp links ([fp] = saved fp,
     [fp+4] = return address — the minicc frame layout). *)

@@ -4,7 +4,12 @@
     A tool is a value of type {!t}: a name and a [create] function the
     core calls at start-up with the capabilities record {!caps}.  The
     tool registers event callbacks, installs function replacements, and
-    returns an {!instance} whose [instrument] is phase 3 of the JIT. *)
+    returns an {!instance}: [instrument] is phase 3 of the JIT, [fini]
+    runs at client exit and [client_request] answers the tool's own
+    client requests.  That is the whole interface.  A tool writes no
+    save/restore code for its state: time travel re-executes a fresh
+    session from the replay log, so an instance is only ever built, run
+    and finished. *)
 
 (** Capabilities the core hands to a tool at initialisation. *)
 type caps = {
@@ -57,31 +62,7 @@ type instance = {
   client_request : code:int64 -> args:int64 array -> int64 option;
       (** tool-specific client requests; [None] = not handled.
           [args] is the argument block (up to 4 words) read for you. *)
-  snapshot : unit -> Bytes.t;
-      (** serialize the tool's mutable shadow state (vgrewind snapshots
-          it alongside the core for time-travel seeks).  Shadow state
-          kept {e in guest memory} (ThreadState shadow registers, shadow
-          bitmaps in the address space) is captured by the core's
-          address-space snapshot and must not be re-serialized here. *)
-  restore : Bytes.t -> unit;
-      (** reinstall state produced by [snapshot] on the same instance *)
 }
-
-(** Snapshot/restore for tools with no OCaml-side mutable state. *)
-let snapshot_nothing : unit -> Bytes.t = fun () -> Bytes.empty
-
-let restore_nothing : Bytes.t -> unit = fun _ -> ()
-
-(** Default serialize-whole-state implementation: build the pair from a
-    plain-data projection of the tool's mutable state.  [save] must
-    return closure-free data (records, lists, hashtables, buffers are
-    all fine); [load] writes the projection back into the live state.
-    Marshal deep-copies on the way out, so the snapshot is immune to
-    later mutation and restorable any number of times. *)
-let marshal_pair (type a) ~(save : unit -> a) ~(load : a -> unit) :
-    (unit -> Bytes.t) * (Bytes.t -> unit) =
-  ( (fun () -> Marshal.to_bytes (save ()) []),
-    fun b -> load (Marshal.from_bytes b 0) )
 
 type t = {
   name : string;
@@ -107,7 +88,5 @@ let nulgrind : t =
           instrument = (fun b -> b);
           fini = (fun ~exit_code:_ -> ());
           client_request = (fun ~code:_ ~args:_ -> None);
-          snapshot = snapshot_nothing;
-          restore = restore_nothing;
         });
   }

@@ -394,138 +394,6 @@ let flush (t : t) =
 
 let occupancy t = float_of_int t.used /. float_of_int t.capacity
 
-(* ------------------------------------------------------------------ *)
-(* Snapshot / restore (time-travel support)                             *)
-(* ------------------------------------------------------------------ *)
-
-type snap = {
-  s_slots : (int * int64 * int * Jit.Pipeline.translation) list;
-      (** (slot index, key, seq, deep-copied translation) — exact slot
-          layout is preserved so probe order, [all_entries] order and
-          therefore future evictions replay identically *)
-  s_seq : int;
-  s_epoch : int;
-  s_chains : (int * int64 * int64 * int) list;
-      (** (shard, dst key, src key, cs_index) for every patched slot *)
-  s_n_retired : int;
-  s_n_retire_freed : int;
-  s_n_inserts : int;
-  s_n_evict_chunks : int;
-  s_n_evicted : int;
-  s_n_discards : int;
-  s_n_chain_links : int;
-  s_n_chain_unlinks : int;
-  s_live_chains : int;
-  s_links_by_shard : int64 array;
-}
-
-(** Deep-copy the table.  Returns the snapshot plus a memo lookup from
-    live translations to their copies, so the per-core caches can
-    snapshot their references consistently.  The retire list is
-    deliberately dropped: retired translations are dead, dead cache
-    hits behave exactly like misses, and [advance_epoch] charges no
-    cycles — so forgetting them cannot change replayed behaviour. *)
-let snapshot (t : t) :
-    snap * (Jit.Pipeline.translation -> Jit.Pipeline.translation option) =
-  let memo = ref [] in
-  let s_slots = ref [] in
-  Array.iteri
-    (fun i -> function
-      | None -> ()
-      | Some e ->
-          s_slots :=
-            (i, e.e_key, e.e_seq, Jit.Pipeline.copy_translation memo e.e_trans)
-            :: !s_slots)
-    t.slots;
-  let s_chains = ref [] in
-  Array.iteri
-    (fun si shard ->
-      Hashtbl.iter
-        (fun dst pairs ->
-          List.iter
-            (fun (src, (slot : Jit.Pipeline.chain_slot)) ->
-              s_chains := (si, dst, src, slot.cs_index) :: !s_chains)
-            pairs)
-        shard)
-    t.chain_shards;
-  let snap =
-    {
-      s_slots = List.rev !s_slots;
-      s_seq = t.seq;
-      s_epoch = t.epoch;
-      s_chains = !s_chains;
-      s_n_retired = t.n_retired;
-      s_n_retire_freed = t.n_retire_freed;
-      s_n_inserts = t.n_inserts;
-      s_n_evict_chunks = t.n_evict_chunks;
-      s_n_evicted = t.n_evicted;
-      s_n_discards = t.n_discards;
-      s_n_chain_links = t.n_chain_links;
-      s_n_chain_unlinks = t.n_chain_unlinks;
-      s_live_chains = t.live_chains;
-      s_links_by_shard = Array.copy t.chain_links_by_shard;
-    }
-  in
-  let m = !memo in
-  (snap, fun tr -> List.assq_opt tr m)
-
-let slot_by_index (tr : Jit.Pipeline.translation) (idx : int) :
-    Jit.Pipeline.chain_slot option =
-  let n = Array.length tr.Jit.Pipeline.t_exits in
-  let rec go i =
-    if i >= n then None
-    else if tr.Jit.Pipeline.t_exits.(i).Jit.Pipeline.cs_index = idx then
-      Some tr.Jit.Pipeline.t_exits.(i)
-    else go (i + 1)
-  in
-  go 0
-
-(** Restore from a snapshot, installing fresh copies-of-copies (so one
-    snapshot can be restored any number of times).  Returns the memo
-    lookup from snapshot translations to the installed ones, for the
-    per-core caches.  Mutates [t] in place. *)
-let restore (t : t) (s : snap) :
-    Jit.Pipeline.translation -> Jit.Pipeline.translation option =
-  let memo = ref [] in
-  t.slots <- Array.make t.capacity None;
-  List.iter
-    (fun (i, key, seq, tr) ->
-      let copy = Jit.Pipeline.copy_translation memo tr in
-      t.slots.(i) <- Some { e_key = key; e_trans = copy; e_seq = seq })
-    s.s_slots;
-  t.used <- List.length s.s_slots;
-  t.seq <- s.s_seq;
-  t.epoch <- s.s_epoch;
-  t.retire_list <- [];
-  Array.iter Hashtbl.reset t.chain_shards;
-  List.iter
-    (fun (si, dst, src, idx) ->
-      match find t src with
-      | None -> () (* unreachable: chain sources are resident by invariant *)
-      | Some tr -> (
-          match slot_by_index tr idx with
-          | None -> ()
-          | Some slot ->
-              let shard = t.chain_shards.(si mod Array.length t.chain_shards) in
-              let prev =
-                Option.value ~default:[] (Hashtbl.find_opt shard dst)
-              in
-              Hashtbl.replace shard dst ((src, slot) :: prev)))
-    s.s_chains;
-  t.n_retired <- s.s_n_retired;
-  t.n_retire_freed <- s.s_n_retire_freed;
-  t.n_inserts <- s.s_n_inserts;
-  t.n_evict_chunks <- s.s_n_evict_chunks;
-  t.n_evicted <- s.s_n_evicted;
-  t.n_discards <- s.s_n_discards;
-  t.n_chain_links <- s.s_n_chain_links;
-  t.n_chain_unlinks <- s.s_n_chain_unlinks;
-  t.live_chains <- s.s_live_chains;
-  Array.blit s.s_links_by_shard 0 t.chain_links_by_shard 0
-    (Array.length t.chain_links_by_shard);
-  let m = !memo in
-  fun tr -> List.assq_opt tr m
-
 (** Is [pc] a constituent of some resident superblock?  Trace formation
     refuses to re-cover such blocks: the per-block translations of a hot
     loop stay resident for side-exit fallback and their exits keep

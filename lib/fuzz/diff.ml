@@ -162,8 +162,6 @@ let witness_tool () : Vg_core.Tool.t * totals =
                            name count))
                   (Vg_core.Events.table1_rows ev));
             client_request = (fun ~code:_ ~args:_ -> None);
-            snapshot = Vg_core.Tool.snapshot_nothing;
-            restore = Vg_core.Tool.restore_nothing;
           });
     }
   in

@@ -253,31 +253,6 @@ let find_chain_slot (t : translation) (idx : int) : chain_slot option =
   if idx < 0 || idx >= Array.length t.t_exit_index then None
   else t.t_exit_index.(idx)
 
-(** Deep-copy a graph of translations for snapshot/restore: fresh
-    chain-slot records (so later patching of the copy never touches the
-    original, and vice versa) with [cs_next] cross-references remapped
-    through [memo] so shared targets stay shared.  The memo is keyed by
-    physical identity — chained translations can form cycles, so
-    structural comparison would not terminate.  Immutable payloads
-    ([t_code], [t_decoded], [t_phase_cycles], ...) are shared. *)
-let rec copy_translation (memo : (translation * translation) list ref)
-    (t : translation) : translation =
-  match List.assq t !memo with
-  | copy -> copy
-  | exception Not_found ->
-      let slots = Array.map (fun s -> { s with cs_next = None }) t.t_exits in
-      let copy =
-        { t with t_exits = slots; t_exit_index = exit_index_of t.t_decoded slots }
-      in
-      memo := (t, copy) :: !memo;
-      Array.iteri
-        (fun i orig ->
-          match orig.cs_next with
-          | Some dst -> slots.(i).cs_next <- Some (copy_translation memo dst)
-          | None -> ())
-        t.t_exits;
-      copy
-
 (* FNV-1a over the guest bytes a translation was made from.  Unfetchable
    bytes (a block ending in undecodable unmapped memory) hash as zero. *)
 let hash_guest_bytes (fetch : int64 -> int) (ranges : (int64 * int) list) :

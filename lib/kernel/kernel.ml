@@ -98,13 +98,13 @@ type t = {
   mutable next_fd : int;
   files : (string, string) Hashtbl.t;  (** simulated filesystem *)
   mutable brk : int64;
-  mutable brk_limit : int64;
-  mutable mmap_base : int64;  (** client mmap arena cursor base *)
-  mutable mmap_limit : int64;
+  brk_limit : int64;
+  mmap_base : int64;  (** client mmap arena cursor base *)
+  mmap_limit : int64;
   handlers : sighandler option array;  (** per-signal disposition *)
   pending : (int * int) Queue.t;  (** (tid, signal) queue *)
   mutable now_cycles : unit -> int64;  (** virtual time source *)
-  mutable pid : int;
+  pid : int;
   (* A hook the Valgrind core installs to pre-check address-space
      requests against its own mappings (§3.10): returns false to deny. *)
   mutable map_allowed : int64 -> int -> bool;
@@ -343,86 +343,6 @@ let do_settimeofday t tv_addr : int =
     ignore (Aspace.read t.mem (Int64.add tv_addr 4L) 4);
     0
   with Aspace.Fault _ -> einval
-
-(* ------------------------------------------------------------------ *)
-(* Snapshot / restore (time-travel support)                             *)
-(* ------------------------------------------------------------------ *)
-
-type fd_kind_snap =
-  | K_console of string
-  | K_read of string * int
-  | K_write of string
-
-type snap = {
-  s_fds : (int * string * fd_kind_snap) list;
-  s_next_fd : int;
-  s_files : (string * string) list;
-  s_brk : int64;
-  s_brk_limit : int64;
-  s_mmap_base : int64;
-  s_mmap_limit : int64;
-  s_handlers : sighandler option array;
-  s_pending : (int * int) list;
-  s_pid : int;
-}
-
-(** Deep-copy every piece of mutable kernel state except the installed
-    hooks ([now_cycles], [map_allowed], [stdout_echo]), which belong to
-    the session wiring, not to the guest-visible state. *)
-let snapshot (t : t) : snap =
-  {
-    s_fds =
-      Hashtbl.fold
-        (fun n fd acc ->
-          let k =
-            match fd.kind with
-            | Fd_console b -> K_console (Buffer.contents b)
-            | Fd_read r -> K_read (r.content, r.pos)
-            | Fd_write b -> K_write (Buffer.contents b)
-          in
-          (n, fd.fd_name, k) :: acc)
-        t.fds []
-      |> List.sort compare;
-    s_next_fd = t.next_fd;
-    s_files = Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.files [];
-    s_brk = t.brk;
-    s_brk_limit = t.brk_limit;
-    s_mmap_base = t.mmap_base;
-    s_mmap_limit = t.mmap_limit;
-    s_handlers = Array.copy t.handlers;
-    s_pending = Queue.fold (fun acc x -> x :: acc) [] t.pending |> List.rev;
-    s_pid = t.pid;
-  }
-
-let restore (t : t) (s : snap) : unit =
-  Hashtbl.reset t.fds;
-  List.iter
-    (fun (n, fd_name, k) ->
-      let kind =
-        match k with
-        | K_console c ->
-            let b = Buffer.create (String.length c + 64) in
-            Buffer.add_string b c;
-            Fd_console b
-        | K_read (content, pos) -> Fd_read { content; pos }
-        | K_write c ->
-            let b = Buffer.create (String.length c + 64) in
-            Buffer.add_string b c;
-            Fd_write b
-      in
-      Hashtbl.replace t.fds n { kind; fd_name })
-    s.s_fds;
-  t.next_fd <- s.s_next_fd;
-  Hashtbl.reset t.files;
-  List.iter (fun (k, v) -> Hashtbl.replace t.files k v) s.s_files;
-  t.brk <- s.s_brk;
-  t.brk_limit <- s.s_brk_limit;
-  t.mmap_base <- s.s_mmap_base;
-  t.mmap_limit <- s.s_mmap_limit;
-  Array.blit s.s_handlers 0 t.handlers 0 (Array.length t.handlers);
-  Queue.clear t.pending;
-  List.iter (fun x -> Queue.add x t.pending) s.s_pending;
-  t.pid <- s.s_pid
 
 (** Dispatch one syscall: number in r0, args in r1..r5, result to r0.
     [tid] is the calling thread. *)

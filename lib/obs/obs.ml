@@ -4,10 +4,9 @@
     cycles go — dispatch vs. JIT vs. tool instrumentation.  This module
     is the measurement substrate the rest of the core publishes into:
 
-    - {!Registry}: a named-metric registry (push counters, cycle
-      histograms, and {e probes} — pull closures that read a subsystem's
-      own live field, so the registry can never drift from the legacy
-      [stats] record it mirrors);
+    - {!Registry}: a named-metric registry of {e probes} — pull closures
+      that read a subsystem's own live field, so the registry can never
+      drift from the legacy [stats] record it mirrors;
     - {!Trace}: a bounded ring of structured events (translations, chain
       patch/unlink, evictions, chaos faults, signals) exportable as
       JSON-lines or Chrome [trace_event] JSON;
@@ -49,22 +48,9 @@ let json_float (f : float) : string = Printf.sprintf "%.6f" f
 (* ------------------------------------------------------------------ *)
 
 module Registry = struct
-  type counter = { mutable c_value : int64 }
-
-  (** A log2-bucketed cycle histogram: bucket [k] counts observations
-      [v] with [2^(k-1) <= v < 2^k] (bucket 0 counts zeros). *)
-  type hist = {
-    h_buckets : int64 array;  (** 65 buckets *)
-    mutable h_count : int64;
-    mutable h_sum : int64;
-    mutable h_max : int64;
-  }
-
   type metric =
-    | M_counter of counter
     | M_probe of (unit -> int64)  (** pulls a subsystem's live field *)
     | M_fprobe of (unit -> float)
-    | M_hist of hist
 
   type t = { metrics : (string, metric) Hashtbl.t }
 
@@ -75,75 +61,24 @@ module Registry = struct
       invalid_arg ("Obs.Registry: duplicate metric " ^ name);
     Hashtbl.replace t.metrics name m
 
-  let counter (t : t) (name : string) : counter =
-    let c = { c_value = 0L } in
-    register t name (M_counter c);
-    c
-
   let probe (t : t) (name : string) (f : unit -> int64) : unit =
     register t name (M_probe f)
 
   let fprobe (t : t) (name : string) (f : unit -> float) : unit =
     register t name (M_fprobe f)
 
-  let hist (t : t) (name : string) : hist =
-    let h =
-      { h_buckets = Array.make 65 0L; h_count = 0L; h_sum = 0L; h_max = 0L }
-    in
-    register t name (M_hist h);
-    h
-
-  let add (c : counter) (n : int64) = c.c_value <- Int64.add c.c_value n
-  let incr (c : counter) = add c 1L
-  let value (c : counter) = c.c_value
-
-  let bucket_of (v : int64) : int =
-    if Int64.compare v 0L <= 0 then 0
-    else begin
-      let k = ref 0 and x = ref v in
-      while Int64.unsigned_compare !x 0L > 0 do
-        x := Int64.shift_right_logical !x 1;
-        k := !k + 1
-      done;
-      !k
-    end
-
-  let observe (h : hist) (v : int64) =
-    h.h_buckets.(bucket_of v) <- Int64.add h.h_buckets.(bucket_of v) 1L;
-    h.h_count <- Int64.add h.h_count 1L;
-    h.h_sum <- Int64.add h.h_sum v;
-    if Int64.unsigned_compare v h.h_max > 0 then h.h_max <- v
-
   (** One exported sample. *)
   type sample = I of int64 | F of float
 
-  (* Flatten one metric into (suffix, sample) rows; histograms expand to
-     .count/.sum/.max plus their non-empty buckets. *)
-  let flatten (name : string) (m : metric) : (string * sample) list =
-    match m with
-    | M_counter c -> [ (name, I c.c_value) ]
-    | M_probe f -> [ (name, I (f ())) ]
-    | M_fprobe f -> [ (name, F (f ())) ]
-    | M_hist h ->
-        [ (name ^ ".count", I h.h_count);
-          (name ^ ".sum", I h.h_sum);
-          (name ^ ".max", I h.h_max) ]
-        @ List.concat
-            (List.init 65 (fun k ->
-                 if h.h_buckets.(k) = 0L then []
-                 else [ (Printf.sprintf "%s.b%02d" name k, I h.h_buckets.(k)) ]))
+  let sample = function M_probe f -> I (f ()) | M_fprobe f -> F (f ())
 
   (** Every sample in the registry, sorted by name (deterministic). *)
   let samples (t : t) : (string * sample) list =
-    Hashtbl.fold (fun name m acc -> flatten name m @ acc) t.metrics []
+    Hashtbl.fold (fun name m acc -> (name, sample m) :: acc) t.metrics []
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
   let find (t : t) (name : string) : sample option =
-    match Hashtbl.find_opt t.metrics name with
-    | Some m -> ( match flatten name m with (_, s) :: _ -> Some s | [] -> None)
-    | None ->
-        (* Flattened-only names: histogram sub-keys like "h.count". *)
-        List.assoc_opt name (samples t)
+    Option.map sample (Hashtbl.find_opt t.metrics name)
 
   let find_i64 (t : t) (name : string) : int64 option =
     match find t name with Some (I v) -> Some v | _ -> None

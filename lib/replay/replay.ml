@@ -33,7 +33,7 @@
     trailer of digests of the final state for replay verification. *)
 
 let magic = "VGRW"
-let version = 1
+let version = 2
 
 exception Corrupt of string
 
@@ -601,20 +601,6 @@ let player (l : log) : player =
 let player_of_file path = player (log_of_file path)
 let player_of_string s = player (decode s)
 
-(** Cursor positions, for snapshot/restore during time-travel. *)
-type marks = int * int * int * int * int * int
-
-let mark (p : player) : marks =
-  (p.p_sys_i, p.p_sig_i, p.p_flush_i, p.p_stall_i, p.p_retire_i, p.p_condemn_i)
-
-let reset (p : player) ((a, b, c, d, e, f) : marks) =
-  p.p_sys_i <- a;
-  p.p_sig_i <- b;
-  p.p_flush_i <- c;
-  p.p_stall_i <- d;
-  p.p_retire_i <- e;
-  p.p_condemn_i <- f
-
 let diverged ~cycle ~expected ~got =
   raise (Divergence { dv_cycle = cycle; dv_expected = expected; dv_got = got })
 
@@ -780,33 +766,29 @@ let fnv_string ?(h = fnv_basis) (s : string) : int64 =
   !h
 
 let fnv_bytes ?(h = fnv_basis) (b : Bytes.t) : int64 =
-  fnv_string ~h (Bytes.to_string b)
+  let h = ref h in
+  Bytes.iter (fun c -> h := fnv_byte !h (Char.code c)) b;
+  !h
 
 let hex (h : int64) = Printf.sprintf "%016Lx" h
 
 (** Hash the entire mapped address space: page indices, permissions and
     contents, in page order.  Stronger than the fuzz oracle's data+bss
-    hash — replay equality covers every mapping. *)
+    hash — replay equality covers every mapping.  Pages are hashed in
+    place, without copying. *)
 let hash_aspace (mem : Aspace.t) : int64 =
-  let s = Aspace.snapshot mem in
-  let h = ref fnv_basis in
-  List.iter
-    (fun (pi, data, perm) ->
-      h := fnv_byte !h pi;
-      h := fnv_byte !h (pi lsr 8);
-      h := fnv_byte !h (pi lsr 16);
-      h := fnv_byte !h (perm_bits perm);
-      h := fnv_bytes ~h:!h data)
-    s.Aspace.s_pages;
-  !h
+  Aspace.fold_pages mem
+    (fun h pi data perm ->
+      let h = fnv_byte h pi in
+      let h = fnv_byte h (pi lsr 8) in
+      let h = fnv_byte h (pi lsr 16) in
+      let h = fnv_byte h (perm_bits perm) in
+      fnv_bytes ~h data)
+    fnv_basis
 
 (** Drop metric lines that only exist on one side of a record/replay
     pair: chaos.* (the recording side rolled the dice) and replay.*
-    (the replaying side counts log consumption).
-    transtab.retire_pending is dropped too: the transtab snapshot
-    deliberately forgets the retire list (dead cache hits behave like
-    misses, so replayed behaviour is unaffected), which zeroes this
-    transient gauge after time travel.  Trailing commas are
+    (the replaying side counts log consumption).  Trailing commas are
     normalised away so the remainder compares exactly. *)
 let filter_stats (json : string) : string =
   let has_prefix p t =
@@ -814,10 +796,7 @@ let filter_stats (json : string) : string =
   in
   let keep line =
     let t = String.trim line in
-    not
-      (has_prefix "\"chaos." t
-      || has_prefix "\"replay." t
-      || has_prefix "\"transtab.retire_pending" t)
+    not (has_prefix "\"chaos." t || has_prefix "\"replay." t)
   in
   String.split_on_char '\n' json
   |> List.filter (fun l ->

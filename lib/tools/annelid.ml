@@ -316,21 +316,6 @@ let tool : Vg_core.Tool.t =
         register_helpers st;
         install_heap st;
         the_state := Some st;
-        let snapshot, restore =
-          Vg_core.Tool.marshal_pair
-            ~save:(fun () ->
-              (st.segments, st.by_base, st.word_shadow, st.next_seg, st.n_checks))
-            ~load:(fun (segments, by_base, word_shadow, next_seg, n_checks) ->
-              let refill dst src =
-                Hashtbl.reset dst;
-                Hashtbl.iter (Hashtbl.replace dst) src
-              in
-              refill st.segments segments;
-              refill st.by_base by_base;
-              refill st.word_shadow word_shadow;
-              st.next_seg <- next_seg;
-              st.n_checks <- n_checks)
-        in
         {
           instrument = (fun b -> instrument st b);
           fini =
@@ -342,7 +327,5 @@ let tool : Vg_core.Tool.t =
                    (st.next_seg - 1) st.n_checks);
               caps.output (Vg_core.Errors.summary caps.errors));
           client_request = (fun ~code:_ ~args:_ -> None);
-          snapshot;
-          restore;
         });
   }

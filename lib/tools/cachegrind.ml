@@ -20,7 +20,7 @@ type state = {
   caps : Vg_core.Tool.caps;
   h : Cachesim.hierarchy;
   per_pc : (int64, pc_counts) Hashtbl.t;
-  mutable track_per_pc : bool;
+  track_per_pc : bool;
 }
 
 let the_state : state option ref = ref None
@@ -121,35 +121,6 @@ let tool : Vg_core.Tool.t =
             b.stmts;
           nb
         in
-        let restore_cache (dst : Cachesim.t) (src : Cachesim.t) =
-          Array.blit src.Cachesim.tags 0 dst.Cachesim.tags 0
-            (Array.length src.Cachesim.tags);
-          Array.blit src.Cachesim.lru 0 dst.Cachesim.lru 0
-            (Array.length src.Cachesim.lru);
-          dst.Cachesim.clock <- src.Cachesim.clock;
-          dst.Cachesim.accesses <- src.Cachesim.accesses;
-          dst.Cachesim.misses <- src.Cachesim.misses
-        in
-        let snapshot, restore =
-          Vg_core.Tool.marshal_pair
-            ~save:(fun () -> (st.h, st.per_pc, st.track_per_pc))
-            ~load:(fun ((h : Cachesim.hierarchy), per_pc, track) ->
-              restore_cache st.h.Cachesim.i1 h.Cachesim.i1;
-              restore_cache st.h.Cachesim.d1 h.Cachesim.d1;
-              restore_cache st.h.Cachesim.l2 h.Cachesim.l2;
-              st.h.Cachesim.ir <- h.Cachesim.ir;
-              st.h.Cachesim.i1_misses <- h.Cachesim.i1_misses;
-              st.h.Cachesim.l2i_misses <- h.Cachesim.l2i_misses;
-              st.h.Cachesim.dr <- h.Cachesim.dr;
-              st.h.Cachesim.d1r_misses <- h.Cachesim.d1r_misses;
-              st.h.Cachesim.l2dr_misses <- h.Cachesim.l2dr_misses;
-              st.h.Cachesim.dw <- h.Cachesim.dw;
-              st.h.Cachesim.d1w_misses <- h.Cachesim.d1w_misses;
-              st.h.Cachesim.l2dw_misses <- h.Cachesim.l2dw_misses;
-              Hashtbl.reset st.per_pc;
-              Hashtbl.iter (Hashtbl.replace st.per_pc) per_pc;
-              st.track_per_pc <- track)
-        in
         {
           instrument;
           fini =
@@ -157,7 +128,5 @@ let tool : Vg_core.Tool.t =
               caps.output "==cachegrind== summary:\n";
               caps.output (Cachesim.summary st.h));
           client_request = (fun ~code:_ ~args:_ -> None);
-          snapshot;
-          restore;
         });
   }

@@ -190,24 +190,6 @@ let tool : Vg_core.Tool.t =
           end
           else None
         in
-        let snapshot, restore =
-          Vg_core.Tool.marshal_pair
-            ~save:(fun () -> st)
-            ~load:(fun (s : tstate) ->
-              let refill dst src =
-                Hashtbl.reset dst;
-                Hashtbl.iter (Hashtbl.replace dst) src
-              in
-              refill st.held s.held;
-              refill st.locks s.locks;
-              refill st.last_owner s.last_owner;
-              refill st.addrs s.addrs;
-              refill st.races s.races;
-              st.n_accesses <- s.n_accesses;
-              st.n_acquires <- s.n_acquires;
-              st.n_contended <- s.n_contended;
-              st.n_handoffs <- s.n_handoffs)
-        in
         {
           instrument;
           fini =
@@ -230,7 +212,5 @@ let tool : Vg_core.Tool.t =
                    st.n_accesses st.n_acquires st.n_contended st.n_handoffs
                    (List.length races)));
           client_request;
-          snapshot;
-          restore;
         });
   }

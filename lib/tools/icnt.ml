@@ -52,10 +52,6 @@ let icnt_inline : Vg_core.Tool.t =
                 (Printf.sprintf "==icnti== instructions executed: %Ld\n"
                    (count_of caps.mem)));
           client_request = (fun ~code:_ ~args:_ -> None);
-          (* the counter cell lives in guest memory: the core's
-             address-space snapshot already carries it *)
-          snapshot = Vg_core.Tool.snapshot_nothing;
-          restore = Vg_core.Tool.restore_nothing;
         });
   }
 
@@ -107,7 +103,5 @@ let icnt_call : Vg_core.Tool.t =
                 (Printf.sprintf "==icntc== instructions executed: %Ld\n"
                    !counter));
           client_request = (fun ~code:_ ~args:_ -> None);
-          snapshot = (fun () -> Marshal.to_bytes !counter []);
-          restore = (fun b -> counter := Marshal.from_bytes b 0);
         });
   }

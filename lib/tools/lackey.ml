@@ -17,8 +17,8 @@ type tstate = {
   mutable n_loads : int64;
   mutable n_stores : int64;
   mutable n_instrs : int64;
-  mutable keep_trace : bool;  (** record individual accesses (memory!) *)
-  mutable limit : int;
+  keep_trace : bool;  (** record individual accesses (memory!) *)
+  limit : int;
 }
 
 let the_state : tstate option ref = ref None
@@ -87,19 +87,6 @@ let tool : Vg_core.Tool.t =
             b.stmts;
           nb
         in
-        let snapshot, restore =
-          Vg_core.Tool.marshal_pair
-            ~save:(fun () ->
-              ( st.trace, st.n_loads, st.n_stores, st.n_instrs, st.keep_trace,
-                st.limit ))
-            ~load:(fun (trace, loads, stores, instrs, keep, limit) ->
-              st.trace <- trace;
-              st.n_loads <- loads;
-              st.n_stores <- stores;
-              st.n_instrs <- instrs;
-              st.keep_trace <- keep;
-              st.limit <- limit)
-        in
         {
           instrument;
           fini =
@@ -109,7 +96,5 @@ let tool : Vg_core.Tool.t =
                    "==lackey== instructions: %Ld  loads: %Ld  stores: %Ld\n"
                    st.n_instrs st.n_loads st.n_stores));
           client_request = (fun ~code:_ ~args:_ -> None);
-          snapshot;
-          restore;
         });
   }

@@ -15,8 +15,10 @@ type state = {
   mutable peak_bytes : int64;
   mutable n_allocs : int;
   mutable snapshots : (int * int64) list;  (** (alloc ordinal, live bytes) *)
-  mutable snapshot_every : int;
 }
+
+(** A timeline snapshot is taken every this many allocations. *)
+let timeline_every = 16
 
 let the_state : state option ref = ref None
 
@@ -39,7 +41,7 @@ let note_alloc (st : state) (addr : int64) (size : int) =
   | None ->
       Hashtbl.replace st.sites stack
         { s_bytes = Int64.of_int size; s_blocks = 1 });
-  if st.n_allocs mod st.snapshot_every = 0 then
+  if st.n_allocs mod timeline_every = 0 then
     st.snapshots <- (st.n_allocs, st.cur_bytes) :: st.snapshots
 
 let note_free (st : state) (addr : int64) =
@@ -66,7 +68,6 @@ let tool : Vg_core.Tool.t =
             peak_bytes = 0L;
             n_allocs = 0;
             snapshots = [];
-            snapshot_every = 16;
           }
         in
         the_state := Some st;
@@ -107,22 +108,6 @@ let tool : Vg_core.Tool.t =
             | None -> ());
             note_alloc st naddr size;
             set_result naddr);
-        let snapshot, restore =
-          Vg_core.Tool.marshal_pair
-            ~save:(fun () ->
-              ( st.live, st.sites, st.cur_bytes, st.peak_bytes, st.n_allocs,
-                st.snapshots, st.snapshot_every ))
-            ~load:(fun (live, sites, cur, peak, n, snaps, every) ->
-              Hashtbl.reset st.live;
-              Hashtbl.iter (Hashtbl.replace st.live) live;
-              Hashtbl.reset st.sites;
-              Hashtbl.iter (Hashtbl.replace st.sites) sites;
-              st.cur_bytes <- cur;
-              st.peak_bytes <- peak;
-              st.n_allocs <- n;
-              st.snapshots <- snaps;
-              st.snapshot_every <- every)
-        in
         {
           instrument = (fun b -> b);
           fini =
@@ -130,7 +115,7 @@ let tool : Vg_core.Tool.t =
               (* allocations since the last periodic snapshot would
                  otherwise be invisible in the timeline: take a closing
                  snapshot unless one just fired on the final ordinal *)
-              if st.n_allocs mod st.snapshot_every <> 0 then
+              if st.n_allocs mod timeline_every <> 0 then
                 st.snapshots <- (st.n_allocs, st.cur_bytes) :: st.snapshots;
               caps.output
                 (Printf.sprintf
@@ -163,7 +148,5 @@ let tool : Vg_core.Tool.t =
                        s.s_bytes s.s_blocks where))
                 top);
           client_request = (fun ~code:_ ~args:_ -> None);
-          snapshot;
-          restore;
         });
   }

@@ -34,7 +34,7 @@ type state = {
   mutable n_allocs : int;
   mutable n_frees : int;
   mutable bytes_allocated : int64;
-  mutable leak_check_at_exit : bool;
+  leak_check_at_exit : bool;
   (* helpers *)
   mutable h_loadv : Vex_ir.Ir.callee array;  (** indexed by log2 size *)
   mutable h_storev : Vex_ir.Ir.callee array;
@@ -1112,35 +1112,6 @@ let make_tool ~(track_origins : bool) : Vg_core.Tool.t =
         install_events st;
         install_heap_replacement st;
         last_state := Some st;
-        let snapshot, restore =
-          Vg_core.Tool.marshal_pair
-            ~save:(fun () ->
-              ( st.sm, st.live, st.freed_ring, st.n_allocs, st.n_frees,
-                st.bytes_allocated, st.leak_check_at_exit, st.otag_info,
-                st.next_otag, st.otag_cache, st.word_origin ))
-            ~load:(fun
-                ( (sm : Shadow_mem.t), live, freed_ring, n_allocs, n_frees,
-                  bytes_allocated, leak_check, otag_info, next_otag,
-                  otag_cache, word_origin )
-              ->
-              Array.blit sm.Shadow_mem.primary 0 st.sm.Shadow_mem.primary 0
-                (Array.length sm.Shadow_mem.primary);
-              st.sm.Shadow_mem.n_cow <- sm.Shadow_mem.n_cow;
-              let refill dst src =
-                Hashtbl.reset dst;
-                Hashtbl.iter (Hashtbl.replace dst) src
-              in
-              refill st.live live;
-              refill st.otag_info otag_info;
-              refill st.otag_cache otag_cache;
-              refill st.word_origin word_origin;
-              st.freed_ring <- freed_ring;
-              st.n_allocs <- n_allocs;
-              st.n_frees <- n_frees;
-              st.bytes_allocated <- bytes_allocated;
-              st.leak_check_at_exit <- leak_check;
-              st.next_otag <- next_otag)
-        in
         {
           instrument = (fun b -> instrument st b);
           fini =
@@ -1155,8 +1126,6 @@ let make_tool ~(track_origins : bool) : Vg_core.Tool.t =
               end;
               caps.output (Vg_core.Errors.summary caps.errors));
           client_request = (fun ~code ~args -> client_request st ~code ~args);
-          snapshot;
-          restore;
         });
   }
 

@@ -288,22 +288,6 @@ let tool : Vg_core.Tool.t =
         ignore (mk_node st "start" [] None);
         register_helpers st;
         the_state := Some st;
-        let snapshot, restore =
-          Vg_core.Tool.marshal_pair
-            ~save:(fun () ->
-              ( Support.Vec.copy st.nodes, st.const_cache, st.word_shadow,
-                st.truncated ))
-            ~load:(fun (nodes, const_cache, word_shadow, truncated) ->
-              st.nodes.Support.Vec.data <- nodes.Support.Vec.data;
-              st.nodes.Support.Vec.len <- nodes.Support.Vec.len;
-              let refill dst src =
-                Hashtbl.reset dst;
-                Hashtbl.iter (Hashtbl.replace dst) src
-              in
-              refill st.const_cache const_cache;
-              refill st.word_shadow word_shadow;
-              st.truncated <- truncated)
-        in
         {
           instrument = (fun b -> instrument st b);
           fini =
@@ -318,7 +302,5 @@ let tool : Vg_core.Tool.t =
                    (if st.truncated then " (truncated)" else ""));
               caps.output (dot_of st root ~limit:64 ()));
           client_request = (fun ~code:_ ~args:_ -> None);
-          snapshot;
-          restore;
         });
   }

@@ -329,16 +329,6 @@ let tool : Vg_core.Tool.t =
           Some (fun ~addr ~len -> Shadow_mem.set_range st.sm addr len ~a:true ~vbyte:0);
         ev.copy_mem_mremap <-
           Some (fun ~src ~dst ~len -> Shadow_mem.copy_range st.sm ~src ~dst len);
-        let snapshot, restore =
-          Vg_core.Tool.marshal_pair
-            ~save:(fun () -> (st.sm, st.n_tainted_jumps, st.n_sources))
-            ~load:(fun ((sm : Shadow_mem.t), tainted_jumps, sources) ->
-              Array.blit sm.Shadow_mem.primary 0 st.sm.Shadow_mem.primary 0
-                (Array.length sm.Shadow_mem.primary);
-              st.sm.Shadow_mem.n_cow <- sm.Shadow_mem.n_cow;
-              st.n_tainted_jumps <- tainted_jumps;
-              st.n_sources <- sources)
-        in
         {
           instrument = (fun b -> instrument st b);
           fini =
@@ -349,7 +339,5 @@ let tool : Vg_core.Tool.t =
                    st.n_sources st.n_tainted_jumps);
               caps.output (Vg_core.Errors.summary caps.errors));
           client_request = (fun ~code ~args -> client_request st ~code ~args);
-          snapshot;
-          restore;
         });
   }

@@ -318,8 +318,6 @@ let test_function_wrapping () =
             instrument = (fun b -> b);
             fini = (fun ~exit_code:_ -> ());
             client_request = (fun ~code:_ ~args:_ -> None);
-            snapshot = Vg_core.Tool.snapshot_nothing;
-            restore = Vg_core.Tool.restore_nothing;
           });
     }
   in

@@ -8,44 +8,26 @@ let t name f = Alcotest.test_case name `Quick f
 
 let test_registry_basics () =
   let r = Obs.Registry.create () in
-  let c = Obs.Registry.counter r "a.counter" in
-  Obs.Registry.add c 5L;
-  Obs.Registry.incr c;
+  Obs.Registry.probe r "a.const" (fun () -> 6L);
   let live = ref 7 in
   Obs.Registry.probe r "b.probe" (fun () -> Int64.of_int !live);
   Obs.Registry.fprobe r "c.rate" (fun () -> 0.5);
-  Alcotest.(check (option int64)) "counter" (Some 6L)
-    (Obs.Registry.find_i64 r "a.counter");
+  Alcotest.(check (option int64)) "constant probe" (Some 6L)
+    (Obs.Registry.find_i64 r "a.const");
   Alcotest.(check (option int64)) "probe reads live" (Some 7L)
     (Obs.Registry.find_i64 r "b.probe");
   live := 11;
   Alcotest.(check (option int64)) "probe tracks updates" (Some 11L)
     (Obs.Registry.find_i64 r "b.probe");
+  Alcotest.(check (option int64)) "unknown name" None
+    (Obs.Registry.find_i64 r "a.missing");
   (* duplicate registration is a programming error *)
   Alcotest.check_raises "duplicate rejected"
-    (Invalid_argument "Obs.Registry: duplicate metric a.counter") (fun () ->
-      ignore (Obs.Registry.counter r "a.counter"));
+    (Invalid_argument "Obs.Registry: duplicate metric a.const") (fun () ->
+      Obs.Registry.probe r "a.const" (fun () -> 0L));
   (* samples are sorted by name: deterministic export order *)
   let names = List.map fst (Obs.Registry.samples r) in
   Alcotest.(check (list string)) "sorted" (List.sort compare names) names
-
-let test_registry_hist () =
-  let r = Obs.Registry.create () in
-  let h = Obs.Registry.hist r "jit.cost" in
-  List.iter (Obs.Registry.observe h) [ 0L; 1L; 2L; 3L; 900L ];
-  Alcotest.(check (option int64)) "count" (Some 5L)
-    (Obs.Registry.find_i64 r "jit.cost.count");
-  Alcotest.(check (option int64)) "sum" (Some 906L)
-    (Obs.Registry.find_i64 r "jit.cost.sum");
-  Alcotest.(check (option int64)) "max" (Some 900L)
-    (Obs.Registry.find_i64 r "jit.cost.max");
-  (* log2 buckets: 0 -> b00, 1 -> b01, 2..3 -> b02, 900 -> b10 *)
-  Alcotest.(check (option int64)) "zero bucket" (Some 1L)
-    (Obs.Registry.find_i64 r "jit.cost.b00");
-  Alcotest.(check (option int64)) "bucket 2" (Some 2L)
-    (Obs.Registry.find_i64 r "jit.cost.b02");
-  Alcotest.(check (option int64)) "bucket 10" (Some 1L)
-    (Obs.Registry.find_i64 r "jit.cost.b10")
 
 let test_registry_json_shape () =
   let r = Obs.Registry.create () in
@@ -269,7 +251,6 @@ let test_disabled_by_default () =
 let tests =
   [
     t "registry: counters, probes, samples" test_registry_basics;
-    t "registry: log2 histograms" test_registry_hist;
     t "registry: flat JSON export" test_registry_json_shape;
     t "trace: bounded ring" test_trace_ring_bounds;
     t "trace: Chrome trace_event shape" test_trace_chrome_shape;

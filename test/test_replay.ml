@@ -1,8 +1,7 @@
 (* Vgrewind tier-1 tests: record/replay bit-identity across every tool,
-   threaded clients, chaos fault schedules; time-travel (seek / back);
-   tool snapshot round-trips; and the satellite bug fixes (massif's
-   closing timeline snapshot, the short-IO counter, divergence
-   reporting). *)
+   threaded clients, chaos fault schedules; time-travel (seek / back)
+   by re-execution; and the satellite bug fixes (massif's closing
+   timeline snapshot, the short-IO counter, divergence reporting). *)
 
 let t name f = Alcotest.test_case name `Quick f
 
@@ -81,9 +80,8 @@ let record_session ?(base = Vg_core.Session.default_options) ?chaos ~tool
 
 (* NB: the replay side never sees [pr_files] — recorded syscall effects
    must reconstruct all client-visible IO, or the digests drift. *)
-let replay_session ?(base = Vg_core.Session.default_options)
-    ?(snapshot_every = 0L) ~tool (pr : prog) (data : string) :
-    Vg_core.Session.t =
+let replay_session ?(base = Vg_core.Session.default_options) ~tool
+    (pr : prog) (data : string) : Vg_core.Session.t =
   let p = Replay.player_of_string data in
   let options =
     {
@@ -91,7 +89,6 @@ let replay_session ?(base = Vg_core.Session.default_options)
       cores = p.Replay.p_log.Replay.l_cores;
       chaos = None;
       rr = Replay.Replay p;
-      snapshot_every;
     }
   in
   Vg_core.Session.create ~options ~tool (pr.pr_img ())
@@ -210,9 +207,9 @@ int main() {
 (* ---- satellite: massif's closing timeline snapshot ------------------- *)
 
 let test_massif_timeline_golden () =
-  (* 2 allocations: not divisible by snapshot_every (16), so the whole
-     timeline used to be dropped — no periodic snapshot ever fired and
-     fini took no closing one *)
+  (* 2 allocations: not divisible by Tools.Massif.timeline_every (16), so
+     the whole timeline used to be dropped — no periodic snapshot ever
+     fired and fini took no closing one *)
   let src =
     {| int main() {
          char *a; char *b;
@@ -268,6 +265,7 @@ let state_of (s : Vg_core.Session.t) =
     List.map
       (fun (th : Vg_core.Threads.thread) ->
         ( th.tid,
+          th.status,
           Vg_core.Threads.get_eip s.threads th,
           List.init Guest.Arch.n_regs (fun r ->
               Vg_core.Threads.get_reg s.threads th r) ))
@@ -276,38 +274,47 @@ let state_of (s : Vg_core.Session.t) =
          s.threads.threads) )
 
 let test_seek_exact () =
-  let hello = List.hd progs in
-  let _s, data = record_session ~tool:Tools.Lackey.tool ~cores:1 hello in
-  let s = replay_session ~snapshot_every:2000L ~tool:Tools.Lackey.tool hello data in
-  (* run to a mid-point boundary and capture the full thread state *)
-  let target = 60_000L in
-  Vg_core.Session.run_to s ~stop:(fun s ->
-      Int64.compare (Vg_core.Session.wall_cycles s) target >= 0);
-  let mid = state_of s in
-  let mid_cycle = Vg_core.Session.wall_cycles s in
-  (* run to the end, then travel back: re-execution from the nearest
-     checkpoint must land on the identical boundary and state *)
-  Vg_core.Session.run_to s ~stop:(fun _ -> false);
-  Alcotest.(check bool) "ran past the capture point" true
-    (Int64.compare (Vg_core.Session.wall_cycles s) mid_cycle > 0);
-  Vg_core.Session.seek s ~cycle:target;
-  Alcotest.(check bool) "seek restored the exact ThreadState" true
-    (state_of s = mid);
-  (* and seeking forward again from the restored state stays on rails
-     (run, not run_to: the tool digest covers the fini report) *)
-  ignore (Vg_core.Session.run s);
-  match Vg_core.Session.replay_mismatches s with
-  | [] -> ()
-  | ms ->
-      Alcotest.failf "post-seek re-execution diverged on %s"
-        (String.concat "," (List.map (fun (k, _, _) -> k) ms))
+  let threads4 = List.find (fun p -> p.pr_name = "threads4") progs in
+  List.iter
+    (fun (pr, cores, target) ->
+      let tool = Tools.Lackey.tool in
+      let _s, data = record_session ~tool ~cores pr in
+      let s = replay_session ~tool pr data in
+      (* run to a mid-point boundary and capture every thread's state *)
+      Vg_core.Session.run_to s ~stop:(fun s ->
+          Int64.compare (Vg_core.Session.wall_cycles s) target >= 0);
+      let mid = state_of s in
+      let mid_cycle = Vg_core.Session.wall_cycles s in
+      (* run to the end, then travel back: re-execution must land on
+         the identical boundary and state *)
+      Vg_core.Session.run_to s ~stop:(fun _ -> false);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s cores=%d: ran past the capture point" pr.pr_name
+           cores)
+        true
+        (Int64.compare (Vg_core.Session.wall_cycles s) mid_cycle > 0);
+      let s = Vg_core.Session.seek s ~cycle:target in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s cores=%d: seek reached the exact thread states"
+           pr.pr_name cores)
+        true (state_of s = mid);
+      (* and running on from there converges on the recorded end (run,
+         not run_to: the tool digest covers the fini report) *)
+      ignore (Vg_core.Session.run s);
+      match Vg_core.Session.replay_mismatches s with
+      | [] -> ()
+      | ms ->
+          Alcotest.failf "%s cores=%d: post-seek re-execution diverged on %s"
+            pr.pr_name cores
+            (String.concat "," (List.map (fun (k, _, _) -> k) ms)))
+    [ (List.hd progs, 1, 60_000L); (threads4, 2, 400_000L) ]
 
 (* ---- time travel: back, across superblock formation ------------------ *)
 
 let test_back_across_superblocks () =
   (* the hot multi-block loop gets stitched into a superblock under the
-     aggressive tiering knobs; stepping backwards over code that was
-     re-translated along the way exercises the transtab restore path *)
+     aggressive tiering knobs; stepping backwards re-executes through
+     the promotions and the superblock formation *)
   let sb =
     {
       pr_name = "side-exit";
@@ -320,15 +327,12 @@ let test_back_across_superblocks () =
   let _s, data =
     record_session ~base ~tool:Vg_core.Tool.nulgrind ~cores:1 sb
   in
-  let s =
-    replay_session ~base ~snapshot_every:2000L ~tool:Vg_core.Tool.nulgrind sb
-      data
-  in
+  let s = replay_session ~base ~tool:Vg_core.Tool.nulgrind sb data in
   Vg_core.Session.run_to s ~stop:(fun _ -> false);
   let end_insns = Vg_core.Session.host_insns s in
   Alcotest.(check bool) "superblocks formed" true
     ((Vg_core.Session.stats s).st_translations_super > 0);
-  Vg_core.Session.back s ~insns:1000L;
+  let s = Vg_core.Session.back s ~insns:1000L in
   let here = Vg_core.Session.host_insns s in
   Alcotest.(check bool) "moved backwards" true (Int64.compare here end_insns < 0);
   Alcotest.(check bool) "at or after the target boundary" true
@@ -343,32 +347,6 @@ let test_back_across_superblocks () =
   | ms ->
       Alcotest.failf "post-back re-execution diverged on %s"
         (String.concat "," (List.map (fun (k, _, _) -> k) ms))
-
-(* ---- tool snapshots round-trip --------------------------------------- *)
-
-let test_tool_snapshot_roundtrip () =
-  (* for EVERY tool: checkpoint mid-run, travel back over accumulated
-     tool state, and re-execute to the end.  The tool digest covers the
-     fini report, so it only matches if snapshot/restore reproduced the
-     tool's internal state exactly (counters, shadow maps, heap books) *)
-  let hello = List.hd progs in
-  List.iter
-    (fun tool ->
-      let _s, data = record_session ~tool ~cores:1 hello in
-      let s = replay_session ~snapshot_every:3000L ~tool hello data in
-      Vg_core.Session.run_to s ~stop:(fun s ->
-          Int64.compare s.blocks_executed 120L >= 0);
-      let mid = Vg_core.Session.wall_cycles s in
-      Vg_core.Session.run_to s ~stop:(fun _ -> false);
-      Vg_core.Session.seek s ~cycle:mid;
-      ignore (Vg_core.Session.run s);
-      match Vg_core.Session.replay_mismatches s with
-      | [] -> ()
-      | ms ->
-          Alcotest.failf "%s: tool state did not survive time travel (%s)"
-            tool.Vg_core.Tool.name
-            (String.concat "," (List.map (fun (k, _, _) -> k) ms)))
-    all_tools
 
 (* ---- the log codec round-trips --------------------------------------- *)
 
@@ -395,6 +373,5 @@ let tests =
     t "replay divergence is detected" test_divergence_detected;
     t "seek lands on the exact ThreadState" test_seek_exact;
     t "back steps across superblock formation" test_back_across_superblocks;
-    t "tool snapshots round-trip" test_tool_snapshot_roundtrip;
     t "log codec round-trips" test_log_codec_roundtrip;
   ]
