@@ -11,7 +11,7 @@
 let usage () =
   print_endline
     "usage: main.exe \
-     [fig1|fig2|fig3|table1|table2|dispatch|chain|tier|aot|cores|replay|chainjson|chaincheck|tiercheck|aotcheck|corescheck|replaycheck|caa|transtab|loc|micro|fuzz|all]*";
+     [fig1|fig2|fig3|table1|table2|dispatch|chain|tier|aot|cores|replay|chainjson|chaincheck|tiercheck|aotcheck|replaycheck|caa|transtab|loc|micro|all]*";
   print_endline "       table2 options: --scale N --programs a,b,c";
   print_endline "       chainjson options: --out FILE";
   print_endline "       chaincheck/tiercheck options: --baseline FILE --out FILE";
@@ -72,13 +72,11 @@ let () =
     | "aotcheck" ->
         Chain_bench.check ~baseline:!baseline ~current:!out;
         Aot_bench.check_current ~current:!out
-    | "corescheck" -> Cores_bench.check ()
     | "replaycheck" -> Replay_bench.check_current ~current:!out
     | "caa" -> Caa_bench.run ()
     | "transtab" -> Transtab_bench.run ()
     | "loc" -> Loc_bench.run ()
     | "micro" -> Micro.run ()
-    | "fuzz" -> Fuzz_bench.run ()
     | "all" ->
         Figures.fig1 ();
         Figures.fig2 ();
@@ -94,8 +92,7 @@ let () =
         Caa_bench.run ();
         Transtab_bench.run ();
         Loc_bench.run ();
-        Micro.run ();
-        Fuzz_bench.run ()
+        Micro.run ()
     | c ->
         Printf.printf "unknown command '%s'\n" c;
         usage ()

@@ -53,13 +53,7 @@ type row = {
   r_memc : float;
 }
 
-let tools () =
-  [
-    ("nulgrind", Vg_core.Tool.nulgrind);
-    ("icnti", Tools.Icnt.icnt_inline);
-    ("icntc", Tools.Icnt.icnt_call);
-    ("memcheck", Tools.Memcheck.tool);
-  ]
+let tools () = Tools.Catalog.pick [ "nulgrind"; "icnti"; "icntc"; "memcheck" ]
 
 let run_program ?(scale = 1) (w : Workloads.workload) : row =
   let img = Workloads.compile ~scale w in

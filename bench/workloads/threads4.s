@@ -1,7 +1,7 @@
-; Four-thread compute workload for the cores-matrix CI job: main spawns
+; Four-thread compute workload for the cores set and the bench job: main spawns
 ; three compute-bound workers (pinned to cores 1..3 under --cores 4),
 ; runs its own loop, then spin-waits on the workers' done counter.
-; Kept in sync with the inline copy in bench/cores_bench.ml; the
+; Kept in sync with the inline copy in lib/fuzz/clients.ml; the
 ; committed golden bench/workloads/threads4_stats_golden.json is this program's
 ; --tool=lackey --cores=2 --stats=json output.
         .text

@@ -8,22 +8,6 @@
 
 open Cmdliner
 
-let tools : (string * Vg_core.Tool.t) list =
-  [
-    ("nulgrind", Vg_core.Tool.nulgrind);
-    ("memcheck", Tools.Memcheck.tool);
-    ("memcheck-origins", Tools.Memcheck.tool_origins);
-    ("cachegrind", Tools.Cachegrind.tool);
-    ("massif", Tools.Massif.tool);
-    ("lackey", Tools.Lackey.tool);
-    ("taintgrind", Tools.Taintgrind.tool);
-    ("annelid", Tools.Annelid.tool);
-    ("redux", Tools.Redux.tool);
-    ("drd", Tools.Drd.tool);
-    ("icnti", Tools.Icnt.icnt_inline);
-    ("icntc", Tools.Icnt.icnt_call);
-  ]
-
 let read_file p =
   let ic = open_in_bin p in
   let n = in_channel_length ic in
@@ -105,7 +89,7 @@ let run_replay (file : string) stats =
     else Minicc.Driver.compile src
   in
   let tool =
-    match List.assoc_opt log.Replay.l_tool tools with
+    match List.assoc_opt log.Replay.l_tool Tools.Catalog.all with
     | Some t -> t
     | None ->
         Printf.eprintf "valgrind: log needs unknown tool '%s'\n"
@@ -164,11 +148,11 @@ let run tool_name cores no_chaining no_verify smc_mode tier0_only no_tier0
         exit 2
   in
   let tool =
-    match List.assoc_opt tool_name tools with
+    match List.assoc_opt tool_name Tools.Catalog.all with
     | Some t -> t
     | None ->
         Printf.eprintf "valgrind: unknown tool '%s' (have: %s)\n" tool_name
-          (String.concat ", " (List.map fst tools));
+          (String.concat ", " (Tools.Catalog.names ()));
         exit 2
   in
   let img =

@@ -1,315 +1,221 @@
-(** [vgfuzz]: differential guest fuzzing with replay-exact shrinking.
+(** [vgfuzz]: the differential oracle's driver.
 
     {v
-    vgfuzz [--seeds 1,2,3] [--count 2000] [--out DIR]   # fuzz sweep (CI entry)
-    vgfuzz corpus [DIR]            # replay the committed regression corpus
-    vgfuzz hostile                 # hostile suite x all tools
-    vgfuzz one --seed N --size K [--faulty]   # run one program, show outcomes
+    vgfuzz [SET] [--seeds 1,2,3] [--count 300] [--out DIR]   # run one set
+    vgfuzz corpus [DIR]            # the fuzz set over the regression corpus
+    vgfuzz one --seed N --size K [--faulty]   # one generated program
+    vgfuzz one --workload W [--tool T] [--way SET.WAY] [--seed N]
+               [--trace PREFIX]    # one way on one cell: outcome + fault log
     v}
 
-    The sweep generates [--count] programs split across the base seeds
-    (program [i] of base seed [s] is generated from seed
-    [s * 1_000_003 + i]; every 10th program may fault on purpose) and
-    runs each through the five-way differential oracle: native
-    interpreter, session at 1 and 2 cores, session with AOT seeding,
-    and session under an idempotent chaos schedule.  Any divergence is
-    shrunk by deterministic re-generation and written to [--out] as a
-    minimized [.s] repro (CI uploads that directory as an artifact). *)
+    [SET] is one of {!Fuzz.Diff.sets}: [fuzz] (the default), [chaos],
+    [verify], [aot], [hostile], [cores] or [replay].  Every cell of a
+    set (corpus item × tool) runs all of the set's ways and must pass
+    all of its checks.  [--seeds] are the chaos seeds of [chaos] and the
+    base generator seeds of [fuzz]; [--count] is the number of generated
+    programs.  A failing cell is re-run with tracing into [--out]
+    ([<set>-<cell>-<way>.jsonl] and [.chrome.json]); a failing generated
+    program is also shrunk by deterministic re-generation and written to
+    [--out] as a minimized [.s] repro.
 
-let out_dir = ref "vgfuzz-repros"
+    [one --workload] runs a single way of a set on one of the set's
+    clients ([--way], default [chaos.idempotent]; [--seed] picks the
+    set's seed) and prints its fault log, exit and stats digest;
+    [--trace] writes the session's structured trace to [PREFIX.jsonl]
+    and [PREFIX.chrome.json]. *)
+
+let out_dir = ref "vgfuzz-out"
 
 let write_file path text =
   let oc = open_out_bin path in
   output_string oc text;
   close_out oc
 
+let read_file p =
+  let ic = open_in_bin p in
+  let n = in_channel_length ic in
+  let s = really_input_string ic n in
+  close_in ic;
+  s
+
 let ensure_dir d = if not (Sys.file_exists d) then Sys.mkdir d 0o755
 
-(* --- fuzz sweep ------------------------------------------------------ *)
+(* A failing generated program: shrink it under the same cell and write
+   the minimized repro. *)
+let shrink (c : Fuzz.Diff.cells) tool ~seed ~size ~faulty =
+  let check ~seed ~size =
+    Fuzz.Diff.run_cell c (Fuzz.Diff.generated_item ~seed ~size ~faulty) tool
+  in
+  let r = Fuzz.Shrink.shrink ~check ~faulty ~seed ~size () in
+  ensure_dir !out_dir;
+  let path =
+    Filename.concat !out_dir
+      (Printf.sprintf "%s%s.s"
+         (Fuzz.Gen.name ~seed:r.Fuzz.Shrink.r_seed ~size:r.Fuzz.Shrink.r_size)
+         (if faulty then "_faulty" else ""))
+  in
+  write_file path (Fuzz.Shrink.repro_source r);
+  Printf.printf "  minimized to size %d -> %s\n" r.Fuzz.Shrink.r_size path
 
-let program_seed base i = (base * 1_000_003) + i
-let program_size i = 1 + (i mod 20)
-let program_faulty i = i mod 10 = 9
-
-let fuzz_sweep ~(seeds : int list) ~(count : int) : int =
-  let nseeds = max 1 (List.length seeds) in
-  let per = (count + nseeds - 1) / nseeds in
-  let ran = ref 0 and failed = ref 0 in
+(** Run every cell of [groups]; 0 iff every check held. *)
+let run_set (set : string) (groups : Fuzz.Diff.cells list) : int =
+  let t0 = Unix.gettimeofday () in
+  let n = ref 0 and failed = ref 0 in
   List.iter
-    (fun base ->
-      for i = 0 to per - 1 do
-        if !ran < count then begin
-          incr ran;
-          let seed = program_seed base i in
-          let size = program_size i in
-          let faulty = program_faulty i in
-          let divs =
-            try Fuzz.Diff.check (Fuzz.Gen.image ~faulty ~seed ~size ())
-            with exn ->
-              [ { Fuzz.Diff.dv_engine = "driver"; dv_field = "exception";
-                  dv_ref = "no exception"; dv_got = Printexc.to_string exn } ]
-          in
-          if divs <> [] then begin
-            incr failed;
-            Printf.printf "vgfuzz: FAIL base=%d i=%d seed=%d size=%d%s\n" base
-              i seed size (if faulty then " faulty" else "");
-            List.iter
-              (fun d -> print_endline ("  " ^ Fuzz.Diff.pp_divergence d))
-              divs;
-            (* shrink by re-generation and write the minimized repro *)
-            let check ~seed ~size =
-              try Fuzz.Diff.check (Fuzz.Gen.image ~faulty ~seed ~size ())
-              with exn ->
-                [ { Fuzz.Diff.dv_engine = "driver"; dv_field = "exception";
-                    dv_ref = "no exception";
-                    dv_got = Printexc.to_string exn } ]
-            in
-            let r = Fuzz.Shrink.shrink ~check ~faulty ~seed ~size () in
-            ensure_dir !out_dir;
-            let path =
-              Filename.concat !out_dir
-                (Printf.sprintf "%s%s.s"
-                   (Fuzz.Gen.name ~seed:r.Fuzz.Shrink.r_seed
-                      ~size:r.Fuzz.Shrink.r_size)
-                   (if faulty then "_faulty" else ""))
-            in
-            write_file path (Fuzz.Shrink.repro_source r);
-            Printf.printf "  minimized to size %d -> %s\n"
-              r.Fuzz.Shrink.r_size path
-          end
-        end
-      done)
-    seeds;
-  Printf.printf "vgfuzz: %d programs, %d failing\n" !ran !failed;
-  if !failed > 0 then begin
-    print_endline "vgfuzz: FAILED";
-    1
-  end
-  else begin
-    print_endline "vgfuzz: OK";
-    0
-  end
+    (fun (c : Fuzz.Diff.cells) ->
+      List.iter
+        (fun (it : Fuzz.Diff.item) ->
+          List.iter
+            (fun ((tname, _) as tool) ->
+              incr n;
+              let name =
+                String.concat " "
+                  (List.filter (( <> ) "") [ c.label; it.i_name; tname ])
+              in
+              let t = Unix.gettimeofday () in
+              match Fuzz.Diff.run_cell c it tool with
+              | [] ->
+                  Printf.printf "%s %-36s ok %7.0f ms\n%!" set name
+                    ((Unix.gettimeofday () -. t) *. 1000.)
+              | divs -> (
+                  incr failed;
+                  Printf.printf "%s %-36s FAIL\n" set name;
+                  List.iter
+                    (fun d -> print_endline ("  " ^ Fuzz.Diff.pp_divergence d))
+                    divs;
+                  let prefix =
+                    Filename.concat !out_dir (Fuzz.Diff.sanitize (set ^ "-" ^ name))
+                  in
+                  ignore (Fuzz.Diff.run_cell ~trace_to:prefix c it tool);
+                  Printf.printf "  traces: %s-<way>.jsonl\n%!" prefix;
+                  match it.i_gen with
+                  | Some (seed, size, faulty) -> shrink c tool ~seed ~size ~faulty
+                  | None -> ()))
+            c.tools)
+        c.items)
+    groups;
+  Printf.printf "vgfuzz: %s: %d cells, %d failing, %.1f s\n" set !n !failed
+    (Unix.gettimeofday () -. t0);
+  print_endline (if !failed > 0 then "vgfuzz: FAILED" else "vgfuzz: OK");
+  if !failed > 0 then 1 else 0
 
-(* --- corpus replay --------------------------------------------------- *)
+(* --- the regression corpus ------------------------------------------- *)
 
-let corpus_replay (dir : string) : int =
+let corpus (dir : string) : int =
   if not (Sys.file_exists dir) then begin
     Printf.printf "vgfuzz: no corpus directory %s\n" dir;
     1
   end
-  else begin
-    let entries =
+  else
+    let items =
       Sys.readdir dir |> Array.to_list
       |> List.filter (fun f -> Filename.check_suffix f ".s")
       |> List.sort compare
+      |> List.map (fun f ->
+             Fuzz.Diff.item f (fun () ->
+                 Guest.Asm.assemble (read_file (Filename.concat dir f))))
     in
-    let failed = ref 0 in
-    List.iter
-      (fun f ->
-        let path = Filename.concat dir f in
-        let ic = open_in_bin path in
-        let n = in_channel_length ic in
-        let src = really_input_string ic n in
-        close_in ic;
-        let divs = Fuzz.Diff.check (Guest.Asm.assemble src) in
-        if divs = [] then Printf.printf "vgfuzz: corpus %-28s OK\n" f
-        else begin
-          incr failed;
-          Printf.printf "vgfuzz: corpus %-28s FAIL\n" f;
-          List.iter
-            (fun d -> print_endline ("  " ^ Fuzz.Diff.pp_divergence d))
-            divs
-        end)
-      entries;
-    Printf.printf "vgfuzz: corpus: %d entries, %d failing\n"
-      (List.length entries) !failed;
-    if !failed > 0 || entries = [] then 1 else 0
-  end
+    if items = [] then begin
+      Printf.printf "vgfuzz: corpus %s has no .s entries\n" dir;
+      1
+    end
+    else run_set "corpus" [ Fuzz.Diff.fuzz_cells items ]
 
-(* --- hostile suite --------------------------------------------------- *)
+(* --- one cell -------------------------------------------------------- *)
 
-let tools : (string * Vg_core.Tool.t) list =
-  [
-    ("nulgrind", Vg_core.Tool.nulgrind);
-    ("memcheck", Tools.Memcheck.tool);
-    ("memcheck-origins", Tools.Memcheck.tool_origins);
-    ("cachegrind", Tools.Cachegrind.tool);
-    ("massif", Tools.Massif.tool);
-    ("lackey", Tools.Lackey.tool);
-    ("taintgrind", Tools.Taintgrind.tool);
-    ("annelid", Tools.Annelid.tool);
-    ("redux", Tools.Redux.tool);
-    ("icnti", Tools.Icnt.icnt_inline);
-    ("icntc", Tools.Icnt.icnt_call);
-  ]
-
-let hostile_suite () : int =
-  let failed = ref 0 in
-  let fail fmt =
-    Printf.ksprintf
-      (fun s ->
-        incr failed;
-        print_endline ("vgfuzz: hostile FAIL: " ^ s))
-      fmt
-  in
-  List.iter
-    (fun (g : Fuzz.Hostile_guests.guest) ->
-      let img = Fuzz.Hostile_guests.image g in
-      (* native architectural reference *)
-      (let t = Native.create img in
-       match Native.run ~max_insns:10_000_000L t with
-       | Native.Exited n when n = g.g_exit -> ()
-       | r ->
-           fail "%s native: expected exit %d, got %s" g.g_name g.g_exit
-             (match r with
-             | Native.Exited n -> Printf.sprintf "exit %d" n
-             | Native.Fatal_signal s -> Printf.sprintf "signal %d" s
-             | Native.Out_of_fuel -> "fuel"));
-      List.iter
-        (fun (tname, tool) ->
-          let run ~chaos () =
-            let options =
-              {
-                Vg_core.Session.default_options with
-                max_blocks = 200_000L;
-                verify_jit = false;
-                transtab_capacity = 256;
-                chaos;
-              }
-            in
-            let s = Vg_core.Session.create ~options ~tool img in
-            let er = Vg_core.Session.run s in
-            ( er,
-              Vg_core.Session.client_stdout s,
-              Vg_core.Session.tool_output s )
-          in
-          match run ~chaos:None () with
-          | exception exn ->
-              fail "%s under %s: uncaught %s" g.g_name tname
-                (Printexc.to_string exn)
-          | (er1, out1, tool1) -> (
-              (match er1 with
-              | Vg_core.Session.Exited n when n = g.g_exit -> ()
-              | r ->
-                  fail "%s under %s: expected exit %d, got %s" g.g_name tname
-                    g.g_exit
-                    (match r with
-                    | Vg_core.Session.Exited n -> Printf.sprintf "exit %d" n
-                    | Vg_core.Session.Fatal_signal s ->
-                        Printf.sprintf "signal %d" s
-                    | Vg_core.Session.Out_of_fuel -> "fuel"));
-              (* deterministic reports: a second identical run must
-                 reproduce stdout and the tool report bit-for-bit *)
-              (match run ~chaos:None () with
-              | er2, out2, tool2 ->
-                  if (er1, out1, tool1) <> (er2, out2, tool2) then
-                    fail "%s under %s: non-deterministic report" g.g_name
-                      tname
-              | exception exn ->
-                  fail "%s under %s (rerun): uncaught %s" g.g_name tname
-                    (Printexc.to_string exn));
-              (* graceful degradation: an idempotent chaos schedule must
-                 preserve the architectural result *)
-              match
-                run
-                  ~chaos:(Some (Chaos.create (Chaos.idempotent ~seed:3)))
-                  ()
-              with
-              | exception exn ->
-                  fail "%s under %s (chaos): uncaught %s" g.g_name tname
-                    (Printexc.to_string exn)
-              | er3, out3, _tool3 -> (
-                  if out3 <> out1 then
-                    fail "%s under %s (chaos): stdout changed" g.g_name tname;
-                  match er3 with
-                  | Vg_core.Session.Exited n when n = g.g_exit -> ()
-                  | _ ->
-                      fail "%s under %s (chaos): wrong exit" g.g_name tname)))
-        tools;
-      Printf.printf "vgfuzz: hostile %-12s checked under %d tools\n" g.g_name
-        (List.length tools))
-    (Fuzz.Hostile_guests.all ());
-  if !failed > 0 then begin
-    print_endline "vgfuzz: FAILED";
-    1
-  end
-  else begin
-    print_endline "vgfuzz: OK";
-    0
-  end
-
-(* --- one program (debug) --------------------------------------------- *)
-
-let run_one ~seed ~size ~faulty : int =
+let one_generated ~seed ~size ~faulty : int =
   print_endline (Fuzz.Gen.source ~faulty ~seed ~size ());
-  let divs = Fuzz.Diff.check (Fuzz.Gen.image ~faulty ~seed ~size ()) in
-  if divs = [] then begin
-    print_endline "vgfuzz: agree";
-    0
-  end
-  else begin
-    List.iter (fun d -> print_endline (Fuzz.Diff.pp_divergence d)) divs;
-    1
-  end
+  match Fuzz.Diff.check (Fuzz.Gen.image ~faulty ~seed ~size ()) with
+  | [] ->
+      print_endline "vgfuzz: agree";
+      0
+  | divs ->
+      List.iter (fun d -> print_endline (Fuzz.Diff.pp_divergence d)) divs;
+      1
+
+let die fmt = Printf.ksprintf (fun m -> prerr_endline ("vgfuzz: " ^ m); exit 2) fmt
+
+(* one way of a set on one of the set's clients, fault log shown *)
+let one_cell ~item ~tool ~way ~seed ~trace_to : int =
+  let set, wname =
+    match String.split_on_char '.' way with
+    | [ s; w ] -> (s, w)
+    | _ -> die "--way wants SET.WAY, got %s" way
+  in
+  let groups =
+    match List.assoc_opt set Fuzz.Diff.sets with
+    | Some f -> f ~seeds:[ seed ] ~count:0
+    | None -> die "unknown set %s" set
+  in
+  let named l name f = List.find_opt (fun x -> f x = name) l in
+  let w, it =
+    match
+      List.find_map
+        (fun (c : Fuzz.Diff.cells) ->
+          match
+            ( named c.ways wname (fun (w : Fuzz.Diff.way) -> w.w_name),
+              named c.items item (fun (i : Fuzz.Diff.item) -> i.i_name) )
+          with
+          | Some w, Some it -> Some (w, it)
+          | _ -> None)
+        groups
+    with
+    | Some found -> found
+    | None -> die "set %s has no way %s over a client %s" set wname item
+  in
+  let t = try Tools.Catalog.find tool with Invalid_argument m -> die "%s" m in
+  Printf.printf "== vgfuzz: %s under %s, way %s, seed %d ==\n" item tool way seed;
+  let o = Fuzz.Diff.run ?trace_to ~files:it.i_files w t (it.i_image ()) in
+  List.iter print_endline o.o_faults;
+  match o.o_raised with
+  | Some e ->
+      Printf.printf "UNCAUGHT EXCEPTION: %s\n" e;
+      1
+  | None ->
+      let stats =
+        List.map (fun (k, v) -> k ^ "=" ^ Fuzz.Diff.sample_str v) o.o_stats
+      in
+      Printf.printf "%d faults injected; %s; stats digest %s\n"
+        (List.length o.o_faults)
+        (Fuzz.Diff.exit_kind_str o.o_exit)
+        (Digest.to_hex (Digest.string (String.concat "\n" stats)));
+      0
 
 (* --- argv ------------------------------------------------------------ *)
 
-let parse_seeds s =
-  String.split_on_char ',' s |> List.map String.trim
-  |> List.filter (fun x -> x <> "")
-  |> List.map int_of_string
-
 let () =
-  let args = Array.to_list Sys.argv |> List.tl in
-  let seeds = ref [ 1; 2; 3 ] in
-  let count = ref 300 in
-  let seed = ref 1 in
-  let size = ref 8 in
-  let faulty = ref false in
-  let mode = ref `Fuzz in
-  let rec go = function
-    | [] -> ()
-    | "corpus" :: rest ->
-        mode := `Corpus "test/fuzz_corpus";
-        (match rest with
-        | d :: rest' when not (String.length d > 1 && d.[0] = '-') ->
-            mode := `Corpus d;
-            go rest'
-        | _ -> go rest)
-    | "hostile" :: rest ->
-        mode := `Hostile;
-        go rest
-    | "one" :: rest ->
-        mode := `One;
-        go rest
-    | "--seeds" :: v :: rest ->
-        seeds := parse_seeds v;
-        go rest
-    | "--count" :: v :: rest ->
-        count := int_of_string v;
-        go rest
-    | "--seed" :: v :: rest ->
-        seed := int_of_string v;
-        go rest
-    | "--size" :: v :: rest ->
-        size := int_of_string v;
-        go rest
-    | "--faulty" :: rest ->
-        faulty := true;
-        go rest
-    | "--out" :: v :: rest ->
-        out_dir := v;
-        go rest
-    | a :: _ ->
-        prerr_endline ("vgfuzz: unknown argument " ^ a);
-        exit 2
+  let seeds = ref [ 1; 2; 3 ] and count = ref 300 in
+  let seed = ref 1 and size = ref 8 and faulty = ref false in
+  let item = ref None and tool = ref "memcheck" and way = ref "chaos.idempotent" in
+  let trace_to = ref None and anon = ref [] in
+  let specs =
+    [
+      ( "--seeds",
+        Arg.String (fun v -> seeds := List.map int_of_string (String.split_on_char ',' v)),
+        "S,.. chaos seeds (chaos) or base generator seeds (fuzz)" );
+      ("--count", Arg.Set_int count, "N generated programs (fuzz)");
+      ("--out", Arg.Set_string out_dir, "DIR repros and traces of failing cells");
+      ("--seed", Arg.Set_int seed, "N program seed; the set's seed with --workload");
+      ("--size", Arg.Set_int size, "K generated program size (one)");
+      ("--faulty", Arg.Set faulty, " generate in faulty mode (one)");
+      ("--workload", Arg.String (fun v -> item := Some v), "W one cell on client W");
+      ("--tool", Arg.Set_string tool, "T tool of the cell (one --workload)");
+      ("--way", Arg.Set_string way, "SET.WAY way of the cell (one --workload)");
+      ("--trace", Arg.String (fun v -> trace_to := Some v), "PREFIX trace the cell (one --workload)");
+    ]
   in
-  go args;
-  let code =
-    match !mode with
-    | `Fuzz -> fuzz_sweep ~seeds:!seeds ~count:!count
-    | `Corpus d -> corpus_replay d
-    | `Hostile -> hostile_suite ()
-    | `One -> run_one ~seed:!seed ~size:!size ~faulty:!faulty
-  in
-  exit code
+  let usage = "vgfuzz [SET | corpus [DIR] | one] [options]" in
+  Arg.parse specs (fun a -> anon := a :: !anon) usage;
+  let run s = run_set s ((List.assoc s Fuzz.Diff.sets) ~seeds:!seeds ~count:!count) in
+  exit
+    (match (List.rev !anon, !item) with
+    | [], _ -> run "fuzz"
+    | [ s ], _ when List.mem_assoc s Fuzz.Diff.sets -> run s
+    | [ "corpus" ], _ -> corpus "test/fuzz_corpus"
+    | [ "corpus"; d ], _ -> corpus d
+    | [ "one" ], Some item ->
+        one_cell ~item ~tool:!tool ~way:!way ~seed:!seed ~trace_to:!trace_to
+    | [ "one" ], None -> one_generated ~seed:!seed ~size:!size ~faulty:!faulty
+    | _ ->
+        prerr_endline usage;
+        2)

@@ -15,22 +15,6 @@
 
 open Cmdliner
 
-let tools : (string * Vg_core.Tool.t) list =
-  [
-    ("nulgrind", Vg_core.Tool.nulgrind);
-    ("memcheck", Tools.Memcheck.tool);
-    ("memcheck-origins", Tools.Memcheck.tool_origins);
-    ("cachegrind", Tools.Cachegrind.tool);
-    ("massif", Tools.Massif.tool);
-    ("lackey", Tools.Lackey.tool);
-    ("taintgrind", Tools.Taintgrind.tool);
-    ("annelid", Tools.Annelid.tool);
-    ("redux", Tools.Redux.tool);
-    ("drd", Tools.Drd.tool);
-    ("icnti", Tools.Icnt.icnt_inline);
-    ("icntc", Tools.Icnt.icnt_call);
-  ]
-
 let die fmt = Printf.ksprintf (fun m -> prerr_endline ("vgrewind: " ^ m); exit 2) fmt
 
 let read_file p =
@@ -48,10 +32,7 @@ let compile_source ~(kind : string) (src : string) : Guest.Image.t =
   | Guest.Asm.Error { line; msg } -> die "assembly error at line %d: %s" line msg
 
 let find_tool name =
-  match List.assoc_opt name tools with
-  | Some t -> t
-  | None ->
-      die "unknown tool '%s' (have: %s)" name (String.concat ", " (List.map fst tools))
+  try Tools.Catalog.find name with Invalid_argument m -> die "%s" m
 
 (* --- record ----------------------------------------------------------- *)
 

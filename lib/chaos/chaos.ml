@@ -17,7 +17,8 @@
     replay exact: the nth eligible point always sees the nth draw.
 
     Every injected fault is recorded in an append-only log ({!log_lines})
-    used by [bin/vgchaos] to assert bit-identical replay per seed. *)
+    used by the oracle's [chaos] set to assert bit-identical reruns per
+    seed. *)
 
 open Support
 

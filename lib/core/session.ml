@@ -39,17 +39,10 @@ type options = {
           paper's Valgrind deliberately does not chain (§3.9); pass
           [--no-chaining] / [chaining = false] to reproduce its baseline
           dispatcher behaviour. *)
-  chain_cost : int;  (** cycles for a chained transfer *)
   smc_mode : smc_mode;  (** default [Smc_stack], like Valgrind *)
   timeslice_blocks : int;  (** thread-switch period (paper: 100,000) *)
-  sched_poll_blocks : int;
-      (** the dispatcher falls back into the scheduler this often
-          (paper: "every few thousand translation executions") *)
   transtab_capacity : int;
-  dispatch_size : int;
   dispatch_fast_cost : int;
-  dispatch_slow_cost : int;
-  stack_switch_threshold : int64;  (** the 2MB heuristic, changeable *)
   unroll_loops : bool;  (** phase-2 self-loop unrolling (VEX default: on) *)
   max_blocks : int64;  (** fuel: abort runaway clients (0 = unlimited) *)
   verify_jit : bool;
@@ -111,8 +104,6 @@ type options = {
           the cold tier before the client runs, so start-up JIT cost is
           paid up front and counted separately ([jit.aot.*]).  Off by
           default. *)
-  aot_limit : int;
-      (** cap on the number of blocks AOT seeding will pre-translate *)
   rr : Replay.rr;
       (** record/replay binding (Vgrewind; default [No_rr]).  [Record r]
           feeds every non-derivable input — syscall results and side
@@ -127,15 +118,10 @@ let default_options =
   {
     cores = 1;
     chaining = true;
-    chain_cost = 2;
     smc_mode = Smc_stack;
     timeslice_blocks = 100_000;
-    sched_poll_blocks = 3000;
     transtab_capacity = 32768;
-    dispatch_size = 8192;
     dispatch_fast_cost = Dispatch.default_fast_cost;
-    dispatch_slow_cost = Dispatch.default_slow_cost;
-    stack_switch_threshold = 0x20_0000L;
     unroll_loops = true;
     max_blocks = 0L;
     verify_jit = true;
@@ -150,7 +136,6 @@ let default_options =
     trace_max_blocks = 3;
     scan = false;
     aot_seed = false;
-    aot_limit = 8192;
     rr = Replay.No_rr;
   }
 
@@ -219,6 +204,10 @@ type t = {
   mutable exit_reason : exit_reason option;
   (* stack-event helpers (registered lazily per session) *)
   mutable stack_helpers : Stack_events.helpers option;
+  mutable helpers : Vex_ir.Ir.callee list;
+      (** every helper this session registered (tool and stack-event);
+          released when the session ends, so the global helper table
+          stops keeping a finished session reachable *)
   (* core client-space allocator arena *)
   mutable arena_next : int64;
   arena_limit : int64;
@@ -376,6 +365,9 @@ let symbolize_with (img : Guest.Image.t) (addr : int64) : string =
       else Printf.sprintf "%s+0x%LX" name (Int64.sub addr base)
   | _ -> Printf.sprintf "0x%LX" addr
 
+(* fast-lookup cache entries per core *)
+let dispatch_size = 8192
+
 let create ?(options = default_options) ~(tool : Tool.t)
     (image : Guest.Image.t) : t =
   let mem = Aspace.create () in
@@ -389,9 +381,9 @@ let create ?(options = default_options) ~(tool : Tool.t)
   let events = Events.create () in
   let cores =
     Array.init options.cores (fun id ->
-        Engine.create ~id ~mem ~dispatch_size:options.dispatch_size
+        Engine.create ~id ~mem ~dispatch_size
           ~fast_cost:options.dispatch_fast_cost
-          ~slow_cost:options.dispatch_slow_cost)
+          ~slow_cost:Dispatch.default_slow_cost)
   in
   let s =
     {
@@ -439,6 +431,7 @@ let create ?(options = default_options) ~(tool : Tool.t)
       fn_cache = Hashtbl.create 256;
       exit_reason = None;
       stack_helpers = None;
+      helpers = [];
       arena_next = 0x1900_0000L;
       arena_limit = 0x1A00_0000L;
       sigreturn_tramp = 0L;
@@ -578,6 +571,11 @@ let on_discard (s : t) (addr : int64) (len : int) =
 
 let charge (s : t) c = Engine.charge s.active c
 
+let register_helper (s : t) ~fx_reads ~name ~cost f : Vex_ir.Ir.callee =
+  let c = Vex_ir.Helpers.register ~fx_reads ~name ~cost f in
+  s.helpers <- c :: s.helpers;
+  c
+
 let caps_of (s : t) : Tool.caps =
   {
     events = s.events;
@@ -613,22 +611,26 @@ let caps_of (s : t) : Tool.caps =
     register_helper =
       (fun ?(fx_reads = []) ~name ~cost ~nargs f ->
         ignore nargs;
-        Vex_ir.Helpers.register ~fx_reads ~name ~cost (fun _env args -> f args));
+        register_helper s ~fx_reads ~name ~cost (fun _env args -> f args));
   }
+
+(* An SP change bigger than this is a stack switch, not an allocation
+   (Valgrind's 2MB heuristic). *)
+let stack_switch_threshold = 0x20_0000L
 
 (* Register the stack-event helpers for this session (only when the tool
    tracks stack events). *)
 let make_stack_helpers (s : t) : Stack_events.helpers =
   let fx = [ (GA.off_sp, 4) ] in
   let h_new =
-    Vex_ir.Helpers.register ~name:"core_new_mem_stack" ~cost:4 ~fx_reads:fx
+    register_helper s ~name:"core_new_mem_stack" ~cost:4 ~fx_reads:fx
       (fun _env args ->
         Events.fire_new_mem_stack s.events ~addr:args.(0)
           ~len:(Int64.to_int args.(1));
         0L)
   in
   let h_die =
-    Vex_ir.Helpers.register ~name:"core_die_mem_stack" ~cost:4 ~fx_reads:fx
+    register_helper s ~name:"core_die_mem_stack" ~cost:4 ~fx_reads:fx
       (fun _env args ->
         Events.fire_die_mem_stack s.events
           ~addr:(Int64.sub args.(0) args.(1))
@@ -636,13 +638,13 @@ let make_stack_helpers (s : t) : Stack_events.helpers =
         0L)
   in
   let h_unknown =
-    Vex_ir.Helpers.register ~name:"core_unknown_sp_update" ~cost:8
-      ~fx_reads:fx (fun env args ->
+    register_helper s ~name:"core_unknown_sp_update" ~cost:8 ~fx_reads:fx
+      (fun env args ->
         let old_sp = env.he_get_guest GA.off_sp 4 in
         let new_sp = args.(0) in
         (match
            Stack_events.classify_sp_change
-             ~threshold:s.opts.stack_switch_threshold s.regstacks ~old_sp
+             ~threshold:stack_switch_threshold s.regstacks ~old_sp
              ~new_sp
          with
         | None -> () (* stack switch: no events *)
@@ -843,6 +845,9 @@ let scheduler_find (s : t) (pc : int64) : Jit.Pipeline.translation =
   | Some t -> t
   | None -> translate s pc
 
+(* most blocks AOT seeding will pre-translate *)
+let aot_limit = 8192
+
 (* AOT seeding: pre-translate every statically discovered basic block
    through the cold tier before the client executes its first
    instruction.  Failures are counted, never fatal — a block the static
@@ -858,7 +863,7 @@ let aot_seed_blocks (s : t) : unit =
       (try
          List.iter
            (fun pc ->
-             if s.aot_seeded >= s.opts.aot_limit then raise Exit;
+             if s.aot_seeded >= aot_limit then raise Exit;
              if Transtab.find s.transtab pc = None then
                match translate_tier s ~tier pc with
                | _ -> s.aot_seeded <- s.aot_seeded + 1
@@ -882,6 +887,18 @@ let aot_seed_blocks (s : t) : unit =
 (* Signals (§3.15)                                                      *)
 (* ------------------------------------------------------------------ *)
 
+let release_helpers (s : t) =
+  List.iter Vex_ir.Helpers.release s.helpers;
+  s.helpers <- []
+
+(* The one place a session ends (clean exit, fatal signal, fuel): the
+   first reason sticks, and the session's helpers are released. *)
+let finish (s : t) (reason : exit_reason) =
+  if s.exit_reason = None then begin
+    s.exit_reason <- Some reason;
+    release_helpers s
+  end
+
 let fatal (s : t) (th : Threads.thread) (signal : int) =
   tev s ~cat:"signal" ~name:"fatal"
     ~args:[ ("sig", Obs.Trace.S (Kernel.Sig.name signal)) ]
@@ -898,7 +915,7 @@ let fatal (s : t) (th : Threads.thread) (signal : int) =
            a
            (symbolize s a)))
     stack;
-  s.exit_reason <- Some (Fatal_signal signal)
+  finish s (Fatal_signal signal)
 
 (** Deliver [signal] to [th], between code blocks — so a load/shadow-load
     pair is never separated (§3.15). *)
@@ -1250,6 +1267,9 @@ let note_chained_transfer (s : t) (src : Jit.Pipeline.translation)
     && not (Transtab.covered_by_super s.transtab src.t_guest_addr)
   then form_superblock s src
 
+(* cycles for a chained transfer *)
+let chain_cost = 2
+
 let find_translation (s : t) (pc : int64) : Jit.Pipeline.translation =
   let e = s.active in
   match e.Engine.last_exit with
@@ -1259,7 +1279,7 @@ let find_translation (s : t) (pc : int64) : Jit.Pipeline.translation =
       match slot.cs_next with
       | Some t when not t.Jit.Pipeline.t_dead ->
           (* patched: control transfers straight to the successor *)
-          charge s s.opts.chain_cost;
+          charge s chain_cost;
           e.Engine.chained_transfers <-
             Int64.add e.Engine.chained_transfers 1L;
           Events.tick_chain_followed s.events;
@@ -1297,9 +1317,6 @@ let do_thread_create (s : t) ~entry ~sp ~arg =
             (Threads.on_core s.threads th.core))
   then Engine.fast_forward s.cores.(th.core) ~now:(Engine.clock s.active);
   th.tid
-
-let finish (s : t) (reason : exit_reason) =
-  if s.exit_reason = None then s.exit_reason <- Some reason
 
 (* Rotate the stepping core to its next runnable thread, counting an
    actual handoff (tid changed) against that core. *)
@@ -1608,6 +1625,10 @@ let pick_core (s : t) : Engine.t option =
         | _ -> Some e)
     None s.cores
 
+(* the dispatcher falls back into the scheduler this often (paper:
+   "every few thousand translation executions") *)
+let sched_poll_blocks = 3000L
+
 (** One scheduler-loop iteration: bump the iteration ordinal, roll (or
     replay) the chaos scheduling points, pick a core and run one block.
     Returns [false] once the session has exited. *)
@@ -1683,11 +1704,7 @@ let step (s : t) : bool =
                On replay the pending queue is always empty (the kernel
                never runs), so the log is polled every iteration — it
                holds deliveries from both record-side branches. *)
-            if
-              Int64.rem s.blocks_executed
-                (Int64.of_int s.opts.sched_poll_blocks)
-              = 0L
-            then begin
+            if Int64.rem s.blocks_executed sched_poll_blocks = 0L then begin
               charge s e.Engine.dispatch.slow_cost;
               check_signals s;
               advance_epoch s
@@ -1760,13 +1777,15 @@ let crash_context (s : t) (what : string) : Errors.crash_context =
     re-raised — but only after a crash context (guest registers, PC, the
     last dispatched blocks, guest stack) is rendered to the tool output
     stream, so there is always a post-mortem record of what the client
-    was doing when control was lost (§3.2). *)
+    was doing when control was lost (§3.2).  Either way the session has
+    ended and its helpers are released. *)
 let run (s : t) : exit_reason =
   try run_inner s
   with e ->
     let bt = Printexc.get_raw_backtrace () in
     (try output s (Errors.render_crash s.errors (crash_context s (Printexc.to_string e)))
      with _ -> ());
+    release_helpers s;
     Printexc.raise_with_backtrace e bt
 
 (* ------------------------------------------------------------------ *)

@@ -30,12 +30,22 @@ let table : fn array ref = ref (Array.make 0 (fun _ _ -> 0L))
 let names : string array ref = ref [||]
 let count = ref 0
 
+(* released ids, oldest first: reused before the table grows, so the
+   number of ids in use stays bounded by the live sessions' helpers
+   (translations encode an id in 16 bits) *)
+let free : int Queue.t = Queue.create ()
+
 (** Register a helper; returns a [callee] for use in [CCall]/[Dirty].
     [cost] is the cycle cost charged per call by the host model (on top of
     the fixed call/save-restore overhead). *)
 let register ?(fx_reads = []) ?(fx_writes = []) ~name ~cost (f : fn) : Ir.callee =
-  let id = !count in
-  incr count;
+  let id =
+    match Queue.take_opt free with
+    | Some id -> id
+    | None ->
+        incr count;
+        !count - 1
+  in
   if id >= Array.length !table then begin
     let nt = Array.make (max 16 (2 * id)) (fun _ _ -> 0L) in
     Array.blit !table 0 nt 0 (Array.length !table);
@@ -53,6 +63,21 @@ let register ?(fx_reads = []) ?(fx_writes = []) ~name ~cost (f : fn) : Ir.callee
     c_fx_reads = fx_reads;
     c_fx_writes = fx_writes;
   }
+
+(** Release a helper: its closure (and whatever state it captured) is
+    dropped, and a call of the id raises [Invalid_argument] until the id
+    is reused, so a stale translation fails loudly instead of running a
+    dead session's code.  Released ids are reused oldest first, so
+    release a callee at most once. *)
+let release (c : Ir.callee) : unit =
+  let id = c.Ir.c_id in
+  if id >= 0 && id < !count then begin
+    !table.(id) <-
+      (fun _ _ ->
+        invalid_arg (Printf.sprintf "Helpers.call: helper %d (%s) was released" id
+                       c.Ir.c_name));
+    Queue.add id free
+  end
 
 (** Invoke helper [id]. Raises [Invalid_argument] for an unknown id. *)
 let call (id : int) (env : env) (args : int64 array) : int64 =

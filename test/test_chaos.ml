@@ -1,6 +1,6 @@
 (* Vgchaos tier-1 tests: every injected fault is survivable, recovery is
    transparent to the client and the tool, and a seed replays exactly.
-   The full corpus sweep lives in bin/vgchaos (CI); these pin the
+   The corpus sweep is the oracle's chaos set (vgfuzz chaos); these pin the
    individual recovery mechanisms. *)
 
 let t name f = Alcotest.test_case name `Quick f

@@ -585,6 +585,38 @@ let test_tiered_deterministic () =
   in
   Alcotest.(check string) "bit-identical metrics" (run ()) (run ())
 
+(* A session that ran to exit releases every helper it registered, so
+   nothing global keeps it reachable.  The witness tool registers tool
+   helpers and, since it watches stack events, the core's stack-event
+   helpers too (tools that publish their last state for inspection, like
+   memcheck, keep only that one). *)
+let hello_src = "int main() { print_str(\"hi\\n\"); return 0; }"
+
+let run_to_exit weak =
+  let s =
+    Vg_core.Session.create ~tool:Fuzz.Diff.witness
+      (Minicc.Driver.compile hello_src)
+  in
+  ignore (Vg_core.Session.run s);
+  Weak.set weak 0 (Some s)
+[@@inline never]
+
+let test_finished_session_collectable () =
+  let weak = Weak.create 1 in
+  run_to_exit weak;
+  Gc.full_major ();
+  Alcotest.(check bool) "session collected" false (Weak.check weak 0)
+
+(* released helper ids are reused: the ids in use stay bounded by the
+   live sessions (translations encode an id in 16 bits) *)
+let test_helper_ids_reused () =
+  let before = !Vex_ir.Helpers.count in
+  for _ = 1 to 20 do
+    run_to_exit (Weak.create 1)
+  done;
+  Alcotest.(check bool) "at most one session's worth of new ids" true
+    (!Vex_ir.Helpers.count - before <= 6)
+
 let tests =
   [
     Alcotest.test_case "fact native" `Quick test_fact_native;
@@ -613,4 +645,7 @@ let tests =
     Alcotest.test_case "superblocks vs smc" `Quick test_superblock_smc;
     Alcotest.test_case "tiering deterministic" `Quick
       test_tiered_deterministic;
+    Alcotest.test_case "finished session is collectable" `Quick
+      test_finished_session_collectable;
+    Alcotest.test_case "helper ids are reused" `Quick test_helper_ids_reused;
   ]

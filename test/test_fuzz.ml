@@ -148,6 +148,15 @@ let run_step_external (img : Guest.Image.t) :
   done;
   Option.get !result
 
+let jit_way = Fuzz.Diff.way "jit" (Fuzz.Diff.fuzz_base ())
+
+(* every translation refused: the whole program runs through the
+   graceful-degradation IR evaluator *)
+let refuse_all =
+  { (Chaos.idempotent ~seed:1) with
+    Chaos.p_eintr = 0.0; p_errno = 0.0; p_short = 0.0; p_map_denial = 0.0;
+    p_flush = 0.0; p_translation_failure = 1.0; max_injections = 0 }
+
 let test_fault_attribution_ladder () =
   let src = read_file (Filename.concat corpus_dir "fault_attribution.s") in
   let img () = Guest.Asm.assemble src in
@@ -159,19 +168,13 @@ let test_fault_attribution_ladder () =
            (Fuzz.Diff.exit_kind_str k));
   let fault_pc = nat.Fuzz.Diff.o_eip in
   (* JIT path *)
-  let jit =
-    Fuzz.Diff.run_session
-      { Fuzz.Diff.v_name = "jit"; v_cores = 1; v_aot = false;
-        v_chaos = None; v_degrade = false }
-      (img ())
-  in
+  let jit = Fuzz.Diff.run jit_way Fuzz.Diff.witness (img ()) in
   Alcotest.(check int64) "jit faulting pc" fault_pc jit.Fuzz.Diff.o_eip;
   (* forced interp-fallback (every translation refused) *)
   let deg =
-    Fuzz.Diff.run_session
-      { Fuzz.Diff.v_name = "degrade"; v_cores = 1; v_aot = false;
-        v_chaos = None; v_degrade = true }
-      (img ())
+    Fuzz.Diff.run
+      (Fuzz.Diff.way "degrade" ~chaos:refuse_all (Fuzz.Diff.fuzz_base ()))
+      Fuzz.Diff.witness (img ())
   in
   Alcotest.(check int64) "degraded faulting pc" fault_pc
     deg.Fuzz.Diff.o_eip;
@@ -192,12 +195,7 @@ let test_dead_load_fault_survives_dce () =
       (read_file (Filename.concat corpus_dir "deadload_sigsegv_1.s"))
   in
   let nat = Fuzz.Diff.run_native (img ()) in
-  let jit =
-    Fuzz.Diff.run_session
-      { Fuzz.Diff.v_name = "jit"; v_cores = 1; v_aot = false;
-        v_chaos = None; v_degrade = false }
-      (img ())
-  in
+  let jit = Fuzz.Diff.run jit_way Fuzz.Diff.witness (img ()) in
   Alcotest.(check string) "exit kind"
     (Fuzz.Diff.exit_kind_str nat.Fuzz.Diff.o_exit)
     (Fuzz.Diff.exit_kind_str jit.Fuzz.Diff.o_exit);
@@ -206,52 +204,25 @@ let test_dead_load_fault_survives_dce () =
 
 (* ---- hostile suite --------------------------------------------------- *)
 
-let hostile_tools =
-  [ ("nulgrind", Vg_core.Tool.nulgrind); ("memcheck", Tools.Memcheck.tool);
-    ("lackey", Tools.Lackey.tool) ]
-
-let run_hostile ?chaos tool img =
-  let options =
-    { Vg_core.Session.default_options with
-      max_blocks = 200_000L; verify_jit = false; transtab_capacity = 256;
-      chaos }
-  in
-  let s = Vg_core.Session.create ~options ~tool img in
-  let er = Vg_core.Session.run s in
-  (er, Vg_core.Session.client_stdout s, Vg_core.Session.tool_output s)
-
+(* the hostile set under three tools: native and session exits as
+   expected, bit-identical reruns, results kept under an idempotent
+   schedule *)
 let test_hostile_execution_contract () =
   List.iter
-    (fun (g : Fuzz.Hostile_guests.guest) ->
-      let img () = Fuzz.Hostile_guests.image g in
-      (* native architectural reference *)
-      (match Native.run ~max_insns:10_000_000L (Native.create (img ())) with
-      | Native.Exited n when n = g.Fuzz.Hostile_guests.g_exit -> ()
-      | r ->
-          Alcotest.failf "%s native: expected exit %d got %s"
-            g.Fuzz.Hostile_guests.g_name g.Fuzz.Hostile_guests.g_exit
-            (match r with
-            | Native.Exited n -> string_of_int n
-            | Native.Fatal_signal s -> Printf.sprintf "signal %d" s
-            | Native.Out_of_fuel -> "fuel"));
+    (fun (c : Fuzz.Diff.cells) ->
+      let c = { c with tools = Tools.Catalog.pick [ "nulgrind"; "memcheck"; "lackey" ] } in
       List.iter
-        (fun (tname, tool) ->
-          let er1, out1, tool1 = run_hostile tool (img ()) in
-          (match er1 with
-          | Vg_core.Session.Exited n when n = g.Fuzz.Hostile_guests.g_exit ->
-              ()
-          | _ ->
-              Alcotest.failf "%s under %s: wrong exit"
-                g.Fuzz.Hostile_guests.g_name tname);
-          (* determinism: bit-identical rerun *)
-          let er2, out2, tool2 = run_hostile tool (img ()) in
-          Alcotest.(check bool)
-            (Printf.sprintf "%s under %s deterministic"
-               g.Fuzz.Hostile_guests.g_name tname)
-            true
-            ((er1, out1, tool1) = (er2, out2, tool2)))
-        hostile_tools)
-    (Fuzz.Hostile_guests.all ())
+        (fun (it : Fuzz.Diff.item) ->
+          List.iter
+            (fun tool ->
+              match Fuzz.Diff.run_cell c it tool with
+              | [] -> ()
+              | divs ->
+                  Alcotest.failf "%s under %s: %s" it.i_name (fst tool)
+                    (String.concat "; " (List.map Fuzz.Diff.pp_divergence divs)))
+            c.tools)
+        c.items)
+    (Fuzz.Diff.hostile ())
 
 let test_hostile_lint_classes () =
   List.iter
@@ -276,14 +247,8 @@ let test_crash_context_on_refused_translation () =
     Guest.Asm.assemble
       (read_file (Filename.concat corpus_dir "overlap_decode.s"))
   in
-  let tool, _tot = Fuzz.Diff.witness_tool () in
-  let chaos =
-    Chaos.create
-      { (Chaos.idempotent ~seed:1) with
-        Chaos.p_eintr = 0.0; p_errno = 0.0; p_short = 0.0;
-        p_map_denial = 0.0; p_flush = 0.0; p_translation_failure = 1.0;
-        max_injections = 0 }
-  in
+  let tool = Fuzz.Diff.witness in
+  let chaos = Chaos.create refuse_all in
   let options =
     { Vg_core.Session.default_options with
       interp_fallback = false; chaos = Some chaos; verify_jit = false }
@@ -295,6 +260,129 @@ let test_crash_context_on_refused_translation () =
   let out = Vg_core.Session.tool_output s in
   Alcotest.(check bool) "crash context rendered" true
     (contains out "FATAL: unrecoverable error")
+
+(* ---- the oracle itself ---------------------------------------------- *)
+
+let clean : Fuzz.Diff.outcome =
+  {
+    (Fuzz.Diff.blank "base") with
+    o_regs = Array.init GA.n_regs (fun r -> Int64.of_int (r + 1));
+    o_eip = 0x1000L;
+    o_flags = 0x4L;
+    o_mem = 0xabcL;
+    o_stdout = "hi\n";
+    o_icnt = Some 100L;
+    o_tool = "==t== 1\n";
+    o_stats =
+      [ ("core.blocks", Obs.Registry.I 10L); ("jit.aot.seeded", I 3L);
+        ("static.cfg_checked", I 5L); ("static.cfg_miss", I 0L) ];
+    o_faults = [ "fault 1" ];
+  }
+
+let set_stat k v (o : Fuzz.Diff.outcome) =
+  { o with o_stats = List.map (fun (k', x) -> (k', if k = k' then Obs.Registry.I v else x)) o.o_stats }
+
+(* one field changed at a time *)
+let mutations : (string * (Fuzz.Diff.outcome -> Fuzz.Diff.outcome)) list =
+  [
+    ("exit", fun o -> { o with o_exit = Fuzz.Diff.Exit 1 });
+    ("regs", fun o -> { o with o_regs = Array.mapi (fun i r -> if i = 3 then Int64.succ r else r) o.o_regs });
+    ("eip", fun o -> { o with o_eip = 0x1004L });
+    ("flags", fun o -> { o with o_flags = 0x5L });
+    ("mem", fun o -> { o with o_mem = 0xabdL });
+    ("stdout", fun o -> { o with o_stdout = "ho\n" });
+    ("icnt", fun o -> { o with o_icnt = Some 101L });
+    ("tool", fun o -> { o with o_tool = "==t== 2\n" });
+    ("stats", set_stat "core.blocks" 11L);
+    ("stats.cfg_miss", set_stat "static.cfg_miss" 1L);
+    ("stats.aot", set_stat "jit.aot.seeded" 0L);
+    ("faults", fun o -> { o with o_faults = [ "fault 1"; "fault 2" ] });
+    ("replay", fun o -> { o with o_replay = [ ("stdout", "a", "b") ] });
+    ("raised", fun o -> { o with o_raised = Some "boom" });
+  ]
+
+(* what each relation must flag — written out here, not read back from
+   the oracle, so a comparator that agrees with everything fails *)
+let covers : (string * Fuzz.Diff.relation * string list) list =
+  let arch = [ "exit"; "regs"; "eip"; "flags"; "mem"; "stdout"; "icnt" ] in
+  [
+    ("native", Native, arch);
+    ("output", Output, [ "exit"; "stdout"; "tool" ]);
+    ("result", Result, [ "exit"; "stdout" ]);
+    ("rerun", Rerun, arch @ [ "tool"; "stats"; "stats.cfg_miss"; "stats.aot"; "faults" ]);
+    ("replayed", Replayed, [ "replay" ]);
+    ("cfg-sound", Cfg_sound, [ "stats.cfg_miss" ]);
+    ("aot-sound", Aot_sound, [ "stats.cfg_miss"; "stats.aot" ]);
+  ]
+
+let test_comparator_fields () =
+  List.iter
+    (fun (name, rel, fields) ->
+      Alcotest.(check int) (name ^ ": identical outcomes agree") 0
+        (List.length (Fuzz.Diff.compare rel ~base:clean clean));
+      List.iter
+        (fun (field, mutate) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s flags a change of %s" name field)
+            (List.mem field fields)
+            (Fuzz.Diff.compare rel ~base:clean (mutate clean) <> []))
+        mutations)
+    covers;
+  (* at a fatal signal only eip/sp/fp are precise against native *)
+  let at_fault = { clean with o_exit = Fuzz.Diff.Signal 11 } in
+  let with_reg r o = { o with Fuzz.Diff.o_regs = Array.mapi (fun i x -> if i = r then Int64.succ x else x) o.Fuzz.Diff.o_regs } in
+  Alcotest.(check int) "scratch register stale at a fault" 0
+    (List.length (Fuzz.Diff.compare Native ~base:at_fault (with_reg 3 at_fault)));
+  Alcotest.(check bool) "sp must be precise at a fault" true
+    (Fuzz.Diff.compare Native ~base:at_fault (with_reg GA.reg_sp at_fault) <> []);
+  (* the memory hash sees a one-byte change anywhere in data+bss,
+     including the tail of an odd-sized segment *)
+  let img = Guest.Asm.assemble "_start: movi r0, 1\n syscall\n .data\nbuf: .space 37\n" in
+  let mem = Aspace.create () in
+  ignore (Guest.Image.load img mem);
+  let h0 = Fuzz.Diff.hash_mem mem img in
+  List.iter
+    (fun off ->
+      Aspace.write mem (Int64.add img.Guest.Image.data_addr (Int64.of_int off)) 1 1L;
+      Alcotest.(check bool)
+        (Printf.sprintf "memhash sees byte %d" off)
+        true
+        (Fuzz.Diff.hash_mem mem img <> h0);
+      Aspace.write mem (Int64.add img.Guest.Image.data_addr (Int64.of_int off)) 1 0L)
+    [ 0; 9; 36 ];
+    (* every run must not raise, and must reach an item's fixed exit *)
+  let it = Fuzz.Diff.item ~exit:0 "x" (fun () -> assert false) in
+  Alcotest.(check int) "clean run is sane" 0 (List.length (Fuzz.Diff.sane it clean));
+  List.iter
+    (fun (field, mutate) ->
+      Alcotest.(check bool) ("sane flags " ^ field)
+        (List.mem field [ "exit"; "raised" ])
+        (Fuzz.Diff.sane it (mutate clean) <> []))
+    mutations
+
+(* Every set, once, on its smallest corpus item under its first tool. *)
+let test_every_set_smallest_cell () =
+  let size (it : Fuzz.Diff.item) =
+    let img = it.i_image () in
+    Bytes.length img.Guest.Image.text + Bytes.length img.Guest.Image.data
+  in
+  List.iter
+    (fun (set, cells) ->
+      List.iter
+        (fun (c : Fuzz.Diff.cells) ->
+          let it =
+            List.fold_left
+              (fun best it -> if size it < size best then it else best)
+              (List.hd c.items) c.items
+          in
+          let tool = List.hd c.tools in
+          match Fuzz.Diff.run_cell c it tool with
+          | [] -> ()
+          | divs ->
+              Alcotest.failf "%s %s %s: %s" set it.i_name (fst tool)
+                (String.concat "; " (List.map Fuzz.Diff.pp_divergence divs)))
+        (cells ~seeds:[ 1 ] ~count:1))
+    Fuzz.Diff.sets
 
 let tests =
   [
@@ -312,4 +400,7 @@ let tests =
     t "hostile: lint classes fire" test_hostile_lint_classes;
     t "hostile: crash context on refused translation"
       test_crash_context_on_refused_translation;
+    t "oracle: each relation flags exactly its fields" test_comparator_fields;
+    Alcotest.test_case "oracle: every set on its smallest cell" `Slow
+      test_every_set_smallest_cell;
   ]

@@ -295,6 +295,18 @@ let test_eval_ccall () =
   in
   Alcotest.check ti64 "ccall" 6L r
 
+let test_released_helper_raises () =
+  let callee = Helpers.register ~name:"test_released" ~cost:1 (fun _ _ -> 7L) in
+  Helpers.release callee;
+  match
+    eval_block (fun b ->
+        let t = new_tmp b I32 in
+        add_stmt b (WrTmp (t, CCall (callee, I32, [])));
+        RdTmp t)
+  with
+  | _ -> Alcotest.fail "a released helper ran"
+  | exception Invalid_argument _ -> ()
+
 let test_guarded_dirty () =
   let hits = ref 0 in
   let callee =
@@ -364,6 +376,7 @@ let tests =
     t "eval FP + SIMD" test_eval_fp_simd;
     t "eval memcheck combinators" test_eval_memcheck_combinators;
     t "eval pure helper calls" test_eval_ccall;
+    t "released helper raises" test_released_helper_raises;
     t "guarded dirty calls" test_guarded_dirty;
     t "pretty-printer" test_pp_smoke;
     QCheck_alcotest.to_alcotest prop_eval_add;

@@ -5,21 +5,7 @@
 
 let t name f = Alcotest.test_case name `Quick f
 
-let all_tools : Vg_core.Tool.t list =
-  [
-    Vg_core.Tool.nulgrind;
-    Tools.Memcheck.tool;
-    Tools.Memcheck.tool_origins;
-    Tools.Cachegrind.tool;
-    Tools.Massif.tool;
-    Tools.Lackey.tool;
-    Tools.Taintgrind.tool;
-    Tools.Annelid.tool;
-    Tools.Redux.tool;
-    Tools.Drd.tool;
-    Tools.Icnt.icnt_inline;
-    Tools.Icnt.icnt_call;
-  ]
+let all_tools : Vg_core.Tool.t list = List.map snd Tools.Catalog.all
 
 (* ---- the program matrix ---------------------------------------------- *)
 
@@ -93,31 +79,32 @@ let replay_session ?(base = Vg_core.Session.default_options) ~tool
   in
   Vg_core.Session.create ~options ~tool (pr.pr_img ())
 
-let check_roundtrip ?chaos ~tool ~cores (pr : prog) : Vg_core.Session.t =
-  let _rec_s, data = record_session ?chaos ~tool ~cores pr in
-  let s = replay_session ~tool pr data in
-  ignore (Vg_core.Session.run s);
-  (match Vg_core.Session.replay_mismatches s with
-  | [] -> ()
-  | ms ->
-      Alcotest.failf "%s/%s cores=%d diverged: %s" tool.Vg_core.Tool.name
-        pr.pr_name cores
-        (String.concat "; "
-           (List.map
-              (fun (k, want, got) ->
-                Printf.sprintf "%s recorded=%s replayed=%s" k want got)
-              ms)));
-  s
-
 (* ---- bit-identity across the full matrix ----------------------------- *)
 
+(* every replay trailer digest matches, through the oracle's replay way *)
 let test_matrix () =
   List.iter
     (fun tool ->
       List.iter
         (fun pr ->
           List.iter
-            (fun cores -> ignore (check_roundtrip ~tool ~cores pr))
+            (fun cores ->
+              let w =
+                Fuzz.Diff.way ~replay:true "replay"
+                  { Vg_core.Session.default_options with cores }
+              in
+              let o = Fuzz.Diff.run ~files:pr.pr_files w tool (pr.pr_img ()) in
+              match (o.o_raised, o.o_replay) with
+              | None, [] -> ()
+              | raised, ms ->
+                  Alcotest.failf "%s/%s cores=%d diverged: %s" tool.Vg_core.Tool.name
+                    pr.pr_name cores
+                    (String.concat "; "
+                       (Option.to_list raised
+                       @ List.map
+                           (fun (k, want, got) ->
+                             Printf.sprintf "%s recorded=%s replayed=%s" k want got)
+                           ms)))
             pr.pr_cores)
         progs)
     all_tools

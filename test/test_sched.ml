@@ -236,51 +236,8 @@ let test_multithread_replays () =
 (* ---- the multi-core cycle model ------------------------------------- *)
 
 (* main + 3 workers, each compute-bound for ~3000 blocks; main then
-   spin-waits for all three done flags. *)
-let four_thread_src =
-  {|
-        .text
-        .global _start
-_start: movi r7, 0            ; worker index 0..2
-spawn:  movi r1, worker
-        movi r2, stacks
-        mov r3, r7
-        inc r3
-        muli r3, 4096
-        add r2, r3
-        subi r2, 4
-        movi r3, 0
-        movi r0, 15
-        syscall
-        inc r7
-        cmpi r7, 3
-        jne spawn
-        movi r5, 3000
-mloop:  dec r5
-        jne mloop
-mwait:  movi r0, 17
-        syscall
-        movi r3, ndone
-        ldw r4, [r3]
-        cmpi r4, 3
-        jne mwait
-        movi r0, 1
-        movi r1, 0
-        syscall
-worker: movi r5, 3000
-wloop:  dec r5
-        jne wloop
-        movi r3, ndone
-        ldw r4, [r3]
-        inc r4
-        stw [r3], r4
-        movi r0, 16
-        syscall
-        .data
-ndone:  .word 0
-        .align 4
-stacks: .space 12288
-|}
+   spin-waits for all three done flags *)
+let four_thread_src = Fuzz.Clients.threads4_src
 
 let test_four_cores_speedup () =
   let s1, r1 = run_sched ~cores:1 four_thread_src in

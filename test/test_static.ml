@@ -89,37 +89,32 @@ let test_fixture_findings () =
         fx.Static.Hostile.fx_expect)
     (Static.Hostile.all ())
 
+(* runnable fixtures reach their exit natively and in a scanning
+   session, and even hostile-but-runnable code is fully covered: a taken
+   branch into an instruction body was statically decoded as a second
+   stream *)
 let test_fixture_differential () =
+  let c =
+    Fuzz.Diff.cells
+      (List.filter_map
+         (fun (fx : Static.Hostile.fixture) ->
+           Option.map
+             (fun exit -> Fuzz.Diff.item ~exit fx.fx_name (fun () -> fx.fx_image))
+             fx.fx_runnable)
+         (Static.Hostile.all ()))
+      (Tools.Catalog.pick [ "nulgrind" ])
+      [ Fuzz.Diff.native;
+        Fuzz.Diff.way "scan" { Vg_core.Session.default_options with scan = true } ]
+      [ Fuzz.Diff.holds Cfg_sound "scan" ]
+  in
   List.iter
-    (fun fx ->
-      match fx.Static.Hostile.fx_runnable with
-      | None -> ()
-      | Some expect ->
-          let name = fx.Static.Hostile.fx_name in
-          (* native engine *)
-          let eng = Native.create fx.Static.Hostile.fx_image in
-          (match Native.run eng with
-          | Native.Exited n ->
-              Alcotest.(check int) (name ^ " native exit") expect n
-          | _ -> Alcotest.failf "%s: native did not exit" name);
-          (* full session (JIT + verifiers + soundness oracle) *)
-          let options =
-            { Vg_core.Session.default_options with scan = true }
-          in
-          let s =
-            Vg_core.Session.create ~options ~tool:Vg_core.Tool.nulgrind
-              fx.Static.Hostile.fx_image
-          in
-          (match Vg_core.Session.run s with
-          | Vg_core.Session.Exited n ->
-              Alcotest.(check int) (name ^ " session exit") expect n
-          | _ -> Alcotest.failf "%s: session did not exit" name);
-          (* even hostile-but-runnable fixtures must be fully covered:
-             the taken branch into an instruction body was statically
-             decoded as a second stream *)
-          let st = Vg_core.Session.stats s in
-          Alcotest.(check int) (name ^ " cfg_miss") 0 st.st_cfg_miss)
-    (Static.Hostile.all ())
+    (fun (it : Fuzz.Diff.item) ->
+      match Fuzz.Diff.run_cell c it (List.hd c.tools) with
+      | [] -> ()
+      | divs ->
+          Alcotest.failf "%s: %s" it.i_name
+            (String.concat "; " (List.map Fuzz.Diff.pp_divergence divs)))
+    c.items
 
 let test_jump_table_recovery () =
   let fx =

@@ -94,21 +94,6 @@ let test_mutations_cover_all_phases () =
 (* Zero false positives over a tool corpus                              *)
 (* ------------------------------------------------------------------ *)
 
-let corpus_tools : (string * Vg_core.Tool.t) list =
-  [
-    ("nulgrind", Vg_core.Tool.nulgrind);
-    ("memcheck", Tools.Memcheck.tool);
-    ("memcheck-origins", Tools.Memcheck.tool_origins);
-    ("cachegrind", Tools.Cachegrind.tool);
-    ("massif", Tools.Massif.tool);
-    ("lackey", Tools.Lackey.tool);
-    ("taintgrind", Tools.Taintgrind.tool);
-    ("annelid", Tools.Annelid.tool);
-    ("redux", Tools.Redux.tool);
-    ("icnti", Tools.Icnt.icnt_inline);
-    ("icntc", Tools.Icnt.icnt_call);
-  ]
-
 let test_corpus_clean () =
   (* verify_jit is on by default: a verifier false positive on any tool
      raises out of Session.run and fails this test *)
@@ -129,7 +114,7 @@ let test_corpus_clean () =
         (name ^ " ran boundary checks")
         true
         (st.st_verify_checks >= 8 * st.st_translations))
-    corpus_tools
+    Tools.Catalog.all
 
 let test_verify_off_runs_no_checks () =
   let w = Option.get (Workloads.find "mcf") in
