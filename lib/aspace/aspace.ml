@@ -52,32 +52,54 @@ type map_event =
   | Mapped of { addr : int64; len : int; perm : perm; zero : bool }
   | Unmapped of { addr : int64; len : int }
 
+(* The page table: [l1.(pi lsr l2_bits).(pi land l2_mask)] is the page
+   with index [pi], or [no_page].  It is the only record of which pages
+   exist, so no other structure can go stale when it changes.  Second
+   levels nothing has mapped into are the shared, never-written
+   [empty_l2]. *)
+let l2_bits = 10
+let l2_mask = (1 lsl l2_bits) - 1
+let n_pages = 1 lsl (32 - page_shift)
+
 type t = {
-  pages : (int, page) Hashtbl.t;
+  l1 : page array array;
   mutable bytes_mapped : int;  (** total currently-mapped bytes *)
   mutable store_watch : (int64 -> int -> unit) list;
       (** called on every successful store (address, size); used by the
           core and interpreters to notice self-modifying code *)
   mutable map_watch : (map_event -> unit) list;
       (** called on every map/unmap, before the pages change *)
-  mutable last_pi : int;
-      (** one-entry cache: page index of [last_page], or [-1] when empty.
-          Cleared by every operation that changes the page table or a
-          permission ({!map}, {!unmap}, {!protect}). *)
-  mutable last_page : page;
 }
 
-(* Stands for "no page" in the cache and in the int-address fast paths;
-   it has no permissions and no bytes, so nothing can go through it. *)
+(* Fills the holes of the page table; it has no permissions and no
+   bytes, so nothing can go through it. *)
 let no_page = { data = Bytes.empty; perm = perm_none }
 
-let create () =
-  { pages = Hashtbl.create 1024; bytes_mapped = 0; store_watch = [];
-    map_watch = []; last_pi = -1; last_page = no_page }
+let empty_l2 : page array = Array.make (1 lsl l2_bits) no_page
 
-let clear_cache t =
-  t.last_pi <- -1;
-  t.last_page <- no_page
+let create () =
+  { l1 = Array.make (n_pages lsr l2_bits) empty_l2; bytes_mapped = 0;
+    store_watch = []; map_watch = [] }
+
+(* The page at index [pi] (any int: only its low 20 bits count), or
+   [no_page]. *)
+let lookup t pi =
+  let pi = pi land (n_pages - 1) in
+  Array.unsafe_get (Array.unsafe_get t.l1 (pi lsr l2_bits)) (pi land l2_mask)
+
+(* Install [p] at index [pi], giving its second level its own array
+   first if it is still [empty_l2]. *)
+let set_page t pi p =
+  let l2 = t.l1.(pi lsr l2_bits) in
+  let l2 =
+    if l2 != empty_l2 then l2
+    else begin
+      let l2 = Array.make (1 lsl l2_bits) no_page in
+      t.l1.(pi lsr l2_bits) <- l2;
+      l2
+    end
+  in
+  l2.(pi land l2_mask) <- p
 
 let add_store_watch t f = t.store_watch <- f :: t.store_watch
 let notify_store t addr size = List.iter (fun f -> f addr size) t.store_watch
@@ -89,12 +111,8 @@ let page_index (addr : int64) =
 
 let page_offset (addr : int64) = Int64.to_int (Int64.logand addr 0xFFFL)
 
-let is_mapped t addr = Hashtbl.mem t.pages (page_index addr)
-
-let perm_at t addr =
-  match Hashtbl.find_opt t.pages (page_index addr) with
-  | None -> perm_none
-  | Some p -> p.perm
+let is_mapped t addr = lookup t (page_index addr) != no_page
+let perm_at t addr = (lookup t (page_index addr)).perm
 
 (** Round [len] up and [addr] down to page boundaries; iterate pages. *)
 let iter_pages addr len f =
@@ -112,47 +130,46 @@ let iter_pages addr len f =
     existing mapping would zero it — we zero too when [zero] is true). *)
 let map ?(zero = true) t ~addr ~len ~perm =
   if len > 0 then notify_map t (Mapped { addr; len; perm; zero });
-  clear_cache t;
   iter_pages addr len (fun pi ->
-      match Hashtbl.find_opt t.pages pi with
-      | Some p ->
-          p.perm <- perm;
-          if zero then Bytes.fill p.data 0 page_size '\000'
-      | None ->
-          Hashtbl.replace t.pages pi { data = Bytes.make page_size '\000'; perm };
-          t.bytes_mapped <- t.bytes_mapped + page_size)
+      let p = lookup t pi in
+      if p != no_page then begin
+        p.perm <- perm;
+        if zero then Bytes.fill p.data 0 page_size '\000'
+      end
+      else begin
+        set_page t pi { data = Bytes.make page_size '\000'; perm };
+        t.bytes_mapped <- t.bytes_mapped + page_size
+      end)
 
 let unmap t ~addr ~len =
   if len > 0 then notify_map t (Unmapped { addr; len });
-  clear_cache t;
   iter_pages addr len (fun pi ->
-      if Hashtbl.mem t.pages pi then begin
-        Hashtbl.remove t.pages pi;
+      if lookup t pi != no_page then begin
+        set_page t pi no_page;
         t.bytes_mapped <- t.bytes_mapped - page_size
       end)
 
 let protect t ~addr ~len ~perm =
-  clear_cache t;
   iter_pages addr len (fun pi ->
-      match Hashtbl.find_opt t.pages pi with
-      | Some p -> p.perm <- perm
-      | None -> raise (Fault { addr = Int64.of_int (pi lsl page_shift); kind = Map }))
+      let p = lookup t pi in
+      if p != no_page then p.perm <- perm
+      else raise (Fault { addr = Int64.of_int (pi lsl page_shift); kind = Map }))
 
 (** Is [addr..addr+len) entirely mapped with at least [kind] access? *)
 let check_range t ~addr ~len kind =
   let ok = ref true in
   iter_pages addr len (fun pi ->
-      match Hashtbl.find_opt t.pages pi with
-      | None -> ok := false
-      | Some p ->
-          let allowed =
-            match kind with
-            | Read -> p.perm.r
-            | Write -> p.perm.w
-            | Exec -> p.perm.x
-            | Map -> true
-          in
-          if not allowed then ok := false);
+      let p = lookup t pi in
+      let allowed =
+        p != no_page
+        &&
+        match kind with
+        | Read -> p.perm.r
+        | Write -> p.perm.w
+        | Exec -> p.perm.x
+        | Map -> true
+      in
+      if not allowed then ok := false);
   !ok
 
 (** Find [len] bytes of unmapped space at or above [hint], page aligned.
@@ -163,22 +180,11 @@ let find_free t ~hint ~limit ~len =
   let limit_pi = page_index limit in
   let rec search pi =
     if pi + npages > limit_pi then raise Not_found;
-    let rec free k = k = npages || ((not (Hashtbl.mem t.pages (pi + k))) && free (k + 1)) in
+    let rec free k = k = npages || (lookup t (pi + k) == no_page && free (k + 1)) in
     if free 0 then Int64.of_int (pi lsl page_shift)
     else search (pi + 1)
   in
   search (page_index hint)
-
-(* The page at index [pi] through the last-page cache, or [no_page]. *)
-let lookup t pi =
-  if pi = t.last_pi then t.last_page
-  else
-    match Hashtbl.find t.pages pi with
-    | p ->
-        t.last_pi <- pi;
-        t.last_page <- p;
-        p
-    | exception Not_found -> no_page
 
 let get_page t addr kind =
   let p = lookup t (page_index addr) in
@@ -219,7 +225,7 @@ let write_u8 t addr v =
   Bytes.unsafe_set p.data (page_offset addr) (Char.unsafe_chr (v land 0xFF));
   notify_store t addr 1
 
-(** [read t addr size] reads [size] (1/2/4/8/16? no — 1..8) bytes LE.
+(** [read t addr size] reads [size] bytes (1 to 8) little-endian.
     Fast path when the access stays within one page. *)
 let read t addr size : int64 =
   let off = page_offset addr in
@@ -318,10 +324,14 @@ let move t ~src ~dst ~len =
     index order.  [data] is the live page, not a copy: [f] must not
     keep or mutate it. *)
 let fold_pages t f acc =
-  Hashtbl.fold (fun pi _ acc -> pi :: acc) t.pages []
-  |> List.sort compare
-  |> List.fold_left
-       (fun acc pi ->
-         let p = Hashtbl.find t.pages pi in
-         f acc pi p.data p.perm)
-       acc
+  let acc = ref acc in
+  Array.iteri
+    (fun hi l2 ->
+      if l2 != empty_l2 then
+        Array.iteri
+          (fun lo p ->
+            if p != no_page then
+              acc := f !acc ((hi lsl l2_bits) lor lo) p.data p.perm)
+          l2)
+    t.l1;
+  !acc

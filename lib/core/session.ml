@@ -23,6 +23,7 @@
 
 module GA = Guest.Arch
 module HA = Host.Arch
+module Regions = Map.Make (Int64)
 
 type smc_mode = Smc_none | Smc_stack | Smc_all
 
@@ -211,6 +212,10 @@ type t = {
   (* core client-space allocator arena *)
   mutable arena_next : int64;
   arena_limit : int64;
+  mutable arena_free : int Regions.t;
+      (** base -> size of the regions given back by {!client_free},
+          touching neighbours merged; only drawn on once [arena_next]
+          cannot satisfy a request *)
   (* stubs *)
   mutable sigreturn_tramp : int64;
   mutable thread_exit_tramp : int64;
@@ -434,6 +439,7 @@ let create ?(options = default_options) ~(tool : Tool.t)
       helpers = [];
       arena_next = 0x1900_0000L;
       arena_limit = 0x1A00_0000L;
+      arena_free = Regions.empty;
       sigreturn_tramp = 0L;
       thread_exit_tramp = 0L;
       stack_lo = 0L;
@@ -548,19 +554,52 @@ let helper_env (s : t) : Vex_ir.Helpers.env =
     he_store = (fun addr size v -> Aspace.write s.mem addr size v);
   }
 
-(* Core client-space allocator (backs replacement heap allocators). *)
+(* Core client-space allocator (backs replacement heap allocators).
+   It bumps [arena_next] through the arena, and only once that cannot
+   satisfy a request takes the first freed region that fits; 0 when
+   nothing does.  A run that never fills the arena therefore allocates
+   the same addresses whether or not its tool frees. *)
 let client_alloc (s : t) (size : int) : int64 =
   let size = (size + 15) land lnot 15 in
   let addr = s.arena_next in
   let next = Int64.add addr (Int64.of_int size) in
-  if Int64.unsigned_compare next s.arena_limit >= 0 then
-    failwith "core allocator: client arena exhausted";
-  (* map on demand, page-rounded *)
-  Aspace.map ~zero:false s.mem ~addr:(Aspace.round_down addr)
-    ~len:(Int64.to_int (Int64.sub (Aspace.round_up next) (Aspace.round_down addr)))
-    ~perm:Aspace.perm_rw;
-  s.arena_next <- next;
-  addr
+  if Int64.unsigned_compare next s.arena_limit < 0 then begin
+    (* map on demand, page-rounded *)
+    Aspace.map ~zero:false s.mem ~addr:(Aspace.round_down addr)
+      ~len:(Int64.to_int (Int64.sub (Aspace.round_up next) (Aspace.round_down addr)))
+      ~perm:Aspace.perm_rw;
+    s.arena_next <- next;
+    addr
+  end
+  else
+    (* freed regions lie below [arena_next], so they are mapped already *)
+    match Seq.find (fun (_, n) -> n >= size) (Regions.to_seq s.arena_free) with
+    | Some (a, n) ->
+        s.arena_free <- Regions.remove a s.arena_free;
+        if n > size then
+          s.arena_free <-
+            Regions.add (Int64.add a (Int64.of_int size)) (n - size) s.arena_free;
+        a
+    | None -> 0L
+
+(* Give back the region [client_alloc s size] returned at [addr],
+   merged with a free neighbour on either side. *)
+let client_free (s : t) (addr : int64) (size : int) =
+  let size = (size + 15) land lnot 15 in
+  let free = s.arena_free in
+  let addr, size, free =
+    match Regions.find_last_opt (fun a -> Int64.compare a addr < 0) free with
+    | Some (a, n) when Int64.add a (Int64.of_int n) = addr ->
+        (a, n + size, Regions.remove a free)
+    | _ -> (addr, size, free)
+  in
+  let next = Int64.add addr (Int64.of_int size) in
+  let size, free =
+    match Regions.find_opt next free with
+    | Some n -> (size + n, Regions.remove next free)
+    | None -> (size, free)
+  in
+  s.arena_free <- Regions.add addr size free
 
 let on_discard (s : t) (addr : int64) (len : int) =
   (* discard_range unlinks every chain into the dropped translations
@@ -593,6 +632,7 @@ let caps_of (s : t) : Tool.caps =
       (fun () -> Threads.stack_trace s.threads s.threads.current ());
     symbolize = symbolize s;
     client_alloc = (fun size -> client_alloc s size);
+    client_free = (fun addr size -> client_free s addr size);
     replace_function =
       (fun ~symbol ~handler ->
         match List.assoc_opt symbol s.image.symbols with

@@ -26,7 +26,12 @@ type caps = {
   symbolize : int64 -> string;  (** address -> symbol+offset *)
   client_alloc : int -> int64;
       (** allocate client-space memory from the core allocator (for
-          replacement heap allocators); returns the base address *)
+          replacement heap allocators); returns the base address, or 0
+          when the arena has no room left *)
+  client_free : int64 -> int -> unit;
+      (** [client_free base size] gives back a region [client_alloc size]
+          returned; the core hands it out again only once the arena's
+          untouched space cannot satisfy a request *)
   replace_function :
     symbol:string -> handler:(unit -> unit) -> unit;
       (** install a replacement: guest calls to [symbol] trap to

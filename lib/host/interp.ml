@@ -181,8 +181,8 @@ let load_slow mem addr sz sx =
     The loop is written so a typical block allocates almost nothing:
     registers are read and written unboxed, loads and stores that stay
     inside one page touch the page bytes directly (through
-    {!Aspace.page_r}/{!Aspace.page_w} and the address space's last-page
-    cache), and helper calls borrow [cpu.call_args]. *)
+    {!Aspace.page_r}/{!Aspace.page_w}, two array loads into the address
+    space's page table), and helper calls borrow [cpu.call_args]. *)
 let run (cpu : cpu) ~(env : Vex_ir.Helpers.env) (code : insn array) :
     exit_kind * int64 * int =
   let r = cpu.hregs and v = cpu.hvregs in

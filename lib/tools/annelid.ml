@@ -239,32 +239,49 @@ let install_heap (st : state) =
     (* the returned pointer (r0) is tagged in the shadow register file *)
     st.caps.write_guest (GA.shadow_of (GA.off_reg 0)) 4 (Int64.of_int segid)
   in
+  (* hand [base] to the client as the pointer of a new segment; a
+     base of 0 (the arena is full) is NULL, which no segment tags *)
+  let return_block base size =
+    if base = 0L then begin
+      set_result 0L;
+      tag_result 0
+    end
+    else begin
+      let seg = new_segment st base size in
+      set_result base;
+      tag_result seg.seg_id
+    end
+  in
+  (* a dead segment's region goes back to the core allocator; its id
+     stays in the table, so pointers into it are still reported *)
+  let kill seg =
+    if seg.seg_live then begin
+      seg.seg_live <- false;
+      st.caps.client_free seg.seg_base seg.seg_size
+    end
+  in
   st.caps.replace_function ~symbol:"malloc"
     ~handler:(fun () ->
       let size = max 1 (Int64.to_int (read_stack_arg st 1)) in
-      let base = st.caps.client_alloc size in
-      let seg = new_segment st base size in
-      set_result base;
-      tag_result seg.seg_id);
+      return_block (st.caps.client_alloc size) size);
   st.caps.replace_function ~symbol:"calloc"
     ~handler:(fun () ->
       let n = Int64.to_int (read_stack_arg st 1) in
       let sz = Int64.to_int (read_stack_arg st 2) in
       let size = max 1 (n * sz) in
       let base = st.caps.client_alloc size in
-      for i = 0 to size - 1 do
-        Aspace.write st.caps.mem (Int64.add base (Int64.of_int i)) 1 0L
-      done;
-      let seg = new_segment st base size in
-      set_result base;
-      tag_result seg.seg_id);
+      if base <> 0L then
+        for i = 0 to size - 1 do
+          Aspace.write st.caps.mem (Int64.add base (Int64.of_int i)) 1 0L
+        done;
+      return_block base size);
   st.caps.replace_function ~symbol:"free"
     ~handler:(fun () ->
       let p = read_stack_arg st 1 in
       (match Hashtbl.find_opt st.by_base p with
       | Some id -> (
           match Hashtbl.find_opt st.segments id with
-          | Some seg -> seg.seg_live <- false
+          | Some seg -> kill seg
           | None -> ())
       | None -> ());
       set_result 0L);
@@ -274,19 +291,17 @@ let install_heap (st : state) =
       let size = max 1 (Int64.to_int (read_stack_arg st 2)) in
       let base = st.caps.client_alloc size in
       (match Hashtbl.find_opt st.by_base old with
-      | Some id -> (
+      | Some id when base <> 0L -> (
           match Hashtbl.find_opt st.segments id with
           | Some seg ->
               for i = 0 to min seg.seg_size size - 1 do
                 let b = Aspace.read st.caps.mem (Int64.add old (Int64.of_int i)) 1 in
                 Aspace.write st.caps.mem (Int64.add base (Int64.of_int i)) 1 b
               done;
-              seg.seg_live <- false
+              kill seg
           | None -> ())
-      | None -> ());
-      let seg = new_segment st base size in
-      set_result base;
-      tag_result seg.seg_id)
+      | _ -> ());
+      return_block base size)
 
 let the_state : state option ref = ref None
 

@@ -50,6 +50,7 @@ let note_free (st : state) (addr : int64) =
   | None -> ()
   | Some (size, _) ->
       Hashtbl.remove st.live addr;
+      st.caps.client_free addr size;
       st.cur_bytes <- Int64.sub st.cur_bytes (Int64.of_int size)
 
 let tool : Vg_core.Tool.t =
@@ -74,9 +75,9 @@ let tool : Vg_core.Tool.t =
         let set_result v = caps.write_guest (GA.off_reg 0) 4 v in
         caps.replace_function ~symbol:"malloc"
           ~handler:(fun () ->
-            let size = Int64.to_int (read_stack_arg st 1) in
-            let addr = caps.client_alloc (max 1 size) in
-            note_alloc st addr (max 1 size);
+            let size = max 1 (Int64.to_int (read_stack_arg st 1)) in
+            let addr = caps.client_alloc size in
+            if addr <> 0L then note_alloc st addr size;
             set_result addr);
         caps.replace_function ~symbol:"calloc"
           ~handler:(fun () ->
@@ -84,10 +85,12 @@ let tool : Vg_core.Tool.t =
             let sz = Int64.to_int (read_stack_arg st 2) in
             let size = max 1 (n * sz) in
             let addr = caps.client_alloc size in
-            for i = 0 to size - 1 do
-              Aspace.write caps.mem (Int64.add addr (Int64.of_int i)) 1 0L
-            done;
-            note_alloc st addr size;
+            if addr <> 0L then begin
+              for i = 0 to size - 1 do
+                Aspace.write caps.mem (Int64.add addr (Int64.of_int i)) 1 0L
+              done;
+              note_alloc st addr size
+            end;
             set_result addr);
         caps.replace_function ~symbol:"free"
           ~handler:(fun () ->
@@ -98,15 +101,17 @@ let tool : Vg_core.Tool.t =
             let old = read_stack_arg st 1 in
             let size = max 1 (Int64.to_int (read_stack_arg st 2)) in
             let naddr = caps.client_alloc size in
-            (match Hashtbl.find_opt st.live old with
-            | Some (osize, _) ->
-                for i = 0 to min osize size - 1 do
-                  let b = Aspace.read caps.mem (Int64.add old (Int64.of_int i)) 1 in
-                  Aspace.write caps.mem (Int64.add naddr (Int64.of_int i)) 1 b
-                done;
-                note_free st old
-            | None -> ());
-            note_alloc st naddr size;
+            if naddr <> 0L then begin
+              (match Hashtbl.find_opt st.live old with
+              | Some (osize, _) ->
+                  for i = 0 to min osize size - 1 do
+                    let b = Aspace.read caps.mem (Int64.add old (Int64.of_int i)) 1 in
+                    Aspace.write caps.mem (Int64.add naddr (Int64.of_int i)) 1 b
+                  done;
+                  note_free st old
+              | None -> ());
+              note_alloc st naddr size
+            end;
             set_result naddr);
         {
           instrument = (fun b -> b);

@@ -728,32 +728,35 @@ let do_malloc (st : state) (size : int) ~zero : int64 =
      red zones; charge comparable work *)
   st.caps.charge_cycles (200 + (size / 8) + if zero then size / 4 else 0);
   let base = st.caps.client_alloc (size + (2 * redzone)) in
-  let addr = Int64.add base (Int64.of_int redzone) in
-  Shadow_mem.make_noaccess st.sm base redzone;
-  Shadow_mem.make_noaccess st.sm (Int64.add addr (Int64.of_int size)) redzone;
-  if zero then begin
-    for i = 0 to size - 1 do
-      Aspace.write st.caps.mem (Int64.add addr (Int64.of_int i)) 1 0L
-    done;
-    Shadow_mem.make_defined st.sm addr size
-  end
+  if base = 0L then 0L (* the arena is full: malloc returns NULL *)
   else begin
-    Shadow_mem.make_undefined st.sm addr size;
-    if st.origins then
-      set_origin_range st addr size
-        (otag_for st ~descr:"a heap allocation" ~site:(st.caps.stack_trace ()))
-  end;
-  Hashtbl.replace st.live addr
-    {
-      hb_addr = addr;
-      hb_size = size;
-      hb_alloc_stack = st.caps.stack_trace ();
-      hb_freed = false;
-      hb_free_stack = [];
-    };
-  st.n_allocs <- st.n_allocs + 1;
-  st.bytes_allocated <- Int64.add st.bytes_allocated (Int64.of_int size);
-  addr
+    let addr = Int64.add base (Int64.of_int redzone) in
+    Shadow_mem.make_noaccess st.sm base redzone;
+    Shadow_mem.make_noaccess st.sm (Int64.add addr (Int64.of_int size)) redzone;
+    if zero then begin
+      for i = 0 to size - 1 do
+        Aspace.write st.caps.mem (Int64.add addr (Int64.of_int i)) 1 0L
+      done;
+      Shadow_mem.make_defined st.sm addr size
+    end
+    else begin
+      Shadow_mem.make_undefined st.sm addr size;
+      if st.origins then
+        set_origin_range st addr size
+          (otag_for st ~descr:"a heap allocation" ~site:(st.caps.stack_trace ()))
+    end;
+    Hashtbl.replace st.live addr
+      {
+        hb_addr = addr;
+        hb_size = size;
+        hb_alloc_stack = st.caps.stack_trace ();
+        hb_freed = false;
+        hb_free_stack = [];
+      };
+    st.n_allocs <- st.n_allocs + 1;
+    st.bytes_allocated <- Int64.add st.bytes_allocated (Int64.of_int size);
+    addr
+  end
 
 let do_free (st : state) (addr : int64) =
   st.caps.charge_cycles 150;
@@ -769,7 +772,20 @@ let do_free (st : state) (addr : int64) =
         Hashtbl.remove st.live addr;
         b.hb_freed <- true;
         b.hb_free_stack <- st.caps.stack_trace ();
-        st.freed_ring <- b :: (if List.length st.freed_ring > 64 then List.filteri (fun i _ -> i < 63) st.freed_ring else st.freed_ring);
+        (* a block that leaves the ring of recently freed blocks is no
+           longer described in error messages, and its region goes back
+           to the core allocator *)
+        if List.length st.freed_ring > 64 then begin
+          List.iteri
+            (fun i old ->
+              if i >= 63 then
+                st.caps.client_free
+                  (Int64.sub old.hb_addr (Int64.of_int redzone))
+                  (old.hb_size + (2 * redzone)))
+            st.freed_ring;
+          st.freed_ring <- List.filteri (fun i _ -> i < 63) st.freed_ring
+        end;
+        st.freed_ring <- b :: st.freed_ring;
         Shadow_mem.make_noaccess st.sm b.hb_addr b.hb_size;
         st.n_frees <- st.n_frees + 1
 
@@ -801,13 +817,15 @@ let install_heap_replacement (st : state) =
         | Some b ->
             (* like mremap: values and shadow values are copied (R8) *)
             let naddr = do_malloc st size ~zero:false in
-            let n = min size b.hb_size in
-            for i = 0 to n - 1 do
-              let byte = Aspace.read st.caps.mem (Int64.add old (Int64.of_int i)) 1 in
-              Aspace.write st.caps.mem (Int64.add naddr (Int64.of_int i)) 1 byte
-            done;
-            Shadow_mem.copy_range st.sm ~src:old ~dst:naddr n;
-            do_free st old;
+            if naddr <> 0L then begin
+              let n = min size b.hb_size in
+              for i = 0 to n - 1 do
+                let byte = Aspace.read st.caps.mem (Int64.add old (Int64.of_int i)) 1 in
+                Aspace.write st.caps.mem (Int64.add naddr (Int64.of_int i)) 1 byte
+              done;
+              Shadow_mem.copy_range st.sm ~src:old ~dst:naddr n;
+              do_free st old
+            end;
             set_result st naddr)
 
 (* ------------------------------------------------------------------ *)

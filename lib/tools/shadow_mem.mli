@@ -4,7 +4,9 @@
     Every guest byte has one A (addressability) bit and eight V
     (validity) bits (bit set = undefined).  A 64K-entry primary map of
     64KB secondaries covers the 32-bit space; uniform chunks share
-    distinguished secondaries and are copied on write. *)
+    distinguished secondaries and are copied on write.  A 1-, 2-, 4- or
+    8-byte {!load} or {!store} inside one chunk is one primary-map
+    lookup; an access that crosses a chunk goes a byte at a time. *)
 
 type secondary = { mutable vbits : Bytes.t; mutable abits : Bytes.t }
 

@@ -76,10 +76,10 @@ let test_store_watch () =
   Aspace.write_u8 m 0x1008L 2;
   Alcotest.(check int) "two notifications" 2 (List.length !hits)
 
-(* The last-page cache must never outlive a change to the page table:
-   after protect, unmap and a zeroing map, reads, writes and the
-   int-address fast paths all see the new state. *)
-let test_page_cache_invalidation () =
+(* Every change to the page table is seen at once: after protect,
+   unmap and a zeroing map, reads, writes and the int-address fast paths
+   all see the new state. *)
+let test_page_table_updates () =
   let m = Aspace.create () in
   let a = 0x5008L and ai = 0x5008 in
   let read_fault () =
@@ -135,6 +135,191 @@ let prop_rw_roundtrip =
       Aspace.write m addr 8 v;
       Aspace.read m addr 8 = v)
 
+(* ---- the page table against a per-page model --------------------- *)
+
+(* The pages the ops touch: four across the boundary between the first
+   and second second-level arrays (index 0x400), and the top page.
+   Every other page stays unmapped. *)
+let window = [ 0x3FE; 0x3FF; 0x400; 0x401 ]
+let top = 0xFFFFF
+
+type op =
+  | Map of int * int * Aspace.perm * bool  (** first page, pages, perm, zero *)
+  | Unmap of int * int
+  | Protect of int * int * Aspace.perm
+  | Read of int64 * int
+  | Write of int64 * int * int64
+  | Fetch of int64
+
+let pp_perm = Fmt.to_to_string Aspace.pp_perm
+
+let show_op = function
+  | Map (pi, n, p, z) -> Printf.sprintf "map %x+%d %s%s" pi n (pp_perm p) (if z then " zero" else "")
+  | Unmap (pi, n) -> Printf.sprintf "unmap %x+%d" pi n
+  | Protect (pi, n, p) -> Printf.sprintf "protect %x+%d %s" pi n (pp_perm p)
+  | Read (a, sz) -> Printf.sprintf "read %Lx/%d" a sz
+  | Write (a, sz, v) -> Printf.sprintf "write %Lx/%d %Lx" a sz v
+  | Fetch a -> Printf.sprintf "fetch %Lx" a
+
+let op_gen =
+  let open QCheck.Gen in
+  (* a run of pages inside the window, or the top page alone (a range
+     past it would wrap to page 0) *)
+  let run =
+    oneof
+      [
+        (oneofl window >>= fun pi ->
+         int_range 1 (0x402 - pi) >|= fun n -> (pi, n));
+        return (top, 1);
+      ]
+  in
+  let perm =
+    oneofl
+      Aspace.[ perm_none; perm_rw; perm_rx; perm_rwx; { r = true; w = false; x = false } ]
+  in
+  (* any offset, or one close enough to the page end to cross it *)
+  let addr =
+    map2
+      (fun pi off -> Int64.of_int ((pi lsl 12) + off))
+      (oneofl (top :: window))
+      (oneof [ int_bound 4095; int_range 4089 4095 ])
+  in
+  let size = oneofl [ 1; 2; 4; 8 ] in
+  frequency
+    [
+      (3, map3 (fun (pi, n) p z -> Map (pi, n, p, z)) run perm bool);
+      (1, map (fun (pi, n) -> Unmap (pi, n)) run);
+      (2, map2 (fun (pi, n) p -> Protect (pi, n, p)) run perm);
+      (4, map2 (fun a sz -> Read (a, sz)) addr size);
+      (4, map3 (fun a sz v -> Write (a, sz, v)) addr size ui64);
+      (2, map (fun a -> Fetch a) addr);
+    ]
+
+exception Model_fault of Aspace.access_kind * int64
+
+(* What an op returns: a value (unit ops return 0), or the fault. *)
+let outcome f =
+  match f () with
+  | v -> Ok v
+  | exception Aspace.Fault { addr; kind } -> Error (kind, addr)
+  | exception Model_fault (kind, addr) -> Error (kind, addr)
+
+let prop_page_table_vs_model =
+  QCheck.Test.make ~count:300 ~name:"page table matches a per-page model"
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+       QCheck.Gen.(list_size (int_range 1 60) op_gen))
+    (fun ops ->
+      let m = Aspace.create () in
+      let model : (int, Aspace.perm * Bytes.t) Hashtbl.t = Hashtbl.create 8 in
+      let page_of a = Int64.to_int (Int64.shift_right_logical (Int64.logand a 0xFFFF_FFFFL) 12) in
+      let off_of a = Int64.to_int a land 0xFFF in
+      (* the page holding byte [a] if [ok] allows its permission *)
+      let page ok kind a =
+        match Hashtbl.find_opt model (page_of a) with
+        | Some (p, d) when ok p -> d
+        | _ -> raise (Model_fault (kind, a))
+      in
+      let m_read a sz =
+        if off_of a + sz <= 4096 then begin
+          let d = page (fun p -> p.Aspace.r) Read a in
+          let v = ref 0L in
+          for i = sz - 1 downto 0 do
+            v := Int64.logor (Int64.shift_left !v 8)
+                   (Int64.of_int (Bytes.get_uint8 d (off_of a + i)))
+          done;
+          !v
+        end
+        else begin
+          (* a page-crossing read goes a byte at a time, last byte first *)
+          let v = ref 0L in
+          for i = sz - 1 downto 0 do
+            let b = Int64.add a (Int64.of_int i) in
+            let d = page (fun p -> p.r) Read b in
+            v := Int64.logor (Int64.shift_left !v 8)
+                   (Int64.of_int (Bytes.get_uint8 d (off_of b)))
+          done;
+          !v
+        end
+      in
+      let m_write a sz v =
+        let byte i = Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xFF in
+        if off_of a + sz <= 4096 then begin
+          let d = page (fun p -> p.w) Write a in
+          for i = 0 to sz - 1 do
+            Bytes.set_uint8 d (off_of a + i) (byte i)
+          done
+        end
+        else
+          (* a page-crossing write goes a byte at a time, first byte
+             first, and keeps the bytes written before a fault *)
+          for i = 0 to sz - 1 do
+            let b = Int64.add a (Int64.of_int i) in
+            Bytes.set_uint8 (page (fun p -> p.w) Write b) (off_of b) (byte i)
+          done
+      in
+      let m_protect pi n perm =
+        for q = pi to pi + n - 1 do
+          match Hashtbl.find_opt model q with
+          | Some (_, d) -> Hashtbl.replace model q (perm, d)
+          | None -> raise (Model_fault (Map, Int64.of_int (q lsl 12)))
+        done
+      in
+      let agree = ref true in
+      let same r r' = if r <> r' then agree := false in
+      List.iter
+        (fun op ->
+          match op with
+          | Map (pi, n, perm, zero) ->
+              Aspace.map ~zero m ~addr:(Int64.of_int (pi lsl 12)) ~len:(n * 4096) ~perm;
+              for q = pi to pi + n - 1 do
+                match Hashtbl.find_opt model q with
+                | Some (_, d) ->
+                    if zero then Bytes.fill d 0 4096 '\000';
+                    Hashtbl.replace model q (perm, d)
+                | None -> Hashtbl.replace model q (perm, Bytes.make 4096 '\000')
+              done
+          | Unmap (pi, n) ->
+              Aspace.unmap m ~addr:(Int64.of_int (pi lsl 12)) ~len:(n * 4096);
+              for q = pi to pi + n - 1 do
+                Hashtbl.remove model q
+              done
+          | Protect (pi, n, perm) ->
+              same
+                (outcome (fun () ->
+                     Aspace.protect m ~addr:(Int64.of_int (pi lsl 12)) ~len:(n * 4096) ~perm;
+                     0L))
+                (outcome (fun () -> m_protect pi n perm; 0L))
+          | Read (a, sz) ->
+              same (outcome (fun () -> Aspace.read m a sz)) (outcome (fun () -> m_read a sz))
+          | Write (a, sz, v) ->
+              same
+                (outcome (fun () -> Aspace.write m a sz v; 0L))
+                (outcome (fun () -> m_write a sz v; 0L))
+          | Fetch a ->
+              same
+                (outcome (fun () -> Int64.of_int (Aspace.fetch_u8 m a)))
+                (outcome (fun () ->
+                     let d = page (fun p -> p.x) Exec a in
+                     Int64.of_int (Bytes.get_uint8 d (off_of a)))))
+        ops;
+      List.iter
+        (fun pi ->
+          if Aspace.is_mapped m (Int64.of_int (pi lsl 12)) <> Hashtbl.mem model pi
+          then agree := false)
+        (0x3FD :: 0x402 :: 0 :: top :: window);
+      same m.bytes_mapped (4096 * Hashtbl.length model);
+      let pages =
+        Aspace.fold_pages m (fun acc pi d p -> (pi, p, Bytes.copy d) :: acc) []
+        |> List.rev
+      in
+      let expected =
+        Hashtbl.fold (fun pi (p, d) acc -> (pi, p, d) :: acc) model []
+        |> List.sort compare
+      in
+      same pages expected;
+      !agree)
+
 let tests =
   [
     t "map + read/write" test_map_rw;
@@ -144,7 +329,8 @@ let tests =
     t "find_free" test_find_free;
     t "asciiz + overlapping move" test_asciiz_move;
     t "store watch" test_store_watch;
-    t "last-page cache invalidation" test_page_cache_invalidation;
+    t "page table updates seen at once" test_page_table_updates;
     t "page rounding" test_rounding;
     QCheck_alcotest.to_alcotest prop_rw_roundtrip;
+    QCheck_alcotest.to_alcotest prop_page_table_vs_model;
   ]

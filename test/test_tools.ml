@@ -47,37 +47,132 @@ let test_shadow_mem_ranges () =
   Tools.Shadow_mem.copy_range sm ~src:0x10000L ~dst:0x20000L 16;
   Alcotest.(check bool) "copied abit" true (Tools.Shadow_mem.get_abit sm 0x20008L)
 
+(* The model's window straddles the chunk boundary at 0x2_0000. *)
+let sm_base = 0x1_FF00
+let sm_window = 0x300
+
+type sm_op =
+  | Range of int * int * int  (** 0 noaccess / 1 undefined / 2 defined, offset, length *)
+  | Whole of int  (** the same over both chunks, which become distinguished *)
+  | Store of int * int * int64  (** size, offset, V bits *)
+  | Load of int * int  (** size, offset *)
+
+let show_sm_op = function
+  | Range (k, o, n) -> Printf.sprintf "range%d %x+%d" k o n
+  | Whole k -> Printf.sprintf "whole%d" k
+  | Store (sz, o, v) -> Printf.sprintf "store%d %x %Lx" sz o v
+  | Load (sz, o) -> Printf.sprintf "load%d %x" sz o
+
+let sm_op_gen =
+  let open QCheck.Gen in
+  (* any offset, or one near the chunk boundary, where a word crosses it *)
+  let off = oneof [ int_bound (sm_window - 8); int_range 0xF8 0x100 ] in
+  let size = oneofl [ 1; 2; 4; 8 ] in
+  (* V bits that match a distinguished state make a store a no-op *)
+  let vbits = oneof [ return 0L; return (-1L); ui64 ] in
+  frequency
+    [
+      (3, map3 (fun k o n -> Range (k, o, n)) (int_bound 2) off (int_bound 40));
+      (1, map (fun k -> Whole k) (int_bound 2));
+      (4, map3 (fun sz o v -> Store (sz, o, v)) size off vbits);
+      (4, map2 (fun sz o -> Load (sz, o)) size off);
+    ]
+
 let prop_shadow_vs_model =
-  QCheck.Test.make ~count:100 ~name:"shadow memory matches a naive model"
-    QCheck.(list (pair (int_bound 2) (pair (int_bound 500) (int_bound 40))))
+  QCheck.Test.make ~count:200 ~name:"shadow memory matches a naive model"
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_sm_op ops))
+       QCheck.Gen.(list_size (int_range 1 60) sm_op_gen))
     (fun ops ->
-      let sm = Tools.Shadow_mem.create () in
-      let model = Array.make 600 (false, 0xFF) in
-      List.iter
-        (fun (op, (off, len)) ->
-          let addr = Int64.of_int (0x5000 + off) in
-          (match op with
-          | 0 -> Tools.Shadow_mem.make_noaccess sm addr len
-          | 1 -> Tools.Shadow_mem.make_undefined sm addr len
-          | _ -> Tools.Shadow_mem.make_defined sm addr len);
-          for i = off to min 599 (off + len - 1) do
-            model.(i) <-
-              (match op with
-              | 0 -> (false, 0xFF)
-              | 1 -> (true, 0xFF)
-              | _ -> (true, 0x00))
-          done)
-        ops;
+      let module S = Tools.Shadow_mem in
+      let sm = S.create () in
+      let model = Array.make sm_window (false, 0xFF) in
+      let addr o = Int64.of_int (sm_base + o) in
+      let state = function 0 -> (false, 0xFF) | 1 -> (true, 0xFF) | _ -> (true, 0x00) in
+      let set_range k a n =
+        match k with
+        | 0 -> S.make_noaccess sm a n
+        | 1 -> S.make_undefined sm a n
+        | _ -> S.make_defined sm a n
+      in
       let ok = ref true in
+      List.iter
+        (function
+          | Range (k, o, n) ->
+              set_range k (addr o) n;
+              for i = o to min (sm_window - 1) (o + n - 1) do
+                model.(i) <- state k
+              done
+          | Whole k ->
+              (* chunks 1 and 2 are the middle ones of this range *)
+              set_range k 0xFFFFL 0x2_0002;
+              Array.fill model 0 sm_window (state k)
+          | Store (sz, o, v) ->
+              let all = ref true in
+              for i = 0 to sz - 1 do
+                if fst model.(o + i) then
+                  model.(o + i) <-
+                    (true, Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xFF)
+                else all := false
+              done;
+              if S.store sm (addr o) sz v <> !all then ok := false
+          | Load (sz, o) ->
+              let all = ref true and v = ref 0L in
+              for i = sz - 1 downto 0 do
+                let a, b = model.(o + i) in
+                if not a then all := false;
+                v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int b)
+              done;
+              if S.load sm (addr o) sz <> (!all, !v) then ok := false)
+        ops;
       Array.iteri
         (fun i (a, v) ->
-          let addr = Int64.of_int (0x5000 + i) in
-          if
-            Tools.Shadow_mem.get_abit sm addr <> a
-            || Tools.Shadow_mem.get_vbyte sm addr <> v
-          then ok := false)
+          if S.get_abit sm (addr i) <> a || S.get_vbyte sm (addr i) <> v then
+            ok := false)
         model;
       !ok)
+
+(* ---- replacement allocators ----------------------------------------- *)
+
+(* 5,000 malloc(4096)/free pairs need more than the core's 16 MB client
+   arena, so every replacement allocator must reuse freed regions.  The
+   block freed last is then read: Memcheck keeps it in its ring of
+   recently freed blocks, so that read is still reported. *)
+let test_alloc_churn () =
+  let img =
+    Minicc.Driver.compile
+      {| int main() {
+           int i; char *p; int v;
+           for (i = 0; i < 5000; i++) {
+             p = malloc(4096);
+             p[0] = 'x';
+             p[4095] = p[0];
+             free(p);
+           }
+           v = p[0];            /* use after free */
+           print_str("done\n");
+           return v * 0;
+         } |}
+  in
+  let eng = Native.create img in
+  (match Native.run eng with
+  | Native.Exited 0 -> ()
+  | _ -> Alcotest.fail "native run");
+  List.iter
+    (fun (tool : Vg_core.Tool.t) ->
+      let s = Vg_core.Session.create ~tool img in
+      (match Vg_core.Session.run s with
+      | Vg_core.Session.Exited 0 -> ()
+      | _ -> Alcotest.failf "%s: bad termination" tool.name);
+      Alcotest.(check string)
+        (tool.name ^ " stdout") (Native.stdout_contents eng)
+        (Vg_core.Session.client_stdout s);
+      if tool.name = "memcheck" then
+        Alcotest.(check bool) "read of the freed block reported" true
+          (List.exists
+             (fun e -> e.Vg_core.Errors.err_kind = "InvalidRead")
+             s.errors.errors))
+    [ Tools.Memcheck.tool; Tools.Massif.tool; Tools.Annelid.tool ]
 
 (* ---- lackey ---------------------------------------------------------- *)
 
@@ -289,6 +384,7 @@ let tests =
     t "shadow memory: ranges + distinguished secondaries"
       test_shadow_mem_ranges;
     QCheck_alcotest.to_alcotest prop_shadow_vs_model;
+    t "replacement allocators recycle freed memory" test_alloc_churn;
     t "lackey counts accesses" test_lackey_counts;
     t "cachegrind counts" test_cachegrind_counts;
     t "cachegrind sees stride effects" test_cachegrind_stride_effect;
