@@ -6,9 +6,9 @@
     client output is bit-identical either way.
 
     Doubles as the CI bench-regression gate: [write_json] dumps the
-    deterministic metrics to a flat JSON file and [check] compares a
-    fresh run against the committed baseline, failing on any cycle
-    metric that regresses by more than 10%. *)
+    deterministic metrics to a flat JSON file, which CI compares byte for
+    byte with the committed baseline, and [read_json] reads one back for
+    the tier, AOT and replay checks. *)
 
 let suite = [ "mcf"; "swim"; "mgrid"; "gzip" ]
 
@@ -188,81 +188,3 @@ let read_json (path : string) : (string * int64) list =
    with End_of_file -> ());
   close_in ic;
   List.rev !out
-
-(** Compare [current] against [baseline]; any [*.cycles_*] metric
-    (totals and per-JIT-phase alike) more than 10% above its baseline
-    value, a [*.hit_rate_pm_*] metric drifting more than 20 per mille
-    (2 percentage points) either way, or a current
-    [*.outputs_equal = 0], fails the gate.  Exits non-zero on failure so
-    CI can gate on it. *)
-let check ~(baseline : string) ~(current : string) =
-  let read_or_die path =
-    try read_json path
-    with Sys_error m ->
-      Printf.printf "bench gate FAILED: cannot read %s (%s)\n" path m;
-      exit 1
-  in
-  let base = read_or_die baseline and cur = read_or_die current in
-  if base = [] then failwith ("no metrics parsed from " ^ baseline);
-  if cur = [] then failwith ("no metrics parsed from " ^ current);
-  let failures = ref 0 in
-  let is_cycles k =
-    match String.index_opt k '.' with
-    | Some d ->
-        String.length k > d + 7 && String.sub k (d + 1) 7 = "cycles_"
-    | None -> false
-  in
-  let is_hit_rate k =
-    match String.index_opt k '.' with
-    | Some d ->
-        String.length k > d + 12 && String.sub k (d + 1) 12 = "hit_rate_pm_"
-    | None -> false
-  in
-  let hit_rate_pm_tolerance = 20L in
-  List.iter
-    (fun (k, v) ->
-      if is_hit_rate k then
-        match List.assoc_opt k base with
-        | None -> Printf.printf "?? %s: no baseline (new metric)\n" k
-        | Some b ->
-            let drift = Int64.abs (Int64.sub v b) in
-            if drift > hit_rate_pm_tolerance then begin
-              incr failures;
-              Printf.printf
-                "!! %s drifted: %Ld -> %Ld per mille (>%Ld)\n" k b v
-                hit_rate_pm_tolerance
-            end
-            else Printf.printf "ok %s: %Ld vs baseline %Ld\n" k v b
-      else if is_cycles k then
-        match List.assoc_opt k base with
-        | None -> Printf.printf "?? %s: no baseline (new metric)\n" k
-        | Some b ->
-            let limit =
-              Int64.of_float (Int64.to_float b *. 1.10)
-            in
-            if Int64.unsigned_compare v limit > 0 then begin
-              incr failures;
-              Printf.printf "!! %s regressed: %Ld -> %Ld (>+10%%)\n" k b v
-            end
-            else Printf.printf "ok %s: %Ld vs baseline %Ld\n" k v b
-      else if
-        String.length k >= 13
-        && String.sub k (String.length k - 13) 13 = "outputs_equal"
-        && v = 0L
-      then begin
-        incr failures;
-        Printf.printf "!! %s: chained and unchained outputs differ\n" k
-      end)
-    cur;
-  List.iter
-    (fun (k, _) ->
-      if is_cycles k && List.assoc_opt k cur = None then begin
-        incr failures;
-        Printf.printf "!! %s: present in baseline but missing now\n" k
-      end)
-    base;
-  if !failures > 0 then begin
-    Printf.printf "bench gate FAILED: %d regression(s)\n" !failures;
-    exit 1
-  end
-  else print_endline "bench gate passed"

@@ -79,12 +79,15 @@ let fig3 () =
   let s = memcheck_session img in
   let instr = Vg_core.Session.instrument_fn s in
   let ph, _ = phases_with ~instrument:instr s in
+  let pp_insn =
+    Host.Arch.pp_insn_with ~helper:(Vex_ir.Helpers.name s.henv.he_table)
+  in
   Printf.printf
     "Instruction selection output (virtual registers %%hNN, NN >= 16):\n\n";
   List.iter
     (fun vi ->
       match vi with
-      | Jit.Isel.V i -> Format.printf "    %a@." Host.Arch.pp_insn i
+      | Jit.Isel.V i -> Format.printf "    %a@." pp_insn i
       | Jit.Isel.VCall { callee; args; dst } ->
           Format.printf "    call %s(%s)%s@." callee.Vex_ir.Ir.c_name
             (String.concat "," (List.map (Printf.sprintf "%%h%d") args))
@@ -93,6 +96,6 @@ let fig3 () =
   Printf.printf
     "\nAfter linear-scan allocation (phase 7; note coalesced moves and\n\
      the GSP %%h15 as the ThreadState base):\n\n";
-  List.iter (fun i -> Format.printf "    %a@." Host.Arch.pp_insn i) ph.p_hcode;
+  List.iter (fun i -> Format.printf "    %a@." pp_insn i) ph.p_hcode;
   Printf.printf "\nAssembled size: %d bytes of VH64 code for %d guest bytes.\n"
     (Bytes.length ph.p_bytes) 9

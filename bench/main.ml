@@ -5,16 +5,15 @@
     dune exec bench/main.exe             # everything (a few minutes)
     dune exec bench/main.exe -- table2 --scale 2 --programs bzip2,mcf
     dune exec bench/main.exe -- fig1 fig2 fig3 table1 dispatch caa \
-                                transtab loc micro
+                                transtab loc
     v} *)
 
 let usage () =
   print_endline
     "usage: main.exe \
-     [fig1|fig2|fig3|table1|table2|dispatch|chain|tier|aot|cores|replay|chainjson|chaincheck|tiercheck|aotcheck|replaycheck|caa|transtab|loc|micro|all]*";
+     [fig1|fig2|fig3|table1|table2|dispatch|chain|tier|aot|cores|replay|chainjson|tiercheck|aotcheck|replaycheck|caa|transtab|loc|all]*";
   print_endline "       table2 options: --scale N --programs a,b,c";
-  print_endline "       chainjson options: --out FILE";
-  print_endline "       chaincheck/tiercheck options: --baseline FILE --out FILE";
+  print_endline "       chainjson/tiercheck/aotcheck/replaycheck options: --out FILE";
   exit 1
 
 let () =
@@ -22,7 +21,6 @@ let () =
   let scale = ref 1 in
   let programs = ref [] in
   let out = ref "BENCH_pr.json" in
-  let baseline = ref "BENCH_baseline.json" in
   let cmds = ref [] in
   let rec parse = function
     | [] -> ()
@@ -34,9 +32,6 @@ let () =
         parse rest
     | "--out" :: p :: rest ->
         out := p;
-        parse rest
-    | "--baseline" :: p :: rest ->
-        baseline := p;
         parse rest
     | "--help" :: _ | "-h" :: _ -> usage ()
     | cmd :: rest ->
@@ -65,18 +60,12 @@ let () =
             @ Cores_bench.metrics ()
             @ Replay_bench.metrics ~scale:!scale ())
           ()
-    | "chaincheck" -> Chain_bench.check ~baseline:!baseline ~current:!out
-    | "tiercheck" ->
-        Chain_bench.check ~baseline:!baseline ~current:!out;
-        Tier_bench.check_current ~current:!out
-    | "aotcheck" ->
-        Chain_bench.check ~baseline:!baseline ~current:!out;
-        Aot_bench.check_current ~current:!out
+    | "tiercheck" -> Tier_bench.check_current ~current:!out
+    | "aotcheck" -> Aot_bench.check_current ~current:!out
     | "replaycheck" -> Replay_bench.check_current ~current:!out
     | "caa" -> Caa_bench.run ()
     | "transtab" -> Transtab_bench.run ()
     | "loc" -> Loc_bench.run ()
-    | "micro" -> Micro.run ()
     | "all" ->
         Figures.fig1 ();
         Figures.fig2 ();
@@ -91,8 +80,7 @@ let () =
         Replay_bench.run ~scale:!scale ();
         Caa_bench.run ();
         Transtab_bench.run ();
-        Loc_bench.run ();
-        Micro.run ()
+        Loc_bench.run ()
     | c ->
         Printf.printf "unknown command '%s'\n" c;
         usage ()

@@ -205,10 +205,11 @@ type t = {
   mutable exit_reason : exit_reason option;
   (* stack-event helpers (registered lazily per session) *)
   mutable stack_helpers : Stack_events.helpers option;
-  mutable helpers : Vex_ir.Ir.callee list;
-      (** every helper this session registered (tool and stack-event);
-          released when the session ends, so the global helper table
-          stops keeping a finished session reachable *)
+  henv : Vex_ir.Helpers.env;
+      (** the helper environment, built once: guest-state access goes to
+          the current thread's ThreadState, memory to [mem], and calls to
+          this session's helper table (the guest helpers, then every tool
+          and stack-event helper the session registers) *)
   (* core client-space allocator arena *)
   mutable arena_next : int64;
   arena_limit : int64;
@@ -436,7 +437,17 @@ let create ?(options = default_options) ~(tool : Tool.t)
       fn_cache = Hashtbl.create 256;
       exit_reason = None;
       stack_helpers = None;
-      helpers = [];
+      henv =
+        {
+          he_get_guest =
+            (fun off size -> Threads.get_state threads threads.current ~off ~size);
+          he_put_guest =
+            (fun off size v ->
+              Threads.put_state threads threads.current ~off ~size v);
+          he_load = (fun addr size -> Aspace.read mem addr size);
+          he_store = (fun addr size v -> Aspace.write mem addr size v);
+          he_table = Jit.Ghelpers.table ();
+        };
       arena_next = 0x1900_0000L;
       arena_limit = 0x1A00_0000L;
       arena_free = Regions.empty;
@@ -541,19 +552,6 @@ let resolve_fn (s : t) (pc : int64) : string * int64 =
       Hashtbl.replace s.fn_cache pc r;
       r
 
-(* The helper environment: guest-state access goes to the *current*
-   thread's ThreadState; memory to the shared address space. *)
-let helper_env (s : t) : Vex_ir.Helpers.env =
-  {
-    he_get_guest =
-      (fun off size -> Threads.get_state s.threads s.threads.current ~off ~size);
-    he_put_guest =
-      (fun off size v ->
-        Threads.put_state s.threads s.threads.current ~off ~size v);
-    he_load = (fun addr size -> Aspace.read s.mem addr size);
-    he_store = (fun addr size v -> Aspace.write s.mem addr size v);
-  }
-
 (* Core client-space allocator (backs replacement heap allocators).
    It bumps [arena_next] through the arena, and only once that cannot
    satisfy a request takes the first freed region that fits; 0 when
@@ -611,9 +609,7 @@ let on_discard (s : t) (addr : int64) (len : int) =
 let charge (s : t) c = Engine.charge s.active c
 
 let register_helper (s : t) ~fx_reads ~name ~cost f : Vex_ir.Ir.callee =
-  let c = Vex_ir.Helpers.register ~fx_reads ~name ~cost f in
-  s.helpers <- c :: s.helpers;
-  c
+  Vex_ir.Helpers.register s.henv.he_table ~fx_reads ~name ~cost f
 
 let caps_of (s : t) : Tool.caps =
   {
@@ -621,11 +617,8 @@ let caps_of (s : t) : Tool.caps =
     errors = s.errors;
     mem = s.mem;
     output = (fun msg -> output s msg);
-    read_guest =
-      (fun off size -> Threads.get_state s.threads s.threads.current ~off ~size);
-    write_guest =
-      (fun off size v ->
-        Threads.put_state s.threads s.threads.current ~off ~size v);
+    read_guest = s.henv.he_get_guest;
+    write_guest = s.henv.he_put_guest;
     cur_eip = (fun () -> Threads.get_eip s.threads s.threads.current);
     cur_tid = (fun () -> s.threads.current.tid);
     stack_trace =
@@ -927,17 +920,10 @@ let aot_seed_blocks (s : t) : unit =
 (* Signals (§3.15)                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let release_helpers (s : t) =
-  List.iter Vex_ir.Helpers.release s.helpers;
-  s.helpers <- []
-
 (* The one place a session ends (clean exit, fatal signal, fuel): the
-   first reason sticks, and the session's helpers are released. *)
+   first reason sticks. *)
 let finish (s : t) (reason : exit_reason) =
-  if s.exit_reason = None then begin
-    s.exit_reason <- Some reason;
-    release_helpers s
-  end
+  if s.exit_reason = None then s.exit_reason <- Some reason
 
 let fatal (s : t) (th : Threads.thread) (signal : int) =
   tev s ~cat:"signal" ~name:"fatal"
@@ -1485,7 +1471,7 @@ let run_block_interp (s : t) (th : Threads.thread) ~(pc : int64) =
       (* interpretation is slower than compiled code; charge for it *)
       let interp_cost = 8 * Support.Vec.length ir.Vex_ir.Ir.stmts in
       charge s interp_cost;
-      match Vex_ir.Eval.run (helper_env s) ir with
+      match Vex_ir.Eval.run s.henv ir with
       | exception Aspace.Fault f ->
           output s
             (Printf.sprintf "==vg== Invalid %s at address 0x%LX\n"
@@ -1578,9 +1564,8 @@ let run_block (s : t) =
       in
       t.t_hotness <- Int64.add t.t_hotness 1L;
       Host.Interp.set_hreg e.Engine.cpu HA.gsp th.ts_addr;
-      let env = helper_env s in
       let prof_cycles0 = e.Engine.cpu.cycles in
-      match Host.Interp.run e.Engine.cpu ~env t.t_decoded with
+      match Host.Interp.run e.Engine.cpu ~env:s.henv t.t_decoded with
       | exception Aspace.Fault f ->
           e.Engine.last_exit <- None;
           output s
@@ -1817,15 +1802,13 @@ let crash_context (s : t) (what : string) : Errors.crash_context =
     re-raised — but only after a crash context (guest registers, PC, the
     last dispatched blocks, guest stack) is rendered to the tool output
     stream, so there is always a post-mortem record of what the client
-    was doing when control was lost (§3.2).  Either way the session has
-    ended and its helpers are released. *)
+    was doing when control was lost (§3.2). *)
 let run (s : t) : exit_reason =
   try run_inner s
   with e ->
     let bt = Printexc.get_raw_backtrace () in
     (try output s (Errors.render_crash s.errors (crash_context s (Printexc.to_string e)))
      with _ -> ());
-    release_helpers s;
     Printexc.raise_with_backtrace e bt
 
 (* ------------------------------------------------------------------ *)

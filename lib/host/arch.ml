@@ -145,7 +145,9 @@ let valu_name = function
 
 let width_suffix = function W32 -> "l" | W64 -> "q"
 
-let pp_insn ppf (i : insn) =
+(** [helper] names a [Call]'s helper id (a session's helper table knows
+    the names: {!Vex_ir.Helpers.name}). *)
+let pp_insn_with ~(helper : int -> string) ppf (i : insn) =
   let r = hreg_name and v = hvreg_name in
   match i with
   | Movi (d, imm) -> Fmt.pf ppf "movq $0x%LX, %s" imm (r d)
@@ -171,7 +173,7 @@ let pp_insn ppf (i : insn) =
   | Vpack (d, hi, lo) -> Fmt.pf ppf "vpack %s:%s, %s" (r hi) (r lo) (v d)
   | Vunpack (d, s, half) -> Fmt.pf ppf "vunpack %s[%d], %s" (v s) half (r d)
   | Call (id, nargs, _) ->
-      Fmt.pf ppf "call %s/%d" (Vex_ir.Helpers.name id) nargs
+      Fmt.pf ppf "call %s/%d" (helper id) nargs
   | Jz (c, l) -> Fmt.pf ppf "jz %s, .L%d" (r c) l
   | Jnz (c, l) -> Fmt.pf ppf "jnz %s, .L%d" (r c) l
   | Jmp l -> Fmt.pf ppf "jmp .L%d" l
@@ -179,6 +181,8 @@ let pp_insn ppf (i : insn) =
   | ExitIf (c, ek, dest) -> Fmt.pf ppf "exitif %s, ek%d, 0x%LX" (r c) ek dest
   | Goto (ek, s) -> Fmt.pf ppf "goto ek%d, %s" ek (r s)
   | GotoI (ek, dest) -> Fmt.pf ppf "goto ek%d, 0x%LX" ek dest
+
+let pp_insn = pp_insn_with ~helper:(Printf.sprintf "helper%d")
 
 (** Cycle cost of one instruction under the host model (the analogue of
     the native model in {!Guest.Interp.cost}; both are simple in-order

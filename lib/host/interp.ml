@@ -3,8 +3,9 @@
     The dispatcher points [h15] (GSP) at the current ThreadState and runs
     a decoded translation; the translation ends with an exit instruction
     carrying the next guest PC and an exit kind.  Helper [Call]s are
-    routed through the global {!Vex_ir.Helpers} table with an environment
-    that accesses the same simulated address space the guest lives in.
+    routed through the helper table of the environment the core passes
+    in, which accesses the same simulated address space the guest lives
+    in.
 
     Cycle accounting uses {!Arch.cost}; the dispatcher/scheduler add
     their own costs on top (paper §3.9). *)
@@ -175,8 +176,9 @@ let load_slow mem addr sz sx =
     target is a constant ([ExitIf]/[GotoI]) is the kind of jump
     translation chaining patches: the core maps the index back to the
     translation's chain slot to decide whether the transfer can bypass
-    the dispatcher.  [env] is the helper environment (built by the core
-    around the current ThreadState).
+    the dispatcher.  [env] is the helper environment: the core builds it
+    once per session, over the current ThreadState, the address space
+    and the session's helper table.
 
     The loop is written so a typical block allocates almost nothing:
     registers are read and written unboxed, loads and stores that stay

@@ -3,7 +3,7 @@
     Every check reads only {e strongly} reached facts from {!Cfg.t} —
     weakly (address-taken) decoded bytes never produce findings, so a
     constant that happens to point into text cannot cause a false
-    positive.  The benign corpus gate in [vglint]/[vgscan selfcheck]
+    positive.  The benign corpus gate in [vgscan selfcheck]
     asserts an empty finding list for every minicc workload. *)
 
 type finding = {

@@ -303,8 +303,6 @@ let install_heap (st : state) =
       | _ -> ());
       return_block base size)
 
-let the_state : state option ref = ref None
-
 let tool : Vg_core.Tool.t =
   {
     name = "annelid";
@@ -330,7 +328,6 @@ let tool : Vg_core.Tool.t =
         in
         register_helpers st;
         install_heap st;
-        the_state := Some st;
         {
           instrument = (fun b -> instrument st b);
           fini =

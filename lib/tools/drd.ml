@@ -61,8 +61,6 @@ type tstate = {
   mutable n_handoffs : int64;  (** acquisitions from a different owner *)
 }
 
-let the_state : tstate option ref = ref None
-
 let held_of (st : tstate) (tid : int) : int64 list =
   Option.value ~default:[] (Hashtbl.find_opt st.held tid)
 
@@ -88,7 +86,6 @@ let tool : Vg_core.Tool.t =
             n_handoffs = 0L;
           }
         in
-        the_state := Some st;
         let access ~(write : bool) (addr : int64) (pc : int64) =
           st.n_accesses <- Int64.add st.n_accesses 1L;
           let tid = caps.cur_tid () in

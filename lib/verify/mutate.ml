@@ -7,8 +7,8 @@
     a register-allocator assignment lost, a wrong shift width, a stale
     branch label, a corrupted byte — and asserts that re-running the
     checks reports each one {e at the earliest boundary that can see it}.
-    A mutation that slips through every check is a verifier hole; CI
-    fails on any such escape (see [bin/vglint.ml]). *)
+    A mutation that slips through every check is a verifier hole; the
+    tier-1 [verify] tests fail on any such escape. *)
 
 open Vex_ir.Ir
 module H = Host.Arch
@@ -45,10 +45,11 @@ let shadow = [ (GA.shadow_offset, GA.guest_state_used) ]
 (* A representative tool instrumenter: per instruction it calls a helper
    that declares an eip read (like an error-reporting helper) and writes
    one shadow location.  Exercises the Dirty and shadow-PUT lint paths
-   the way the real tools do. *)
+   the way the real tools do.  Nothing runs the code, so its helpers go
+   into throwaway tables. *)
 let h_note =
   lazy
-    (Vex_ir.Helpers.register
+    (Vex_ir.Helpers.register (Jit.Ghelpers.table ())
        ~fx_reads:[ (GA.off_eip, 4) ]
        ~name:"vglint_note" ~cost:2
        (fun _env _args -> 0L))
@@ -303,7 +304,7 @@ let mutations : mutation list =
         (fun p ->
           (* a helper declaring a guest-state write beyond the state *)
           let evil =
-            Vex_ir.Helpers.register
+            Vex_ir.Helpers.register (Jit.Ghelpers.table ())
               ~fx_writes:[ (GA.state_size + 100, 4) ]
               ~name:"vglint_evil" ~cost:1
               (fun _env _args -> 0L)
@@ -534,14 +535,3 @@ let run () : outcome list =
           { o with o_name = tag ^ ":" ^ o.o_name })
         mutations)
     bases
-
-let all_caught (os : outcome list) : bool =
-  List.for_all (fun o -> o.o_caught) os
-
-let pp_outcome ppf (o : outcome) =
-  Fmt.pf ppf "%-28s %s  expected %-8s %s" o.o_name
-    (if o.o_caught then "CAUGHT " else "ESCAPED")
-    o.o_expect
-    (match o.o_phase with
-    | Some p -> Printf.sprintf "caught at %s: %s" p o.o_msg
-    | None -> o.o_msg)

@@ -129,7 +129,7 @@ type binop =
     touches, so tools can see some of its effects. *)
 type callee = {
   c_name : string;
-  c_id : int;  (** index in the runtime helper table *)
+  c_id : int;  (** index in its session's helper table *)
   c_cost : int;  (** cycle cost charged by the host model per call *)
   c_fx_reads : (int * int) list;  (** guest-state (offset,size) read *)
   c_fx_writes : (int * int) list;  (** guest-state (offset,size) written *)

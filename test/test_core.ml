@@ -585,37 +585,69 @@ let test_tiered_deterministic () =
   in
   Alcotest.(check string) "bit-identical metrics" (run ()) (run ())
 
-(* A session that ran to exit releases every helper it registered, so
-   nothing global keeps it reachable.  The witness tool registers tool
-   helpers and, since it watches stack events, the core's stack-event
-   helpers too (tools that publish their last state for inspection, like
-   memcheck, keep only that one). *)
-let hello_src = "int main() { print_str(\"hi\\n\"); return 0; }"
+(* A session is collectable once the caller drops it, whether it ran to
+   exit or was stopped half-way: its helpers live in its own table, so
+   nothing global keeps it reachable.  The exceptions keep their last
+   state in a module global that tests and examples read, and that state
+   holds the tool's caps: memcheck (both variants), cachegrind, massif
+   and redux. *)
+let keeps_last_state =
+  [ "memcheck"; "memcheck-origins"; "cachegrind"; "massif"; "redux" ]
 
-let run_to_exit weak =
+let loop_src =
+  "int main() { int i; int s = 0; for (i = 0; i < 200; i = i + 1) s = s + i; \
+   print_int(s); return 0; }"
+
+let run_session tool ~half weak =
   let s =
-    Vg_core.Session.create ~tool:Fuzz.Diff.witness
-      (Minicc.Driver.compile hello_src)
+    Vg_core.Session.create ~tool (Minicc.Driver.compile loop_src)
   in
-  ignore (Vg_core.Session.run s);
+  if half then
+    Vg_core.Session.run_to s ~stop:(fun s -> s.blocks_executed >= 50L)
+  else ignore (Vg_core.Session.run s);
   Weak.set weak 0 (Some s)
 [@@inline never]
 
 let test_finished_session_collectable () =
-  let weak = Weak.create 1 in
-  run_to_exit weak;
-  Gc.full_major ();
-  Alcotest.(check bool) "session collected" false (Weak.check weak 0)
+  let retained =
+    List.concat_map
+      (fun (name, tool) ->
+        List.filter_map
+          (fun half ->
+            let weak = Weak.create 1 in
+            run_session tool ~half weak;
+            Gc.full_major ();
+            if Weak.check weak 0 then
+              Some (name ^ if half then " (stopped half-way)" else "")
+            else None)
+          [ false; true ])
+      (("witness", Fuzz.Diff.witness)
+      :: List.filter
+           (fun (name, _) -> not (List.mem name keeps_last_state))
+           Tools.Catalog.all)
+  in
+  Alcotest.(check (list string)) "no session retained" [] retained
 
-(* released helper ids are reused: the ids in use stay bounded by the
-   live sessions (translations encode an id in 16 bits) *)
-let test_helper_ids_reused () =
-  let before = !Vex_ir.Helpers.count in
-  for _ = 1 to 20 do
-    run_to_exit (Weak.create 1)
-  done;
-  Alcotest.(check bool) "at most one session's worth of new ids" true
-    (!Vex_ir.Helpers.count - before <= 6)
+(* Every session's helper table starts with the guest helpers at the ids
+   the disassembler bakes into IR; the tool's helpers follow, numbered
+   alike in every session. *)
+let test_session_helper_table () =
+  let names () =
+    let s =
+      Vg_core.Session.create ~tool:Tools.Lackey.tool
+        (Minicc.Driver.compile loop_src)
+    in
+    Vg_core.Session.startup s;
+    List.init 6 (Vex_ir.Helpers.name s.henv.he_table)
+  in
+  let first = names () in
+  Alcotest.(check (list string)) "guest helpers, then lackey's"
+    (List.map
+       (fun (c : Vex_ir.Ir.callee) -> c.c_name)
+       Jit.Ghelpers.[ calculate_condition; calculate_eflags; sysinfo ]
+    @ [ "lk_load"; "lk_store"; "lk_instr" ])
+    first;
+  Alcotest.(check (list string)) "same ids in the next session" first (names ())
 
 let tests =
   [
@@ -647,5 +679,5 @@ let tests =
       test_tiered_deterministic;
     Alcotest.test_case "finished session is collectable" `Quick
       test_finished_session_collectable;
-    Alcotest.test_case "helper ids are reused" `Quick test_helper_ids_reused;
+    Alcotest.test_case "session helper table" `Quick test_session_helper_table;
   ]

@@ -60,21 +60,23 @@ let test_labels () =
   | Jnz (0, 3) -> ()
   | i -> Alcotest.failf "bad branch rewrite: %a" pp_insn i
 
-let null_env : Vex_ir.Helpers.env =
+let null_env table : Vex_ir.Helpers.env =
   {
     he_get_guest = (fun _ _ -> 0L);
     he_put_guest = (fun _ _ _ -> ());
     he_load = (fun _ _ -> 0L);
     he_store = (fun _ _ _ -> ());
+    he_table = table;
   }
 
-let run_host ?(setup = fun _ -> ()) (code : insn list) : Host.Interp.cpu * int64 =
+let run_host ?(setup = fun _ -> ()) ?(table = Jit.Ghelpers.table ())
+    (code : insn list) : Host.Interp.cpu * int64 =
   let mem = Aspace.create () in
   Aspace.map mem ~addr:0x1000L ~len:8192 ~perm:Aspace.perm_rw;
   let cpu = Host.Interp.create mem in
   setup cpu;
   let decoded = Host.Encode.decode (Host.Encode.assemble code) in
-  let _, dest, _ = Host.Interp.run cpu ~env:null_env decoded in
+  let _, dest, _ = Host.Interp.run cpu ~env:(null_env table) decoded in
   (cpu, dest)
 
 let test_alu_widths () =
@@ -136,12 +138,13 @@ let test_fp_on_gprs () =
   Alcotest.(check (float 1e-9)) "sqrt" 3.0 (Int64.float_of_bits (Host.Interp.get_hreg cpu 7))
 
 let test_helper_call () =
+  let table = Jit.Ghelpers.table () in
   let callee =
-    Vex_ir.Helpers.register ~name:"host_test_mul" ~cost:2 (fun _env args ->
+    Vex_ir.Helpers.register table ~name:"host_test_mul" ~cost:2 (fun _env args ->
         Int64.mul args.(0) args.(1))
   in
   let cpu, _ =
-    run_host
+    run_host ~table
       [
         Movi (0, 6L);
         Movi (1, 7L);
@@ -159,10 +162,11 @@ let test_helper_args_per_arity () =
     seen := Array.to_list args :: !seen;
     0L
   in
-  let f3 = Vex_ir.Helpers.register ~name:"host_test_args3" ~cost:0 record in
-  let f1 = Vex_ir.Helpers.register ~name:"host_test_args1" ~cost:0 record in
+  let table = Jit.Ghelpers.table () in
+  let f3 = Vex_ir.Helpers.register table ~name:"host_test_args3" ~cost:0 record in
+  let f1 = Vex_ir.Helpers.register table ~name:"host_test_args1" ~cost:0 record in
   ignore
-    (run_host
+    (run_host ~table
        [
          Movi (0, 1L); Movi (1, 2L); Movi (2, 3L);
          Call (f3.c_id, 3, 0);

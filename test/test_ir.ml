@@ -14,7 +14,7 @@ let contains s sub =
   go 0
 
 (* a helper env over plain arrays, for Eval tests *)
-let array_env () =
+let array_env ?(table = Jit.Ghelpers.table ()) () =
   let guest = Bytes.make 1024 '\000' in
   let mem = Hashtbl.create 64 in
   let load addr size =
@@ -56,6 +56,7 @@ let array_env () =
           done);
       he_load = load;
       he_store = store;
+      he_table = table;
     }
   in
   (env, guest)
@@ -187,11 +188,11 @@ let test_flatness () =
   let b' = Jit.Opt.flatten b in
   Typecheck.check_flat b'
 
-let eval_block build =
+let eval_block ?table build =
   let b = new_block () in
   let next = build b in
   b.next <- next;
-  let env, guest = array_env () in
+  let env, guest = array_env ?table () in
   ((Eval.run env b).next_pc, guest)
 
 let test_eval_arith () =
@@ -283,39 +284,29 @@ let test_eval_memcheck_combinators () =
   one "CmpwNEZ32 nonzero" CmpwNEZ32 4L 0xFFFFFFFFL
 
 let test_eval_ccall () =
+  let table = Jit.Ghelpers.table () in
   let callee =
-    Helpers.register ~name:"test_sum3" ~cost:1 (fun _env args ->
+    Helpers.register table ~name:"test_sum3" ~cost:1 (fun _env args ->
         Int64.add args.(0) (Int64.add args.(1) args.(2)))
   in
   let r, _ =
-    eval_block (fun b ->
+    eval_block ~table (fun b ->
         let t = new_tmp b I32 in
         add_stmt b (WrTmp (t, CCall (callee, I32, [ i32 1L; i32 2L; i32 3L ])));
         RdTmp t)
   in
   Alcotest.check ti64 "ccall" 6L r
 
-let test_released_helper_raises () =
-  let callee = Helpers.register ~name:"test_released" ~cost:1 (fun _ _ -> 7L) in
-  Helpers.release callee;
-  match
-    eval_block (fun b ->
-        let t = new_tmp b I32 in
-        add_stmt b (WrTmp (t, CCall (callee, I32, [])));
-        RdTmp t)
-  with
-  | _ -> Alcotest.fail "a released helper ran"
-  | exception Invalid_argument _ -> ()
-
 let test_guarded_dirty () =
   let hits = ref 0 in
+  let table = Jit.Ghelpers.table () in
   let callee =
-    Helpers.register ~name:"test_hit" ~cost:1 (fun _env _args ->
+    Helpers.register table ~name:"test_hit" ~cost:1 (fun _env _args ->
         incr hits;
         0L)
   in
   let _r, _ =
-    eval_block (fun b ->
+    eval_block ~table (fun b ->
         add_stmt b
           (Dirty
              { d_guard = i1 false; d_callee = callee; d_args = [];
@@ -376,7 +367,6 @@ let tests =
     t "eval FP + SIMD" test_eval_fp_simd;
     t "eval memcheck combinators" test_eval_memcheck_combinators;
     t "eval pure helper calls" test_eval_ccall;
-    t "released helper raises" test_released_helper_raises;
     t "guarded dirty calls" test_guarded_dirty;
     t "pretty-printer" test_pp_smoke;
     QCheck_alcotest.to_alcotest prop_eval_add;

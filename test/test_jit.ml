@@ -317,6 +317,7 @@ let test_opt_preserves_semantics () =
               done);
           he_load = (fun a sz -> Aspace.read mem2 a sz);
           he_store = (fun a sz v -> Aspace.write mem2 a sz v);
+          he_table = Jit.Ghelpers.table ();
         }
       in
       let o = Vex_ir.Eval.run env b in
@@ -467,6 +468,7 @@ let test_fold_self_cancelling () =
                 done);
             he_load = (fun _ _ -> 0L);
             he_store = (fun _ _ _ -> ());
+            he_table = Jit.Ghelpers.table ();
           }
         in
         ignore (Vex_ir.Eval.run env blk);
@@ -523,6 +525,7 @@ let test_regalloc_spills () =
       he_put_guest = (fun _ _ _ -> ());
       he_load = (fun _ _ -> 0L);
       he_store = (fun _ _ _ -> ());
+      he_table = Jit.Ghelpers.table ();
     }
   in
   let decoded = Host.Encode.decode (Host.Encode.assemble hcode) in
@@ -551,6 +554,7 @@ let test_treebuild_load_store_order () =
         (fun off _ v -> Bytes.set guest off (Char.chr (Int64.to_int (Int64.logand v 0xFFL))));
       he_load = (fun _ _ -> !memv);
       he_store = (fun _ _ v -> memv := v);
+      he_table = Jit.Ghelpers.table ();
     }
   in
   ignore (Vex_ir.Eval.run env built);
