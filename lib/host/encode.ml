@@ -11,48 +11,56 @@
 open Arch
 open Support
 
+(** [decode] found no instruction at this byte offset: an unknown opcode
+    or operand code, an instruction cut off by the end of the code, or a
+    branch whose target is not an instruction boundary. *)
+exception Decode_error of int
+
 let alu_index = function
   | Add -> 0 | Sub -> 1 | And -> 2 | Or -> 3 | Xor -> 4 | Shl -> 5 | Shr -> 6
   | Sar -> 7 | Mul -> 8 | Mulhs -> 9 | Divs -> 10 | Divu -> 11 | CmpEq -> 12
   | CmpNe -> 13 | CmpLts -> 14 | CmpLes -> 15 | CmpLtu -> 16 | CmpLeu -> 17
 
-let alu_of_index = function
+(* The [*_of_index] decoders take the offset of the instruction being
+   decoded, to report a bad operand code at. *)
+let alu_of_index at = function
   | 0 -> Add | 1 -> Sub | 2 -> And | 3 -> Or | 4 -> Xor | 5 -> Shl | 6 -> Shr
   | 7 -> Sar | 8 -> Mul | 9 -> Mulhs | 10 -> Divs | 11 -> Divu | 12 -> CmpEq
   | 13 -> CmpNe | 14 -> CmpLts | 15 -> CmpLes | 16 -> CmpLtu | 17 -> CmpLeu
-  | n -> invalid_arg (Printf.sprintf "alu_of_index %d" n)
+  | _ -> raise (Decode_error at)
 
 let falu_index = function
   | FAdd -> 0 | FSub -> 1 | FMul -> 2 | FDiv -> 3 | FMin -> 4 | FMax -> 5
   | FCmpEq -> 6 | FCmpLt -> 7 | FCmpLe -> 8
 
-let falu_of_index = function
+let falu_of_index at = function
   | 0 -> FAdd | 1 -> FSub | 2 -> FMul | 3 -> FDiv | 4 -> FMin | 5 -> FMax
   | 6 -> FCmpEq | 7 -> FCmpLt | 8 -> FCmpLe
-  | n -> invalid_arg (Printf.sprintf "falu_of_index %d" n)
+  | _ -> raise (Decode_error at)
 
 let fun1_index = function
   | FSqrt -> 0 | FNeg -> 1 | FAbs -> 2 | I32StoF64 -> 3 | F64toI32S -> 4
   | Clz32 -> 5 | Ctz32 -> 6
 
-let fun1_of_index = function
+let fun1_of_index at = function
   | 0 -> FSqrt | 1 -> FNeg | 2 -> FAbs | 3 -> I32StoF64 | 4 -> F64toI32S
   | 5 -> Clz32 | 6 -> Ctz32
-  | n -> invalid_arg (Printf.sprintf "fun1_of_index %d" n)
+  | _ -> raise (Decode_error at)
 
 let valu_index = function
   | VAnd -> 0 | VOr -> 1 | VXor -> 2 | VAdd32 -> 3 | VSub32 -> 4
   | VCmpEq32 -> 5 | VAdd8 -> 6 | VSub8 -> 7
 
-let valu_of_index = function
+let valu_of_index at = function
   | 0 -> VAnd | 1 -> VOr | 2 -> VXor | 3 -> VAdd32 | 4 -> VSub32
   | 5 -> VCmpEq32 | 6 -> VAdd8 | 7 -> VSub8
-  | n -> invalid_arg (Printf.sprintf "valu_of_index %d" n)
+  | _ -> raise (Decode_error at)
 
 let sz_code = function 1 -> 0 | 2 -> 1 | 4 -> 2 | 8 -> 3 | _ -> invalid_arg "sz"
 let sz_of_code = function 0 -> 1 | 1 -> 2 | 2 -> 4 | _ -> 8
 
-(* Encoded length of each instruction (Label = 0). *)
+(* Encoded length of each instruction (Label = 0); [opcode_length] below
+   is the same table keyed by opcode. *)
 let enc_length = function
   | Movi _ -> 10
   | Mov _ -> 2
@@ -201,72 +209,95 @@ let assemble (insns : insn list) : Bytes.t =
     insns;
   Buf.contents b
 
-exception Decode_error of int
+(* Encoded length of the instruction with opcode [op]; 0 if [op] is not
+   an opcode. *)
+let opcode_length = function
+  | 0x01 -> 10
+  | 0x02 | 0x0E | 0x10 | 0x11 -> 2
+  | 0x03 | 0x04 | 0x0A | 0x0F -> 4
+  | 0x05 | 0x06 -> 8
+  | 0x07 | 0x08 | 0x18 -> 7
+  | 0x09 | 0x0B | 0x12 | 0x13 | 0x19 -> 3
+  | 0x0C | 0x0D | 0x14 | 0x15 | 0x16 | 0x1A -> 6
+  | 0x17 -> 5
+  | _ -> 0
+
+(* Operand readers: the field at byte [o] of [c]. *)
+let u8 = Buf.read_u8
+let u16 = Buf.read_u16
+let u32 = Buf.read_u32
+let hi c o = u8 c o lsr 4
+let lo c o = u8 c o land 0xF
+let disp c o = Int64.to_int (Bits.sext32 (u32 c o))
+
+(* The instruction at byte [p] of [c], which the caller has checked is an
+   opcode whose operands lie inside [c].  [target o] turns the branch
+   target stored at byte [o] into an instruction index. *)
+let decode_at (c : Bytes.t) (p : int) ~(target : int -> int) : insn =
+  let a = p + 1 in
+  match u8 c p with
+  | 0x01 -> Movi (u8 c a, Buf.read_u64 c (a + 1))
+  | 0x02 -> Mov (hi c a, lo c a)
+  | 0x03 -> Alu (W32, alu_of_index p (u8 c a), hi c (a + 1), lo c (a + 1), u8 c (a + 2))
+  | 0x04 -> Alu (W64, alu_of_index p (u8 c a), hi c (a + 1), lo c (a + 1), u8 c (a + 2))
+  | 0x05 ->
+      Alui (W32, alu_of_index p (u8 c a), hi c (a + 1), lo c (a + 1), Bits.sext32 (u32 c (a + 2)))
+  | 0x06 ->
+      Alui (W64, alu_of_index p (u8 c a), hi c (a + 1), lo c (a + 1), Bits.sext32 (u32 c (a + 2)))
+  | 0x07 ->
+      let m = u8 c a in
+      Ld (sz_of_code (m land 3), m land 0x10 <> 0, hi c (a + 1), lo c (a + 1), disp c (a + 2))
+  | 0x08 -> St (sz_of_code (u8 c a land 3), hi c (a + 1), lo c (a + 1), disp c (a + 2))
+  | 0x09 -> Cmov (hi c a, lo c a, u8 c (a + 1))
+  | 0x0A -> Falu (falu_of_index p (u8 c a), hi c (a + 1), lo c (a + 1), u8 c (a + 2))
+  | 0x0B -> Fun1 (fun1_of_index p (u8 c a), hi c (a + 1), lo c (a + 1))
+  | 0x0C -> Vld (hi c a, lo c a, disp c (a + 1))
+  | 0x0D -> Vst (hi c a, lo c a, disp c (a + 1))
+  | 0x0E -> Vmov (hi c a, lo c a)
+  | 0x0F -> Valu (valu_of_index p (u8 c a), hi c (a + 1), lo c (a + 1), u8 c (a + 2))
+  | 0x10 -> Vnot (hi c a, lo c a)
+  | 0x11 -> Vsplat32 (hi c a, lo c a)
+  | 0x12 -> Vpack (u8 c a, hi c (a + 1), lo c (a + 1))
+  | 0x13 -> Vunpack (hi c a, lo c a, u8 c (a + 1))
+  | 0x14 -> Call (u16 c a, u8 c (a + 2), u16 c (a + 3))
+  | 0x15 -> Jz (u8 c a, target (a + 1))
+  | 0x16 -> Jnz (u8 c a, target (a + 1))
+  | 0x17 -> Jmp (target a)
+  | 0x18 -> ExitIf (u8 c a, u8 c (a + 1), u32 c (a + 2))
+  | 0x19 -> Goto (u8 c a, u8 c (a + 1))
+  | 0x1A -> GotoI (u8 c a, u32 c (a + 1))
+  | _ -> raise (Decode_error p)
 
 (** Decode a translation back into an instruction array; branch targets
     are rewritten from byte offsets to instruction indices (so [Jz]'s
-    label field is an index after decoding). *)
+    label field is an index after decoding).  Raises {!Decode_error} on
+    any byte string that is not a sequence of whole instructions whose
+    branches land on instruction boundaries (the end of the code
+    included). *)
 let decode (code : Bytes.t) : insn array =
-  let out = ref [] in
-  let byte_to_idx = Hashtbl.create 64 in
-  let pos = ref 0 in
-  let idx = ref 0 in
   let len = Bytes.length code in
+  (* pass 1: instruction boundaries; index.(b) is the index of the
+     instruction starting at byte b, or -1 inside one *)
+  let index = Array.make (len + 1) (-1) in
+  let pos = ref 0 and n = ref 0 in
   while !pos < len do
-    Hashtbl.replace byte_to_idx !pos !idx;
-    let op = Buf.read_u8 code !pos in
-    let at = !pos + 1 in
-    let u8 o = Buf.read_u8 code (at + o) in
-    let u16 o = Buf.read_u16 code (at + o) in
-    let u32 o = Buf.read_u32 code (at + o) in
-    let u64 o = Buf.read_u64 code (at + o) in
-    let hi o = u8 o lsr 4 and lo o = u8 o land 0xF in
-    let i, sz =
-      match op with
-      | 0x01 -> (Movi (u8 0, u64 1), 10)
-      | 0x02 -> (Mov (hi 0, lo 0), 2)
-      | 0x03 -> (Alu (W32, alu_of_index (u8 0), hi 1, lo 1, u8 2), 4)
-      | 0x04 -> (Alu (W64, alu_of_index (u8 0), hi 1, lo 1, u8 2), 4)
-      | 0x05 -> (Alui (W32, alu_of_index (u8 0), hi 1, lo 1, Bits.sext32 (u32 2)), 8)
-      | 0x06 -> (Alui (W64, alu_of_index (u8 0), hi 1, lo 1, Bits.sext32 (u32 2)), 8)
-      | 0x07 ->
-          let m = u8 0 in
-          (Ld (sz_of_code (m land 3), m land 0x10 <> 0, hi 1, lo 1,
-               Int64.to_int (Bits.sext32 (u32 2))), 7)
-      | 0x08 ->
-          (St (sz_of_code (u8 0 land 3), hi 1, lo 1,
-               Int64.to_int (Bits.sext32 (u32 2))), 7)
-      | 0x09 -> (Cmov (hi 0, lo 0, u8 1), 3)
-      | 0x0A -> (Falu (falu_of_index (u8 0), hi 1, lo 1, u8 2), 4)
-      | 0x0B -> (Fun1 (fun1_of_index (u8 0), hi 1, lo 1), 3)
-      | 0x0C -> (Vld (hi 0, lo 0, Int64.to_int (Bits.sext32 (u32 1))), 6)
-      | 0x0D -> (Vst (hi 0, lo 0, Int64.to_int (Bits.sext32 (u32 1))), 6)
-      | 0x0E -> (Vmov (hi 0, lo 0), 2)
-      | 0x0F -> (Valu (valu_of_index (u8 0), hi 1, lo 1, u8 2), 4)
-      | 0x10 -> (Vnot (hi 0, lo 0), 2)
-      | 0x11 -> (Vsplat32 (hi 0, lo 0), 2)
-      | 0x12 -> (Vpack (u8 0, hi 1, lo 1), 3)
-      | 0x13 -> (Vunpack (hi 0, lo 0, u8 1), 3)
-      | 0x14 -> (Call (u16 0, u8 2, u16 3), 6)
-      | 0x15 -> (Jz (u8 0, Int64.to_int (u32 1)), 6)
-      | 0x16 -> (Jnz (u8 0, Int64.to_int (u32 1)), 6)
-      | 0x17 -> (Jmp (Int64.to_int (u32 0)), 5)
-      | 0x18 -> (ExitIf (u8 0, u8 1, u32 2), 7)
-      | 0x19 -> (Goto (u8 0, u8 1), 3)
-      | 0x1A -> (GotoI (u8 0, u32 1), 6)
-      | _ -> raise (Decode_error !pos)
-    in
-    out := i :: !out;
+    let sz = opcode_length (u8 code !pos) in
+    if sz = 0 || !pos + sz > len then raise (Decode_error !pos);
+    index.(!pos) <- !n;
     pos := !pos + sz;
-    incr idx
+    incr n
   done;
-  Hashtbl.replace byte_to_idx !pos !idx;
-  let arr = Array.of_list (List.rev !out) in
-  (* rewrite branch targets from byte offsets to indices *)
-  Array.map
-    (function
-      | Jz (c, t) -> Jz (c, Hashtbl.find byte_to_idx t)
-      | Jnz (c, t) -> Jnz (c, Hashtbl.find byte_to_idx t)
-      | Jmp t -> Jmp (Hashtbl.find byte_to_idx t)
-      | i -> i)
-    arr
+  index.(len) <- !n;
+  (* pass 2: the instructions, branch targets resolved through [index] *)
+  let out = Array.make !n (Jmp 0) in
+  let at = ref 0 in
+  let target o =
+    let t = Int64.to_int (u32 code o) in
+    if t > len || index.(t) < 0 then raise (Decode_error !at);
+    index.(t)
+  in
+  for i = 0 to !n - 1 do
+    out.(i) <- decode_at code !at ~target;
+    at := !at + opcode_length (u8 code !at)
+  done;
+  out

@@ -4,7 +4,9 @@
     reference for Valgrind's allocator).  Because superblocks contain only
     forward internal branches, a virtual register's live interval is just
     [first position, last position] of its mentions, and a single linear
-    sweep suffices.
+    sweep suffices.  Each interval takes the first free register found by
+    a scan of two small per-class arrays: the last position each register
+    is busy until, and which registers are caller-saved.
 
     Intervals that are live across a helper [VCall] may not occupy
     caller-saved registers (the call clobbers h0..h7/hv0..hv3); they are
@@ -22,44 +24,6 @@ module H = Host.Arch
 type cls = Int | Vec
 
 (* ------------------------------------------------------------------ *)
-(* Uses and defs of a vinsn, per class                                  *)
-(* ------------------------------------------------------------------ *)
-
-(* (reads, writes) of virtual registers for each class *)
-let refs (i : vinsn) : (int list * int list) * (int list * int list) =
-  let ii r w = ((r, w), ([], [])) in
-  let vv r w = (([], []), (r, w)) in
-  let mixed ir iw vr vw = ((ir, iw), (vr, vw)) in
-  match i with
-  | V (Movi (d, _)) -> ii [] [ d ]
-  | V (Mov (d, s)) -> ii [ s ] [ d ]
-  | V (Alu (_, _, d, s1, s2)) -> ii [ s1; s2 ] [ d ]
-  | V (Alui (_, _, d, s1, _)) -> ii [ s1 ] [ d ]
-  | V (Ld (_, _, d, b, _)) ->
-      if b = H.gsp then ii [] [ d ] else ii [ b ] [ d ]
-  | V (St (_, s, b, _)) -> if b = H.gsp then ii [ s ] [] else ii [ s; b ] []
-  | V (Cmov (d, c, s)) -> ii [ c; s; d ] [ d ]
-  | V (Falu (_, d, s1, s2)) -> ii [ s1; s2 ] [ d ]
-  | V (Fun1 (_, d, s)) -> ii [ s ] [ d ]
-  | V (Vld (d, b, _)) ->
-      if b = H.gsp then vv [] [ d ] else mixed [ b ] [] [] [ d ]
-  | V (Vst (s, b, _)) ->
-      if b = H.gsp then vv [ s ] [] else mixed [ b ] [] [ s ] []
-  | V (Vmov (d, s)) -> vv [ s ] [ d ]
-  | V (Valu (_, d, s1, s2)) -> vv [ s1; s2 ] [ d ]
-  | V (Vnot (d, s)) -> vv [ s ] [ d ]
-  | V (Vsplat32 (d, s)) -> mixed [ s ] [] [] [ d ]
-  | V (Vpack (d, hi, lo)) -> mixed [ hi; lo ] [] [] [ d ]
-  | V (Vunpack (d, s, _)) -> mixed [] [ d ] [ s ] []
-  | V (Call _) -> ii [] [] (* physical calls appear only after allocation *)
-  | V (Jz (c, _)) | V (Jnz (c, _)) -> ii [ c ] []
-  | V (Jmp _) | V (Label _) -> ii [] []
-  | V (ExitIf (c, _, _)) -> ii [ c ] []
-  | V (Goto (_, s)) -> ii [ s ] []
-  | V (GotoI _) -> ii [] []
-  | VCall { args; dst; _ } -> ii args (Option.to_list dst)
-
-(* ------------------------------------------------------------------ *)
 (* Live intervals                                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -71,39 +35,98 @@ type interval = {
   crosses_call : bool;
 }
 
+(** Live intervals of every mentioned virtual register: the int class
+    in vreg order, then the vec class. *)
 let intervals (code : vinsn list) ~(n_int : int) ~(n_vec : int) :
     interval list =
   let first_i = Array.make n_int max_int and last_i = Array.make n_int (-1) in
   let first_v = Array.make n_vec max_int and last_v = Array.make n_vec (-1) in
-  let call_positions = ref [] in
-  List.iteri
-    (fun pos i ->
-      (match i with VCall _ -> call_positions := pos :: !call_positions | _ -> ());
-      let (ir, iw), (vr, vw) = refs i in
-      let touch first last r =
-        if pos < first.(r) then first.(r) <- pos;
-        if pos > last.(r) then last.(r) <- pos
-      in
-      List.iter (touch first_i last_i) (ir @ iw);
-      List.iter (touch first_v last_v) (vr @ vw))
-    code;
-  let calls = !call_positions in
-  let mk cls first last n =
-    List.init n (fun r ->
-        if last.(r) < 0 then None
-        else
-          Some
-            {
-              vreg = r;
-              cls;
-              start = first.(r);
-              stop = last.(r);
-              crosses_call =
-                List.exists (fun p -> p > first.(r) && p < last.(r)) calls;
-            })
-    |> List.filter_map Fun.id
+  (* calls_before.(p): helper calls at positions below p *)
+  let calls_before = Array.make (List.length code + 1) 0 in
+  let pos = ref 0 and calls = ref 0 in
+  let touch first last r =
+    let p = !pos in
+    if p < first.(r) then first.(r) <- p;
+    if p > last.(r) then last.(r) <- p
   in
-  mk Int first_i last_i n_int @ mk Vec first_v last_v n_vec
+  let ti = touch first_i last_i and tv = touch first_v last_v in
+  (* a GSP base is the reserved host register, not a virtual one *)
+  let base b = if b <> H.gsp then ti b in
+  List.iter
+    (fun i ->
+      (match i with
+      | V (Movi (d, _)) -> ti d
+      | V (Mov (d, s)) | V (Alui (_, _, d, s, _)) | V (Fun1 (_, d, s)) ->
+          ti s;
+          ti d
+      | V (Alu (_, _, d, s1, s2)) | V (Falu (_, d, s1, s2)) ->
+          ti s1;
+          ti s2;
+          ti d
+      | V (Ld (_, _, d, b, _)) ->
+          base b;
+          ti d
+      | V (St (_, s, b, _)) ->
+          ti s;
+          base b
+      | V (Cmov (d, c, s)) ->
+          ti c;
+          ti s;
+          ti d
+      | V (Vld (d, b, _)) ->
+          base b;
+          tv d
+      | V (Vst (s, b, _)) ->
+          tv s;
+          base b
+      | V (Vmov (d, s)) | V (Vnot (d, s)) ->
+          tv s;
+          tv d
+      | V (Valu (_, d, s1, s2)) ->
+          tv s1;
+          tv s2;
+          tv d
+      | V (Vsplat32 (d, s)) ->
+          ti s;
+          tv d
+      | V (Vpack (d, hi, lo)) ->
+          ti hi;
+          ti lo;
+          tv d
+      | V (Vunpack (d, s, _)) ->
+          tv s;
+          ti d
+      | V (Jz (c, _)) | V (Jnz (c, _)) | V (ExitIf (c, _, _)) | V (Goto (_, c))
+        ->
+          ti c
+      (* physical calls appear only after allocation *)
+      | V (Call _) | V (Jmp _) | V (Label _) | V (GotoI _) -> ()
+      | VCall { args; dst; _ } ->
+          incr calls;
+          List.iter ti args;
+          Option.iter ti dst);
+      incr pos;
+      calls_before.(!pos) <- !calls)
+    code;
+  (* consed from the highest vreg down, so the list comes out ascending *)
+  let add cls first last n acc =
+    let acc = ref acc in
+    for r = n - 1 downto 0 do
+      let start = first.(r) and stop = last.(r) in
+      if stop >= 0 then
+        acc :=
+          {
+            vreg = r;
+            cls;
+            start;
+            stop;
+            crosses_call = calls_before.(stop) > calls_before.(start + 1);
+          }
+          :: !acc
+    done;
+    !acc
+  in
+  add Int first_i last_i n_int (add Vec first_v last_v n_vec [])
 
 (* ------------------------------------------------------------------ *)
 (* Allocation                                                           *)
@@ -121,24 +144,38 @@ type assignment = {
 
 exception Out_of_spill_slots
 
+(* Which allocatable registers a helper call clobbers, by index. *)
+let caller_saved_mask (allocatable : int list) (caller_saved : int list) =
+  Array.of_list (List.map (fun r -> List.mem r caller_saved) allocatable)
+
+let caller_saved_int = caller_saved_mask H.allocatable_int H.caller_saved_int
+let caller_saved_vec = caller_saved_mask H.allocatable_vec H.caller_saved_vec
+
+(* Intervals in order of start, then stop; the sort is stable, so ties
+   keep [intervals]' order. *)
+let by_position a b =
+  let c = Int.compare a.start b.start in
+  if c <> 0 then c else Int.compare a.stop b.stop
+
+(* The first register that is free for an interval starting at [start]
+   and whose caller-saved bit is [saved]; -1 if none is. *)
+let first_free busy caller_saved ~start ~saved =
+  let n = Array.length busy in
+  let r = ref 0 in
+  while !r < n && not (busy.(!r) < start && caller_saved.(!r) = saved) do
+    incr r
+  done;
+  if !r < n then !r else -1
+
 let allocate (code : vinsn list) ~(n_int : int) ~(n_vec : int) : assignment =
-  let ivs =
-    intervals code ~n_int ~n_vec
-    |> List.sort (fun a b -> compare (a.start, a.stop) (b.start, b.stop))
-  in
+  let ivs = List.stable_sort by_position (intervals code ~n_int ~n_vec) in
   let int_loc = Array.make n_int (Spill (-1)) in
   let vec_loc = Array.make n_vec (Spill (-1)) in
   let spill_int = ref 0 and spill_vec = ref 0 in
-  (* free registers per class *)
-  let free_int = Array.make (List.length H.allocatable_int) true in
-  let free_vec = Array.make (List.length H.allocatable_vec) true in
-  let active : interval list ref = ref [] in
-  let release iv =
-    match (iv.cls, if iv.cls = Int then int_loc.(iv.vreg) else vec_loc.(iv.vreg)) with
-    | Int, Phys p -> free_int.(p) <- true
-    | Vec, Phys p -> free_vec.(p) <- true
-    | _ -> ()
-  in
+  (* busy.(r): the last position of the interval holding register r
+     (-1 if none has); r is free for an interval starting after it *)
+  let busy_int = Array.make (Array.length caller_saved_int) (-1) in
+  let busy_vec = Array.make (Array.length caller_saved_vec) (-1) in
   let next_spill cls =
     match cls with
     | Int ->
@@ -154,34 +191,28 @@ let allocate (code : vinsn list) ~(n_int : int) ~(n_vec : int) : assignment =
   in
   List.iter
     (fun iv ->
-      (* expire old intervals *)
-      let expired, still = List.partition (fun a -> a.stop < iv.start) !active in
-      List.iter release expired;
-      active := still;
-      let free, caller_saved =
+      let busy, caller_saved =
         match iv.cls with
-        | Int -> (free_int, H.caller_saved_int)
-        | Vec -> (free_vec, H.caller_saved_vec)
+        | Int -> (busy_int, caller_saved_int)
+        | Vec -> (busy_vec, caller_saved_vec)
       in
-      let candidates =
-        (* prefer callee-saved for call-crossing intervals; call-crossing
-           intervals must not take caller-saved at all *)
-        let all = Array.to_list (Array.mapi (fun i f -> (i, f)) free) in
-        let avail = List.filter snd all |> List.map fst in
+      let start = iv.start in
+      (* a call-crossing interval must not take a caller-saved register;
+         any other prefers one, to keep callee-saved ones available *)
+      let r =
         if iv.crosses_call then
-          List.filter (fun r -> not (List.mem r caller_saved)) avail
+          first_free busy caller_saved ~start ~saved:false
         else
-          (* prefer caller-saved to keep callee-saved available *)
-          List.filter (fun r -> List.mem r caller_saved) avail
-          @ List.filter (fun r -> not (List.mem r caller_saved)) avail
+          let r = first_free busy caller_saved ~start ~saved:true in
+          if r >= 0 then r
+          else first_free busy caller_saved ~start ~saved:false
       in
       let loc =
-        match candidates with
-        | r :: _ ->
-            free.(r) <- false;
-            active := iv :: !active;
-            Phys r
-        | [] -> next_spill iv.cls
+        if r >= 0 then begin
+          busy.(r) <- iv.stop;
+          Phys r
+        end
+        else next_spill iv.cls
       in
       match iv.cls with
       | Int -> int_loc.(iv.vreg) <- loc

@@ -25,9 +25,10 @@
 
     [shadow] is the tool's declared shadow-state ranges (absolute
     ThreadState offsets), used by the phase-3 lints.  [on_check] is
-    called with a short phase tag before each boundary check runs (for
-    counters).  By default a lint violation raises {!Verr.Error} like any
-    other check; pass [on_lint] to collect violations instead. *)
+    called with a short phase tag at every boundary, before its check
+    runs (for counters), the skipped tier-0 identity checks included.
+    By default a lint violation raises {!Verr.Error} like any other
+    check; pass [on_lint] to collect violations instead. *)
 let pipeline_checks ?(shadow : (int * int) list = [])
     ?(on_check : string -> unit = fun _ -> ())
     ?(on_lint : (Lint.violation list -> unit) option) () :
@@ -54,14 +55,18 @@ let pipeline_checks ?(shadow : (int * int) list = [])
             | v :: _ ->
                 Verr.fail "phase 3 (instrument)" "[%s] %s" v.Lint.v_rule
                   v.Lint.v_msg));
+    (* Phases 4 and 5 are identities at tier 0, which passes [pre == post]:
+       the block phase 3 has just checked.  Re-running the flat-SSA check
+       on it and comparing its effect skeleton with itself would prove
+       nothing more, so only the counter sees those boundaries. *)
     ck_opt2 =
       (fun ~pre ~post ->
         on_check "opt2";
-        Ircheck.check_opt2 ~pre ~post);
+        if pre != post then Ircheck.check_opt2 ~pre ~post);
     ck_treebuilt =
       (fun ~pre ~post ->
         on_check "treebuild";
-        Ircheck.check_treebuild ~pre ~post);
+        if pre != post then Ircheck.check_treebuild ~pre ~post);
     ck_vcode =
       (fun code ~n_int ~n_vec ~n_label ->
         on_check "isel";

@@ -471,6 +471,28 @@ let mutations : mutation list =
             (Char.chr (Char.code (Bytes.get bytes last) lxor 0xFF));
           { p with p_bytes = bytes });
     };
+    {
+      m_name = "truncated-code";
+      m_expect = "phase 8";
+      m_shadow = shadow;
+      m_apply =
+        (fun p ->
+          (* the code block cut off inside its last instruction *)
+          let len = Bytes.length p.p_bytes in
+          { p with p_bytes = Bytes.sub p.p_bytes 0 (len - 2) });
+    };
+    {
+      m_name = "branch-into-insn";
+      m_expect = "phase 8";
+      m_shadow = shadow;
+      m_apply =
+        (fun p ->
+          (* a jump appended whose byte target lands inside the first
+             instruction (the jump's 32-bit target follows its opcode) *)
+          let jmp = Host.Encode.assemble [ H.Jmp 0; H.Label 0 ] in
+          Bytes.set_int32_le jmp 1 1l;
+          { p with p_bytes = Bytes.cat p.p_bytes jmp });
+    };
   ]
 
 (* ------------------------------------------------------------------ *)

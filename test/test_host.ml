@@ -319,6 +319,36 @@ let alu_prop w name =
 let prop_alu32 = alu_prop W32 "host W32 alu = Bits semantics"
 let prop_alu64 = alu_prop W64 "host W64 alu = Int64 semantics"
 
+(* Byte strings for the decoder: bytes biased towards opcodes and small
+   operands (so decoding gets past the first instruction), and valid code
+   with branches, cut short and with one byte changed. *)
+let decode_input =
+  let open QCheck.Gen in
+  let valid =
+    Bytes.to_string
+      (Host.Encode.assemble
+         ((Jz (1, 4) :: sample) @ [ Jnz (2, 4); Jmp 5; Label 4; Label 5 ]))
+  in
+  let byte = frequency [ (1, char); (2, map Char.chr (0 -- 0x1B)) ] in
+  let edited =
+    map3
+      (fun cut at b ->
+        let s = Bytes.of_string (String.sub valid 0 cut) in
+        if cut > 0 then Bytes.set s (at mod cut) b;
+        Bytes.to_string s)
+      (0 -- String.length valid) nat byte
+  in
+  frequency [ (1, string_size ~gen:byte (0 -- 40)); (2, edited) ]
+
+(* property: decoding never escapes with anything but Decode_error *)
+let prop_decode_total =
+  QCheck.Test.make ~count:1000 ~name:"decode returns or raises Decode_error"
+    (QCheck.make ~print:String.escaped decode_input)
+    (fun s ->
+      match Host.Encode.decode (Bytes.of_string s) with
+      | _ -> true
+      | exception Host.Encode.Decode_error _ -> true)
+
 let tests =
   [
     t "encode/decode roundtrip" test_roundtrip;
@@ -335,4 +365,5 @@ let tests =
     t "cycle accounting" test_cost_accounting;
     QCheck_alcotest.to_alcotest prop_alu32;
     QCheck_alcotest.to_alcotest prop_alu64;
+    QCheck_alcotest.to_alcotest prop_decode_total;
   ]

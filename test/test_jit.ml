@@ -533,6 +533,175 @@ let test_regalloc_spills () =
   Alcotest.(check int) "sum 1..24 via spilled registers" (n * (n + 1) / 2)
     (Int64.to_int dest)
 
+(* ------------------------------------------------------------------ *)
+(* Byte-identical translations over a fixed corpus                      *)
+(* ------------------------------------------------------------------ *)
+
+(* The corpus: the statically discovered block starts of the 22 Table-2
+   programs at scale 1, under nulgrind and memcheck, each translated at
+   tier 0 and by the full pipeline, plus a superblock from each start
+   and the start after it where the two stitch.  Every translation runs
+   with the verifiers on, as sessions do by default.  The full corpus
+   takes several seconds, so it is thinned deterministically to every
+   [corpus_stride]-th start. *)
+let corpus_stride = 5
+
+let corpus_tools = Tools.Catalog.pick [ "nulgrind"; "memcheck" ]
+
+(* Run [f s ~starts] on a started session per corpus program and tool:
+   [starts] are the kept block starts, each paired with the start that
+   follows it in the full list. *)
+let iter_corpus ?(workloads = Workloads.all) ?(tools = corpus_tools) f =
+  List.iter
+    (fun (w : Workloads.workload) ->
+      let img = Workloads.compile ~scale:1 w in
+      let all = Static.Cfg.block_starts (Static.Cfg.scan img) in
+      let rec keep i = function
+        | a :: (b :: _ as tl) ->
+            let rest = keep (i + 1) tl in
+            if i mod corpus_stride = 0 then (a, Some b) :: rest else rest
+        | [ a ] -> if i mod corpus_stride = 0 then [ (a, None) ] else []
+        | [] -> []
+      in
+      let starts = keep 0 all in
+      List.iter
+        (fun (_, tool) ->
+          let s = Vg_core.Session.create ~tool img in
+          Vg_core.Session.startup s;
+          f s ~starts)
+        tools)
+    workloads
+
+(* What a corpus translation can legitimately fail with (a start whose
+   block runs into undecodable or unmapped bytes). *)
+let translation_refused = function
+  | Jit.Pipeline.Translation_failure _ | Guest.Decode.Truncated
+  | Guest.Decode.Truncated_at _ | Aspace.Fault _ ->
+      true
+  | _ -> false
+
+let translation_digest () =
+  let buf = Buffer.create (1 lsl 16) in
+  let ppf = Format.formatter_of_buffer buf in
+  let add (t : Jit.Pipeline.translation) =
+    Buffer.add_bytes buf t.t_code;
+    Array.iter (Format.fprintf ppf "%a\n" Host.Arch.pp_insn) t.t_decoded;
+    Array.iter (Format.fprintf ppf "%d ") t.t_phase_cycles;
+    Format.fprintf ppf "\n%!"
+  in
+  let count = ref 0 in
+  iter_corpus (fun (s : Vg_core.Session.t) ~starts ->
+      let fetch addr = Aspace.fetch_u8 s.mem addr in
+      let instrument = Vg_core.Session.instrument_fn s in
+      let checks () = Verify.pipeline_checks ~shadow:s.tool.shadow_ranges () in
+      let record thunk =
+        match thunk () with
+        | Some t ->
+            incr count;
+            add t
+        | None -> ()
+        | exception e when translation_refused e ->
+            Format.fprintf ppf "refused\n%!"
+      in
+      List.iter
+        (fun (pc, next) ->
+          List.iter
+            (fun tier ->
+              record (fun () ->
+                  Some
+                    (Jit.Pipeline.translate ~checks:(checks ()) ~tier ~fetch
+                       ~instrument pc)))
+            [ Jit.Pipeline.Tier_quick; Jit.Pipeline.Tier_full ];
+          Option.iter
+            (fun b ->
+              record (fun () ->
+                  Jit.Pipeline.translate_trace ~checks:(checks ()) ~fetch
+                    ~instrument [ pc; b ]))
+            next)
+        starts);
+  (!count, Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+(* Any change to the generated code, its decoding or its JIT cycles
+   moves this digest; a change that means to alter the output re-records
+   it. *)
+let expected_translation_digest = "7fcd9ef1111932ea26869abc643be911"
+
+let test_translation_digest () =
+  let n, digest = translation_digest () in
+  Alcotest.(check bool) (Printf.sprintf "%d translations" n) true (n > 1000);
+  Alcotest.(check string) "translation digest" expected_translation_digest
+    digest
+
+(* The allocator's invariants over the vcode of corpus translations: no
+   two overlapping intervals of a class share a host register, no
+   interval live across a helper call holds a caller-saved one, and
+   spill slots stay inside the spill zone. *)
+let test_regalloc_invariants () =
+  let module R = Jit.Regalloc in
+  let module H = Host.Arch in
+  let checked = ref 0 and crossing = ref 0 in
+  let check (p : Jit.Pipeline.phases) =
+    let code = p.p_vcode and n_int = p.p_n_int and n_vec = p.p_n_vec in
+    let asg = R.allocate code ~n_int ~n_vec in
+    let ivs = R.intervals code ~n_int ~n_vec in
+    let loc (iv : R.interval) =
+      match iv.cls with
+      | R.Int -> asg.int_loc.(iv.vreg)
+      | R.Vec -> asg.vec_loc.(iv.vreg)
+    in
+    List.iter
+      (fun (a : R.interval) ->
+        incr checked;
+        (match loc a with
+        | R.Phys r when a.crosses_call ->
+            incr crossing;
+            let caller_saved =
+              match a.cls with
+              | R.Int -> H.caller_saved_int
+              | R.Vec -> H.caller_saved_vec
+            in
+            if List.mem r caller_saved then
+              Alcotest.failf "v%d crosses a call in caller-saved register %d"
+                a.vreg r
+        | _ -> ());
+        List.iter
+          (fun (b : R.interval) ->
+            if
+              a.cls = b.cls && a.vreg < b.vreg && a.start <= b.stop
+              && b.start <= a.stop
+            then
+              match (loc a, loc b) with
+              | R.Phys r, R.Phys r' when r = r' ->
+                  Alcotest.failf "v%d [%d,%d] and v%d [%d,%d] share %d" a.vreg
+                    a.start a.stop b.vreg b.start b.stop r
+              | _ -> ())
+          ivs)
+      ivs;
+    if asg.n_spill_int > H.spill_slots_int || asg.n_spill_vec > H.spill_slots_vec
+    then Alcotest.fail "spill slots overflow the spill zone"
+  in
+  iter_corpus
+    ~workloads:(List.filteri (fun i _ -> i < 3) Workloads.all)
+    ~tools:(Tools.Catalog.pick [ "memcheck" ])
+    (fun (s : Vg_core.Session.t) ~starts ->
+      let fetch addr = Aspace.fetch_u8 s.mem addr in
+      let instrument = Vg_core.Session.instrument_fn s in
+      List.iter
+        (fun (pc, _) ->
+          List.iter
+            (fun tier ->
+              match
+                Jit.Pipeline.translate_phases ~tier ~fetch ~instrument pc
+              with
+              | p, _ -> check p
+              | exception e when translation_refused e -> ())
+            [ Jit.Pipeline.Tier_quick; Jit.Pipeline.Tier_full ])
+        starts);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d intervals checked, %d across calls" !checked !crossing)
+    true
+    (!checked > 1000 && !crossing > 0)
+
 let test_treebuild_load_store_order () =
   (* a load must not be substituted past a store to (possibly) the same
      address *)
@@ -716,5 +885,8 @@ let tests =
     t "self-cancelling identities fold to zero" test_fold_self_cancelling;
     t "ircheck rejects non-canonical constants" test_ircheck_rejects_noncanonical;
     t "regalloc spills correctly" test_regalloc_spills;
+    t "regalloc invariants over corpus vcode" test_regalloc_invariants;
+    Alcotest.test_case "translation digest is unchanged" `Slow
+      test_translation_digest;
     t "treebuild respects load/store order" test_treebuild_load_store_order;
   ]
