@@ -222,13 +222,19 @@ let opcode_length = function
   | 0x17 -> 5
   | _ -> 0
 
-(* Operand readers: the field at byte [o] of [c]. *)
-let u8 = Buf.read_u8
-let u16 = Buf.read_u16
-let u32 = Buf.read_u32
+(* Operand readers: the field at byte [o] of [c].  They use the [Bytes]
+   primitives directly rather than [Support.Buf]'s readers: under dune's
+   dev profile every library is compiled [-opaque], so a call into
+   another library is never inlined, and [Buf.read_u32] and
+   [Bits.sext32] would each be an out-of-line call returning a boxed
+   [int64]. *)
+let u8 c o = Bytes.get_uint8 c o
+let u16 c o = Bytes.get_uint16_le c o
 let hi c o = u8 c o lsr 4
 let lo c o = u8 c o land 0xF
-let disp c o = Int64.to_int (Bits.sext32 (u32 c o))
+let disp c o = Int32.to_int (Bytes.get_int32_le c o)
+let s32 c o = Int64.of_int32 (Bytes.get_int32_le c o)
+let u32 c o = Int64.logand (s32 c o) 0xFFFF_FFFFL
 
 (* The instruction at byte [p] of [c], which the caller has checked is an
    opcode whose operands lie inside [c].  [target o] turns the branch
@@ -236,14 +242,12 @@ let disp c o = Int64.to_int (Bits.sext32 (u32 c o))
 let decode_at (c : Bytes.t) (p : int) ~(target : int -> int) : insn =
   let a = p + 1 in
   match u8 c p with
-  | 0x01 -> Movi (u8 c a, Buf.read_u64 c (a + 1))
+  | 0x01 -> Movi (u8 c a, Bytes.get_int64_le c (a + 1))
   | 0x02 -> Mov (hi c a, lo c a)
   | 0x03 -> Alu (W32, alu_of_index p (u8 c a), hi c (a + 1), lo c (a + 1), u8 c (a + 2))
   | 0x04 -> Alu (W64, alu_of_index p (u8 c a), hi c (a + 1), lo c (a + 1), u8 c (a + 2))
-  | 0x05 ->
-      Alui (W32, alu_of_index p (u8 c a), hi c (a + 1), lo c (a + 1), Bits.sext32 (u32 c (a + 2)))
-  | 0x06 ->
-      Alui (W64, alu_of_index p (u8 c a), hi c (a + 1), lo c (a + 1), Bits.sext32 (u32 c (a + 2)))
+  | 0x05 -> Alui (W32, alu_of_index p (u8 c a), hi c (a + 1), lo c (a + 1), s32 c (a + 2))
+  | 0x06 -> Alui (W64, alu_of_index p (u8 c a), hi c (a + 1), lo c (a + 1), s32 c (a + 2))
   | 0x07 ->
       let m = u8 c a in
       Ld (sz_of_code (m land 3), m land 0x10 <> 0, hi c (a + 1), lo c (a + 1), disp c (a + 2))
@@ -273,31 +277,43 @@ let decode_at (c : Bytes.t) (p : int) ~(target : int -> int) : insn =
     label field is an index after decoding).  Raises {!Decode_error} on
     any byte string that is not a sequence of whole instructions whose
     branches land on instruction boundaries (the end of the code
-    included). *)
+    included).  Besides the result it allocates the instruction start
+    offsets, one word per instruction rather than one per byte. *)
 let decode (code : Bytes.t) : insn array =
   let len = Bytes.length code in
-  (* pass 1: instruction boundaries; index.(b) is the index of the
-     instruction starting at byte b, or -1 inside one *)
-  let index = Array.make (len + 1) (-1) in
+  (* pass 1: count the instructions, checking each is whole *)
   let pos = ref 0 and n = ref 0 in
   while !pos < len do
     let sz = opcode_length (u8 code !pos) in
     if sz = 0 || !pos + sz > len then raise (Decode_error !pos);
-    index.(!pos) <- !n;
     pos := !pos + sz;
     incr n
   done;
-  index.(len) <- !n;
-  (* pass 2: the instructions, branch targets resolved through [index] *)
-  let out = Array.make !n (Jmp 0) in
+  let n = !n in
+  (* pass 2: starts.(i) is the byte offset of instruction i, and
+     starts.(n) = len *)
+  let starts = Array.make (n + 1) len in
+  let pos = ref 0 in
+  for i = 0 to n - 1 do
+    starts.(i) <- !pos;
+    pos := !pos + opcode_length (u8 code !pos)
+  done;
+  (* pass 3: the instructions, branch targets found by bisecting
+     [starts] *)
+  let out = Array.make n (Jmp 0) in
   let at = ref 0 in
   let target o =
     let t = Int64.to_int (u32 code o) in
-    if t > len || index.(t) < 0 then raise (Decode_error !at);
-    index.(t)
+    let lo = ref 0 and hi = ref n in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if starts.(mid) < t then lo := mid + 1 else hi := mid
+    done;
+    if starts.(!lo) <> t then raise (Decode_error !at);
+    !lo
   in
-  for i = 0 to !n - 1 do
-    out.(i) <- decode_at code !at ~target;
-    at := !at + opcode_length (u8 code !at)
+  for i = 0 to n - 1 do
+    at := starts.(i);
+    out.(i) <- decode_at code !at ~target
   done;
   out

@@ -24,7 +24,17 @@ type instrument = Vex_ir.Ir.block -> Vex_ir.Ir.block
     SSA and def-before-use discipline, effect-skeleton preservation,
     vcode and regalloc dataflow checks, and the assemble→decode
     round-trip.  Hooks signal problems by raising; the pipeline calls
-    them at the boundary named by the field and does not catch. *)
+    them at the boundary named by the field and does not catch.
+
+    The contract on typing: the pipeline runs
+    [Vex_ir.Typecheck.check_flat] on opt1's, the tool's and (when it
+    runs) opt2's output, raising [Translation_failure] on an ill-typed or
+    non-flat block, {e before} it calls [ck_flat], [ck_instrumented] and
+    [ck_opt2].  Those three hooks may therefore take their block as
+    well-typed and flat and need not typecheck it again.  Anything that
+    calls the hooks outside the pipeline must typecheck first
+    ([Verify.check_all] does).  [ck_tree] and [ck_treebuilt] get no such
+    guarantee. *)
 type checks = {
   ck_tree : Vex_ir.Ir.block -> unit;  (** after phase 1 (disassembly) *)
   ck_flat : Vex_ir.Ir.block -> unit;  (** after phase 2 (opt1) *)

@@ -140,8 +140,10 @@ let range_inside (o, s) (o', s') = o >= o' && o + s <= o' + s'
 (** Is [r] covered by any range in [rs]?  (Single-range containment: the
     declared shadow ranges are contiguous planes, so no stitching is
     needed.) *)
-let covered_by (r : range) (rs : range list) =
-  List.exists (fun r' -> range_inside r r') rs
+let rec covered_by (r : range) (rs : range list) =
+  match rs with
+  | [] -> false
+  | r' :: rest -> range_inside r r' || covered_by r rest
 
 (** Guest-state ranges read by an expression ([Get]s, plus the declared
     [fx_reads] of pure helper calls). *)
@@ -193,16 +195,3 @@ let block_state_rw (b : block) : range list * range list =
       b
   in
   (expr_state_reads b b.next @ reads, writes)
-
-(** The multiset of [Put] targets below [limit] (offset, size), in
-    statement order — the "architectural put skeleton" the lint compares
-    across instrumentation. *)
-let put_skeleton ?(limit = max_int) (b : block) : range list =
-  List.rev
-    (forward ~init:[]
-       ~f:(fun acc _ s ->
-         match s with
-         | Put (off, e) when off < limit ->
-             (off, size_of_ty (type_of b e)) :: acc
-         | _ -> acc)
-       b)

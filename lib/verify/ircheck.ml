@@ -3,12 +3,12 @@
     Valgrind runs [sanityCheckIRSB] between JIT phases; these checks are
     the equivalent for our pipeline, built on {!Dataflow}:
 
-    - {!check_tree}: well-formedness of tree IR (typing, at most one
-      assignment per temporary, definition before use) — the output of
+    - {!check_ssa}: at most one assignment per temporary, definition
+      before use and canonical constants, in one walk per statement —
+      the output of opt1 (phase 2), instrumentation (phase 3) and opt2
+      (phase 4), which the pipeline has just typechecked;
+    - {!check_tree}: typing plus {!check_ssa} — the output of
       disassembly (phase 1) and of tree building (phase 5);
-    - {!check_flat_ssa}: the above plus the flatness invariant — the
-      output of opt1 (phase 2), instrumentation (phase 3) and opt2
-      (phase 4);
     - {!check_opt2}: opt2 may only {e remove} effects, so its output's
       effect skeleton (PUTs, stores, dirty calls, side exits, IMarks in
       order) must be a subsequence of its input's;
@@ -19,45 +19,7 @@
 open Vex_ir.Ir
 module DF = Dataflow
 
-(* ---------------- single assignment + def-before-use ---------------- *)
-
-let check_ssa phase (b : block) : unit =
-  let n = Support.Vec.length b.tyenv in
-  let defined = Array.make n false in
-  let check_uses i s =
-    DF.ISet.iter
-      (fun t ->
-        if t < 0 || t >= n then
-          Verr.fail phase "stmt %d: use of out-of-range t%d" i t;
-        if not defined.(t) then
-          Verr.fail phase "stmt %d: t%d used before its definition (%a)" i t
-            Vex_ir.Pp.pp_stmt s)
-      (DF.stmt_uses s)
-  in
-  Support.Vec.iteri
-    (fun i s ->
-      check_uses i s;
-      List.iter
-        (fun t ->
-          if t < 0 || t >= n then
-            Verr.fail phase "stmt %d: assignment to out-of-range t%d" i t;
-          if defined.(t) then
-            Verr.fail phase
-              "stmt %d: t%d assigned more than once (violates SSA)" i t;
-          defined.(t) <- true)
-        (DF.stmt_defs s))
-    b.stmts;
-  DF.ISet.iter
-    (fun t ->
-      if t < 0 || t >= n || not defined.(t) then
-        Verr.fail phase "block next uses undefined t%d" t)
-    (DF.expr_uses b.next)
-
-let typecheck phase f b =
-  try f b
-  with Vex_ir.Typecheck.Ill_typed m -> Verr.fail phase "ill-typed: %s" m
-
-(* ------------------- canonical constants ---------------------------- *)
+(* ------- single assignment, def-before-use, canonical constants ------- *)
 
 (* Every constant in the IR must be in canonical (zero-extended) form:
    CI8 in [0, 0xFF], CI16 in [0, 0xFFFF], CI32 with no bits above 31.
@@ -69,58 +31,103 @@ let typecheck phase f b =
 let const_canonical = function
   | CI8 v -> v >= 0 && v <= 0xFF
   | CI16 v -> v >= 0 && v <= 0xFFFF
-  | CI32 v -> Support.Bits.trunc32 v = v
+  | CI32 v -> Int64.logand v 0xFFFF_FFFFL = v
   | CI1 _ | CI64 _ | CF64 _ | CV128 _ -> true
 
-let rec check_expr_consts phase i = function
-  | Get _ | RdTmp _ -> ()
-  | Load (_, a) -> check_expr_consts phase i a
+(* The uses of statement [i] ([s]): each temporary read must be in range
+   and already defined, and each constant canonical.  [defined] has one
+   entry per temporary. *)
+let rec walk_expr phase defined i s = function
+  | Get _ -> ()
+  | RdTmp t ->
+      if t < 0 || t >= Array.length defined then
+        Verr.fail phase "stmt %d: use of out-of-range t%d" i t;
+      if not defined.(t) then
+        Verr.fail phase "stmt %d: t%d used before its definition (%a)" i t
+          Vex_ir.Pp.pp_stmt s
   | Const c ->
       if not (const_canonical c) then
         Verr.fail phase "stmt %d: non-canonical constant %a" i
           Vex_ir.Pp.pp_const c
-  | Unop (_, a) -> check_expr_consts phase i a
+  | Load (_, a) | Unop (_, a) -> walk_expr phase defined i s a
   | Binop (_, a, b) ->
-      check_expr_consts phase i a;
-      check_expr_consts phase i b
+      walk_expr phase defined i s a;
+      walk_expr phase defined i s b
   | ITE (c, t, e) ->
-      check_expr_consts phase i c;
-      check_expr_consts phase i t;
-      check_expr_consts phase i e
-  | CCall (_, _, args) -> List.iter (check_expr_consts phase i) args
+      walk_expr phase defined i s c;
+      walk_expr phase defined i s t;
+      walk_expr phase defined i s e
+  | CCall (_, _, args) -> walk_args phase defined i s args
 
-let check_consts phase (b : block) : unit =
-  Support.Vec.iteri
-    (fun i s ->
-      match s with
-      | NoOp | IMark _ -> ()
-      | AbiHint (e, _) | Put (_, e) | WrTmp (_, e) | Exit (e, _, _) ->
-          check_expr_consts phase i e
-      | Store (a, d) ->
-          check_expr_consts phase i a;
-          check_expr_consts phase i d
-      | Dirty d ->
-          check_expr_consts phase i d.d_guard;
-          List.iter (check_expr_consts phase i) d.d_args;
-          (match d.d_mfx with
-          | Mfx_none -> ()
-          | Mfx_read (e, _) | Mfx_write (e, _) -> check_expr_consts phase i e))
-    b.stmts;
-  check_expr_consts phase (Support.Vec.length b.stmts) b.next
+and walk_args phase defined i s = function
+  | [] -> ()
+  | a :: rest ->
+      walk_expr phase defined i s a;
+      walk_args phase defined i s rest
+
+let define phase defined i t =
+  if t < 0 || t >= Array.length defined then
+    Verr.fail phase "stmt %d: assignment to out-of-range t%d" i t;
+  if defined.(t) then
+    Verr.fail phase "stmt %d: t%d assigned more than once (violates SSA)" i t;
+  defined.(t) <- true
+
+(** Single assignment, definition before use and canonical constants, in
+    one walk per statement (its uses, then its definition); no typing.
+    The pipeline typechecks the blocks this alone is applied to. *)
+let check_ssa ~phase (b : block) : unit =
+  let defined = Array.make (Support.Vec.length b.tyenv) false in
+  let n = Support.Vec.length b.stmts in
+  for i = 0 to n - 1 do
+    let s = Support.Vec.get b.stmts i in
+    match s with
+    | NoOp | IMark _ -> ()
+    | AbiHint (e, _) | Put (_, e) | Exit (e, _, _) ->
+        walk_expr phase defined i s e
+    | WrTmp (t, e) ->
+        walk_expr phase defined i s e;
+        define phase defined i t
+    | Store (a, d) ->
+        walk_expr phase defined i s a;
+        walk_expr phase defined i s d
+    | Dirty d -> (
+        walk_expr phase defined i s d.d_guard;
+        walk_args phase defined i s d.d_args;
+        (match d.d_mfx with
+        | Mfx_none -> ()
+        | Mfx_read (e, _) | Mfx_write (e, _) -> walk_expr phase defined i s e);
+        match d.d_tmp with Some t -> define phase defined i t | None -> ())
+  done;
+  let rec walk_next = function
+    | Get _ -> ()
+    | RdTmp t ->
+        if t < 0 || t >= Array.length defined || not defined.(t) then
+          Verr.fail phase "block next uses undefined t%d" t
+    | Const c ->
+        if not (const_canonical c) then
+          Verr.fail phase "stmt %d: non-canonical constant %a" n
+            Vex_ir.Pp.pp_const c
+    | Load (_, a) | Unop (_, a) -> walk_next a
+    | Binop (_, a, b) ->
+        walk_next a;
+        walk_next b
+    | ITE (c, t, e) ->
+        walk_next c;
+        walk_next t;
+        walk_next e
+    | CCall (_, _, args) -> List.iter walk_next args
+  in
+  walk_next b.next
+
+let typecheck phase f b =
+  try f b
+  with Vex_ir.Typecheck.Ill_typed m -> Verr.fail phase "ill-typed: %s" m
 
 (** Tree-IR well-formedness: typing + SSA + def-before-use + canonical
     constants. *)
 let check_tree ~phase (b : block) : unit =
   typecheck phase Vex_ir.Typecheck.check_block b;
-  check_ssa phase b;
-  check_consts phase b
-
-(** Flat-IR well-formedness: typing + flatness + SSA + def-before-use +
-    canonical constants. *)
-let check_flat_ssa ~phase (b : block) : unit =
-  typecheck phase Vex_ir.Typecheck.check_flat b;
-  check_ssa phase b;
-  check_consts phase b
+  check_ssa ~phase b
 
 (* ---------------------- effect skeletons ---------------------------- *)
 
@@ -162,14 +169,15 @@ let rec is_subsequence (xs : effect_item list) (ys : effect_item list) :
   | x :: xs', y :: ys' ->
       if x = y then is_subsequence xs' ys' else is_subsequence xs ys'
 
-(** Phase-4 boundary: opt2's output must be flat, SSA, well-typed, keep
-    the jump kind, and its effect skeleton must be a subsequence of its
-    input's (folding and dead-code removal only ever drop effects —
-    redundant PUTs, never-taken exits — they cannot invent or reorder
-    them). *)
+(** Phase-4 boundary: opt2's output must be SSA, keep the jump kind, and
+    its effect skeleton must be a subsequence of its input's (folding and
+    dead-code removal only ever drop effects — redundant PUTs,
+    never-taken exits — they cannot invent or reorder them).  Typing and
+    flatness are the caller's: the pipeline typechecks opt2's output
+    before this hook runs, and {!Check.check_all} does the same. *)
 let check_opt2 ~pre ~post : unit =
   let phase = "phase 4 (opt2)" in
-  check_flat_ssa ~phase post;
+  check_ssa ~phase post;
   if post.jumpkind <> pre.jumpkind then
     Verr.fail phase "jump kind changed across opt2";
   match is_subsequence (skeleton post) (skeleton pre) with

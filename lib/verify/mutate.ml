@@ -219,6 +219,10 @@ let some_defined_vreg (code : Jit.Isel.vinsn list) : int =
     code;
   if !found < 0 then invalid_arg "mutate: no int vreg defined" else !found
 
+(* a label no instruction of [code] defines *)
+let fresh_label (code : H.insn list) : int =
+  1 + List.fold_left (fun m i -> match i with H.Label l -> max m l | _ -> m) 0 code
+
 (* ------------------------------------------------------------------ *)
 (* The seeded bugs                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -274,6 +278,19 @@ let mutations : mutation list =
                      | WrTmp (t, Binop (Shl32, a, b)) ->
                          WrTmp (t, Binop (Shl64, a, b))
                      | s -> s));
+          });
+    };
+    {
+      m_name = "assign-out-of-range-tmp";
+      m_expect = "phase 2";
+      m_shadow = shadow;
+      m_apply =
+        (fun p ->
+          (* an assignment to a temporary the type environment lacks *)
+          let t = Support.Vec.length p.p_flat.tyenv + 5 in
+          {
+            p with
+            p_flat = with_stmts p.p_flat (fun ss -> ss @ [ WrTmp (t, i32 0L) ]);
           });
     };
     {
@@ -417,6 +434,19 @@ let mutations : mutation list =
           });
     };
     {
+      m_name = "vreg-use-before-def";
+      m_expect = "phase 6";
+      m_shadow = shadow;
+      m_apply =
+        (fun p ->
+          (* an in-range vreg read before the instruction defining it *)
+          let r = some_defined_vreg p.p_vcode in
+          {
+            p with
+            p_vcode = Jit.Isel.V (H.ExitIf (r, H.ek_boring, 0L)) :: p.p_vcode;
+          });
+    };
+    {
       m_name = "regalloc-lost-def";
       m_expect = "phase 7";
       m_shadow = shadow;
@@ -458,6 +488,69 @@ let mutations : mutation list =
           (* a reload from a spill slot nothing was spilled to *)
           let slot = H.spill_base_int + (8 * (H.spill_slots_int - 1)) in
           { p with p_hcode = H.Ld (8, false, 0, H.gsp, slot) :: p.p_hcode });
+    };
+    {
+      m_name = "def-on-one-path";
+      m_expect = "phase 7";
+      m_shadow = shadow;
+      m_apply =
+        (fun p ->
+          (* %h2 written only on the fall-through side of a diamond, then
+             read after the join: undefined on the branch path *)
+          let l = fresh_label p.p_hcode in
+          {
+            p with
+            p_hcode =
+              [
+                H.Movi (1, 0L);
+                H.Jz (1, l);
+                H.Movi (2, 1L);
+                H.Label l;
+                H.ExitIf (2, H.ek_boring, 0L);
+              ]
+              @ p.p_hcode;
+          });
+    };
+    {
+      m_name = "spill-on-one-path";
+      m_expect = "phase 7";
+      m_shadow = shadow;
+      m_apply =
+        (fun p ->
+          (* the same diamond for the last int spill slot: stored on one
+             path, reloaded after the join *)
+          let l = fresh_label p.p_hcode in
+          let slot = H.spill_base_int + (8 * (H.spill_slots_int - 1)) in
+          {
+            p with
+            p_hcode =
+              [
+                H.Movi (1, 0L);
+                H.Jz (1, l);
+                H.St (8, 1, H.gsp, slot);
+                H.Label l;
+                H.Ld (8, false, 2, H.gsp, slot);
+              ]
+              @ p.p_hcode;
+          });
+    };
+    {
+      m_name = "read-after-call-clobber";
+      m_expect = "phase 7";
+      m_shadow = shadow;
+      m_apply =
+        (fun p ->
+          (* a caller-saved register assumed to survive a helper call *)
+          {
+            p with
+            p_hcode =
+              [
+                H.Movi (3, 0L);
+                H.Call (0, 0, 1);
+                H.ExitIf (3, H.ek_boring, 0L);
+              ]
+              @ p.p_hcode;
+          });
     };
     {
       m_name = "corrupted-byte";

@@ -6,41 +6,15 @@
     of a load or store.  The selector works bottom-up, so every virtual
     register is defined strictly before its first use, labels are defined
     exactly once and only branched to forward, and helper calls respect
-    the argument-register ABI limit. *)
+    the argument-register ABI limit.
+
+    Each instruction's operands are checked in place, by one [match] on
+    its constructor: reads (and load/store bases) first, then writes. *)
 
 open Jit.Isel
 module H = Host.Arch
 
 let phase = "phase 6 (isel)"
-
-(* (int reads, int writes, vec reads, vec writes, gsp-eligible bases) *)
-let operands (i : vinsn) :
-    int list * int list * int list * int list * int list =
-  match i with
-  | V (H.Movi (d, _)) -> ([], [ d ], [], [], [])
-  | V (H.Mov (d, s)) -> ([ s ], [ d ], [], [], [])
-  | V (H.Alu (_, _, d, s1, s2)) -> ([ s1; s2 ], [ d ], [], [], [])
-  | V (H.Alui (_, _, d, s1, _)) -> ([ s1 ], [ d ], [], [], [])
-  | V (H.Ld (_, _, d, b, _)) -> ([], [ d ], [], [], [ b ])
-  | V (H.St (_, s, b, _)) -> ([ s ], [], [], [], [ b ])
-  | V (H.Cmov (d, c, s)) -> ([ c; s; d ], [ d ], [], [], [])
-  | V (H.Falu (_, d, s1, s2)) -> ([ s1; s2 ], [ d ], [], [], [])
-  | V (H.Fun1 (_, d, s)) -> ([ s ], [ d ], [], [], [])
-  | V (H.Vld (d, b, _)) -> ([], [], [], [ d ], [ b ])
-  | V (H.Vst (s, b, _)) -> ([], [], [ s ], [], [ b ])
-  | V (H.Vmov (d, s)) -> ([], [], [ s ], [ d ], [])
-  | V (H.Valu (_, d, s1, s2)) -> ([], [], [ s1; s2 ], [ d ], [])
-  | V (H.Vnot (d, s)) -> ([], [], [ s ], [ d ], [])
-  | V (H.Vsplat32 (d, s)) -> ([ s ], [], [], [ d ], [])
-  | V (H.Vpack (d, hi, lo)) -> ([ hi; lo ], [], [], [ d ], [])
-  | V (H.Vunpack (d, s, _)) -> ([], [ d ], [ s ], [], [])
-  | V (H.Call _) -> ([], [], [], [], [])
-  | V (H.Jz (c, _)) | V (H.Jnz (c, _)) -> ([ c ], [], [], [], [])
-  | V (H.Jmp _) | V (H.Label _) -> ([], [], [], [], [])
-  | V (H.ExitIf (c, _, _)) -> ([ c ], [], [], [], [])
-  | V (H.Goto (_, s)) -> ([ s ], [], [], [], [])
-  | V (H.GotoI _) -> ([], [], [], [], [])
-  | VCall { args; dst; _ } -> (args, Option.to_list dst, [], [], [])
 
 let pp_vinsn ppf = function
   | V i -> H.pp_insn ppf i
@@ -77,68 +51,117 @@ let check (code : vinsn list) ~(n_int : int) ~(n_vec : int) ~(n_label : int)
         "insn %d: backward branch to L%d (superblocks branch forward only)"
         pos l
   in
-  List.iteri
-    (fun pos i ->
-      let ir, iw, vr, vw, bases = operands i in
-      List.iter
-        (fun r ->
-          if r <> H.gsp then begin
-            if r < H.n_hregs || r >= n_int then
-              Verr.fail phase
-                "insn %d: base register %d is neither the GSP nor a valid \
-                 int vreg (%a)"
-                pos r pp_vinsn i;
-            if not int_defined.(r) then
-              Verr.fail phase "insn %d: base vreg %d used before definition"
-                pos r
-          end)
-        bases;
-      List.iter
-        (fun r ->
-          if r < H.n_hregs || r >= n_int then
-            Verr.fail phase "insn %d: int vreg %d out of range [%d,%d) (%a)"
-              pos r H.n_hregs n_int pp_vinsn i;
-          if not int_defined.(r) then
-            Verr.fail phase "insn %d: int vreg %d used before definition (%a)"
-              pos r pp_vinsn i)
-        ir;
-      List.iter
-        (fun v ->
-          if v < H.n_hvregs || v >= n_vec then
-            Verr.fail phase "insn %d: vec vreg %d out of range [%d,%d)" pos v
-              H.n_hvregs n_vec;
-          if not vec_defined.(v) then
-            Verr.fail phase "insn %d: vec vreg %d used before definition" pos
-              v)
-        vr;
-      (match i with
-      | V (H.Call _) ->
-          Verr.fail phase "insn %d: physical Call before register allocation"
-            pos
-      | V (H.Jz (_, l)) | V (H.Jnz (_, l)) | V (H.Jmp l) ->
-          check_target pos l
-      | VCall { args; _ } ->
-          let limit = List.length H.arg_regs in
-          if List.length args > limit then
-            Verr.fail phase
-              "insn %d: helper call with %d arguments exceeds the %d \
-               argument registers"
-              pos (List.length args) limit
-      | _ -> ());
-      List.iter
-        (fun r ->
-          if r < H.n_hregs || r >= n_int then
-            Verr.fail phase
-              "insn %d: write to int register %d outside the vreg space" pos
-              r
-          else int_defined.(r) <- true)
-        iw;
-      List.iter
-        (fun v ->
-          if v < H.n_hvregs || v >= n_vec then
-            Verr.fail phase
-              "insn %d: write to vec register %d outside the vreg space" pos
-              v
-          else vec_defined.(v) <- true)
-        vw)
-    code
+  let base pos i r =
+    if r <> H.gsp then begin
+      if r < H.n_hregs || r >= n_int then
+        Verr.fail phase
+          "insn %d: base register %d is neither the GSP nor a valid int vreg \
+           (%a)"
+          pos r pp_vinsn i;
+      if not int_defined.(r) then
+        Verr.fail phase "insn %d: base vreg %d used before definition" pos r
+    end
+  in
+  let use_i pos i r =
+    if r < H.n_hregs || r >= n_int then
+      Verr.fail phase "insn %d: int vreg %d out of range [%d,%d) (%a)" pos r
+        H.n_hregs n_int pp_vinsn i;
+    if not int_defined.(r) then
+      Verr.fail phase "insn %d: int vreg %d used before definition (%a)" pos
+        r pp_vinsn i
+  in
+  let use_v pos v =
+    if v < H.n_hvregs || v >= n_vec then
+      Verr.fail phase "insn %d: vec vreg %d out of range [%d,%d)" pos v
+        H.n_hvregs n_vec;
+    if not vec_defined.(v) then
+      Verr.fail phase "insn %d: vec vreg %d used before definition" pos v
+  in
+  let def_i pos r =
+    if r < H.n_hregs || r >= n_int then
+      Verr.fail phase "insn %d: write to int register %d outside the vreg space"
+        pos r;
+    int_defined.(r) <- true
+  in
+  let def_v pos v =
+    if v < H.n_hvregs || v >= n_vec then
+      Verr.fail phase "insn %d: write to vec register %d outside the vreg space"
+        pos v;
+    vec_defined.(v) <- true
+  in
+  let arg_limit = List.length H.arg_regs in
+  let rec use_args pos i = function
+    | [] -> ()
+    | r :: rest ->
+        use_i pos i r;
+        use_args pos i rest
+  in
+  let step pos i =
+    match i with
+    | V (H.Movi (d, _)) -> def_i pos d
+    | V (H.Mov (d, s)) | V (H.Alui (_, _, d, s, _)) | V (H.Fun1 (_, d, s)) ->
+        use_i pos i s;
+        def_i pos d
+    | V (H.Alu (_, _, d, s1, s2)) | V (H.Falu (_, d, s1, s2)) ->
+        use_i pos i s1;
+        use_i pos i s2;
+        def_i pos d
+    | V (H.Ld (_, _, d, b, _)) ->
+        base pos i b;
+        def_i pos d
+    | V (H.St (_, s, b, _)) ->
+        base pos i b;
+        use_i pos i s
+    | V (H.Cmov (d, c, s)) ->
+        use_i pos i c;
+        use_i pos i s;
+        use_i pos i d;
+        def_i pos d
+    | V (H.Vld (d, b, _)) ->
+        base pos i b;
+        def_v pos d
+    | V (H.Vst (s, b, _)) ->
+        base pos i b;
+        use_v pos s
+    | V (H.Vmov (d, s)) | V (H.Vnot (d, s)) ->
+        use_v pos s;
+        def_v pos d
+    | V (H.Valu (_, d, s1, s2)) ->
+        use_v pos s1;
+        use_v pos s2;
+        def_v pos d
+    | V (H.Vsplat32 (d, s)) ->
+        use_i pos i s;
+        def_v pos d
+    | V (H.Vpack (d, hi, lo)) ->
+        use_i pos i hi;
+        use_i pos i lo;
+        def_v pos d
+    | V (H.Vunpack (d, s, _)) ->
+        use_v pos s;
+        def_i pos d
+    | V (H.Call _) ->
+        Verr.fail phase "insn %d: physical Call before register allocation" pos
+    | V (H.Jz (c, l)) | V (H.Jnz (c, l)) ->
+        use_i pos i c;
+        check_target pos l
+    | V (H.Jmp l) -> check_target pos l
+    | V (H.Label _) | V (H.GotoI _) -> ()
+    | V (H.ExitIf (c, _, _)) | V (H.Goto (_, c)) -> use_i pos i c
+    | VCall { args; dst; _ } -> (
+        use_args pos i args;
+        let n = List.length args in
+        if n > arg_limit then
+          Verr.fail phase
+            "insn %d: helper call with %d arguments exceeds the %d argument \
+             registers"
+            pos n arg_limit;
+        match dst with Some d -> def_i pos d | None -> ())
+  in
+  let rec go pos = function
+    | [] -> ()
+    | i :: rest ->
+        step pos i;
+        go (pos + 1) rest
+  in
+  go 0 code

@@ -12,14 +12,18 @@ exception Ill_typed of string
 
 let fail fmt = Fmt.kstr (fun s -> raise (Ill_typed s)) fmt
 
+(* [t], read or assigned by [what], must be in the type environment. *)
+let check_tmp b what t =
+  if t < 0 || t >= Support.Vec.length b.tyenv then
+    fail "%s t%d out of range" what t
+
 let rec check_expr b e : ty =
   match e with
   | Get (off, ty) ->
       if off < 0 then fail "GET at negative offset %d" off;
       ty
   | RdTmp t ->
-      if t < 0 || t >= Support.Vec.length b.tyenv then
-        fail "RdTmp t%d out of range" t;
+      check_tmp b "RdTmp" t;
       tmp_ty b t
   | Load (ty, addr) ->
       let aty = check_expr b addr in
@@ -76,6 +80,7 @@ let check_stmt b = function
       let t = check_expr b e in
       if t = I1 then fail "PUT of I1 is not allowed"
   | WrTmp (t, e) ->
+      check_tmp b "WrTmp" t;
       let want = tmp_ty b t in
       let got = check_expr b e in
       if want <> got then
@@ -92,6 +97,7 @@ let check_stmt b = function
       (match d.d_tmp with
       | None -> ()
       | Some t ->
+          check_tmp b "Dirty result" t;
           let ty = tmp_ty b t in
           if ty <> I64 && ty <> I32 then
             fail "Dirty result t%d has type %a (only I32/I64)" t Pp.pp_ty ty);

@@ -150,6 +150,35 @@ let test_typecheck_error_messages () =
   expect_ill_typed "next type" Typecheck.check_block b
     "block next has type I64, expected I32"
 
+(* An assignment to a temporary outside the type environment is an
+   ill-typed block, not an out-of-bounds read of the environment. *)
+let test_typecheck_out_of_range_dest () =
+  let b = new_block () in
+  let t0 = new_tmp b I32 in
+  add_stmt b (WrTmp (t0 + 5, i32 1L));
+  b.next <- i32 0L;
+  expect_ill_typed "WrTmp dest" Typecheck.check_block b
+    "WrTmp t5 out of range";
+  expect_ill_typed "WrTmp dest (flat)" Typecheck.check_flat b
+    "WrTmp t5 out of range";
+  let b = new_block () in
+  add_stmt b (WrTmp (-1, i32 1L));
+  b.next <- i32 0L;
+  expect_ill_typed "negative WrTmp dest" Typecheck.check_block b
+    "WrTmp t-1 out of range";
+  let callee =
+    Helpers.register (Jit.Ghelpers.table ()) ~name:"test_dest" ~cost:1
+      (fun _env _args -> 0L)
+  in
+  let b = new_block () in
+  add_stmt b
+    (Dirty
+       { d_guard = i1 true; d_callee = callee; d_args = []; d_tmp = Some 3;
+         d_mfx = Mfx_none });
+  b.next <- i32 0L;
+  expect_ill_typed "Dirty result" Typecheck.check_block b
+    "Dirty result t3 out of range"
+
 let test_flatness_error_messages () =
   (* non-atom PUT payload *)
   let b = new_block () in
@@ -357,6 +386,8 @@ let tests =
     t "typecheck rejects bad binop" test_typecheck_bad_binop;
     t "typecheck rejects tmp mismatch" test_typecheck_bad_tmp;
     t "typecheck error messages" test_typecheck_error_messages;
+    t "typecheck rejects out-of-range destinations"
+      test_typecheck_out_of_range_dest;
     t "flatness error messages" test_flatness_error_messages;
     t "flatness" test_flatness;
     t "eval arithmetic" test_eval_arith;

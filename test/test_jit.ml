@@ -484,7 +484,7 @@ let test_ircheck_rejects_noncanonical () =
   let b = new_block () in
   add_stmt b (Put (0, Const (CI32 0x1_0000_0001L)));
   b.next <- i32 0L;
-  match Verify.Ircheck.check_flat_ssa ~phase:"test" b with
+  match Verify.Ircheck.check_ssa ~phase:"test" b with
   | () -> Alcotest.fail "non-canonical CI32 accepted"
   | exception Verify.Verr.Error _ -> ()
 
