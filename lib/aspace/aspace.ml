@@ -56,7 +56,15 @@ type map_event =
    with index [pi], or [no_page].  It is the only record of which pages
    exist, so no other structure can go stale when it changes.  Second
    levels nothing has mapped into are the shared, never-written
-   [empty_l2]. *)
+   [empty_l2].
+
+   The layout is part of this module's interface: [Host.Interp] walks
+   the table inline for loads and stores that stay in one page.  It
+   reads [l1], a page's [data] and [perm], and relies on [page_shift],
+   [l2_bits], on every page's data being exactly [page_size] bytes, and
+   on [no_page] having no permissions.  Change them together;
+   [Host.Interp] checks [page_shift] and [l2_bits] when the program
+   starts. *)
 let l2_bits = 10
 let l2_mask = (1 lsl l2_bits) - 1
 let n_pages = 1 lsl (32 - page_shift)
@@ -102,7 +110,10 @@ let set_page t pi p =
   l2.(pi land l2_mask) <- p
 
 let add_store_watch t f = t.store_watch <- f :: t.store_watch
-let notify_store t addr size = List.iter (fun f -> f addr size) t.store_watch
+let notify_store t addr size =
+  match t.store_watch with
+  | [] -> ()
+  | ws -> List.iter (fun f -> f addr size) ws
 let add_map_watch t f = t.map_watch <- f :: t.map_watch
 let notify_map t ev = List.iter (fun f -> f ev) t.map_watch
 

@@ -64,9 +64,9 @@ let slot t key = Int64.to_int (Int64.unsigned_rem key (Int64.of_int t.size))
 let lookup (t : t) (key : int64) : Jit.Pipeline.translation option =
   let i = slot t key in
   match (if t.keys.(i) = key then t.values.(i) else None) with
-  | Some tr when not tr.Jit.Pipeline.t_dead ->
+  | Some tr as hit when not tr.Jit.Pipeline.t_dead ->
       t.hits <- Int64.add t.hits 1L;
-      Some tr
+      hit
   | Some _ ->
       (* stale: retired since it was cached here *)
       t.keys.(i) <- Int64.minus_one;

@@ -8,9 +8,9 @@
     counts invocations so the Table-1 bench can report observed trigger
     counts. *)
 
-type counted = { mutable count : int64 }
+type counted = { mutable count : int }
 
-let tick c = c.count <- Int64.add c.count 1L
+let tick c = c.count <- c.count + 1
 
 type t = {
   (* R4: system calls reading/writing registers *)
@@ -58,36 +58,36 @@ type t = {
 let create () =
   {
     pre_reg_read = None;
-    c_pre_reg_read = { count = 0L };
+    c_pre_reg_read = { count = 0 };
     post_reg_write = None;
-    c_post_reg_write = { count = 0L };
+    c_post_reg_write = { count = 0 };
     pre_mem_read = None;
-    c_pre_mem_read = { count = 0L };
+    c_pre_mem_read = { count = 0 };
     pre_mem_read_asciiz = None;
-    c_pre_mem_read_asciiz = { count = 0L };
+    c_pre_mem_read_asciiz = { count = 0 };
     pre_mem_write = None;
-    c_pre_mem_write = { count = 0L };
+    c_pre_mem_write = { count = 0 };
     post_mem_write = None;
-    c_post_mem_write = { count = 0L };
+    c_post_mem_write = { count = 0 };
     new_mem_startup = None;
-    c_new_mem_startup = { count = 0L };
+    c_new_mem_startup = { count = 0 };
     new_mem_mmap = None;
-    c_new_mem_mmap = { count = 0L };
+    c_new_mem_mmap = { count = 0 };
     die_mem_munmap = None;
-    c_die_mem_munmap = { count = 0L };
+    c_die_mem_munmap = { count = 0 };
     new_mem_brk = None;
-    c_new_mem_brk = { count = 0L };
+    c_new_mem_brk = { count = 0 };
     die_mem_brk = None;
-    c_die_mem_brk = { count = 0L };
+    c_die_mem_brk = { count = 0 };
     copy_mem_mremap = None;
-    c_copy_mem_mremap = { count = 0L };
+    c_copy_mem_mremap = { count = 0 };
     new_mem_stack = None;
-    c_new_mem_stack = { count = 0L };
+    c_new_mem_stack = { count = 0 };
     die_mem_stack = None;
-    c_die_mem_stack = { count = 0L };
-    c_chain_patched = { count = 0L };
-    c_chain_unlinked = { count = 0L };
-    c_chain_followed = { count = 0L };
+    c_die_mem_stack = { count = 0 };
+    c_chain_patched = { count = 0 };
+    c_chain_unlinked = { count = 0 };
+    c_chain_followed = { count = 0 };
   }
 
 (* Firing helpers used by the core. *)
@@ -199,7 +199,7 @@ let tick_chain_followed t = tick t.c_chain_followed
     them). *)
 let counts (t : t) : int64 array =
   Array.map
-    (fun c -> c.count)
+    (fun c -> Int64.of_int c.count)
     [|
       t.c_pre_reg_read; t.c_post_reg_write; t.c_pre_mem_read;
       t.c_pre_mem_read_asciiz; t.c_pre_mem_write; t.c_post_mem_write;
@@ -212,21 +212,23 @@ let counts (t : t) : int64 array =
 (** (event name, trigger site, observed count) rows for the Table-1
     harness. *)
 let table1_rows (t : t) : (string * string * int64) list =
-  [
-    ("pre_reg_read", "every system call wrapper", t.c_pre_reg_read.count);
-    ("post_reg_write", "every system call wrapper", t.c_post_reg_write.count);
-    ("pre_mem_read", "many system call wrappers", t.c_pre_mem_read.count);
-    ( "pre_mem_read_asciiz",
-      "many system call wrappers",
-      t.c_pre_mem_read_asciiz.count );
-    ("pre_mem_write", "many system call wrappers", t.c_pre_mem_write.count);
-    ("post_mem_write", "many system call wrappers", t.c_post_mem_write.count);
-    ("new_mem_startup", "Valgrind's code loader", t.c_new_mem_startup.count);
-    ("new_mem_mmap", "mmap wrapper", t.c_new_mem_mmap.count);
-    ("die_mem_munmap", "munmap wrapper", t.c_die_mem_munmap.count);
-    ("new_mem_brk", "brk wrapper", t.c_new_mem_brk.count);
-    ("die_mem_brk", "brk wrapper", t.c_die_mem_brk.count);
-    ("copy_mem_mremap", "mremap wrapper", t.c_copy_mem_mremap.count);
-    ("new_mem_stack", "instrumentation of SP changes", t.c_new_mem_stack.count);
-    ("die_mem_stack", "instrumentation of SP changes", t.c_die_mem_stack.count);
-  ]
+  List.map
+    (fun (name, site, n) -> (name, site, Int64.of_int n))
+    [
+      ("pre_reg_read", "every system call wrapper", t.c_pre_reg_read.count);
+      ("post_reg_write", "every system call wrapper", t.c_post_reg_write.count);
+      ("pre_mem_read", "many system call wrappers", t.c_pre_mem_read.count);
+      ( "pre_mem_read_asciiz",
+        "many system call wrappers",
+        t.c_pre_mem_read_asciiz.count );
+      ("pre_mem_write", "many system call wrappers", t.c_pre_mem_write.count);
+      ("post_mem_write", "many system call wrappers", t.c_post_mem_write.count);
+      ("new_mem_startup", "Valgrind's code loader", t.c_new_mem_startup.count);
+      ("new_mem_mmap", "mmap wrapper", t.c_new_mem_mmap.count);
+      ("die_mem_munmap", "munmap wrapper", t.c_die_mem_munmap.count);
+      ("new_mem_brk", "brk wrapper", t.c_new_mem_brk.count);
+      ("die_mem_brk", "brk wrapper", t.c_die_mem_brk.count);
+      ("copy_mem_mremap", "mremap wrapper", t.c_copy_mem_mremap.count);
+      ("new_mem_stack", "instrumentation of SP changes", t.c_new_mem_stack.count);
+      ("die_mem_stack", "instrumentation of SP changes", t.c_die_mem_stack.count);
+    ]

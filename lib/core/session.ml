@@ -278,11 +278,13 @@ let publish_metrics (s : t) =
   pL "core.blocks" (fun () -> s.blocks_executed);
   pL "core.host_cycles" (fun () -> sumL (fun e -> e.Engine.cpu.cycles));
   pL "core.host_insns" (fun () -> sumL (fun e -> e.Engine.cpu.insns));
-  pL "core.overhead_cycles" (fun () -> sumL (fun e -> e.Engine.overhead_cycles));
+  pL "core.overhead_cycles" (fun () ->
+      sumL (fun e -> Int64.of_int e.Engine.overhead_cycles));
   pL "core.jit_cycles" (fun () -> sumL (fun e -> e.Engine.jit_cycles));
   pL "core.smc_cycles" (fun () -> sumL (fun e -> e.Engine.smc_cycles));
   pL "core.total_cycles" (fun () -> total_cycles s);
-  pL "core.chained_transfers" (fun () -> sumL (fun e -> e.Engine.chained_transfers));
+  pL "core.chained_transfers" (fun () ->
+      sumL (fun e -> Int64.of_int e.Engine.chained_transfers));
   pL "core.lock_handoffs" (fun () -> s.threads.lock_handoffs);
   pi "sched.cores" (fun () -> Array.length s.cores);
   pL "sched.wall_cycles" (fun () -> wall_cycles s);
@@ -1201,7 +1203,7 @@ let select_trace (s : t) (src : Jit.Pipeline.translation) : int64 list =
   (* successors must be at least half as hot as the trigger threshold:
      on a straight hot path the downstream slots trail the trigger by at
      most one transfer, while genuinely cold side paths stay excluded *)
-  let min_hot = Int64.of_int ((s.opts.trace_threshold + 1) / 2) in
+  let min_hot = (s.opts.trace_threshold + 1) / 2 in
   let rec go (visited : int64 list) (t : Jit.Pipeline.translation) (n : int)
       : int64 list =
     if n >= s.opts.trace_max_blocks then List.rev visited
@@ -1211,7 +1213,7 @@ let select_trace (s : t) (src : Jit.Pipeline.translation) : int64 list =
           (fun best (sl : Jit.Pipeline.chain_slot) ->
             if
               sl.Jit.Pipeline.cs_kind <> HA.ek_boring
-              || Int64.unsigned_compare sl.cs_hot min_hot < 0
+              || sl.cs_hot < min_hot
               || List.mem sl.cs_target visited
               || Redirect.resolve s.redirect sl.cs_target <> sl.cs_target
               || Transtab.covered_by_super s.transtab sl.cs_target
@@ -1219,7 +1221,7 @@ let select_trace (s : t) (src : Jit.Pipeline.translation) : int64 list =
             else
               match best with
               | Some (b : Jit.Pipeline.chain_slot)
-                when Int64.unsigned_compare b.cs_hot sl.cs_hot >= 0 ->
+                when b.cs_hot >= sl.cs_hot ->
                   best
               | _ -> Some sl)
           None t.t_exits
@@ -1283,10 +1285,10 @@ let form_superblock (s : t) (head : Jit.Pipeline.translation) : unit =
    try to stitch the hot path it starts into a superblock. *)
 let note_chained_transfer (s : t) (src : Jit.Pipeline.translation)
     (slot : Jit.Pipeline.chain_slot) : unit =
-  slot.cs_hot <- Int64.add slot.cs_hot 1L;
+  slot.cs_hot <- slot.cs_hot + 1;
   if
     s.opts.superblocks && s.opts.trace_threshold > 0
-    && slot.cs_hot = Int64.of_int s.opts.trace_threshold
+    && slot.cs_hot = s.opts.trace_threshold
     && src.t_tier = Jit.Pipeline.Tier_full
     && slot.cs_kind = HA.ek_boring
     && Redirect.resolve s.redirect src.t_guest_addr = src.t_guest_addr
@@ -1298,16 +1300,16 @@ let chain_cost = 2
 
 let find_translation (s : t) (pc : int64) : Jit.Pipeline.translation =
   let e = s.active in
-  match e.Engine.last_exit with
-  | Some (src, slot) when s.opts.chaining && slot.cs_target = pc -> (
+  match e.Engine.last_slot with
+  | Some slot when s.opts.chaining && slot.cs_target = pc -> (
       (* the previous block on this core left through a chainable
          (constant-target) exit site whose target is where we are going *)
+      let src = e.Engine.last_src in
       match slot.cs_next with
       | Some t when not t.Jit.Pipeline.t_dead ->
           (* patched: control transfers straight to the successor *)
           charge s chain_cost;
-          e.Engine.chained_transfers <-
-            Int64.add e.Engine.chained_transfers 1L;
+          e.Engine.chained_transfers <- e.Engine.chained_transfers + 1;
           Events.tick_chain_followed s.events;
           note_chained_transfer s src slot;
           t
@@ -1393,7 +1395,7 @@ let handle_exit (s : t) (th : Threads.thread) ~(ek : int) ~(dest : int64) =
 let invalid_exec (s : t) (th : Threads.thread) (pc : int64) =
   (* jumping to unmapped/non-executable memory faults exactly like
      native execution: SIGSEGV, not SIGILL from decoding zero bytes *)
-  s.active.Engine.last_exit <- None;
+  s.active.Engine.last_slot <- None;
   output s (Printf.sprintf "==vg== Invalid exec at address 0x%LX\n" pc);
   deliver_signal s th Kernel.Sig.sigsegv
 
@@ -1412,7 +1414,7 @@ let step_uninstrumented (s : t) (th : Threads.thread) =
   let put off size v = Threads.put_state s.threads th ~off ~size v in
   match Guest.Interp.step_external ~mem:s.mem ~get ~put with
   | exception Aspace.Fault f ->
-      s.active.Engine.last_exit <- None;
+      s.active.Engine.last_slot <- None;
       output s
         (Printf.sprintf "==vg== Invalid %s at address 0x%LX\n"
            (Fmt.str "%a" Aspace.pp_access_kind f.kind)
@@ -1422,14 +1424,13 @@ let step_uninstrumented (s : t) (th : Threads.thread) =
       output s (Printf.sprintf "==vg== Illegal instruction at 0x%LX\n" at);
       deliver_signal s th Kernel.Sig.sigill
   | exception Guest.Interp.Sigfpe _ ->
-      s.active.Engine.last_exit <- None;
+      s.active.Engine.last_slot <- None;
       deliver_signal s th Kernel.Sig.sigfpe
   | cost, outcome -> (
       charge s cost;
       s.blocks_executed <- Int64.add s.blocks_executed 1L;
-      s.active.Engine.blocks_executed <-
-        Int64.add s.active.Engine.blocks_executed 1L;
-      th.blocks_run <- Int64.add th.blocks_run 1L;
+      s.active.Engine.blocks_executed <- s.active.Engine.blocks_executed + 1;
+      th.blocks_run <- th.blocks_run + 1;
       match outcome with
       | Guest.Interp.X_next -> ()
       | Guest.Interp.X_syscall ->
@@ -1449,7 +1450,7 @@ let step_uninstrumented (s : t) (th : Threads.thread) =
    re-enters the JIT (where translation will normally succeed). *)
 let run_block_interp (s : t) (th : Threads.thread) ~(pc : int64) =
   s.interp_fallbacks <- s.interp_fallbacks + 1;
-  s.active.Engine.last_exit <- None;
+  s.active.Engine.last_slot <- None;
   tev s ~cat:"degrade" ~name:"interp_fallback"
     ~args:[ ("pc", Obs.Trace.I pc) ]
     ();
@@ -1485,8 +1486,8 @@ let run_block_interp (s : t) (th : Threads.thread) ~(pc : int64) =
           Threads.put_eip s.threads th next_pc;
           s.blocks_executed <- Int64.add s.blocks_executed 1L;
           s.active.Engine.blocks_executed <-
-            Int64.add s.active.Engine.blocks_executed 1L;
-          th.blocks_run <- Int64.add th.blocks_run 1L;
+            s.active.Engine.blocks_executed + 1;
+          th.blocks_run <- th.blocks_run + 1;
           (match s.profiler with
           | Some p ->
               let name, base = resolve_fn s pc in
@@ -1495,31 +1496,23 @@ let run_block_interp (s : t) (th : Threads.thread) ~(pc : int64) =
           | None -> ());
           handle_exit s th ~ek:(HA.ek_of_jumpkind jumpkind) ~dest:next_pc)
 
-(* Acquire the translation for [pc], including the SMC re-check, with
-   translation failures surfaced as data instead of exceptions. *)
-let acquire_translation (s : t) (pc : int64) :
-    [ `T of Jit.Pipeline.translation | `Invalid_exec | `Failed of string ] =
-  match find_translation s pc with
-  | exception Guest.Decode.Truncated -> `Invalid_exec
-  | exception Jit.Pipeline.Translation_failure m -> `Failed m
-  | t ->
-      if t.t_smc_check && not (smc_ok s t) then begin
-        (* §3.16: hash mismatch -> discard and retranslate.  discard_key
-           unlinks every chain pointing into the stale translation and
-           marks it dead; other cores' caches notice lazily. *)
-        Transtab.discard_key s.transtab pc;
-        s.retranslations_smc <- s.retranslations_smc + 1;
-        tev s ~cat:"smc" ~name:"retranslate"
-          ~args:[ ("pc", Obs.Trace.I pc) ]
-          ();
-        match translate s pc with
-        | exception Guest.Decode.Truncated -> `Invalid_exec
-        | exception Jit.Pipeline.Translation_failure m -> `Failed m
-        | t' ->
-            Dispatch.update s.active.Engine.dispatch pc t';
-            `T t'
-      end
-      else `T t
+(* Acquire the translation for [pc], including the SMC re-check.  Raises
+   [Guest.Decode.Truncated] when [pc] cannot be fetched and
+   [Jit.Pipeline.Translation_failure] when the JIT refuses the block. *)
+let acquire_translation (s : t) (pc : int64) : Jit.Pipeline.translation =
+  let t = find_translation s pc in
+  if t.t_smc_check && not (smc_ok s t) then begin
+    (* §3.16: hash mismatch -> discard and retranslate.  discard_key
+       unlinks every chain pointing into the stale translation and marks
+       it dead; other cores' caches notice lazily. *)
+    Transtab.discard_key s.transtab pc;
+    s.retranslations_smc <- s.retranslations_smc + 1;
+    tev s ~cat:"smc" ~name:"retranslate" ~args:[ ("pc", Obs.Trace.I pc) ] ();
+    let t' = translate s pc in
+    Dispatch.update s.active.Engine.dispatch pc t';
+    t'
+  end
+  else t
 
 (** Execute one code block of the stepping core's current thread. *)
 let run_block (s : t) =
@@ -1543,12 +1536,11 @@ let run_block (s : t) =
       end
   | None -> ());
   match acquire_translation s pc with
-  | `Invalid_exec -> invalid_exec s th pc
-  | `Failed msg ->
-      if not s.opts.interp_fallback then
-        raise (Jit.Pipeline.Translation_failure msg);
+  | exception Guest.Decode.Truncated -> invalid_exec s th pc
+  | exception (Jit.Pipeline.Translation_failure _ as e) ->
+      if not s.opts.interp_fallback then raise e;
       run_block_interp s th ~pc
-  | `T t -> (
+  | t -> (
       (* tiered JIT: a quick translation that crossed the hotness
          threshold is promoted to the optimizing tier before running *)
       let t =
@@ -1556,37 +1548,33 @@ let run_block (s : t) =
           t.t_tier = Jit.Pipeline.Tier_quick
           && s.opts.promote_threshold > 0
           && (not t.t_no_promote)
-          && Int64.unsigned_compare t.t_hotness
-               (Int64.of_int s.opts.promote_threshold)
-             >= 0
+          && t.t_hotness >= s.opts.promote_threshold
         then promote s pc t
         else t
       in
-      t.t_hotness <- Int64.add t.t_hotness 1L;
+      t.t_hotness <- t.t_hotness + 1;
       Host.Interp.set_hreg e.Engine.cpu HA.gsp th.ts_addr;
       let prof_cycles0 = e.Engine.cpu.cycles in
       match Host.Interp.run e.Engine.cpu ~env:s.henv t.t_decoded with
       | exception Aspace.Fault f ->
-          e.Engine.last_exit <- None;
+          e.Engine.last_slot <- None;
           output s
             (Printf.sprintf "==vg== Invalid %s at address 0x%LX\n"
                (Fmt.str "%a" Aspace.pp_access_kind f.kind)
                f.addr);
           deliver_signal s th Kernel.Sig.sigsegv
       | exception Host.Interp.Host_sigfpe ->
-          e.Engine.last_exit <- None;
+          e.Engine.last_slot <- None;
           deliver_signal s th Kernel.Sig.sigfpe
       | ek, dest, exit_site ->
-          e.Engine.last_exit <-
-            (if s.opts.chaining then
-               match Jit.Pipeline.find_chain_slot t exit_site with
-               | Some slot -> Some (t, slot)
-               | None -> None
+          e.Engine.last_src <- t;
+          e.Engine.last_slot <-
+            (if s.opts.chaining then Jit.Pipeline.find_chain_slot t exit_site
              else None);
           Threads.put_eip s.threads th dest;
           s.blocks_executed <- Int64.add s.blocks_executed 1L;
-          e.Engine.blocks_executed <- Int64.add e.Engine.blocks_executed 1L;
-          th.blocks_run <- Int64.add th.blocks_run 1L;
+          e.Engine.blocks_executed <- e.Engine.blocks_executed + 1;
+          th.blocks_run <- th.blocks_run + 1;
           (match s.profiler with
           | Some p ->
               let name, base = resolve_fn s pc in
@@ -1629,26 +1617,27 @@ let advance_epoch (s : t) =
     Array.iter
       (fun e ->
         Dispatch.purge_dead e.Engine.dispatch;
-        match e.Engine.last_exit with
-        | Some (src, _) when src.Jit.Pipeline.t_dead ->
-            e.Engine.last_exit <- None
-        | _ -> ())
+        if e.Engine.last_src.Jit.Pipeline.t_dead then
+          e.Engine.last_slot <- None)
       s.cores
 
 (* The scheduler's core pick: among cores with a runnable thread, the
-   one with the lowest clock; ties go to the lowest id (the fold runs
-   in ascending id order, so an earlier equal clock wins).  [None]
-   means no thread anywhere can run — the session is done. *)
-let pick_core (s : t) : Engine.t option =
-  Array.fold_left
-    (fun best e ->
-      if not (Threads.has_runnable s.threads ~core:e.Engine.id) then best
-      else
-        match best with
-        | Some b when Int64.compare (Engine.clock b) (Engine.clock e) <= 0 ->
-            best
-        | _ -> Some e)
-    None s.cores
+   one with the lowest clock; ties go to the lowest id (the scan runs
+   in ascending id order, so an earlier equal clock wins).  The result
+   indexes [s.cores]; -1 means no thread anywhere can run — the session
+   is done. *)
+let pick_core (s : t) : int =
+  let best = ref (-1) in
+  for i = 0 to Array.length s.cores - 1 do
+    if
+      Threads.has_runnable s.threads ~core:s.cores.(i).Engine.id
+      && (!best < 0
+         || Int64.compare (Engine.clock s.cores.(!best))
+              (Engine.clock s.cores.(i))
+            > 0)
+    then best := i
+  done;
+  !best
 
 (* the dispatcher falls back into the scheduler this often (paper:
    "every few thousand translation executions") *)
@@ -1691,13 +1680,14 @@ let step (s : t) : bool =
           Array.iter
             (fun e ->
               Dispatch.flush e.Engine.dispatch;
-              e.Engine.last_exit <- None)
+              e.Engine.last_slot <- None)
             s.cores;
           s.chaos_flushes <- s.chaos_flushes + 1
         end;
         match pick_core s with
-        | None -> finish s (Exited 0)
-        | Some e ->
+        | -1 -> finish s (Exited 0)
+        | i ->
+            let e = s.cores.(i) in
             (* core handoff: chaos may model a migration stall on the
                incoming core (never fires at the default p = 0) *)
             if e.Engine.id <> s.active.Engine.id then begin
@@ -1747,10 +1737,7 @@ let step (s : t) : bool =
             if
               s.opts.timeslice_blocks > 0
               && th.status = Threads.Runnable
-              && Int64.compare
-                   (Int64.sub th.blocks_run th.slice_start)
-                   (Int64.of_int s.opts.timeslice_blocks)
-                 >= 0
+              && th.blocks_run - th.slice_start >= s.opts.timeslice_blocks
             then ignore (switch_thread s);
             if s.threads.current.status <> Threads.Runnable then
               ignore (switch_thread s)
@@ -1909,7 +1896,7 @@ let stats (s : t) : stats =
     st_blocks = s.blocks_executed;
     st_host_cycles = sumL (fun e -> e.Engine.cpu.cycles);
     st_host_insns = sumL (fun e -> e.Engine.cpu.insns);
-    st_overhead_cycles = sumL (fun e -> e.Engine.overhead_cycles);
+    st_overhead_cycles = sumL (fun e -> Int64.of_int e.Engine.overhead_cycles);
     st_jit_cycles = sumL (fun e -> e.Engine.jit_cycles);
     st_smc_cycles = sumL (fun e -> e.Engine.smc_cycles);
     st_total_cycles = total_cycles s;
@@ -1935,7 +1922,7 @@ let stats (s : t) : stats =
        if total = 0L then 0.0
        else Int64.to_float hits /. Int64.to_float total);
     st_dispatch_entries = sumL (fun e -> Dispatch.entries e.Engine.dispatch);
-    st_chained = sumL (fun e -> e.Engine.chained_transfers);
+    st_chained = sumL (fun e -> Int64.of_int e.Engine.chained_transfers);
     st_chain_patched = s.transtab.n_chain_links;
     st_chain_unlinked = s.transtab.n_chain_unlinks;
     st_chain_live = s.transtab.live_chains;
@@ -1998,7 +1985,7 @@ let profile_report ?(top = 20) (s : t) : string =
         List.iter
           (fun (t : Jit.Pipeline.translation) ->
             Buffer.add_string b
-              (Printf.sprintf "==vgscope== %11Ld %5s %9d %6d %7d %8d  %s\n"
+              (Printf.sprintf "==vgscope== %11d %5s %9d %6d %7d %8d  %s\n"
                  t.t_hotness
                  (Jit.Pipeline.tier_name t.t_tier)
                  (Jit.Pipeline.translation_cost t)

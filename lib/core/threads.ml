@@ -24,8 +24,8 @@ type thread = {
   mutable status : status;
   mutable sig_frames : Bytes.t list;
       (** saved guest+shadow state, for sigreturn (newest first) *)
-  mutable blocks_run : int64;
-  mutable slice_start : int64;
+  mutable blocks_run : int;
+  mutable slice_start : int;
       (** [blocks_run] when this thread's current timeslice began; the
           scheduler rotates when [blocks_run - slice_start] reaches the
           timeslice, so a thread that yields mid-slice starts a fresh
@@ -68,8 +68,8 @@ let create ?(n_cores = 1) (mem : Aspace.t) : t =
       ts_addr = create_thread_state mem 1;
       status = Runnable;
       sig_frames = [];
-      blocks_run = 0L;
-      slice_start = 0L;
+      blocks_run = 0;
+      slice_start = 0;
       exit_value = 0L;
     }
   in
@@ -95,8 +95,8 @@ let spawn (t : t) : thread =
       ts_addr = create_thread_state t.mem tid;
       status = Runnable;
       sig_frames = [];
-      blocks_run = 0L;
-      slice_start = 0L;
+      blocks_run = 0;
+      slice_start = 0;
       exit_value = 0L;
     }
   in
@@ -111,9 +111,12 @@ let runnable (t : t) = List.filter (fun th -> th.status = Runnable) t.threads
 let on_core (t : t) (core : int) =
   List.filter (fun th -> th.core = core) t.threads
 
+let rec runnable_on core = function
+  | [] -> false
+  | th :: rest -> (th.core = core && th.status = Runnable) || runnable_on core rest
+
 (** Does [core] have at least one runnable thread? *)
-let has_runnable (t : t) ~(core : int) : bool =
-  List.exists (fun th -> th.core = core && th.status = Runnable) t.threads
+let has_runnable (t : t) ~(core : int) : bool = runnable_on core t.threads
 
 (** Make [core]'s scheduled thread the current one (the session calls
     this right before stepping the core).  If the core has never had a

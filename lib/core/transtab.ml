@@ -428,7 +428,7 @@ let hottest (t : t) (n : int) : Jit.Pipeline.translation list =
   all_entries t
   |> List.map (fun e -> e.e_trans)
   |> List.sort (fun (a : Jit.Pipeline.translation) (b : Jit.Pipeline.translation) ->
-         match Int64.compare b.t_hotness a.t_hotness with
+         match Int.compare b.t_hotness a.t_hotness with
          | 0 -> Int64.compare a.t_guest_addr b.t_guest_addr
          | c -> c)
   |> take n

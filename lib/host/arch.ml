@@ -183,23 +183,3 @@ let pp_insn_with ~(helper : int -> string) ppf (i : insn) =
   | GotoI (ek, dest) -> Fmt.pf ppf "goto ek%d, 0x%LX" ek dest
 
 let pp_insn = pp_insn_with ~helper:(Printf.sprintf "helper%d")
-
-(** Cycle cost of one instruction under the host model (the analogue of
-    the native model in {!Guest.Interp.cost}; both are simple in-order
-    approximations so that Table-2 ratios are meaningful). *)
-let cost = function
-  | Movi _ | Mov _ -> 1
-  | Alu (_, (Mul | Mulhs), _, _, _) | Alui (_, (Mul | Mulhs), _, _, _) -> 3
-  | Alu (_, (Divs | Divu), _, _, _) | Alui (_, (Divs | Divu), _, _, _) -> 20
-  | Alu _ | Alui _ -> 1
-  | Ld _ | St _ | Vld _ | Vst _ -> 2
-  | Cmov _ -> 1
-  | Falu (FDiv, _, _, _) -> 16
-  | Fun1 (FSqrt, _, _) -> 16
-  | Falu _ | Fun1 _ -> 3
-  | Vmov _ | Valu _ | Vnot _ | Vsplat32 _ | Vpack _ | Vunpack _ -> 1
-  | Call (_, _, c) -> 10 + c (* fixed call/save-restore overhead + body *)
-  | Jz _ | Jnz _ | Jmp _ -> 1
-  | Label _ -> 0
-  | ExitIf _ -> 1
-  | Goto _ | GotoI _ -> 1

@@ -236,39 +236,59 @@ let disp c o = Int32.to_int (Bytes.get_int32_le c o)
 let s32 c o = Int64.of_int32 (Bytes.get_int32_le c o)
 let u32 c o = Int64.logand (s32 c o) 0xFFFF_FFFFL
 
+(* Register operands of the instruction at byte [p]: an integer register
+   held in a whole byte at [o] must be below [n_hregs], a vector register
+   below [n_hvregs], and a call's arity at most the number of argument
+   registers.  ({!Interp} relies on this: see its [rget].) *)
+let[@inline] ireg p c o =
+  let x = u8 c o in
+  if x >= n_hregs then raise (Decode_error p) else x
+
+let[@inline] vreg p x = if x >= n_hvregs then raise (Decode_error p) else x
+let max_args = List.length arg_regs
+let[@inline] arity p n = if n > max_args then raise (Decode_error p) else n
+
 (* The instruction at byte [p] of [c], which the caller has checked is an
    opcode whose operands lie inside [c].  [target o] turns the branch
    target stored at byte [o] into an instruction index. *)
 let decode_at (c : Bytes.t) (p : int) ~(target : int -> int) : insn =
   let a = p + 1 in
   match u8 c p with
-  | 0x01 -> Movi (u8 c a, Bytes.get_int64_le c (a + 1))
+  | 0x01 -> Movi (ireg p c a, Bytes.get_int64_le c (a + 1))
   | 0x02 -> Mov (hi c a, lo c a)
-  | 0x03 -> Alu (W32, alu_of_index p (u8 c a), hi c (a + 1), lo c (a + 1), u8 c (a + 2))
-  | 0x04 -> Alu (W64, alu_of_index p (u8 c a), hi c (a + 1), lo c (a + 1), u8 c (a + 2))
+  | 0x03 ->
+      Alu (W32, alu_of_index p (u8 c a), hi c (a + 1), lo c (a + 1), ireg p c (a + 2))
+  | 0x04 ->
+      Alu (W64, alu_of_index p (u8 c a), hi c (a + 1), lo c (a + 1), ireg p c (a + 2))
   | 0x05 -> Alui (W32, alu_of_index p (u8 c a), hi c (a + 1), lo c (a + 1), s32 c (a + 2))
   | 0x06 -> Alui (W64, alu_of_index p (u8 c a), hi c (a + 1), lo c (a + 1), s32 c (a + 2))
   | 0x07 ->
       let m = u8 c a in
       Ld (sz_of_code (m land 3), m land 0x10 <> 0, hi c (a + 1), lo c (a + 1), disp c (a + 2))
   | 0x08 -> St (sz_of_code (u8 c a land 3), hi c (a + 1), lo c (a + 1), disp c (a + 2))
-  | 0x09 -> Cmov (hi c a, lo c a, u8 c (a + 1))
-  | 0x0A -> Falu (falu_of_index p (u8 c a), hi c (a + 1), lo c (a + 1), u8 c (a + 2))
+  | 0x09 -> Cmov (hi c a, lo c a, ireg p c (a + 1))
+  | 0x0A ->
+      Falu (falu_of_index p (u8 c a), hi c (a + 1), lo c (a + 1), ireg p c (a + 2))
   | 0x0B -> Fun1 (fun1_of_index p (u8 c a), hi c (a + 1), lo c (a + 1))
-  | 0x0C -> Vld (hi c a, lo c a, disp c (a + 1))
-  | 0x0D -> Vst (hi c a, lo c a, disp c (a + 1))
-  | 0x0E -> Vmov (hi c a, lo c a)
-  | 0x0F -> Valu (valu_of_index p (u8 c a), hi c (a + 1), lo c (a + 1), u8 c (a + 2))
-  | 0x10 -> Vnot (hi c a, lo c a)
-  | 0x11 -> Vsplat32 (hi c a, lo c a)
-  | 0x12 -> Vpack (u8 c a, hi c (a + 1), lo c (a + 1))
-  | 0x13 -> Vunpack (hi c a, lo c a, u8 c (a + 1))
-  | 0x14 -> Call (u16 c a, u8 c (a + 2), u16 c (a + 3))
-  | 0x15 -> Jz (u8 c a, target (a + 1))
-  | 0x16 -> Jnz (u8 c a, target (a + 1))
+  | 0x0C -> Vld (vreg p (hi c a), lo c a, disp c (a + 1))
+  | 0x0D -> Vst (vreg p (hi c a), lo c a, disp c (a + 1))
+  | 0x0E -> Vmov (vreg p (hi c a), vreg p (lo c a))
+  | 0x0F ->
+      Valu
+        ( valu_of_index p (u8 c a),
+          vreg p (hi c (a + 1)),
+          vreg p (lo c (a + 1)),
+          vreg p (u8 c (a + 2)) )
+  | 0x10 -> Vnot (vreg p (hi c a), vreg p (lo c a))
+  | 0x11 -> Vsplat32 (vreg p (hi c a), lo c a)
+  | 0x12 -> Vpack (vreg p (u8 c a), hi c (a + 1), lo c (a + 1))
+  | 0x13 -> Vunpack (hi c a, vreg p (lo c a), u8 c (a + 1))
+  | 0x14 -> Call (u16 c a, arity p (u8 c (a + 2)), u16 c (a + 3))
+  | 0x15 -> Jz (ireg p c a, target (a + 1))
+  | 0x16 -> Jnz (ireg p c a, target (a + 1))
   | 0x17 -> Jmp (target a)
-  | 0x18 -> ExitIf (u8 c a, u8 c (a + 1), u32 c (a + 2))
-  | 0x19 -> Goto (u8 c a, u8 c (a + 1))
+  | 0x18 -> ExitIf (ireg p c a, u8 c (a + 1), u32 c (a + 2))
+  | 0x19 -> Goto (u8 c a, ireg p c (a + 1))
   | 0x1A -> GotoI (u8 c a, u32 c (a + 1))
   | _ -> raise (Decode_error p)
 
@@ -277,8 +297,10 @@ let decode_at (c : Bytes.t) (p : int) ~(target : int -> int) : insn =
     label field is an index after decoding).  Raises {!Decode_error} on
     any byte string that is not a sequence of whole instructions whose
     branches land on instruction boundaries (the end of the code
-    included).  Besides the result it allocates the instruction start
-    offsets, one word per instruction rather than one per byte. *)
+    included) and whose register operands exist: integer registers
+    below 16, vector registers below 8, call arities at most 6.
+    Besides the result it allocates the instruction start offsets, one
+    word per instruction rather than one per byte. *)
 let decode (code : Bytes.t) : insn array =
   let len = Bytes.length code in
   (* pass 1: count the instructions, checking each is whole *)

@@ -7,8 +7,17 @@
     in, which accesses the same simulated address space the guest lives
     in.
 
-    Cycle accounting uses {!Arch.cost}; the dispatcher/scheduler add
-    their own costs on top (paper §3.9). *)
+    The host cost model (the analogue of the native model in
+    {!Guest.Interp.cost}; both are simple in-order approximations so that
+    Table-2 ratios are meaningful) is charged by {!run} in the arm that
+    executes each instruction:
+    - [Mul]/[Mulhs] 3 cycles, [Divs]/[Divu] 20, every other ALU op 1;
+    - [FDiv] and [FSqrt] 16, every other FP op 3;
+    - [Ld], [St], [Vld], [Vst] 2;
+    - [Call] 10 (call, save and restore) plus the helper's declared cost;
+    - [Label] 0;
+    - everything else 1.
+    The dispatcher and scheduler add their own costs on top (paper §3.9). *)
 
 open Arch
 open Support
@@ -17,10 +26,8 @@ open Support
 exception Host_sigfpe
 
 (** The integer register file is a 128-byte [Bytes.t], [h]{i i} at byte
-    offset [8i], little-endian: reading and writing it with
-    [Bytes.get/set_int64_le] keeps register values unboxed, where an
-    [int64 array] would box every result.  Go through {!get_hreg} and
-    {!set_hreg} from outside this module. *)
+    offset [8i], little-endian.  Go through {!get_hreg} and {!set_hreg}
+    from outside this module. *)
 type cpu = {
   hregs : Bytes.t;  (** h0..h15 *)
   hvregs : V128.t array;  (** hv0..hv7 *)
@@ -30,6 +37,9 @@ type cpu = {
   call_args : int64 array array;
       (** [call_args.(n)] is the argument array lent to every helper
           [Call] of arity [n] (see {!Vex_ir.Helpers.fn}) *)
+  mutable fast_acc : int;
+      (** where {!run}'s inner loop leaves the counts of the instructions
+          it ran when it stops *)
 }
 
 let create mem =
@@ -40,19 +50,100 @@ let create mem =
     cycles = 0L;
     insns = 0L;
     call_args = Array.init (n_hregs + 1) (fun n -> Array.make n 0L);
+    fast_acc = 0;
   }
 
-let[@inline] rget r i = Bytes.get_int64_le r (8 * i)
-let[@inline] rset r i x = Bytes.set_int64_le r (8 * i) x
-let get_hreg (cpu : cpu) i = rget cpu.hregs i
-let set_hreg (cpu : cpu) i x = rset cpu.hregs i x
+let get_hreg (cpu : cpu) i = Bytes.get_int64_le cpu.hregs (8 * i)
+let set_hreg (cpu : cpu) i x = Bytes.set_int64_le cpu.hregs (8 * i) x
 
-(* The ALU ops that {!alu_eval} leaves to a call. *)
+(* Unchecked little-endian access to a [Bytes.t], for the register file
+   and page data.  Every caller has established the bounds: see {!rget}
+   and the page accesses in {!fast}. *)
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+external get16u : Bytes.t -> int -> int = "%caml_bytes_get16u"
+external set16u : Bytes.t -> int -> int -> unit = "%caml_bytes_set16u"
+external swap64 : int64 -> int64 = "%bswap_int64"
+external swap32 : int32 -> int32 = "%bswap_int32"
+external swap16 : int -> int = "%bswap16"
+external big_endian : unit -> bool = "%big_endian"
+
+let[@inline] get64 b o = if big_endian () then swap64 (get64u b o) else get64u b o
+let[@inline] get32 b o = if big_endian () then swap32 (get32u b o) else get32u b o
+let[@inline] get16 b o = if big_endian () then swap16 (get16u b o) else get16u b o
+
+let[@inline] set64 b o x =
+  if big_endian () then set64u b o (swap64 x) else set64u b o x
+
+let[@inline] set32 b o x =
+  if big_endian () then set32u b o (swap32 x) else set32u b o x
+
+let[@inline] set16 b o x =
+  if big_endian () then set16u b o (swap16 x) else set16u b o x
+
+(* Register [i] of the 128-byte file [r].  The mask keeps any [i] inside
+   the file; {!Encode.decode} only lets 0-15 through, so for decoded
+   code it changes nothing. *)
+let[@inline] rget r i = get64 r ((i land 15) lsl 3)
+let[@inline] rset r i x = set64 r ((i land 15) lsl 3) x
+
+(* {!Aspace.t}'s page table, as {!fast} walks it: the page holding the
+   32-bit address [a] is [l1.(a lsr l1_shift).(a lsr page_shift land
+   l2_mask)], and its data is exactly [page_size] bytes unless the page
+   is [Aspace.no_page], which has no permissions.  Written as constants
+   here so the walk compiles to shifts and masks; checked against
+   {!Aspace} when the program starts. *)
+let page_shift = 12
+let page_size = 1 lsl page_shift
+let l2_bits = 10
+let l2_mask = (1 lsl l2_bits) - 1
+let l1_shift = page_shift + l2_bits
+
+let () =
+  if Aspace.page_shift <> page_shift || Aspace.l2_bits <> l2_bits then
+    failwith "Host.Interp: Aspace's page table layout changed"
+
+let[@inline] page (l1 : Aspace.page array array) a : Aspace.page =
+  Array.unsafe_get
+    (Array.unsafe_get l1 (a lsr l1_shift))
+    ((a lsr page_shift) land l2_mask)
+
+let not_inline = Invalid_argument "Host.Interp.alu_inline"
+
+(* [a op b] at width [w] for the seven ops {!fast} runs inline.  It calls
+   and allocates nothing (its last arm, unreachable from its callers,
+   raises the prebuilt [not_inline]), so inlined into {!fast} neither the
+   operands nor the result are boxed; {!alu_eval} sends every other op
+   to {!alu_rare}. *)
+let[@inline] alu_inline (w : width) (op : alu_op) (a : int64) (b : int64) :
+    int64 =
+  match (op, w) with
+  | Add, W64 -> Int64.add a b
+  | Add, W32 -> Int64.logand (Int64.add a b) 0xFFFF_FFFFL
+  | Sub, W64 -> Int64.sub a b
+  | Sub, W32 -> Int64.logand (Int64.sub a b) 0xFFFF_FFFFL
+  | And, W64 -> Int64.logand a b
+  | And, W32 -> Int64.logand (Int64.logand a b) 0xFFFF_FFFFL
+  | Or, W64 -> Int64.logor a b
+  | Or, W32 -> Int64.logand (Int64.logor a b) 0xFFFF_FFFFL
+  | Xor, W64 -> Int64.logxor a b
+  | Xor, W32 -> Int64.logand (Int64.logxor a b) 0xFFFF_FFFFL
+  | CmpEq, W64 -> if a = b then 1L else 0L
+  | CmpEq, W32 ->
+      if Int64.logand (Int64.logxor a b) 0xFFFF_FFFFL = 0L then 1L else 0L
+  | CmpNe, W64 -> if a <> b then 1L else 0L
+  | CmpNe, W32 ->
+      if Int64.logand (Int64.logxor a b) 0xFFFF_FFFFL <> 0L then 1L else 0L
+  | _ -> raise not_inline
+
+(* The other ALU ops, which the step of {!run} evaluates. *)
 let alu_rare (w : width) (op : alu_op) (a : int64) (b : int64) : int64 =
   let a32 () = Bits.sext32 a and b32 () = Bits.sext32 b in
   match (op, w) with
   | (Add | Sub | And | Or | Xor | CmpEq | CmpNe), _ ->
-      invalid_arg "Host.Interp.alu_rare: common op"
+      invalid_arg "Host.Interp.alu_rare: inline op"
   | Shl, W32 -> Bits.shl32 a b
   | Shl, W64 -> Bits.shl64 a b
   | Shr, W32 -> Bits.shr32 a b
@@ -97,29 +188,16 @@ let alu_rare (w : width) (op : alu_op) (a : int64) (b : int64) : int64 =
   | CmpLeu, W32 -> Bits.bool64 (Bits.cmp32u a b <= 0)
   | CmpLeu, W64 -> Bits.bool64 (Int64.unsigned_compare a b <= 0)
 
-(* [a op b] at width [w].  The common ops are written out here without
-   local closures, so once inlined into {!run} neither the operands nor
-   the result are boxed; the rest go through {!alu_rare}. *)
-let[@inline] alu_eval (w : width) (op : alu_op) (a : int64) (b : int64) :
-    int64 =
-  match (op, w) with
-  | Add, W64 -> Int64.add a b
-  | Add, W32 -> Int64.logand (Int64.add a b) 0xFFFF_FFFFL
-  | Sub, W64 -> Int64.sub a b
-  | Sub, W32 -> Int64.logand (Int64.sub a b) 0xFFFF_FFFFL
-  | And, W64 -> Int64.logand a b
-  | And, W32 -> Int64.logand (Int64.logand a b) 0xFFFF_FFFFL
-  | Or, W64 -> Int64.logor a b
-  | Or, W32 -> Int64.logand (Int64.logor a b) 0xFFFF_FFFFL
-  | Xor, W64 -> Int64.logxor a b
-  | Xor, W32 -> Int64.logand (Int64.logxor a b) 0xFFFF_FFFFL
-  | CmpEq, W64 -> if a = b then 1L else 0L
-  | CmpEq, W32 ->
-      if Int64.logand (Int64.logxor a b) 0xFFFF_FFFFL = 0L then 1L else 0L
-  | CmpNe, W64 -> if a <> b then 1L else 0L
-  | CmpNe, W32 ->
-      if Int64.logand (Int64.logxor a b) 0xFFFF_FFFFL <> 0L then 1L else 0L
-  | _ -> alu_rare w op a b
+(** [a op b] at width [w]. *)
+let alu_eval (w : width) (op : alu_op) (a : int64) (b : int64) : int64 =
+  match op with
+  | Add | Sub | And | Or | Xor | CmpEq | CmpNe -> alu_inline w op a b
+  | Shl | Shr | Sar | Mul | Mulhs | Divs | Divu | CmpLts | CmpLes | CmpLtu
+  | CmpLeu ->
+      alu_rare w op a b
+
+(* Cycles of the ALU ops {!alu_rare} evaluates. *)
+let alu_rare_cost = function Mul | Mulhs -> 3 | Divs | Divu -> 20 | _ -> 1
 
 let falu_eval op a b =
   let fa = Bits.float_of_bits a and fb = Bits.float_of_bits b in
@@ -156,10 +234,9 @@ let valu_eval op a b =
   | VAdd8 -> V128.add8x16 a b
   | VSub8 -> V128.sub8x16 a b
 
-(* The checked path behind [Ld], taken when the access leaves its page
-   or the page is unmapped or unreadable; [Aspace.read] raises the exact
-   fault.  ([St]'s checked path is [Aspace.write] itself, also taken
-   while a store watch is registered.)  Decoded sizes are 1, 2, 4 or 8. *)
+(* The checked path behind [Ld], taken when the access leaves its page,
+   the page is unmapped or unreadable, or the size is not 1, 2, 4 or 8;
+   [Aspace.read] raises the exact fault. *)
 let load_slow mem addr sz sx =
   let x = Aspace.read mem addr sz in
   if sx then
@@ -169,6 +246,248 @@ let load_slow mem addr sz sx =
     | 4 -> Bits.sext32 x
     | _ -> x
   else x
+
+(* The counts of the instructions {!fast} has run, packed into one
+   [int] so they take one machine register: instructions in the low 32
+   bits, cycles above.  [fast] starts from 0 and runs only forward, so
+   one run of it covers at most [Array.length code] instructions of at
+   most 2 cycles each: neither field can overflow for code shorter than
+   2{^30} instructions. *)
+let[@inline] tick cost = (cost lsl 32) lor 1
+let[@inline] acc_insns acc = acc land 0xFFFF_FFFF
+let[@inline] acc_cycles acc = acc lsr 32
+
+(* The inner loop of {!run}.  From index [pc] of [code], it runs [Movi],
+   [Mov], the seven inline ALU ops, [Ld]/[St] that stay inside one page
+   with the permission, [Cmov], forward [Jz]/[Jnz]/[Jmp], [Label] and
+   untaken [ExitIf]s, and returns the index of the first instruction it
+   does not run, leaving the counts of those it ran in [cpu.fast_acc].
+   It calls nothing, allocates nothing and checks nothing that cannot
+   fail, so [pc] and the counts stay in machine registers.  Since it only
+   runs forward, [pc] is never negative inside the loop: it leaves the
+   loop by storing [lnot pc].  Stores run here only while no store watch
+   is registered. *)
+let fast (cpu : cpu) (code : insn array) (pc : int) : int =
+  let r = cpu.hregs and l1 = cpu.mem.l1 in
+  let direct_st = match cpu.mem.store_watch with [] -> true | _ -> false in
+  let pc = ref pc and acc = ref 0 in
+  while !pc >= 0 do
+    let p = !pc in
+    if p >= Array.length code then pc := lnot p
+    else
+      match Array.unsafe_get code p with
+      | Movi (d, imm) ->
+          rset r d imm;
+          pc := p + 1;
+          acc := !acc + tick 1
+      | Mov (d, s) ->
+          rset r d (rget r s);
+          pc := p + 1;
+          acc := !acc + tick 1
+      | Alu (w, ((Add | Sub | And | Or | Xor | CmpEq | CmpNe) as op), d, s1, s2)
+        ->
+          (* [let]-bound, not passed straight to [rset]: ocamlopt unboxes
+             a let-bound match but boxes it as an argument *)
+          let x = alu_inline w op (rget r s1) (rget r s2) in
+          rset r d x;
+          pc := p + 1;
+          acc := !acc + tick 1
+      | Alui (w, ((Add | Sub | And | Or | Xor | CmpEq | CmpNe) as op), d, s1, imm)
+        ->
+          let x = alu_inline w op (rget r s1) imm in
+          rset r d x;
+          pc := p + 1;
+          acc := !acc + tick 1
+      | Ld (sz, sx, d, b, disp) ->
+          let a = (Int64.to_int (rget r b) + disp) land 0xFFFF_FFFF in
+          let off = a land (page_size - 1) in
+          let pg = page l1 a in
+          if off + sz > page_size || not pg.perm.r then pc := lnot p
+          else begin
+            (* in bounds: each arm reads [sz] bytes, [off + sz <=
+               page_size], and a readable page's data is [page_size]
+               bytes *)
+            let data = pg.data in
+            match sz with
+            | 8 ->
+                let x = get64 data off in
+                rset r d x;
+                pc := p + 1;
+                acc := !acc + tick 2
+            | 4 ->
+                let x = get32 data off in
+                let x =
+                  if sx then Int64.of_int32 x
+                  else Int64.logand (Int64.of_int32 x) 0xFFFF_FFFFL
+                in
+                rset r d x;
+                pc := p + 1;
+                acc := !acc + tick 2
+            | 2 ->
+                let x = get16 data off in
+                rset r d
+                  (Int64.of_int (if sx then (x lxor 0x8000) - 0x8000 else x));
+                pc := p + 1;
+                acc := !acc + tick 2
+            | 1 ->
+                let x = Char.code (Bytes.unsafe_get data off) in
+                rset r d (Int64.of_int (if sx then (x lxor 0x80) - 0x80 else x));
+                pc := p + 1;
+                acc := !acc + tick 2
+            | _ -> pc := lnot p
+          end
+      | St (sz, s, b, disp) ->
+          let a = (Int64.to_int (rget r b) + disp) land 0xFFFF_FFFF in
+          let off = a land (page_size - 1) in
+          let pg = page l1 a in
+          if (not direct_st) || off + sz > page_size || not pg.perm.w then
+            pc := lnot p
+          else begin
+            let data = pg.data in
+            match sz with
+            | 8 ->
+                set64 data off (rget r s);
+                pc := p + 1;
+                acc := !acc + tick 2
+            | 4 ->
+                set32 data off (Int64.to_int32 (rget r s));
+                pc := p + 1;
+                acc := !acc + tick 2
+            | 2 ->
+                set16 data off (Int64.to_int (rget r s));
+                pc := p + 1;
+                acc := !acc + tick 2
+            | 1 ->
+                Bytes.unsafe_set data off
+                  (Char.unsafe_chr (Int64.to_int (rget r s) land 0xFF));
+                pc := p + 1;
+                acc := !acc + tick 2
+            | _ -> pc := lnot p
+          end
+      | Cmov (d, c, s) ->
+          if rget r c <> 0L then rset r d (rget r s);
+          pc := p + 1;
+          acc := !acc + tick 1
+      | Jz (c, _) when rget r c <> 0L ->
+          pc := p + 1;
+          acc := !acc + tick 1
+      | Jnz (c, _) when rget r c = 0L ->
+          pc := p + 1;
+          acc := !acc + tick 1
+      | (Jz (_, l) | Jnz (_, l) | Jmp l) when l > p ->
+          pc := l;
+          acc := !acc + tick 1
+      | Label _ ->
+          pc := p + 1;
+          acc := !acc + tick 0
+      | ExitIf (c, _, _) when rget r c = 0L ->
+          pc := p + 1;
+          acc := !acc + tick 1
+      | Alu _ | Alui _ | Falu _ | Fun1 _ | Vld _ | Vst _ | Vmov _ | Valu _
+      | Vnot _ | Vsplat32 _ | Vpack _ | Vunpack _ | Call _ | Jz _ | Jnz _
+      | Jmp _ | ExitIf _ | Goto _ | GotoI _ ->
+          pc := lnot p
+  done;
+  cpu.fast_acc <- !acc;
+  lnot !pc
+
+(* Run the instruction [fast] stopped at, if it is neither an exit nor a
+   branch, and return its cost: the other ALU ops, FP and vector ops,
+   helper calls, and the loads and stores that cross a page, fault, are
+   watched or have an odd size. *)
+let exec_step (cpu : cpu) (env : Vex_ir.Helpers.env) (i : insn) : int =
+  let r = cpu.hregs and v = cpu.hvregs in
+  match i with
+  | Alu (w, op, d, s1, s2) ->
+      rset r d (alu_rare w op (rget r s1) (rget r s2));
+      alu_rare_cost op
+  | Alui (w, op, d, s1, imm) ->
+      rset r d (alu_rare w op (rget r s1) imm);
+      alu_rare_cost op
+  | Ld (sz, sx, d, b, disp) ->
+      rset r d
+        (load_slow cpu.mem (Int64.add (rget r b) (Int64.of_int disp)) sz sx);
+      2
+  | St (sz, s, b, disp) ->
+      Aspace.write cpu.mem
+        (Int64.add (rget r b) (Int64.of_int disp))
+        sz (rget r s);
+      2
+  | Falu (op, d, s1, s2) ->
+      rset r d (falu_eval op (rget r s1) (rget r s2));
+      (match op with FDiv -> 16 | _ -> 3)
+  | Fun1 (op, d, s) ->
+      rset r d (fun1_eval op (rget r s));
+      (match op with FSqrt -> 16 | _ -> 3)
+  | Vld (d, b, disp) ->
+      let addr = Int64.add (rget r b) (Int64.of_int disp) in
+      v.(d) <-
+        V128.make ~lo:(Aspace.read cpu.mem addr 8)
+          ~hi:(Aspace.read cpu.mem (Int64.add addr 8L) 8);
+      2
+  | Vst (s, b, disp) ->
+      let addr = Int64.add (rget r b) (Int64.of_int disp) in
+      Aspace.write cpu.mem addr 8 (V128.lo v.(s));
+      Aspace.write cpu.mem (Int64.add addr 8L) 8 (V128.hi v.(s));
+      2
+  | Vmov (d, s) ->
+      v.(d) <- v.(s);
+      1
+  | Valu (op, d, s1, s2) ->
+      v.(d) <- valu_eval op v.(s1) v.(s2);
+      1
+  | Vnot (d, s) ->
+      v.(d) <- V128.lognot v.(s);
+      1
+  | Vsplat32 (d, s) ->
+      v.(d) <- V128.splat32 (rget r s);
+      1
+  | Vpack (d, hi, lo) ->
+      v.(d) <- V128.make ~hi:(rget r hi) ~lo:(rget r lo);
+      1
+  | Vunpack (d, s, half) ->
+      rset r d (if half = 0 then V128.lo v.(s) else V128.hi v.(s));
+      1
+  | Call (id, nargs, cost) ->
+      let args = cpu.call_args.(nargs) in
+      for k = 0 to nargs - 1 do
+        args.(k) <- rget r k
+      done;
+      rset r ret_reg (Vex_ir.Helpers.call id env args);
+      10 + cost
+  | Movi _ | Mov _ | Cmov _ | Jz _ | Jnz _ | Jmp _ | Label _ | ExitIf _
+  | Goto _ | GotoI _ ->
+      invalid_arg "Host.Interp.exec_step: run by the inner loop or the step"
+
+(* Add a finished block's counts to the CPU's clocks. *)
+let retire (cpu : cpu) cycles insns =
+  cpu.cycles <- Int64.add cpu.cycles (Int64.of_int cycles);
+  cpu.insns <- Int64.add cpu.insns (Int64.of_int insns)
+
+(* The outer level of {!run}: [fast] from [pc] (never negative), then
+   the instruction it stopped at.  [fast] stops at an [ExitIf] only when
+   it is taken, and at a branch only when it is taken backwards, which
+   code from the JIT never does. *)
+let rec step (cpu : cpu) (env : Vex_ir.Helpers.env) (code : insn array)
+    (pc : int) (cycles : int) (insns : int) : exit_kind * int64 * int =
+  let pc = fast cpu code pc in
+  let cycles = cycles + acc_cycles cpu.fast_acc
+  and insns = insns + acc_insns cpu.fast_acc + 1 in
+  if pc >= Array.length code then
+    (* fell off the end of a translation: a JIT bug *)
+    invalid_arg "Host.Interp.run: translation fell through";
+  match Array.unsafe_get code pc with
+  | ExitIf (_, ek, dest) | GotoI (ek, dest) ->
+      retire cpu (cycles + 1) insns;
+      (ek, dest, pc)
+  | Goto (ek, s) ->
+      let dest = Bits.trunc32 (rget cpu.hregs s) in
+      retire cpu (cycles + 1) insns;
+      (ek, dest, pc)
+  | Jz (_, l) | Jnz (_, l) | Jmp l ->
+      if l < 0 then invalid_arg "Host.Interp.run: branch out of range";
+      step cpu env code l (cycles + 1) insns
+  | i -> step cpu env code (pc + 1) (cycles + exec_step cpu env i) insns
 
 (** Execute decoded translation [code] until an exit instruction fires.
     Returns the exit kind, the next guest PC, and the index in [code] of
@@ -180,125 +499,12 @@ let load_slow mem addr sz sx =
     once per session, over the current ThreadState, the address space
     and the session's helper table.
 
-    The loop is written so a typical block allocates almost nothing:
-    registers are read and written unboxed, loads and stores that stay
-    inside one page touch the page bytes directly (through
-    {!Aspace.page_r}/{!Aspace.page_w}, two array loads into the address
-    space's page table), and helper calls borrow [cpu.call_args]. *)
+    Execution alternates between two levels (DESIGN.md "Host hot
+    path"): an inner loop that calls nothing runs the common
+    instructions, and a step runs the one instruction it stopped at.
+    Every executed instruction is charged its cost and counted once,
+    whichever level runs it; a block that raises ([Aspace.Fault],
+    {!Host_sigfpe}) leaves [cpu.cycles] and [cpu.insns] as they were. *)
 let run (cpu : cpu) ~(env : Vex_ir.Helpers.env) (code : insn array) :
     exit_kind * int64 * int =
-  let r = cpu.hregs and v = cpu.hvregs in
-  let mem = cpu.mem in
-  let pc = ref 0 in
-  let cycles = ref 0 in
-  let steps = ref 0 in
-  let exited = ref false in
-  let exit_kind = ref 0 and exit_dest = ref 0L in
-  let n = Array.length code in
-  while not !exited do
-    if !pc >= n then
-      (* fell off the end of a translation: a JIT bug *)
-      invalid_arg "Host.Interp.run: translation fell through";
-    let i = Array.unsafe_get code !pc in
-    incr pc;
-    cycles := !cycles + cost i;
-    incr steps;
-    match i with
-    | Movi (d, imm) -> rset r d imm
-    | Mov (d, s) -> rset r d (rget r s)
-    (* [let]-bound, not passed straight to [rset]: ocamlopt unboxes a
-       let-bound match over the common ops but boxes it as an argument *)
-    | Alu (w, op, d, s1, s2) ->
-        let x = alu_eval w op (rget r s1) (rget r s2) in
-        rset r d x
-    | Alui (w, op, d, s1, imm) ->
-        let x = alu_eval w op (rget r s1) imm in
-        rset r d x
-    | Ld (sz, sx, d, b, disp) ->
-        let base = rget r b in
-        let a = (Int64.to_int base + disp) land 0xFFFF_FFFF in
-        let off = a land (Aspace.page_size - 1) in
-        let data =
-          if off + sz <= Aspace.page_size then Aspace.page_r mem a
-          else Bytes.empty
-        in
-        if Bytes.length data = 0 then
-          rset r d (load_slow mem (Int64.add base (Int64.of_int disp)) sz sx)
-        else
-          rset r d
-            (match (sz, sx) with
-            | 1, false -> Int64.of_int (Bytes.get_uint8 data off)
-            | 1, true -> Int64.of_int (Bytes.get_int8 data off)
-            | 2, false -> Int64.of_int (Bytes.get_uint16_le data off)
-            | 2, true -> Int64.of_int (Bytes.get_int16_le data off)
-            | 4, false ->
-                Int64.logand
-                  (Int64.of_int32 (Bytes.get_int32_le data off))
-                  0xFFFF_FFFFL
-            | 4, true -> Int64.of_int32 (Bytes.get_int32_le data off)
-            | _ -> Bytes.get_int64_le data off)
-    | St (sz, s, b, disp) -> (
-        let base = rget r b in
-        let a = (Int64.to_int base + disp) land 0xFFFF_FFFF in
-        let off = a land (Aspace.page_size - 1) in
-        let data =
-          if off + sz <= Aspace.page_size then Aspace.page_w mem a
-          else Bytes.empty
-        in
-        let x = rget r s in
-        if Bytes.length data = 0 then
-          Aspace.write mem (Int64.add base (Int64.of_int disp)) sz x
-        else
-          match sz with
-          | 1 -> Bytes.set_uint8 data off (Int64.to_int x land 0xFF)
-          | 2 -> Bytes.set_uint16_le data off (Int64.to_int x land 0xFFFF)
-          | 4 -> Bytes.set_int32_le data off (Int64.to_int32 x)
-          | _ -> Bytes.set_int64_le data off x)
-    | Cmov (d, c, s) -> if rget r c <> 0L then rset r d (rget r s)
-    | Falu (op, d, s1, s2) -> rset r d (falu_eval op (rget r s1) (rget r s2))
-    | Fun1 (op, d, s) -> rset r d (fun1_eval op (rget r s))
-    | Vld (d, b, disp) ->
-        let addr = Int64.add (rget r b) (Int64.of_int disp) in
-        v.(d) <-
-          V128.make ~lo:(Aspace.read mem addr 8)
-            ~hi:(Aspace.read mem (Int64.add addr 8L) 8)
-    | Vst (s, b, disp) ->
-        let addr = Int64.add (rget r b) (Int64.of_int disp) in
-        Aspace.write mem addr 8 (V128.lo v.(s));
-        Aspace.write mem (Int64.add addr 8L) 8 (V128.hi v.(s))
-    | Vmov (d, s) -> v.(d) <- v.(s)
-    | Valu (op, d, s1, s2) -> v.(d) <- valu_eval op v.(s1) v.(s2)
-    | Vnot (d, s) -> v.(d) <- V128.lognot v.(s)
-    | Vsplat32 (d, s) -> v.(d) <- V128.splat32 (rget r s)
-    | Vpack (d, hi, lo) -> v.(d) <- V128.make ~hi:(rget r hi) ~lo:(rget r lo)
-    | Vunpack (d, s, half) ->
-        rset r d (if half = 0 then V128.lo v.(s) else V128.hi v.(s))
-    | Call (id, nargs, _cost) ->
-        let args = cpu.call_args.(nargs) in
-        for k = 0 to nargs - 1 do
-          args.(k) <- rget r k
-        done;
-        rset r ret_reg (Vex_ir.Helpers.call id env args)
-    | Jz (c, l) -> if rget r c = 0L then pc := l
-    | Jnz (c, l) -> if rget r c <> 0L then pc := l
-    | Jmp l -> pc := l
-    | Label _ -> ()
-    | ExitIf (c, ek, dest) ->
-        if rget r c <> 0L then begin
-          exited := true;
-          exit_kind := ek;
-          exit_dest := dest
-        end
-    | Goto (ek, s) ->
-        exited := true;
-        exit_kind := ek;
-        exit_dest := Bits.trunc32 (rget r s)
-    | GotoI (ek, dest) ->
-        exited := true;
-        exit_kind := ek;
-        exit_dest := dest
-  done;
-  cpu.cycles <- Int64.add cpu.cycles (Int64.of_int !cycles);
-  cpu.insns <- Int64.add cpu.insns (Int64.of_int !steps);
-  (* the exit instruction is the last one executed *)
-  (!exit_kind, !exit_dest, !pc - 1)
+  step cpu env code 0 0 0

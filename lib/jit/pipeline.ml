@@ -140,7 +140,7 @@ type translation = {
       (** guest start addresses of the blocks this translation covers:
           [[t_guest_addr]] for ordinary translations, the stitched path
           (head first) for superblocks *)
-  mutable t_hotness : int64;
+  mutable t_hotness : int;
       (** executions of this translation (bumped by the session) *)
   mutable t_no_promote : bool;
       (** set when a promotion attempt failed (e.g. under fault
@@ -172,7 +172,7 @@ and chain_slot = {
   cs_target : int64;  (** the constant guest destination *)
   cs_kind : Host.Arch.exit_kind;
   mutable cs_next : translation option;  (** patched successor, if any *)
-  mutable cs_hot : int64;
+  mutable cs_hot : int;
       (** chained transfers taken through this slot; drives trace
           superblock formation *)
 }
@@ -215,7 +215,7 @@ let chain_slots_of (code : Host.Arch.insn array) : chain_slot array =
               cs_target = dest;
               cs_kind = ek;
               cs_next = None;
-              cs_hot = 0L;
+              cs_hot = 0;
             }
             :: !slots
       | Host.Arch.GotoI (ek, dest) when chainable_ek ek ->
@@ -225,7 +225,7 @@ let chain_slots_of (code : Host.Arch.insn array) : chain_slot array =
               cs_target = dest;
               cs_kind = ek;
               cs_next = None;
-              cs_hot = 0L;
+              cs_hot = 0;
             }
             :: !slots
       | _ -> ())
@@ -464,7 +464,7 @@ let translate_tree ?(unroll = true) ?(checks : checks option)
       t_tier = tier;
       t_constituents =
         (match constituents with Some cs -> cs | None -> [ guest_addr ]);
-      t_hotness = 0L;
+      t_hotness = 0;
       t_no_promote = false;
       t_dead = false;
       t_epoch = 0;

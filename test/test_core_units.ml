@@ -22,7 +22,7 @@ let dummy_trans_exits key exits : Jit.Pipeline.translation =
     t_phase_cycles = Array.make Jit.Pipeline.n_phases 0;
     t_tier = Jit.Pipeline.Tier_full;
     t_constituents = [ key ];
-    t_hotness = 0L;
+    t_hotness = 0;
     t_no_promote = false;
     t_dead = false;
     t_epoch = 0;
@@ -40,7 +40,7 @@ let dummy_trans_with_exit key target :
       cs_target = target;
       cs_kind = Host.Arch.ek_boring;
       cs_next = None;
-      cs_hot = 0L;
+      cs_hot = 0;
     }
   in
   (dummy_trans_exits key [| slot |], slot)

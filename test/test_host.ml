@@ -277,12 +277,190 @@ let test_div_trap () =
     Alcotest.fail "expected Host_sigfpe"
   with Host.Interp.Host_sigfpe -> ()
 
+(* Run the instruction array [code] as it stands (no assembly, so
+   [Label]s stay and branch targets are indices) on [cpu]. *)
+let run_raw ?(table = Jit.Ghelpers.table ()) (cpu : Host.Interp.cpu)
+    (code : insn array) =
+  Host.Interp.run cpu ~env:(null_env table) code
+
+let mapped_cpu () =
+  let mem = Aspace.create () in
+  Aspace.map mem ~addr:0x1000L ~len:8192 ~perm:Aspace.perm_rw;
+  Host.Interp.create mem
+
+let all_alu_ops =
+  [ Add; Sub; And; Or; Xor; Shl; Shr; Sar; Mul; Mulhs; Divs; Divu; CmpEq;
+    CmpNe; CmpLts; CmpLes; CmpLtu; CmpLeu ]
+
+let alu_cost = function Mul | Mulhs -> 3 | Divs | Divu -> 20 | _ -> 1
+
 let test_cost_accounting () =
   let cpu, _ =
     run_host [ Movi (0, 1L); Movi (1, 2L); GotoI (ek_boring, 0L) ]
   in
   Alcotest.check i64 "3 cycles for 3 single-cycle insns" 3L cpu.cycles;
-  Alcotest.check i64 "3 insns" 3L cpu.insns
+  Alcotest.check i64 "3 insns" 3L cpu.insns;
+  (* every kind's charge: the block [setup; i; exit] against [setup;
+     exit].  h0 = 0 and h2 <> 0 make both outcomes of each branch
+     reachable; 0x1FFC + 8 crosses into the next page. *)
+  let table = Jit.Ghelpers.table () in
+  let callee =
+    Vex_ir.Helpers.register table ~name:"host_cost_probe" ~cost:7 (fun _ _ ->
+        1L)
+  in
+  let setup =
+    [ Movi (0, 0L); Movi (1, 0x1100L); Movi (2, 6L); Movi (3, 3L);
+      Movi (4, Int64.bits_of_float 2.0); Movi (5, Int64.bits_of_float 4.0);
+      Movi (7, 0x1FFCL) ]
+  in
+  let next = List.length setup + 1 in
+  let charge i =
+    let clocks code =
+      let cpu = mapped_cpu () in
+      ignore (run_raw ~table cpu (Array.of_list code));
+      (cpu.cycles, cpu.insns)
+    in
+    let c0, n0 = clocks (setup @ [ GotoI (ek_boring, 0L) ]) in
+    let c1, n1 = clocks (setup @ [ i; GotoI (ek_boring, 0L) ]) in
+    Alcotest.check i64 (Fmt.str "one insn: %a" pp_insn i) 1L (Int64.sub n1 n0);
+    Int64.to_int (Int64.sub c1 c0)
+  in
+  let kinds =
+    List.concat_map
+      (fun w ->
+        List.concat_map
+          (fun op ->
+            [ (Alu (w, op, 6, 2, 3), alu_cost op);
+              (Alui (w, op, 6, 2, 3L), alu_cost op) ])
+          all_alu_ops)
+      [ W32; W64 ]
+    @ List.concat_map
+        (fun sz ->
+          [ (Ld (sz, false, 6, 1, 0), 2); (Ld (sz, true, 6, 1, 0), 2);
+            (St (sz, 2, 1, 0), 2); (Ld (sz, false, 6, 7, 0), 2);
+            (St (sz, 2, 7, 0), 2) ])
+        [ 1; 2; 4; 8 ]
+    @ List.map
+        (fun op -> (Falu (op, 6, 4, 5), if op = FDiv then 16 else 3))
+        [ FAdd; FSub; FMul; FDiv; FMin; FMax; FCmpEq; FCmpLt; FCmpLe ]
+    @ List.map
+        (fun op -> (Fun1 (op, 6, 4), if op = FSqrt then 16 else 3))
+        [ FSqrt; FNeg; FAbs; I32StoF64; F64toI32S; Clz32; Ctz32 ]
+    @ [ (Movi (6, 1L), 1); (Mov (6, 2), 1); (Cmov (6, 2, 3), 1);
+        (Cmov (6, 0, 3), 1); (Vld (1, 1, 0), 2); (Vst (1, 1, 0), 2);
+        (Vmov (1, 2), 1); (Valu (VAdd32, 1, 2, 3), 1); (Vnot (1, 2), 1);
+        (Vsplat32 (1, 2), 1); (Vpack (1, 2, 3), 1); (Vunpack (6, 1, 1), 1);
+        (Call (callee.c_id, 2, callee.c_cost), 17); (Jz (0, next), 1);
+        (Jz (2, next), 1); (Jnz (0, next), 1); (Jnz (2, next), 1);
+        (Jmp next, 1); (Label 9, 0); (ExitIf (0, ek_boring, 1L), 1) ]
+  in
+  List.iter
+    (fun (i, cost) ->
+      Alcotest.(check int) (Fmt.str "charge of %a" pp_insn i) cost (charge i))
+    kinds;
+  (* a taken exit of each kind costs 1, like the final [GotoI] *)
+  List.iter
+    (fun exit ->
+      let cpu = mapped_cpu () in
+      ignore (run_raw cpu [| Movi (2, 6L); exit |]);
+      Alcotest.check i64 (Fmt.str "exit %a" pp_insn exit) 2L cpu.cycles)
+    [ ExitIf (2, ek_boring, 1L); Goto (ek_boring, 2); GotoI (ek_boring, 1L) ];
+  (* a block alternating inner-loop and step instructions: exact clocks
+     and exit triple whichever level runs each instruction *)
+  let cpu = mapped_cpu () in
+  let triple =
+    run_raw ~table cpu
+      [|
+        Movi (1, 0x1FFCL);
+        Movi (2, 5L);
+        Alui (W64, Shl, 3, 2, 2L);
+        Alu (W64, Add, 4, 3, 2);
+        Ld (8, false, 5, 1, 0);
+        Mov (0, 4);
+        Call (callee.c_id, 1, callee.c_cost);
+        St (4, 0, 1, -0x100);
+        Alu (W64, Mul, 6, 2, 2);
+        ExitIf (2, ek_call, 0x4242L);
+        GotoI (ek_boring, 0L);
+      |]
+  in
+  Alcotest.(check (triple int i64 int))
+    "exit triple" (ek_call, 0x4242L, 9) triple;
+  Alcotest.check i64 "mixed block cycles" 30L cpu.cycles;
+  Alcotest.check i64 "mixed block insns" 10L cpu.insns;
+  Alcotest.check i64 "shl at the step" 20L (Host.Interp.get_hreg cpu 3);
+  Alcotest.check i64 "store after the call" 1L (Aspace.read cpu.mem 0x1EFCL 4);
+  (* a backward branch, which the JIT never emits, is run by the step *)
+  let cpu = mapped_cpu () in
+  ignore
+    (run_raw cpu
+       [| Movi (1, 3L); Alui (W64, Sub, 1, 1, 1L); Jnz (1, 1);
+          GotoI (ek_boring, 0L) |]);
+  Alcotest.check i64 "loop cycles" 8L cpu.cycles;
+  Alcotest.check i64 "loop insns" 8L cpu.insns;
+  (* a block that faults or traps after k instructions leaves the clocks
+     as they were *)
+  List.iter
+    (fun (what, code, raises) ->
+      let cpu = mapped_cpu () in
+      ignore (run_raw cpu [| Movi (0, 1L); GotoI (ek_boring, 0L) |]);
+      (match run_raw cpu (Array.of_list code) with
+      | _ -> Alcotest.failf "%s: expected the block to raise" what
+      | exception e when raises e -> ());
+      Alcotest.check i64 (what ^ ": cycles unchanged") 2L cpu.cycles;
+      Alcotest.check i64 (what ^ ": insns unchanged") 2L cpu.insns)
+    [
+      ( "unmapped load",
+        [ Movi (1, 0x9000L); Mov (2, 1); Alu (W64, Add, 3, 1, 2);
+          Ld (4, false, 4, 1, 0); GotoI (ek_boring, 0L) ],
+        function Aspace.Fault _ -> true | _ -> false );
+      ( "divs by zero",
+        [ Movi (1, 7L); Movi (2, 0L); Alui (W64, Shl, 3, 1, 1L);
+          Alu (W32, Divs, 4, 1, 2); GotoI (ek_boring, 0L) ],
+        function Host.Interp.Host_sigfpe -> true | _ -> false );
+    ]
+
+(* The inner loop allocates nothing per instruction: a block running its
+   body twice allocates exactly what the block running it once does.
+   The body covers the seven inline ALU ops at both widths, in-page
+   loads of every size and sign, stores, [Cmov], taken and untaken
+   branches and an untaken [ExitIf]. *)
+let test_inner_loop_allocates_nothing () =
+  let inline_ops = [ Add; Sub; And; Or; Xor; CmpEq; CmpNe ] in
+  let body k =
+    List.concat_map
+      (fun w ->
+        List.concat_map
+          (fun op -> [ Alu (w, op, 4, 2, 3); Alui (w, op, 5, 2, 0x7FL) ])
+          inline_ops)
+      [ W32; W64 ]
+    @ List.concat_map
+        (fun sz ->
+          [ St (sz, 2, 1, 16); Ld (sz, false, 6, 1, 16); Ld (sz, true, 6, 1, 16) ])
+        [ 1; 2; 4; 8 ]
+    @ [ Cmov (7, 2, 3); Cmov (7, 0, 3); Mov (8, 2); Movi (9, 77L);
+        Jz (0, k); Label k; Jnz (2, k + 1); Label (k + 1); Jz (2, k + 2);
+        Label (k + 2); Jnz (0, k + 3); Label (k + 3); Jmp (k + 4);
+        Label (k + 4); ExitIf (0, ek_boring, 0x1234L) ]
+  in
+  let setup = [ Movi (0, 0L); Movi (1, 0x1100L); Movi (2, -2L); Movi (3, 3L) ] in
+  let block bodies =
+    Host.Encode.decode
+      (Host.Encode.assemble (setup @ List.concat bodies @ [ GotoI (ek_boring, 0L) ]))
+  in
+  let once = block [ body 0 ] and twice = block [ body 0; body 10 ] in
+  let cpu = mapped_cpu () in
+  let words code =
+    ignore (run_raw cpu code);
+    let w0 = Gc.minor_words () in
+    ignore (run_raw cpu code);
+    Gc.minor_words () -. w0
+  in
+  let n1 = words once and n2 = words twice in
+  Alcotest.(check (float 0.))
+    (Printf.sprintf "%d more instructions, no more words"
+       (Array.length twice - Array.length once))
+    n1 n2
 
 (* Reference semantics of the ALU ops that {!Host.Interp.alu_eval}
    writes out inline, plus [Mul] from the rest, at both widths. *)
@@ -321,7 +499,7 @@ let prop_alu64 = alu_prop W64 "host W64 alu = Int64 semantics"
 
 (* Byte strings for the decoder: bytes biased towards opcodes and small
    operands (so decoding gets past the first instruction), and valid code
-   with branches, cut short and with one byte changed. *)
+   with branches, cut short or whole, with one byte changed. *)
 let decode_input =
   let open QCheck.Gen in
   let valid =
@@ -338,15 +516,43 @@ let decode_input =
         Bytes.to_string s)
       (0 -- String.length valid) nat byte
   in
-  frequency [ (1, string_size ~gen:byte (0 -- 40)); (2, edited) ]
+  let whole =
+    map2
+      (fun at b ->
+        let s = Bytes.of_string valid in
+        Bytes.set s (at mod String.length valid) b;
+        Bytes.to_string s)
+      nat char
+  in
+  frequency [ (1, string_size ~gen:byte (0 -- 40)); (2, edited); (2, whole) ]
 
-(* property: decoding never escapes with anything but Decode_error *)
+(* Every register operand names a register that exists, and every call
+   passes at most the six argument registers. *)
+let operands_in_range (i : insn) =
+  let r x = 0 <= x && x < n_hregs and v x = 0 <= x && x < n_hvregs in
+  match i with
+  | Movi (d, _) -> r d
+  | Mov (d, s) | Fun1 (_, d, s) -> r d && r s
+  | Alu (_, _, d, s1, s2) | Falu (_, d, s1, s2) -> r d && r s1 && r s2
+  | Alui (_, _, d, s, _) | Ld (_, _, d, s, _) | St (_, d, s, _) -> r d && r s
+  | Cmov (d, c, s) -> r d && r c && r s
+  | Vld (d, b, _) | Vst (d, b, _) | Vsplat32 (d, b) -> v d && r b
+  | Vmov (d, s) | Vnot (d, s) -> v d && v s
+  | Valu (_, d, s1, s2) -> v d && v s1 && v s2
+  | Vpack (d, hi, lo) -> v d && r hi && r lo
+  | Vunpack (d, s, _) -> r d && v s
+  | Call (_, nargs, _) -> 0 <= nargs && nargs <= List.length arg_regs
+  | Jz (c, _) | Jnz (c, _) | ExitIf (c, _, _) | Goto (_, c) -> r c
+  | Jmp _ | Label _ | GotoI _ -> true
+
+(* property: decoding never escapes with anything but Decode_error, and
+   what it returns has every register operand in range *)
 let prop_decode_total =
   QCheck.Test.make ~count:1000 ~name:"decode returns or raises Decode_error"
     (QCheck.make ~print:String.escaped decode_input)
     (fun s ->
       match Host.Encode.decode (Bytes.of_string s) with
-      | _ -> true
+      | code -> Array.for_all operands_in_range code
       | exception Host.Encode.Decode_error _ -> true)
 
 let tests =
@@ -363,6 +569,7 @@ let tests =
     t "store watch sees every store" test_store_watch_sees_all;
     t "div traps" test_div_trap;
     t "cycle accounting" test_cost_accounting;
+    t "inner loop allocates nothing" test_inner_loop_allocates_nothing;
     QCheck_alcotest.to_alcotest prop_alu32;
     QCheck_alcotest.to_alcotest prop_alu64;
     QCheck_alcotest.to_alcotest prop_decode_total;

@@ -8,12 +8,12 @@ let i64 = Alcotest.testable (Fmt.of_to_string Int64.to_string) Int64.equal
 
 let test_switch_single_runnable () =
   let ts = Vg_core.Threads.create (Aspace.create ()) in
-  ts.current.blocks_run <- 10L;
+  ts.current.blocks_run <- 10;
   Alcotest.(check bool) "switch succeeds" true
     (Vg_core.Threads.switch_to_next ts);
   Alcotest.(check int) "stays on the only thread" 1 ts.current.tid;
   (* a self-switch still starts a fresh timeslice *)
-  Alcotest.check i64 "slice reset" 10L ts.current.slice_start;
+  Alcotest.(check int) "slice reset" 10 ts.current.slice_start;
   Alcotest.check i64 "self-switch is not a handoff" 0L ts.lock_handoffs
 
 let test_switch_current_dead () =
