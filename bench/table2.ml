@@ -12,7 +12,8 @@
     All runs here pin [chaining = false]: the paper's Valgrind does not
     chain translations (§3.9), so Table 2's published slow-downs were
     measured with every block transfer going through the dispatcher.
-    The chaining extension is measured separately by chain_bench. *)
+    The chaining extension is measured separately by the cycle gate
+    ({!Cycle_gate}). *)
 
 (* the paper's dispatcher configuration, without the chaining extension *)
 let paper_options = { Vg_core.Session.default_options with chaining = false }

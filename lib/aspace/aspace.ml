@@ -123,7 +123,6 @@ let page_index (addr : int64) =
 let page_offset (addr : int64) = Int64.to_int (Int64.logand addr 0xFFFL)
 
 let is_mapped t addr = lookup t (page_index addr) != no_page
-let perm_at t addr = (lookup t (page_index addr)).perm
 
 (** Round [len] up and [addr] down to page boundaries; iterate pages. *)
 let iter_pages addr len f =
@@ -200,28 +199,6 @@ let find_free t ~hint ~limit ~len =
 let get_page t addr kind =
   let p = lookup t (page_index addr) in
   if p == no_page then raise (Fault { addr; kind }) else p
-
-(** {2 Int-address fast paths}
-
-    [a] is a 32-bit address held in an [int].  [page_r t a] is the data
-    of the page holding [a] if that page is mapped readable, and
-    [Bytes.empty] otherwise; [page_w] likewise for writable, and always
-    [Bytes.empty] while any store watch is registered, so that every
-    store reaches the watches through {!write}.  They never raise: a
-    caller that gets [Bytes.empty], or whose access crosses the page
-    end, must fall back to {!read}/{!write}, which raise the exact
-    {!Fault}. *)
-
-let page_r t a =
-  let p = lookup t (a lsr page_shift) in
-  if p.perm.r then p.data else Bytes.empty
-
-let page_w t a =
-  match t.store_watch with
-  | _ :: _ -> Bytes.empty
-  | [] ->
-      let p = lookup t (a lsr page_shift) in
-      if p.perm.w then p.data else Bytes.empty
 
 (** {2 Byte-level access with permission checks} *)
 

@@ -49,7 +49,7 @@ type t = {
   c_die_mem_stack : counted;
   (* Core-internal observability: the translation-chaining lifecycle
      (§3.9 extension).  Not tool events — counters only, surfaced via
-     session stats, the quickstart example and chain_bench. *)
+     session stats, the quickstart example and the cycle gate. *)
   c_chain_patched : counted;  (** exit sites patched to a successor *)
   c_chain_unlinked : counted;  (** slots unlinked on evict/discard/SMC *)
   c_chain_followed : counted;  (** transfers that bypassed the dispatcher *)

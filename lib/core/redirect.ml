@@ -147,5 +147,3 @@ let wrap (t : t) ~(addr : int64) ~(arity : int) ~(on_enter : handler)
         ])
   in
   Hashtbl.replace t.redirects addr stub
-
-let n_redirects t = Hashtbl.length t.redirects

@@ -28,7 +28,6 @@ let cc_op_mul = 7L (* dep1 = low result, dep2 = high result *)
 let cc_op_inc = 8L (* dep1 = result, ndep = old CF *)
 let cc_op_dec = 9L
 let cc_op_fcmp = 10L (* dep1 = 0 eq / 1 lt / 2 gt / 3 unordered *)
-let cc_op_count = 11
 
 (* Flags word bits. *)
 let fl_cf = 1L

@@ -38,10 +38,10 @@ let allocatable_int = List.init 13 Fun.id
 (** Vector registers available to the allocator: hv0..hv5. *)
 let allocatable_vec = List.init 6 Fun.id
 
-let caller_saved_int = List.init 8 Fun.id (* h0..h7: clobbered by Call *)
+(* Clobbered by Call; the other allocatable registers (h8..h12,
+   hv4..hv5) survive it. *)
+let caller_saved_int = List.init 8 Fun.id (* h0..h7 *)
 let caller_saved_vec = List.init 4 Fun.id (* hv0..hv3 *)
-let callee_saved_int = [ 8; 9; 10; 11; 12 ]
-let callee_saved_vec = [ 4; 5 ]
 let arg_regs = [ 0; 1; 2; 3; 4; 5 ]
 let ret_reg = 0
 
@@ -76,7 +76,6 @@ let ek_syscall = 3
 let ek_clientreq = 4
 let ek_yield = 5
 let ek_sigill = 6
-let ek_smc = 7 (* translation self-check failed: retranslate *)
 
 let ek_of_jumpkind : Vex_ir.Ir.jumpkind -> exit_kind = function
   | Vex_ir.Ir.Jk_boring -> ek_boring

@@ -52,19 +52,6 @@ type checks = {
       (** after phase 8 *)
 }
 
-(** The trivial hooks: every boundary check is a no-op. *)
-let no_checks : checks =
-  {
-    ck_tree = (fun _ -> ());
-    ck_flat = (fun _ -> ());
-    ck_instrumented = (fun ~pre:_ ~post:_ -> ());
-    ck_opt2 = (fun ~pre:_ ~post:_ -> ());
-    ck_treebuilt = (fun ~pre:_ ~post:_ -> ());
-    ck_vcode = (fun _ ~n_int:_ ~n_vec:_ ~n_label:_ -> ());
-    ck_hcode = (fun _ -> ());
-    ck_bytes = (fun ~hcode:_ ~bytes:_ -> ());
-  }
-
 (** Run [a]'s hook then [b]'s at every boundary (e.g. the verifiers
     composed with a fault injector's forced failures). *)
 let compose_checks (a : checks) (b : checks) : checks =

@@ -157,19 +157,6 @@ let stderr_contents t =
   | Some { kind = Fd_console b; _ } -> Buffer.contents b
   | _ -> ""
 
-(** Contents written to a named file via open/write. *)
-let file_contents t name =
-  match
-    Hashtbl.fold
-      (fun _ fd acc ->
-        match fd.kind with
-        | Fd_write b when fd.fd_name = name -> Some (Buffer.contents b)
-        | _ -> acc)
-      t.fds None
-  with
-  | Some s -> Some s
-  | None -> Hashtbl.find_opt t.files name
-
 (* ------------------------------------------------------------------ *)
 (* Signals                                                              *)
 (* ------------------------------------------------------------------ *)

@@ -21,7 +21,7 @@
 
 (* ------------------------------------------------------------------ *)
 (* JSON rendering helpers (no JSON library: the flat formats below are  *)
-(* parsed back by the bench gate's 20-line reader)                      *)
+(* one "key": value per line)                                           *)
 (* ------------------------------------------------------------------ *)
 
 let json_escape (s : string) : string =
@@ -84,8 +84,7 @@ module Registry = struct
     match find t name with Some (I v) -> Some v | _ -> None
 
   (** Flat JSON object, one "name": value per line, keys sorted — the
-      same shape [BENCH_baseline.json] uses, so the bench gate's parser
-      reads it unchanged. *)
+      same shape [BENCH_baseline.json] uses. *)
   let to_json (t : t) : string =
     let ss = samples t in
     let b = Buffer.create 1024 in

@@ -88,9 +88,3 @@ let ctz32 x =
   else
     let rec go n = if Int64.logand x (Int64.shift_left 1L n) <> 0L then Int64.of_int n else go (n + 1) in
     go 0
-
-(** Low 32 bits of [x] formatted as [0xXXXXXXXX]. *)
-let pp_hex32 ppf x = Fmt.pf ppf "0x%08LX" (trunc32 x)
-
-(** All 64 bits of [x] formatted as [0xXXXXXXXXXXXXXXXX]. *)
-let pp_hex64 ppf x = Fmt.pf ppf "0x%016LX" x

@@ -226,7 +226,6 @@ let i32 v = Const (CI32 (Support.Bits.trunc32 v))
 let i64 v = Const (CI64 v)
 let i8 v = Const (CI8 (v land 0xFF))
 let i1 b = Const (CI1 b)
-let rdtmp t = RdTmp t
 
 (** [result type of a constant] *)
 let type_of_const = function

@@ -1,4 +1,4 @@
-(* Vglint verifier tests: the dataflow engine, the mutation-catch suite
+(* Vglint verifier tests: the shadow-range cover, the mutation-catch suite
    (every seeded miscompile caught at its earliest phase boundary), and
    zero false positives over a tool corpus. *)
 
@@ -8,45 +8,8 @@ module DF = Verify.Dataflow
 let t name f = Alcotest.test_case name `Quick f
 
 (* ------------------------------------------------------------------ *)
-(* Dataflow engine                                                      *)
+(* Guest-state ranges                                                   *)
 (* ------------------------------------------------------------------ *)
-
-(* t0 = GET(r0); t1 = t0+1; PUT(r1) = t1; next = t0 *)
-let small_block () =
-  let b = new_block () in
-  let t0 = new_tmp b I32 in
-  let t1 = new_tmp b I32 in
-  add_stmt b (WrTmp (t0, Get (0, I32)));
-  add_stmt b (WrTmp (t1, Binop (Add32, RdTmp t0, i32 1L)));
-  add_stmt b (Put (4, RdTmp t1));
-  b.next <- RdTmp t0;
-  b
-
-let test_liveness () =
-  let b = small_block () in
-  let live = DF.liveness b in
-  (* before stmt 0 nothing is live (t0 is defined there, and liveness is
-     of temporaries, which have no value before their definition) *)
-  Alcotest.(check bool) "t0 dead before its def" false
-    (DF.ISet.mem 0 live.(0));
-  (* between stmt 0 and 1: t0 live (used by stmt 1 and next) *)
-  Alcotest.(check bool) "t0 live after def" true (DF.ISet.mem 0 live.(1));
-  (* between stmt 1 and 2: t1 live, t0 still live via next *)
-  Alcotest.(check bool) "t1 live" true (DF.ISet.mem 1 live.(2));
-  Alcotest.(check bool) "t0 live into next" true (DF.ISet.mem 0 live.(3))
-
-let test_def_sites () =
-  let b = small_block () in
-  let defs = DF.def_sites b in
-  Alcotest.(check (option int)) "t0 defined at 0" (Some 0) defs.(0);
-  Alcotest.(check (option int)) "t1 defined at 1" (Some 1) defs.(1)
-
-let test_state_rw () =
-  let b = small_block () in
-  let reads, writes = DF.block_state_rw b in
-  Alcotest.(check bool) "reads r0" true (List.mem (0, 4) reads);
-  Alcotest.(check bool) "writes r1" true (List.mem (4, 4) writes);
-  Alcotest.(check bool) "does not write r0" false (List.mem (0, 4) writes)
 
 let test_range_cover () =
   Alcotest.(check bool) "inside" true
@@ -326,9 +289,6 @@ let test_verify_off_runs_no_checks () =
 
 let tests =
   [
-    t "liveness" test_liveness;
-    t "def sites" test_def_sites;
-    t "guest-state def/use summary" test_state_rw;
     t "shadow-range cover" test_range_cover;
     t "seeded mutations all caught" test_mutations_all_caught;
     t "mutations cover phases 2-8" test_mutations_cover_all_phases;
