@@ -20,69 +20,23 @@ let load_image (path : string) : Guest.Image.t =
     Guest.Asm.assemble (read_file path)
   else Minicc.Driver.compile (read_file path)
 
-(* The translation configuration shapes the cycle counts, so a replay
-   must run under the recording's exact flags: --record stashes them in
-   the log header and --replay restores them from there. *)
-let encode_options (o : Vg_core.Session.options) : string =
-  Printf.sprintf "chaining=%b verify=%b smc=%s tier0=%b promote=%d super=%b scan=%b aot=%b"
-    o.chaining o.verify_jit
-    (match o.smc_mode with
-    | Vg_core.Session.Smc_none -> "none"
-    | Vg_core.Session.Smc_all -> "all"
-    | Vg_core.Session.Smc_stack -> "stack")
-    o.tier0 o.promote_threshold o.superblocks o.scan o.aot_seed
-
-let decode_options (s : string) (o : Vg_core.Session.options) :
-    Vg_core.Session.options =
-  List.fold_left
-    (fun o kv ->
-      match String.index_opt kv '=' with
-      | None -> o
-      | Some i -> (
-          let k = String.sub kv 0 i in
-          let v = String.sub kv (i + 1) (String.length kv - i - 1) in
-          match k with
-          | "chaining" -> { o with Vg_core.Session.chaining = v = "true" }
-          | "verify" -> { o with verify_jit = v = "true" }
-          | "smc" ->
-              {
-                o with
-                smc_mode =
-                  (match v with
-                  | "none" -> Vg_core.Session.Smc_none
-                  | "all" -> Vg_core.Session.Smc_all
-                  | _ -> Vg_core.Session.Smc_stack);
-              }
-          | "tier0" -> { o with tier0 = v = "true" }
-          | "promote" -> { o with promote_threshold = int_of_string v }
-          | "super" -> { o with superblocks = v = "true" }
-          | "scan" -> { o with scan = v = "true" }
-          | "aot" -> { o with aot_seed = v = "true" }
-          | _ -> o))
-    o
-    (String.split_on_char ' ' s)
-
 (* --replay: everything comes out of the log — the program source, the
    tool, the core count and the translation flags — so the replay is a
    pure function of the .vgrw file. *)
 let run_replay (file : string) stats =
-  let p =
-    try Replay.player_of_file file with
-    | Replay.Corrupt m ->
-        Printf.eprintf "valgrind: %s: corrupt log: %s\n" file m;
-        exit 2
-    | Sys_error m ->
-        Printf.eprintf "valgrind: %s\n" m;
-        exit 2
+  let fail fmt =
+    Printf.ksprintf (fun m -> prerr_endline ("valgrind: " ^ m); exit 2) fmt
   in
-  let log = p.Replay.p_log in
+  let log =
+    try Replay.log_of_file file with
+    | Replay.Corrupt m -> fail "%s: corrupt log: %s" file m
+    | Sys_error m -> fail "%s" m
+  in
   let meta k = List.assoc_opt k log.Replay.l_meta in
   let src =
     match meta "source" with
     | Some s -> s
-    | None ->
-        Printf.eprintf "valgrind: %s: log carries no program source\n" file;
-        exit 2
+    | None -> fail "%s: log carries no program source" file
   in
   let img =
     if meta "kind" = Some "asm" then Guest.Asm.assemble src
@@ -91,23 +45,9 @@ let run_replay (file : string) stats =
   let tool =
     match List.assoc_opt log.Replay.l_tool Tools.Catalog.all with
     | Some t -> t
-    | None ->
-        Printf.eprintf "valgrind: log needs unknown tool '%s'\n"
-          log.Replay.l_tool;
-        exit 2
+    | None -> fail "log needs unknown tool '%s'" log.Replay.l_tool
   in
-  let options =
-    {
-      Vg_core.Session.default_options with
-      cores = log.Replay.l_cores;
-      chaos = None;
-      rr = Replay.Replay p;
-    }
-  in
-  let options =
-    match meta "options" with Some o -> decode_options o options | None -> options
-  in
-  let s = Vg_core.Session.create ~options ~tool img in
+  let s = Vg_core.Session.replaying ~tool img log in
   s.echo_output <- true;
   s.kern.stdout_echo <- true;
   Printf.eprintf "==vg== replaying %s (%s, cores=%d, %d events)\n" file
@@ -214,7 +154,7 @@ let run tool_name cores no_chaining no_verify smc_mode tier0_only no_tier0
            then "asm"
            else "c");
         Replay.add_meta r "source" (read_file path);
-        Replay.add_meta r "options" (encode_options options);
+        Replay.add_meta r "options" (Vg_core.Session.encode_options options);
         Some r
   in
   let options =

@@ -112,13 +112,12 @@ let record tool_name cores chaos_seed chaos_mode workload scale stdin_file out
 
 (* --- building a session back from a log ------------------------------- *)
 
-let session_of_log (file : string) : Vg_core.Session.t * Replay.player =
-  let p =
-    try Replay.player_of_file file with
+let session_of_log (file : string) : Vg_core.Session.t * Replay.log =
+  let log =
+    try Replay.log_of_file file with
     | Replay.Corrupt m -> die "%s: corrupt log: %s" file m
     | Sys_error m -> die "%s" m
   in
-  let log = p.Replay.p_log in
   let meta k = List.assoc_opt k log.Replay.l_meta in
   let src =
     match meta "source" with
@@ -128,15 +127,7 @@ let session_of_log (file : string) : Vg_core.Session.t * Replay.player =
   let kind = Option.value (meta "kind") ~default:"c" in
   let img = compile_source ~kind src in
   let tool = find_tool log.Replay.l_tool in
-  let options =
-    {
-      Vg_core.Session.default_options with
-      cores = log.Replay.l_cores;
-      chaos = None;
-      rr = Replay.Replay p;
-    }
-  in
-  (Vg_core.Session.create ~options ~tool img, p)
+  (Vg_core.Session.replaying ~tool img log, log)
 
 let exit_str = function
   | Some (Vg_core.Session.Exited n) -> Printf.sprintf "exited %d" n
@@ -176,7 +167,7 @@ let with_divergence_report f =
 (* --- replay ----------------------------------------------------------- *)
 
 let replay quiet file =
-  let s, _p = session_of_log file in
+  let s, _ = session_of_log file in
   if not quiet then begin
     s.echo_output <- true;
     s.kern.stdout_echo <- true
@@ -201,13 +192,13 @@ let replay quiet file =
 (* --- seek / back ------------------------------------------------------ *)
 
 let seek cycle file =
-  let s, _p = session_of_log file in
+  let s, _ = session_of_log file in
   with_divergence_report (fun () ->
       print_state (Vg_core.Session.seek s ~cycle);
       exit 0)
 
 let back insns file =
-  let s, _p = session_of_log file in
+  let s, _ = session_of_log file in
   with_divergence_report (fun () ->
       (* replay to the end of the recording, then re-execute afresh to
          K instructions before it *)
@@ -220,8 +211,7 @@ let back insns file =
 (* --- when ------------------------------------------------------------- *)
 
 let when_ file =
-  let s, p = session_of_log file in
-  let log = p.Replay.p_log in
+  let s, log = session_of_log file in
   let rows = ref [] in
   let add cycle msg = rows := (cycle, msg) :: !rows in
   (* chaos faults and signal deliveries come straight from the log *)
@@ -248,20 +238,7 @@ let when_ file =
             add se.Replay.se_cycle
               (Printf.sprintf "chaos: %s mapping denied, retried" name);
           prev := (r, e, sh, m)
-      | Replay.Ev_signal { sg_tid; sg_signo; sg_cycle; _ } ->
-          add sg_cycle
-            (Printf.sprintf "signal %d delivered to thread %d" sg_signo sg_tid)
-      | Replay.Ev_flush { fl_cycle; _ } -> add fl_cycle "chaos: code cache flushed"
-      | Replay.Ev_stall { st_cycles; st_cycle; _ } ->
-          add st_cycle
-            (Printf.sprintf "chaos: core handoff stalled %d cycles" st_cycles)
-      | Replay.Ev_retire { rt_cycle; _ } ->
-          add rt_cycle "chaos: translation retirement delayed one epoch"
-      | Replay.Ev_condemn { cd_phase; cd_pc; cd_cycle; _ } ->
-          add cd_cycle
-            (Printf.sprintf
-               "chaos: translation of 0x%Lx condemned at jit phase %d" cd_pc
-               cd_phase))
+      | Replay.Ev_decision d -> add d.d_cycle (Replay.describe d))
     log.Replay.l_events;
   (* tool errors need the re-execution: hook the error sink and note the
      wall cycle each new error first fires at *)

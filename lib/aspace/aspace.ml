@@ -165,23 +165,6 @@ let protect t ~addr ~len ~perm =
       if p != no_page then p.perm <- perm
       else raise (Fault { addr = Int64.of_int (pi lsl page_shift); kind = Map }))
 
-(** Is [addr..addr+len) entirely mapped with at least [kind] access? *)
-let check_range t ~addr ~len kind =
-  let ok = ref true in
-  iter_pages addr len (fun pi ->
-      let p = lookup t pi in
-      let allowed =
-        p != no_page
-        &&
-        match kind with
-        | Read -> p.perm.r
-        | Write -> p.perm.w
-        | Exec -> p.perm.x
-        | Map -> true
-      in
-      if not allowed then ok := false);
-  !ok
-
 (** Find [len] bytes of unmapped space at or above [hint], page aligned.
     Returns the base address.  Raises [Not_found] if the search passes
     [limit]. *)

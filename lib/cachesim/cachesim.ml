@@ -79,10 +79,6 @@ let access (t : t) (addr : int64) (size : int) : bool =
   let hit1 = access_line t first in
   if last <> first then access_line t last && hit1 else hit1
 
-let miss_rate (t : t) : float =
-  if t.accesses = 0L then 0.0
-  else Int64.to_float t.misses /. Int64.to_float t.accesses
-
 (** A two-level hierarchy as Cachegrind models it. *)
 type hierarchy = {
   i1 : t;

@@ -33,9 +33,6 @@ val create : config -> t
     probes both lines). *)
 val access : t -> int64 -> int -> bool
 
-(** Fraction of accesses that missed so far. *)
-val miss_rate : t -> float
-
 (** The I1/D1/L2 hierarchy Cachegrind models, with the nine counters the
     cg summary reports. *)
 type hierarchy = {

@@ -148,12 +148,16 @@ let inject t kind detail =
 let roll t p = p > 0.0 && budget_ok t && Rng.float t.rng < p
 
 (** The core reports each recovery-path activation here, so drivers can
-    assert faults were actually survived (not merely never injected). *)
-let note_recovery t kind =
-  t.recoveries <-
-    (match List.assoc_opt kind t.recoveries with
-    | Some n -> (kind, n + 1) :: List.remove_assoc kind t.recoveries
-    | None -> (kind, 1) :: t.recoveries)
+    assert faults were actually survived (not merely never injected).
+    A session without a schedule passes [None]: nothing is counted. *)
+let note_recovery (t : t option) kind =
+  match t with
+  | Some t ->
+      t.recoveries <-
+        (match List.assoc_opt kind t.recoveries with
+        | Some n -> (kind, n + 1) :: List.remove_assoc kind t.recoveries
+        | None -> (kind, 1) :: t.recoveries)
+  | None -> ()
 
 let recovery_count t kind =
   Option.value (List.assoc_opt kind t.recoveries) ~default:0
@@ -265,11 +269,6 @@ let translation_fate t ~(pc : int64) : int option =
   end
   else None
 
-(** As {!translation_fate}, but returns the composable checks record:
-    it raises [Translation_failure] at the chosen boundary. *)
-let translation_checks t ~(pc : int64) : Jit.Pipeline.checks option =
-  Option.map checks_failing_at (translation_fate t ~pc)
-
 (** Force a full code-cache flush before the next block?  (Simulates
     extreme cache pressure: every resident translation and chain is
     dropped at once, §3.8.) *)
@@ -302,14 +301,3 @@ let retire_delay t ~(pending : int) : bool =
     true
   end
   else false
-
-(** One-line summary for drivers. *)
-let summary t : string =
-  Printf.sprintf "seed %d: %d faults injected; recoveries: %s" t.cfg.seed
-    t.n_injected
-    (if t.recoveries = [] then "none"
-     else
-       String.concat ", "
-         (List.map
-            (fun (k, n) -> Printf.sprintf "%s x%d" k n)
-            (List.sort compare t.recoveries)))

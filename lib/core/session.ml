@@ -112,7 +112,7 @@ type options = {
           into [r], at zero simulated cycles.  [Replay p] drives the
           session from [p]'s log instead of the kernel and the chaos
           RNG; a replaying session must be created with the log's core
-          count and with [chaos = None]. *)
+          count and with [chaos = None], as {!replaying} does. *)
 }
 
 let default_options =
@@ -139,6 +139,47 @@ let default_options =
     aot_seed = false;
     rr = Replay.No_rr;
   }
+
+(* The translation configuration shapes the cycle counts, so a replay
+   must run under the recording's exact flags: a recording front end
+   stashes them in the log's "options" meta, and {!replaying} restores
+   them from there. *)
+let encode_options (o : options) : string =
+  Printf.sprintf
+    "chaining=%b verify=%b smc=%s tier0=%b promote=%d super=%b scan=%b aot=%b"
+    o.chaining o.verify_jit
+    (match o.smc_mode with
+    | Smc_none -> "none"
+    | Smc_all -> "all"
+    | Smc_stack -> "stack")
+    o.tier0 o.promote_threshold o.superblocks o.scan o.aot_seed
+
+let decode_options (s : string) (o : options) : options =
+  List.fold_left
+    (fun o kv ->
+      match String.split_on_char '=' kv with
+      | [ k; v ] -> (
+          let b = v = "true" in
+          match k with
+          | "chaining" -> { o with chaining = b }
+          | "verify" -> { o with verify_jit = b }
+          | "smc" ->
+              let smc_mode =
+                match v with
+                | "none" -> Smc_none
+                | "all" -> Smc_all
+                | _ -> Smc_stack
+              in
+              { o with smc_mode }
+          | "tier0" -> { o with tier0 = b }
+          | "promote" -> { o with promote_threshold = int_of_string v }
+          | "super" -> { o with superblocks = b }
+          | "scan" -> { o with scan = b }
+          | "aot" -> { o with aot_seed = b }
+          | _ -> o)
+      | _ -> o)
+    o
+    (String.split_on_char ' ' s)
 
 type exit_reason =
   | Exited of int
@@ -340,18 +381,6 @@ let publish_metrics (s : t) =
       pi "jit.aot.failed" (fun () -> s.aot_failed);
       pL "jit.aot.cycles" (fun () -> s.aot_cycles)
   | None -> ());
-  (* Vgrewind: log production/consumption counters.  replay.* keys are
-     excluded from record/replay digest comparison (Replay.filter_stats),
-     like chaos.*, since they only exist on one side of the pair. *)
-  (match s.opts.rr with
-  | Replay.Record rec_ ->
-      pi "replay.recorded_events" (fun () -> Replay.n_events rec_)
-  | Replay.Replay p ->
-      List.iter
-        (fun (k, _) ->
-          pi ("replay." ^ k) (fun () -> List.assoc k (Replay.progress p)))
-        (Replay.progress p)
-  | Replay.No_rr -> ());
   Array.iter (fun e -> Engine.publish r e) s.cores;
   Transtab.publish r s.transtab;
   Syswrap.publish r s.sysw;
@@ -475,19 +504,30 @@ let create ?(options = default_options) ~(tool : Tool.t)
   (* record/replay wiring.  Recording: capture the kernel's stores and
      mapping changes (only those made while a syscall is in flight count
      — guest code never runs during [invoke]).  Replaying: the log's
-     core count must match, or every scheduling decision is off. *)
+     core count must match, or every scheduling decision is off.  Both
+     count the log they produce or consume under replay.*, which digest
+     comparison excludes (Replay.filter_stats), like chaos.*, since those
+     keys only exist on one side of the pair. *)
+  let probe name f =
+    Obs.Registry.probe s.metrics name (fun () -> Int64.of_int (f ()))
+  in
   (match options.rr with
   | Replay.Record rec_ ->
       Replay.set_header rec_ ~tool:tool.Tool.name ~cores:options.cores;
       Aspace.add_store_watch mem (fun addr size ->
           Replay.note_store rec_ addr size);
-      Aspace.add_map_watch mem (fun ev -> Replay.note_map rec_ ev)
+      Aspace.add_map_watch mem (fun ev -> Replay.note_map rec_ ev);
+      probe "replay.recorded_events" (fun () -> Replay.n_events rec_)
   | Replay.Replay p ->
-      if p.Replay.p_log.Replay.l_cores <> options.cores then
+      if p.p_log.l_cores <> options.cores then
         invalid_arg
           (Printf.sprintf
              "Session.create: log was recorded with cores=%d, session has %d"
-             p.Replay.p_log.Replay.l_cores options.cores)
+             p.p_log.l_cores options.cores);
+      List.iter
+        (fun (k, _) ->
+          probe ("replay." ^ k) (fun () -> List.assoc k (Replay.progress p)))
+        (Replay.progress p)
   | Replay.No_rr -> ());
   (* chaos: transient mapping denials, injected behind the core's own
      pre-check so a denial looks exactly like address-space pressure *)
@@ -514,6 +554,23 @@ let create ?(options = default_options) ~(tool : Tool.t)
   | _ -> ());
   publish_metrics s;
   s
+
+(** A session that replays [log] from its start: the log's core count
+    and recorded translation flags (its "options" meta) over the default
+    options, no chaos, and a fresh player.  Every front end that replays
+    a log builds its session here. *)
+let replaying ~(tool : Tool.t) (image : Guest.Image.t) (log : Replay.log) : t =
+  let options =
+    { default_options with
+      cores = log.l_cores;
+      rr = Replay.Replay (Replay.player log) }
+  in
+  let options =
+    match List.assoc_opt "options" log.l_meta with
+    | Some o -> decode_options o options
+    | None -> options
+  in
+  create ~options ~tool image
 
 (** Symbolise an address: image symbols, plus redirection-stub names. *)
 let symbolize (s : t) (a : int64) : string =
@@ -751,6 +808,67 @@ let wants_smc_check (s : t) (pc : int64) : bool =
              && Int64.unsigned_compare pc hi < 0)
            s.regstacks.stacks
 
+(* ------------------------------------------------------------------ *)
+(* Decisions between blocks                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* The one record/replay port for the decisions the core takes between
+   blocks: signal delivery (§3.15), and chaos's forced flushes, handoff
+   stalls, retire delays and condemned translations.  Live, [live s x]
+   decides, giving [Some (value, where)] when the decision fires (see
+   {!Replay.decision}), and a recording session logs it at [ordinal]; a
+   replaying session takes the decision from the log instead.  [x] is
+   passed rather than captured, so a decision allocates nothing unless
+   it fires. *)
+let decide (s : t) (point : Replay.point) ~(ordinal : int64)
+    (live : t -> 'a -> (int * int64) option) (x : 'a) : (int * int64) option =
+  match s.opts.rr with
+  | Replay.No_rr -> live s x
+  | Replay.Replay p -> (
+      match Replay.due p point ~ordinal ~cycle:(wall_cycles s) with
+      | Some d -> Some (d.d_value, d.d_where)
+      | None -> None)
+  | Replay.Record r ->
+      let v = live s x in
+      (match v with
+      | Some (d_value, d_where) ->
+          Replay.record r
+            { d_point = point; d_ordinal = ordinal; d_value; d_where;
+              d_cycle = wall_cycles s }
+      | None -> ());
+      v
+
+(* The live side of each decision point. *)
+let chaos_condemn (s : t) (pc : int64) =
+  match s.opts.chaos with
+  | Some c ->
+      Option.map (fun phase -> (phase, pc)) (Chaos.translation_fate c ~pc)
+  | None -> None
+
+let pending_signal (s : t) () =
+  Option.map
+    (fun (tid, signo) -> (signo, Int64.of_int tid))
+    (Kernel.take_pending_signal s.kern)
+
+let chaos_flush (s : t) () =
+  match s.opts.chaos with
+  | Some c when Chaos.flush_cache c -> Some (0, 0L)
+  | _ -> None
+
+let chaos_stall (s : t) (e : Engine.t) =
+  match s.opts.chaos with
+  | Some c -> Option.map (fun n -> (n, 0L)) (Chaos.handoff_stall c ~core:e.id)
+  | None -> None
+
+let chaos_retire (s : t) () =
+  match s.opts.chaos with
+  | Some c
+    when Transtab.retire_pending s.transtab > 0
+         && Chaos.retire_delay c ~pending:(Transtab.retire_pending s.transtab)
+    ->
+      Some (0, 0L)
+  | _ -> None
+
 (* The per-boundary checks for one translation request: the Vglint
    verifiers composed with any chaos-condemned forced failures.  The
    quick tier calls every boundary hook too (with [pre == post] at the
@@ -771,26 +889,13 @@ let translation_checks (s : t) ~(fetch_pc : int64) :
     else None
   in
   (* chaos: this translation request may be condemned to fail at one of
-     the eight phase boundaries (recovery interprets the block instead).
-     Recording logs the condemned phase; replay re-applies it from the
-     log without a Chaos.t. *)
+     the eight phase boundaries (recovery interprets the block instead) *)
   let chaos_checks =
-    match s.opts.rr with
-    | Replay.Replay p -> (
-        match Replay.condemn_due p ~req:s.trans_reqs ~cycle:(wall_cycles s) with
-        | Some phase -> Some (Chaos.checks_failing_at phase)
-        | None -> None)
-    | rr -> (
-        match s.opts.chaos with
-        | Some c -> (
-            let fate = Chaos.translation_fate c ~pc:fetch_pc in
-            (match (fate, rr) with
-            | Some phase, Replay.Record rec_ ->
-                Replay.record_condemn rec_ ~req:s.trans_reqs ~phase
-                  ~pc:fetch_pc ~cycle:(wall_cycles s)
-            | _ -> ());
-            Option.map Chaos.checks_failing_at fate)
-        | None -> None)
+    match
+      decide s Replay.Condemn ~ordinal:s.trans_reqs chaos_condemn fetch_pc
+    with
+    | Some (phase, _) -> Some (Chaos.checks_failing_at phase)
+    | None -> None
   in
   match (verify_checks, chaos_checks) with
   | Some a, Some b -> Some (Jit.Pipeline.compose_checks a b)
@@ -977,25 +1082,13 @@ let deliver_to (s : t) (tid : int) (signal : int) =
       deliver_signal s th signal
   | _ -> deliver_signal s s.threads.current signal
 
+(* The kernel never runs on replay, so its pending queue stays empty;
+   deliveries come from the log, keyed by the scheduler iteration at
+   which the recording session took them. *)
 let check_signals (s : t) =
-  match s.opts.rr with
-  | Replay.Replay p -> (
-      (* the kernel never runs on replay, so its pending queue stays
-         empty; deliveries come from the log, keyed by the scheduler
-         iteration at which the recording session took them *)
-      match Replay.signal_due p ~iter:s.sched_iters ~cycle:(wall_cycles s) with
-      | Some (tid, signo) -> deliver_to s tid signo
-      | None -> ())
-  | rr -> (
-      match Kernel.take_pending_signal s.kern with
-      | None -> ()
-      | Some (tid, signal) ->
-          (match rr with
-          | Replay.Record rec_ ->
-              Replay.record_signal rec_ ~iter:s.sched_iters ~tid
-                ~signo:signal ~cycle:(wall_cycles s)
-          | _ -> ());
-          deliver_to s tid signal)
+  match decide s Replay.Signal ~ordinal:s.sched_iters pending_signal () with
+  | Some (signo, tid) -> deliver_to s (Int64.to_int tid) signo
+  | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Client requests (§3.11)                                              *)
@@ -1181,9 +1274,7 @@ let promote (s : t) (pc : int64) (t0 : Jit.Pipeline.translation) :
       tev s ~cat:"jit" ~name:"promote_failed"
         ~args:[ ("pc", Obs.Trace.I pc) ]
         ();
-      (match s.opts.chaos with
-      | Some c -> Chaos.note_recovery c "promotion_failed"
-      | None -> ());
+      Chaos.note_recovery s.opts.chaos "promotion_failed";
       t0
   | t ->
       t.t_hotness <- t0.t_hotness;
@@ -1259,9 +1350,7 @@ let form_superblock (s : t) (head : Jit.Pipeline.translation) : unit =
         tev s ~cat:"jit" ~name:"superblock_abort"
           ~args:[ ("pc", Obs.Trace.I pc) ]
           ();
-        (match s.opts.chaos with
-        | Some c -> Chaos.note_recovery c "superblock_abort"
-        | None -> ())
+        Chaos.note_recovery s.opts.chaos "superblock_abort"
     | None -> s.superblock_aborts <- s.superblock_aborts + 1
     | Some t ->
         (* SMC policy is per constituent: check whenever any stitched
@@ -1407,9 +1496,7 @@ let step_uninstrumented (s : t) (th : Threads.thread) =
   tev s ~cat:"degrade" ~name:"uninstrumented_step"
     ~args:[ ("pc", Obs.Trace.I (Threads.get_eip s.threads th)) ]
     ();
-  (match s.opts.chaos with
-  | Some c -> Chaos.note_recovery c "uninstrumented_step"
-  | None -> ());
+  Chaos.note_recovery s.opts.chaos "uninstrumented_step";
   let get off size = Threads.get_state s.threads th ~off ~size in
   let put off size v = Threads.put_state s.threads th ~off ~size v in
   match Guest.Interp.step_external ~mem:s.mem ~get ~put with
@@ -1454,9 +1541,7 @@ let run_block_interp (s : t) (th : Threads.thread) ~(pc : int64) =
   tev s ~cat:"degrade" ~name:"interp_fallback"
     ~args:[ ("pc", Obs.Trace.I pc) ]
     ();
-  (match s.opts.chaos with
-  | Some c -> Chaos.note_recovery c "interp_fallback"
-  | None -> ());
+  Chaos.note_recovery s.opts.chaos "interp_fallback";
   let fetch_pc = Redirect.resolve s.redirect pc in
   match
     Jit.Pipeline.translate_ir ~unroll:s.opts.unroll_loops
@@ -1594,23 +1679,8 @@ let run_block (s : t) =
    [t_dead] lazy-miss rule guarantees.  Bookkeeping only: no cycles. *)
 let advance_epoch (s : t) =
   let delay =
-    match s.opts.rr with
-    | Replay.Replay p ->
-        Replay.retire_due p ~iter:s.sched_iters ~cycle:(wall_cycles s)
-    | rr -> (
-        match s.opts.chaos with
-        | Some c when Transtab.retire_pending s.transtab > 0 ->
-            let d =
-              Chaos.retire_delay c
-                ~pending:(Transtab.retire_pending s.transtab)
-            in
-            (match rr with
-            | Replay.Record rec_ when d ->
-                Replay.record_retire rec_ ~iter:s.sched_iters
-                  ~cycle:(wall_cycles s)
-            | _ -> ());
-            d
-        | _ -> false)
+    Option.is_some
+      (decide s Replay.Retire ~ordinal:s.sched_iters chaos_retire ())
   in
   let freed = Transtab.advance_epoch ~delay s.transtab in
   if freed <> [] then
@@ -1660,22 +1730,10 @@ let step (s : t) : bool =
         (* chaos: forced code-cache pressure between blocks — every
            resident translation and chain is dropped at once, on every
            core.  Recorded/replayed by scheduler iteration. *)
-        let flush_now =
-          match s.opts.rr with
-          | Replay.Replay p ->
-              Replay.flush_due p ~iter:s.sched_iters ~cycle:(wall_cycles s)
-          | rr -> (
-              match s.opts.chaos with
-              | Some c when Chaos.flush_cache c ->
-                  (match rr with
-                  | Replay.Record rec_ ->
-                      Replay.record_flush rec_ ~iter:s.sched_iters
-                        ~cycle:(wall_cycles s)
-                  | _ -> ());
-                  true
-              | _ -> false)
-        in
-        if flush_now then begin
+        if
+          Option.is_some
+            (decide s Replay.Flush ~ordinal:s.sched_iters chaos_flush ())
+        then begin
           Transtab.flush s.transtab;
           Array.iter
             (fun e ->
@@ -1691,27 +1749,11 @@ let step (s : t) : bool =
             (* core handoff: chaos may model a migration stall on the
                incoming core (never fires at the default p = 0) *)
             if e.Engine.id <> s.active.Engine.id then begin
-              (match s.opts.rr with
-              | Replay.Replay p -> (
-                  match
-                    Replay.stall_due p ~iter:s.sched_iters
-                      ~cycle:(wall_cycles s)
-                  with
-                  | Some cycles -> Engine.charge e cycles
-                  | None -> ())
-              | rr -> (
-                  match s.opts.chaos with
-                  | Some c -> (
-                      match Chaos.handoff_stall c ~core:e.Engine.id with
-                      | Some cycles ->
-                          (match rr with
-                          | Replay.Record rec_ ->
-                              Replay.record_stall rec_ ~iter:s.sched_iters
-                                ~cycles ~cycle:(wall_cycles s)
-                          | _ -> ());
-                          Engine.charge e cycles
-                      | None -> ())
-                  | None -> ()));
+              (match
+                 decide s Replay.Stall ~ordinal:s.sched_iters chaos_stall e
+               with
+              | Some (cycles, _) -> Engine.charge e cycles
+              | None -> ());
               s.active <- e
             end;
             Threads.select s.threads ~core:e.Engine.id;

@@ -90,9 +90,7 @@ let rec invoke ?(restarts = 0) (e : env) ~tid ~num (r : Kernel.regs) :
     when err = Kernel.eintr && Chaos.restartable num
          && restarts < restart_limit ->
       e.counters.n_restarts <- e.counters.n_restarts + 1;
-      (match e.chaos with
-      | Some c -> Chaos.note_recovery c "syscall_restart"
-      | None -> ());
+      Chaos.note_recovery e.chaos "syscall_restart";
       e.charge 40;
       invoke ~restarts:(restarts + 1) e ~tid ~num r
   | Some (Chaos.Errno err) ->
@@ -122,9 +120,7 @@ and map_with_retry (e : env) ~tid ~num (r : Kernel.regs) (attempt : int) :
   if e.chaos <> None && r.get 0 = enomem32 && attempt + 1 < map_attempt_limit
   then begin
     e.counters.n_map_retries <- e.counters.n_map_retries + 1;
-    (match e.chaos with
-    | Some c -> Chaos.note_recovery c "map_retry"
-    | None -> ());
+    Chaos.note_recovery e.chaos "map_retry";
     e.charge (100 lsl attempt);
     (* the kernel wrote -ENOMEM into r0, which also carries the syscall
        number on entry: restore it or the retry dispatches garbage *)

@@ -121,3 +121,42 @@ ndone:  .word 0
         .align 4
 stacks: .space 12288
 |}
+
+(** A client that signals itself: it installs a SIGUSR1 handler with
+    sigaction, sends the signal with kill, and exits 42 once the handler
+    has run and sigreturn resumed it (13 if the handler never ran).  The
+    delivery happens between blocks (§3.15), so under record/replay it is
+    a logged decision. *)
+let signal_src =
+  {|
+        .text
+        .global _start
+_start: movi r0, 12          ; sigaction(SIGUSR1, handler)
+        movi r1, 10
+        movi r2, handler
+        syscall
+        movi r0, 13          ; kill(1, SIGUSR1)
+        movi r1, 1
+        movi r2, 10
+        syscall
+        movi r3, flag        ; sigreturn restored the registers, so the
+        ldw r4, [r3]         ; handler reports through memory
+        cmpi r4, 99
+        jne bad
+        movi r0, 1
+        movi r1, 42
+        syscall
+bad:    movi r0, 1
+        movi r1, 13
+        syscall
+handler: ldw r3, [sp+4]
+        cmpi r3, 10
+        jne hbad
+        movi r3, flag
+        movi r4, 99
+        stw [r3], r4
+        ret
+hbad:   ret
+        .data
+flag:   .word 0
+|}

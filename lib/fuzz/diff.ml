@@ -548,6 +548,10 @@ let threads () =
 let threads4 ?exit () =
   item ?exit "threads4" (once (fun () -> Guest.Asm.assemble Clients.threads4_src))
 
+let signal () =
+  item ~exit:42 "signal"
+    (once (fun () -> Guest.Asm.assemble Clients.signal_src))
+
 let hostile_guests () =
   List.map
     (fun (g : Hostile_guests.guest) ->
@@ -689,9 +693,19 @@ let cores () =
   ]
 
 (* Record/replay: the recorded run re-executes from its log with every
-   trailer digest matching, plain and under a hostile schedule. *)
+   trailer digest matching, plain and under a hostile schedule.  The
+   signal client and threads4 at two cores under the sharded schedule
+   put every logged decision kind into a replay: signal deliveries,
+   flushes, handoff stalls, retire delays and condemned translations. *)
 let replay () =
   let b = S.default_options in
+  let sharded seed =
+    let name = Printf.sprintf "sharded:%d@2" seed in
+    cells ~label:name [ threads4 ~exit:0 () ] Tools.Catalog.all
+      [ way name ~replay:true ~chaos:(Chaos.sharded ~seed)
+          { b with cores = 2 } ]
+      [ holds Replayed name ]
+  in
   [
     cells (corpus4 ())
       (Tools.Catalog.pick [ "nulgrind"; "memcheck"; "lackey"; "cachegrind" ])
@@ -700,6 +714,11 @@ let replay () =
     cells ~label:"hostile:7" (corpus4 ()) (Tools.Catalog.pick [ "memcheck" ])
       [ way "hostile:7" ~replay:true ~chaos:(Chaos.hostile ~seed:7) b ]
       [ holds Replayed "hostile:7" ];
+    cells [ signal () ] Tools.Catalog.all
+      [ way "replay" ~replay:true b ]
+      [ holds Replayed "replay" ];
+    sharded 1;
+    sharded 7;
   ]
 
 (** The named sweeps.  [seeds] are chaos seeds for [chaos] and base

@@ -152,11 +152,6 @@ let stdout_contents t =
   | Some { kind = Fd_console b; _ } -> Buffer.contents b
   | _ -> ""
 
-let stderr_contents t =
-  match Hashtbl.find_opt t.fds 2 with
-  | Some { kind = Fd_console b; _ } -> Buffer.contents b
-  | _ -> ""
-
 (* ------------------------------------------------------------------ *)
 (* Signals                                                              *)
 (* ------------------------------------------------------------------ *)

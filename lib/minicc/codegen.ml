@@ -136,14 +136,6 @@ let push_value env (t : ty) =
   end
   else ins env "push r0"
 
-(* pop the earlier (lhs) value into r1/f1 *)
-let pop_lhs env (t : ty) =
-  if is_double (decay t) then begin
-    ins env "fld f1, [sp]";
-    ins env "addi sp, 8"
-  end
-  else ins env "pop r1"
-
 let load_of_ty env (t : ty) ~addr_reg =
   match decay t with
   | Tchar -> ins env "ldb r0, [%s]" addr_reg

@@ -241,4 +241,3 @@ let run ?(max_insns = 0L) ?(stdin = "") (t : t) : exit_reason =
   Option.value t.exit_reason ~default:(Exited 0)
 
 let stdout_contents (t : t) = Kernel.stdout_contents t.kern
-let stderr_contents (t : t) = Kernel.stderr_contents t.kern

@@ -15,12 +15,13 @@
       cycles the wrapper charged, the syswrap fault counters and the
       kernel's side effects on guest-visible state (memory writes,
       mappings, console/file output, handler installation, brk);
-    - every asynchronous signal delivery, keyed by the scheduler-loop
-      ordinal at which it happened;
-    - every chaos scheduling decision that is not a pure function of
-      cycle counts: forced cache flushes, core-handoff stalls, epoch
-      retirement delays, and forced translation failures (keyed by the
-      translation-request ordinal, with the condemned phase).
+    - every decision the core takes between blocks that is not a pure
+      function of cycle counts: asynchronous signal deliveries, and
+      chaos's forced cache flushes, core-handoff stalls, epoch
+      retirement delays and forced translation failures.  Each is one
+      {!decision}, keyed by the scheduler-loop ordinal at which it was
+      taken (a condemned translation by the translation-request
+      ordinal).
 
     Everything else — instruction semantics, JIT behaviour, thread
     scheduling, cycle accounting — re-derives by execution.  Recording
@@ -82,15 +83,48 @@ type sys_event = {
   se_effects : effect_ list;
 }
 
-type event =
-  | Ev_syscall of sys_event
-  | Ev_signal of { sg_iter : int64; sg_tid : int; sg_signo : int;
-                   sg_cycle : int64 }
-  | Ev_flush of { fl_iter : int64; fl_cycle : int64 }
-  | Ev_stall of { st_iter : int64; st_cycles : int; st_cycle : int64 }
-  | Ev_retire of { rt_iter : int64; rt_cycle : int64 }
-  | Ev_condemn of { cd_req : int64; cd_phase : int; cd_pc : int64;
-                    cd_cycle : int64 }
+(** Where a decision is taken: signal delivery (§3.15), and chaos's
+    forced cache flush, core-handoff stall, epoch-retirement delay and
+    condemned translation. *)
+type point = Signal | Flush | Stall | Retire | Condemn
+
+let points = [| Signal; Flush; Stall; Retire; Condemn |]
+
+let index = function
+  | Signal -> 0
+  | Flush -> 1
+  | Stall -> 2
+  | Retire -> 3
+  | Condemn -> 4
+
+type decision = {
+  d_point : point;
+  d_ordinal : int64;
+      (** the scheduler-loop iteration it was taken at; for [Condemn],
+          the translation-request ordinal *)
+  d_value : int;
+      (** the signal number, the stall in cycles or the condemned JIT
+          phase; 0 for a flush or a retire delay *)
+  d_where : int64;
+      (** the thread a signal went to, or the guest pc of a condemned
+          translation; 0 otherwise *)
+  d_cycle : int64;
+      (** wall cycles at the decision (informational, for `when`) *)
+}
+
+type event = Ev_syscall of sys_event | Ev_decision of decision
+
+(** One line per decision, for [vgrewind when] and divergence reports. *)
+let describe (d : decision) : string =
+  match d.d_point with
+  | Signal ->
+      Printf.sprintf "signal %d delivered to thread %Ld" d.d_value d.d_where
+  | Flush -> "chaos: code cache flushed"
+  | Stall -> Printf.sprintf "chaos: core handoff stalled %d cycles" d.d_value
+  | Retire -> "chaos: translation retirement delayed one epoch"
+  | Condemn ->
+      Printf.sprintf "chaos: translation of 0x%Lx condemned at jit phase %d"
+        d.d_where d.d_value
 
 type log = {
   l_tool : string;
@@ -268,31 +302,20 @@ let encode_event b = function
       put_i32 b c4;
       put_i32 b (List.length se.se_effects);
       List.iter (encode_effect b) se.se_effects
-  | Ev_signal { sg_iter; sg_tid; sg_signo; sg_cycle } ->
-      put_u8 b 2;
-      put_i64 b sg_iter;
-      put_i32 b sg_tid;
-      put_i32 b sg_signo;
-      put_i64 b sg_cycle
-  | Ev_flush { fl_iter; fl_cycle } ->
-      put_u8 b 3;
-      put_i64 b fl_iter;
-      put_i64 b fl_cycle
-  | Ev_stall { st_iter; st_cycles; st_cycle } ->
-      put_u8 b 4;
-      put_i64 b st_iter;
-      put_i32 b st_cycles;
-      put_i64 b st_cycle
-  | Ev_retire { rt_iter; rt_cycle } ->
-      put_u8 b 5;
-      put_i64 b rt_iter;
-      put_i64 b rt_cycle
-  | Ev_condemn { cd_req; cd_phase; cd_pc; cd_cycle } ->
-      put_u8 b 6;
-      put_i64 b cd_req;
-      put_i32 b cd_phase;
-      put_i64 b cd_pc;
-      put_i64 b cd_cycle
+  | Ev_decision d ->
+      (* tags 2..6, one per point; each keeps its own field layout *)
+      put_u8 b (2 + index d.d_point);
+      put_i64 b d.d_ordinal;
+      (match d.d_point with
+      | Signal ->
+          put_i32 b (Int64.to_int d.d_where);
+          put_i32 b d.d_value
+      | Stall -> put_i32 b d.d_value
+      | Condemn ->
+          put_i32 b d.d_value;
+          put_i64 b d.d_where
+      | Flush | Retire -> ());
+      put_i64 b d.d_cycle
 
 let decode_event c tag =
   match tag with
@@ -312,31 +335,23 @@ let decode_event c tag =
       Ev_syscall
         { se_num; se_ret; se_brk; se_charged; se_cycle; se_action;
           se_counters = (c1, c2, c3, c4); se_effects }
-  | 2 ->
-      let sg_iter = get_i64 c in
-      let sg_tid = get_i32 c in
-      let sg_signo = get_i32 c in
-      let sg_cycle = get_i64 c in
-      Ev_signal { sg_iter; sg_tid; sg_signo; sg_cycle }
-  | 3 ->
-      let fl_iter = get_i64 c in
-      let fl_cycle = get_i64 c in
-      Ev_flush { fl_iter; fl_cycle }
-  | 4 ->
-      let st_iter = get_i64 c in
-      let st_cycles = get_i32 c in
-      let st_cycle = get_i64 c in
-      Ev_stall { st_iter; st_cycles; st_cycle }
-  | 5 ->
-      let rt_iter = get_i64 c in
-      let rt_cycle = get_i64 c in
-      Ev_retire { rt_iter; rt_cycle }
-  | 6 ->
-      let cd_req = get_i64 c in
-      let cd_phase = get_i32 c in
-      let cd_pc = get_i64 c in
-      let cd_cycle = get_i64 c in
-      Ev_condemn { cd_req; cd_phase; cd_pc; cd_cycle }
+  | tag when tag >= 2 && tag <= 6 ->
+      let d_point = points.(tag - 2) in
+      let d_ordinal = get_i64 c in
+      let d_value, d_where =
+        match d_point with
+        | Signal ->
+            let tid = get_i32 c in
+            let signo = get_i32 c in
+            (signo, Int64.of_int tid)
+        | Stall -> (get_i32 c, 0L)
+        | Condemn ->
+            let phase = get_i32 c in
+            (phase, get_i64 c)
+        | Flush | Retire -> (0, 0L)
+      in
+      let d_cycle = get_i64 c in
+      Ev_decision { d_point; d_ordinal; d_value; d_where; d_cycle }
   | n -> raise (Corrupt (Printf.sprintf "bad event tag %d" n))
 
 let encode (l : log) : string =
@@ -509,22 +524,7 @@ let end_syscall r ~(kern : Kernel.t) ~ret ~action ~charged ~cycle ~counters =
          se_charged = charged; se_cycle = cycle; se_action = action;
          se_counters = counters; se_effects = effects })
 
-let record_signal r ~iter ~tid ~signo ~cycle =
-  push r (Ev_signal { sg_iter = iter; sg_tid = tid; sg_signo = signo;
-                      sg_cycle = cycle })
-
-let record_flush r ~iter ~cycle =
-  push r (Ev_flush { fl_iter = iter; fl_cycle = cycle })
-
-let record_stall r ~iter ~cycles ~cycle =
-  push r (Ev_stall { st_iter = iter; st_cycles = cycles; st_cycle = cycle })
-
-let record_retire r ~iter ~cycle =
-  push r (Ev_retire { rt_iter = iter; rt_cycle = cycle })
-
-let record_condemn r ~req ~phase ~pc ~cycle =
-  push r (Ev_condemn { cd_req = req; cd_phase = phase; cd_pc = pc;
-                       cd_cycle = cycle })
+let record r (d : decision) = push r (Ev_decision d)
 
 let finish r ~digests = r.r_digests <- digests
 
@@ -558,47 +558,26 @@ type player = {
   p_log : log;
   p_sys : sys_event array;
   mutable p_sys_i : int;
-  p_sig : (int64 * int * int) array;  (** iter, tid, signo *)
-  mutable p_sig_i : int;
-  p_flush : int64 array;  (** iters *)
-  mutable p_flush_i : int;
-  p_stall : (int64 * int) array;  (** iter, cycles *)
-  mutable p_stall_i : int;
-  p_retire : int64 array;  (** iters *)
-  mutable p_retire_i : int;
-  p_condemn : (int64 * int) array;  (** req ordinal, phase *)
-  mutable p_condemn_i : int;
+  p_dec : decision array array;
+      (** the log's decisions, one queue per point, in {!index} order *)
+  p_dec_i : int array;  (** how many of each queue are consumed *)
 }
 
 let player (l : log) : player =
-  let sys = ref [] and sg = ref [] and fl = ref [] and st = ref [] in
-  let rt = ref [] and cd = ref [] in
-  List.iter
-    (function
-      | Ev_syscall se -> sys := se :: !sys
-      | Ev_signal s -> sg := (s.sg_iter, s.sg_tid, s.sg_signo) :: !sg
-      | Ev_flush f -> fl := f.fl_iter :: !fl
-      | Ev_stall s -> st := (s.st_iter, s.st_cycles) :: !st
-      | Ev_retire r -> rt := r.rt_iter :: !rt
-      | Ev_condemn c -> cd := (c.cd_req, c.cd_phase) :: !cd)
-    l.l_events;
+  let select f = Array.of_list (List.filter_map f l.l_events) in
+  let decisions point =
+    select (function
+      | Ev_decision d when d.d_point = point -> Some d
+      | _ -> None)
+  in
   {
     p_log = l;
-    p_sys = Array.of_list (List.rev !sys);
+    p_sys = select (function Ev_syscall se -> Some se | _ -> None);
     p_sys_i = 0;
-    p_sig = Array.of_list (List.rev !sg);
-    p_sig_i = 0;
-    p_flush = Array.of_list (List.rev !fl);
-    p_flush_i = 0;
-    p_stall = Array.of_list (List.rev !st);
-    p_stall_i = 0;
-    p_retire = Array.of_list (List.rev !rt);
-    p_retire_i = 0;
-    p_condemn = Array.of_list (List.rev !cd);
-    p_condemn_i = 0;
+    p_dec = Array.map decisions points;
+    p_dec_i = Array.make (Array.length points) 0;
   }
 
-let player_of_file path = player (log_of_file path)
 let player_of_string s = player (decode s)
 
 let diverged ~cycle ~expected ~got =
@@ -657,91 +636,33 @@ let replay_syscall (p : player) ~(kern : Kernel.t) ~num ~(r : Kernel.regs)
   r.Kernel.set 0 se.se_ret;
   (se.se_action, se.se_charged, se.se_counters)
 
-(** Is a signal delivery recorded at this scheduler iteration?  A log
-    entry for an iteration already passed means the session diverged. *)
-let signal_due (p : player) ~iter ~cycle : (int * int) option =
-  if p.p_sig_i >= Array.length p.p_sig then None
+(** The logged decision at [point] for [ordinal], if there is one.  A
+    log entry for an ordinal already passed means the session diverged. *)
+let due (p : player) (point : point) ~(ordinal : int64) ~cycle :
+    decision option =
+  let k = index point in
+  let i = p.p_dec_i.(k) in
+  if i >= Array.length p.p_dec.(k) then None
   else
-    let it, tid, signo = p.p_sig.(p.p_sig_i) in
-    if Int64.compare it iter < 0 then
+    let d = p.p_dec.(k).(i) in
+    let c = Int64.compare d.d_ordinal ordinal in
+    if c < 0 then
+      let key = if point = Condemn then "request" else "iteration" in
       diverged ~cycle
-        ~expected:(Printf.sprintf "signal %d to tid %d at iteration %Ld" signo
-                     tid it)
-        ~got:(Printf.sprintf "iteration %Ld" iter)
-    else if it = iter then begin
-      p.p_sig_i <- p.p_sig_i + 1;
-      Some (tid, signo)
-    end
-    else None
-
-let flush_due (p : player) ~iter ~cycle : bool =
-  if p.p_flush_i >= Array.length p.p_flush then false
-  else
-    let it = p.p_flush.(p.p_flush_i) in
-    if Int64.compare it iter < 0 then
-      diverged ~cycle
-        ~expected:(Printf.sprintf "cache flush at iteration %Ld" it)
-        ~got:(Printf.sprintf "iteration %Ld" iter)
-    else if it = iter then begin
-      p.p_flush_i <- p.p_flush_i + 1;
-      true
-    end
-    else false
-
-let stall_due (p : player) ~iter ~cycle : int option =
-  if p.p_stall_i >= Array.length p.p_stall then None
-  else
-    let it, n = p.p_stall.(p.p_stall_i) in
-    if Int64.compare it iter < 0 then
-      diverged ~cycle
-        ~expected:(Printf.sprintf "handoff stall at iteration %Ld" it)
-        ~got:(Printf.sprintf "iteration %Ld" iter)
-    else if it = iter then begin
-      p.p_stall_i <- p.p_stall_i + 1;
-      Some n
-    end
-    else None
-
-let retire_due (p : player) ~iter ~cycle : bool =
-  if p.p_retire_i >= Array.length p.p_retire then false
-  else
-    let it = p.p_retire.(p.p_retire_i) in
-    if Int64.compare it iter < 0 then
-      diverged ~cycle
-        ~expected:(Printf.sprintf "retire delay at iteration %Ld" it)
-        ~got:(Printf.sprintf "iteration %Ld" iter)
-    else if it = iter then begin
-      p.p_retire_i <- p.p_retire_i + 1;
-      true
-    end
-    else false
-
-(** Forced translation failure, keyed by the translation-request
-    ordinal; returns the condemned phase. *)
-let condemn_due (p : player) ~req ~cycle : int option =
-  if p.p_condemn_i >= Array.length p.p_condemn then None
-  else
-    let rq, phase = p.p_condemn.(p.p_condemn_i) in
-    if Int64.compare rq req < 0 then
-      diverged ~cycle
-        ~expected:(Printf.sprintf "condemned translation at request %Ld" rq)
-        ~got:(Printf.sprintf "request %Ld" req)
-    else if rq = req then begin
-      p.p_condemn_i <- p.p_condemn_i + 1;
-      Some phase
+        ~expected:(Printf.sprintf "%s at %s %Ld" (describe d) key d.d_ordinal)
+        ~got:(Printf.sprintf "%s %Ld" key ordinal)
+    else if c = 0 then begin
+      p.p_dec_i.(k) <- i + 1;
+      Some d
     end
     else None
 
 (** How much of the log has been consumed, for the replay.* metrics. *)
 let progress (p : player) : (string * int) list =
-  [
-    ("syscalls", p.p_sys_i);
-    ("signals", p.p_sig_i);
-    ("flushes", p.p_flush_i);
-    ("stalls", p.p_stall_i);
-    ("retires", p.p_retire_i);
-    ("condemns", p.p_condemn_i);
-  ]
+  ("syscalls", p.p_sys_i)
+  :: List.combine
+       [ "signals"; "flushes"; "stalls"; "retires"; "condemns" ]
+       (Array.to_list p.p_dec_i)
 
 (* ------------------------------------------------------------------ *)
 (* Session integration                                                  *)

@@ -162,44 +162,10 @@ let test_threads_serialised () =
 
 (* ---- signals under the valgrind engine ------------------------------ *)
 
-let signal_src =
-  {|
-        .text
-        .global _start
-_start: movi r0, 12          ; sigaction(SIGUSR1, handler)
-        movi r1, 10
-        movi r2, handler
-        syscall
-        movi r0, 13          ; kill(1, SIGUSR1)
-        movi r1, 1
-        movi r2, 10
-        syscall
-        movi r3, flag        ; sigreturn restored the registers, so the
-        ldw r4, [r3]         ; handler reports through memory
-        cmpi r4, 99
-        jne bad
-        movi r0, 1
-        movi r1, 42
-        syscall
-bad:    movi r0, 1
-        movi r1, 13
-        syscall
-handler: ldw r3, [sp+4]
-        cmpi r3, 10
-        jne hbad
-        movi r3, flag
-        movi r4, 99
-        stw [r3], r4
-        ret
-hbad:   ret
-        .data
-flag:   .word 0
-|}
-
 let test_signals_vg () =
-  let _, vr, _ = run_valgrind signal_src in
+  let _, vr, _ = run_valgrind Fuzz.Clients.signal_src in
   check_vg_exit "handler ran, sigreturn resumed" 42 vr;
-  let nr, _ = run_native signal_src in
+  let nr, _ = run_native Fuzz.Clients.signal_src in
   check_exit "same natively" 42 nr
 
 (* ---- self-modifying code (the §3.16 hash mechanism) ------------------ *)

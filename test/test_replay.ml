@@ -351,6 +351,54 @@ let test_log_codec_roundtrip () =
   Alcotest.(check string) "codec is a fixpoint" data2
     (Replay.encode (Replay.player_of_string data2).Replay.p_log)
 
+(* ---- every logged decision kind replays ------------------------------ *)
+
+let test_every_decision_kind () =
+  (* the signal client logs a signal delivery; threads4 at two cores
+     under the sharded schedule logs flushes, handoff stalls, retire
+     delays and condemned translations *)
+  let threads4 = List.find (fun p -> p.pr_name = "threads4") progs in
+  let signal =
+    {
+      pr_name = "signal";
+      pr_img = (fun () -> Guest.Asm.assemble Fuzz.Clients.signal_src);
+      pr_files = [];
+      pr_cores = [ 1 ];
+    }
+  in
+  let tool = Tools.Memcheck.tool in
+  let taken =
+    List.map
+      (fun (pr, cores, chaos) ->
+        let _s, data = record_session ?chaos ~tool ~cores pr in
+        Alcotest.(check bool)
+          (pr.pr_name ^ ": encode of the decoded log is a fixpoint")
+          true
+          (Replay.encode (Replay.decode data) = data);
+        let s = replay_session ~tool pr data in
+        ignore (Vg_core.Session.run s);
+        (match Vg_core.Session.replay_mismatches s with
+        | [] -> ()
+        | ms ->
+            Alcotest.failf "%s diverged on %s" pr.pr_name
+              (String.concat "," (List.map (fun (k, _, _) -> k) ms)));
+        match s.opts.rr with
+        | Replay.Replay p -> Replay.progress p
+        | _ -> Alcotest.fail "not a replaying session")
+      [
+        (threads4, 2, Some (Chaos.create (Chaos.sharded ~seed:1)));
+        (signal, 1, None);
+      ]
+  in
+  List.iter
+    (fun (k, _) ->
+      if k <> "syscalls" then
+        Alcotest.(check bool)
+          (Printf.sprintf "replayed at least one of %s" k)
+          true
+          (List.fold_left (fun n p -> n + List.assoc k p) 0 taken >= 1))
+    (List.hd taken)
+
 let tests =
   [
     t "record/replay bit-identity: tools x programs x cores" test_matrix;
@@ -361,4 +409,5 @@ let tests =
     t "seek lands on the exact ThreadState" test_seek_exact;
     t "back steps across superblock formation" test_back_across_superblocks;
     t "log codec round-trips" test_log_codec_roundtrip;
+    t "every logged decision kind replays" test_every_decision_kind;
   ]
