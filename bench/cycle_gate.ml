@@ -53,12 +53,15 @@ let run_workload (name : string) : runs =
   in
   let full = go { default with tier0 = false; superblocks = false } in
   let seeded = go { default with scan = true; aot_seed = true } in
+  (* recorded at the defaults and with no "options" meta: the log's size
+     is a gated metric *)
   let rec_ = Replay.recorder () in
-  Replay.set_header rec_ ~tool:"nulgrind" ~cores:1;
   let record = go { default with rr = Replay.Record rec_ } in
   let log = Replay.to_string rec_ in
   let replayed =
-    session { default with rr = Replay.Replay (Replay.player_of_string log) } img
+    Harness.run_session
+      (Vg_core.Session.replaying ~tool:Vg_core.Tool.nulgrind img
+         (Replay.decode log))
   in
   {
     plain;

@@ -28,9 +28,9 @@ type tool_result = {
   tr_session : Vg_core.Session.t;
 }
 
-let run_tool ?options (tool : Vg_core.Tool.t) (img : Guest.Image.t) :
-    tool_result =
-  let s = Vg_core.Session.create ?options ~tool img in
+(** Run [s]; any exit but a clean one fails. *)
+let run_session (s : Vg_core.Session.t) : tool_result =
+  let tool = s.tool in
   (match Vg_core.Session.run s with
   | Vg_core.Session.Exited 0 -> ()
   | Vg_core.Session.Exited n -> failwith (Printf.sprintf "%s exit %d" tool.name n)
@@ -44,6 +44,10 @@ let run_tool ?options (tool : Vg_core.Tool.t) (img : Guest.Image.t) :
     tr_stats = st;
     tr_session = s;
   }
+
+let run_tool ?options (tool : Vg_core.Tool.t) (img : Guest.Image.t) :
+    tool_result =
+  run_session (Vg_core.Session.create ?options ~tool img)
 
 let slowdown (n : native_result) (t : tool_result) : float =
   Int64.to_float t.tr_cycles /. Int64.to_float n.nr_cycles

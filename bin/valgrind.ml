@@ -47,7 +47,10 @@ let run_replay (file : string) stats =
     | Some t -> t
     | None -> fail "log needs unknown tool '%s'" log.Replay.l_tool
   in
-  let s = Vg_core.Session.replaying ~tool img log in
+  let s =
+    try Vg_core.Session.replaying ~tool img log
+    with Replay.Corrupt m -> fail "%s: corrupt log: %s" file m
+  in
   s.echo_output <- true;
   s.kern.stdout_echo <- true;
   Printf.eprintf "==vg== replaying %s (%s, cores=%d, %d events)\n" file

@@ -86,6 +86,7 @@ let record tool_name cores chaos_seed chaos_mode workload scale stdin_file out
       rr = Replay.Record rec_;
     }
   in
+  Replay.add_meta rec_ "options" (Vg_core.Session.encode_options options);
   let s = Vg_core.Session.create ~options ~tool img in
   s.echo_output <- true;
   s.kern.stdout_echo <- true;
@@ -127,7 +128,9 @@ let session_of_log (file : string) : Vg_core.Session.t * Replay.log =
   let kind = Option.value (meta "kind") ~default:"c" in
   let img = compile_source ~kind src in
   let tool = find_tool log.Replay.l_tool in
-  (Vg_core.Session.replaying ~tool img log, log)
+  match Vg_core.Session.replaying ~tool img log with
+  | s -> (s, log)
+  | exception Replay.Corrupt m -> die "%s: corrupt log: %s" file m
 
 let exit_str = function
   | Some (Vg_core.Session.Exited n) -> Printf.sprintf "exited %d" n

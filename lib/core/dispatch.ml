@@ -100,22 +100,22 @@ let purge_dead (t : t) =
     | _ -> ()
   done
 
-(** Total over all states: a dispatcher that has never been entered has
-    a hit rate of 0.0 (not 1.0, and never NaN — this value flows into
-    the stats record and the JSON export unguarded). *)
-let hit_rate t =
-  let total = Int64.add t.hits t.misses in
-  if total = 0L then 0.0
-  else Int64.to_float t.hits /. Int64.to_float total
-
 (** Total dispatcher entries (every [lookup], hit or miss).  Chained
     transfers bypass the dispatcher and are not counted here. *)
 let entries t = Int64.add t.hits t.misses
 
+(** [hits] per entry, total over all states: a dispatcher that has never
+    been entered has a hit rate of 0.0 (not 1.0, and never NaN — this
+    value flows into the JSON export unguarded).  The session's
+    aggregate over every core's cache divides here too. *)
+let ratio ~(hits : int64) ~(entries : int64) : float =
+  if entries = 0L then 0.0 else Int64.to_float hits /. Int64.to_float entries
+
+let hit_rate t = ratio ~hits:t.hits ~entries:(entries t)
+
 (** Publish this dispatcher's live counters into a metrics registry as
-    probes: the registry reads the same mutable fields the legacy stats
-    record does, so the two can never disagree.  [prefix] namespaces the
-    metrics (per-core caches publish under their core's prefix). *)
+    probes over its own mutable fields.  [prefix] namespaces the metrics
+    (per-core caches publish under their core's prefix). *)
 let publish ?(prefix = "") (r : Obs.Registry.t) (t : t) =
   Obs.Registry.probe r (prefix ^ "dispatch.hits") (fun () -> t.hits);
   Obs.Registry.probe r (prefix ^ "dispatch.misses") (fun () -> t.misses);

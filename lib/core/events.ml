@@ -47,12 +47,6 @@ type t = {
   c_new_mem_stack : counted;
   mutable die_mem_stack : (addr:int64 -> len:int -> unit) option;
   c_die_mem_stack : counted;
-  (* Core-internal observability: the translation-chaining lifecycle
-     (§3.9 extension).  Not tool events — counters only, surfaced via
-     session stats, the quickstart example and the cycle gate. *)
-  c_chain_patched : counted;  (** exit sites patched to a successor *)
-  c_chain_unlinked : counted;  (** slots unlinked on evict/discard/SMC *)
-  c_chain_followed : counted;  (** transfers that bypassed the dispatcher *)
 }
 
 let create () =
@@ -85,9 +79,6 @@ let create () =
     c_new_mem_stack = { count = 0 };
     die_mem_stack = None;
     c_die_mem_stack = { count = 0 };
-    c_chain_patched = { count = 0 };
-    c_chain_unlinked = { count = 0 };
-    c_chain_followed = { count = 0 };
   }
 
 (* Firing helpers used by the core. *)
@@ -190,25 +181,6 @@ let fire_die_mem_stack t ~addr ~len =
       tick t.c_die_mem_stack;
       f ~addr ~len
 
-(* Chaining lifecycle ticks (no callbacks: counters only). *)
-let tick_chain_patched t = tick t.c_chain_patched
-let tick_chain_unlinked t = tick t.c_chain_unlinked
-let tick_chain_followed t = tick t.c_chain_followed
-
-(** The invocation counters, in a fixed order (the replay digest hashes
-    them). *)
-let counts (t : t) : int64 array =
-  Array.map
-    (fun c -> Int64.of_int c.count)
-    [|
-      t.c_pre_reg_read; t.c_post_reg_write; t.c_pre_mem_read;
-      t.c_pre_mem_read_asciiz; t.c_pre_mem_write; t.c_post_mem_write;
-      t.c_new_mem_startup; t.c_new_mem_mmap; t.c_die_mem_munmap;
-      t.c_new_mem_brk; t.c_die_mem_brk; t.c_copy_mem_mremap;
-      t.c_new_mem_stack; t.c_die_mem_stack; t.c_chain_patched;
-      t.c_chain_unlinked; t.c_chain_followed;
-    |]
-
 (** (event name, trigger site, observed count) rows for the Table-1
     harness. *)
 let table1_rows (t : t) : (string * string * int64) list =
@@ -232,3 +204,7 @@ let table1_rows (t : t) : (string * string * int64) list =
       ("new_mem_stack", "instrumentation of SP changes", t.c_new_mem_stack.count);
       ("die_mem_stack", "instrumentation of SP changes", t.c_die_mem_stack.count);
     ]
+
+(** The invocation counters in Table-1 order (the replay digest hashes
+    them). *)
+let counts (t : t) : int64 list = List.map (fun (_, _, n) -> n) (table1_rows t)

@@ -140,46 +140,58 @@ let default_options =
     rr = Replay.No_rr;
   }
 
-(* The translation configuration shapes the cycle counts, so a replay
-   must run under the recording's exact flags: a recording front end
-   stashes them in the log's "options" meta, and {!replaying} restores
-   them from there. *)
+(* Every option but [cores] (the log header's), [chaos] and [rr] (the
+   recording's own) and [profile] and [trace_capacity] (observers) shapes
+   the run, so a replay must run under the recording's exact values: a
+   recorder stashes them in the log's "options" meta, and {!replaying}
+   restores them from there. *)
+let smc_names = [ ("none", Smc_none); ("stack", Smc_stack); ("all", Smc_all) ]
+
 let encode_options (o : options) : string =
   Printf.sprintf
-    "chaining=%b verify=%b smc=%s tier0=%b promote=%d super=%b scan=%b aot=%b"
+    "chaining=%b verify=%b smc=%s tier0=%b promote=%d super=%b scan=%b aot=%b \
+     timeslice=%d transtab=%d fast_cost=%d unroll=%b fuel=%Ld fallback=%b \
+     trace_threshold=%d trace_blocks=%d"
     o.chaining o.verify_jit
-    (match o.smc_mode with
-    | Smc_none -> "none"
-    | Smc_all -> "all"
-    | Smc_stack -> "stack")
+    (fst (List.find (fun (_, m) -> m = o.smc_mode) smc_names))
     o.tier0 o.promote_threshold o.superblocks o.scan o.aot_seed
+    o.timeslice_blocks o.transtab_capacity o.dispatch_fast_cost o.unroll_loops
+    o.max_blocks o.interp_fallback o.trace_threshold o.trace_max_blocks
 
+(* [s] over [o].  A key the codec does not know, or a value it cannot
+   read, makes the log corrupt.  Every int [encode_options] can write
+   reads back (the engine takes a threshold, period or fuel <= 0 as
+   off), but for a table capacity below 1, which no session runs with. *)
 let decode_options (s : string) (o : options) : options =
   List.fold_left
     (fun o kv ->
+      let corrupt () = raise (Replay.Corrupt ("options meta: bad " ^ kv)) in
+      let get parse v = match parse v with Some x -> x | None -> corrupt () in
+      let b = get bool_of_string_opt and n = get int_of_string_opt in
       match String.split_on_char '=' kv with
-      | [ k; v ] -> (
-          let b = v = "true" in
-          match k with
-          | "chaining" -> { o with chaining = b }
-          | "verify" -> { o with verify_jit = b }
-          | "smc" ->
-              let smc_mode =
-                match v with
-                | "none" -> Smc_none
-                | "all" -> Smc_all
-                | _ -> Smc_stack
-              in
-              { o with smc_mode }
-          | "tier0" -> { o with tier0 = b }
-          | "promote" -> { o with promote_threshold = int_of_string v }
-          | "super" -> { o with superblocks = b }
-          | "scan" -> { o with scan = b }
-          | "aot" -> { o with aot_seed = b }
-          | _ -> o)
-      | _ -> o)
+      | [ "chaining"; v ] -> { o with chaining = b v }
+      | [ "verify"; v ] -> { o with verify_jit = b v }
+      | [ "smc"; v ] ->
+          { o with smc_mode = get (Fun.flip List.assoc_opt smc_names) v }
+      | [ "tier0"; v ] -> { o with tier0 = b v }
+      | [ "promote"; v ] -> { o with promote_threshold = n v }
+      | [ "super"; v ] -> { o with superblocks = b v }
+      | [ "scan"; v ] -> { o with scan = b v }
+      | [ "aot"; v ] -> { o with aot_seed = b v }
+      | [ "timeslice"; v ] -> { o with timeslice_blocks = n v }
+      | [ "transtab"; v ] when n v >= 1 -> { o with transtab_capacity = n v }
+      | [ "fast_cost"; v ] -> { o with dispatch_fast_cost = n v }
+      | [ "unroll"; v ] -> { o with unroll_loops = b v }
+      | [ "fuel"; v ] -> { o with max_blocks = get Int64.of_string_opt v }
+      | [ "fallback"; v ] -> { o with interp_fallback = b v }
+      | [ "trace_threshold"; v ] -> { o with trace_threshold = n v }
+      | [ "trace_blocks"; v ] -> { o with trace_max_blocks = n v }
+      | _ -> corrupt ())
     o
     (String.split_on_char ' ' s)
+
+(* A session counter: the registry owns it (see {!create}). *)
+type counter = Obs.Registry.counter
 
 type exit_reason =
   | Exited of int
@@ -208,39 +220,38 @@ type t = {
      [blocks_executed] here is the global total (fuel + poll cadence). *)
   mutable blocks_executed : int64;
   mutable translations_made : int;
-  mutable retranslations_smc : int;
-  mutable verify_checks : int;  (** boundary checks run by the verifier *)
-  mutable interp_fallbacks : int;
+  retranslations_smc : counter;
+  verify_checks : counter;  (** boundary checks run by the verifier *)
+  interp_fallbacks : counter;
       (** blocks degraded to one-shot IR interpretation *)
-  mutable uninstrumented_steps : int;
+  uninstrumented_steps : counter;
       (** last-resort single-instruction steps (no instrumentation) *)
-  mutable chaos_flushes : int;  (** forced transtab flushes (chaos) *)
+  chaos_flushes : counter;  (** forced transtab flushes (chaos) *)
   (* tiered JIT *)
-  mutable translations_tier0 : int;  (** quick-tier translations made *)
-  mutable translations_full : int;  (** full-pipeline translations made *)
-  mutable translations_super : int;  (** superblock translations made *)
-  mutable promotions : int;  (** tier-0 -> full retranslations *)
-  mutable promotions_failed : int;
+  translations_tier0 : counter;  (** quick-tier translations made *)
+  translations_full : counter;  (** full-pipeline translations made *)
+  translations_super : counter;  (** superblock translations made *)
+  promotions : counter;  (** tier-0 -> full retranslations *)
+  promotions_failed : counter;
       (** promotion attempts that failed (the tier-0 translation keeps
           running; e.g. chaos condemned the retranslation) *)
-  mutable superblock_aborts : int;
+  superblock_aborts : counter;
       (** trace-formation attempts abandoned (path would not stitch, or
           the combined translation failed) *)
-  mutable jit_cycles_tier0 : int64;  (** JIT cycles spent in tier 0 *)
   sysw : Syswrap.counters;  (** wrapper restart/retry accounting *)
   (* observability (Vgscope) *)
   metrics : Obs.Registry.t;
-      (** the metrics registry every subsystem publishes into; probes
-          read the live fields above, so registry and [stats] agree by
-          construction *)
+      (** the metrics registry: the counters it owns, and probes every
+          subsystem publishes over its own live fields.  {!stats} is a
+          typed view of it. *)
   trace : Obs.Trace.t option;  (** structured-event ring, if enabled *)
   profiler : Obs.Profile.t option;  (** guest profile, if enabled *)
   jit_phase_cycles : int64 array;
       (** [jit_cycles] split across the eight pipeline phases; the
           entries always sum to [jit_cycles] exactly *)
   jit_phase_cycles_tier0 : int64 array;
-      (** the tier-0 share of [jit_phase_cycles], same indexing; the
-          entries sum to [jit_cycles_tier0] exactly *)
+      (** the tier-0 share of [jit_phase_cycles], same indexing: their
+          sum is the JIT cycles spent in tier 0 *)
   fn_cache : (int64, string * int64) Hashtbl.t;
       (** block pc -> (function name, base), for profile attribution *)
   mutable exit_reason : exit_reason option;
@@ -267,13 +278,11 @@ type t = {
   (* static analysis (Vgscan): the whole-image CFG when --scan or
      --aot-seed asked for one, plus oracle and seeding accounting *)
   static_scan : Static.Cfg.t option;
-  mutable cfg_checked : int;  (** block starts checked against the CFG *)
-  mutable cfg_miss : int;  (** executed starts the scan never found *)
-  mutable aot_seeded : int;  (** blocks pre-translated before start-up *)
-  mutable aot_failed : int;  (** seed attempts that failed to translate *)
-  mutable aot_cycles : int64;
-      (** the share of jit cycles spent during AOT seeding *)
-  mutable in_aot : bool;  (** inside the seeding loop (accounting flag) *)
+  cfg_checked : counter;  (** block starts checked against the CFG *)
+  cfg_miss : counter;  (** executed starts the scan never found *)
+  aot_seeded : counter;  (** blocks pre-translated before start-up *)
+  aot_failed : counter;  (** seed attempts that failed to translate *)
+  aot_cycles : counter;  (** the JIT cycles AOT seeding spent *)
   (* record/replay + time travel (Vgrewind) *)
   mutable started : bool;  (** start-up + AOT seeding have run *)
   mutable sched_iters : int64;
@@ -306,9 +315,20 @@ let tev (s : t) ~cat ~name ?(args = []) () =
   | None -> ()
   | Some tr -> Obs.Trace.emit tr ~ts:(total_cycles s) ~cat ~name ~args ()
 
-(* Publish every subsystem's counters into the session's metrics
-   registry.  All entries are probes over the same mutable fields the
-   [stats] record reads, so the registry and [stats] cannot disagree. *)
+(* The metrics under which the pipeline phases' JIT cycles are
+   published, over every tier and for the quick tier's share, made once
+   so that reading {!stats} formats no key. *)
+let phase_keys, tier0_phase_keys =
+  let keys tier =
+    Array.init Jit.Pipeline.n_phases (fun i ->
+        Printf.sprintf "jit.%sphase%d.%s.cycles" tier (i + 1)
+          Jit.Pipeline.phase_names.(i))
+  in
+  (keys "", keys "tier0.")
+
+(* Publish every subsystem's live fields into the session's metrics
+   registry as probes.  The session's own counters need no line here:
+   the registry owns them (see {!create}). *)
 let publish_metrics (s : t) =
   let r = s.metrics in
   let pL name f = Obs.Registry.probe r name f in
@@ -316,6 +336,7 @@ let publish_metrics (s : t) =
   let sumL f =
     Array.fold_left (fun acc e -> Int64.add acc (f e)) 0L s.cores
   in
+  let tier0_cycles () = Array.fold_left Int64.add 0L s.jit_phase_cycles_tier0 in
   pL "core.blocks" (fun () -> s.blocks_executed);
   pL "core.host_cycles" (fun () -> sumL (fun e -> e.Engine.cpu.cycles));
   pL "core.host_insns" (fun () -> sumL (fun e -> e.Engine.cpu.insns));
@@ -330,32 +351,15 @@ let publish_metrics (s : t) =
   pi "sched.cores" (fun () -> Array.length s.cores);
   pL "sched.wall_cycles" (fun () -> wall_cycles s);
   pi "core.translations" (fun () -> s.translations_made);
-  pi "core.retranslations_smc" (fun () -> s.retranslations_smc);
-  pi "core.verify_checks" (fun () -> s.verify_checks);
-  pi "core.interp_fallbacks" (fun () -> s.interp_fallbacks);
-  pi "core.uninstrumented_steps" (fun () -> s.uninstrumented_steps);
-  pi "core.chaos_flushes" (fun () -> s.chaos_flushes);
-  (* tiered JIT: translation counts and cycle split per tier.  "full"
-     cycles cover the optimizing pipeline wherever it ran — promoted
-     retranslations and superblocks included. *)
-  pi "jit.tier0.translations" (fun () -> s.translations_tier0);
-  pi "jit.full.translations" (fun () -> s.translations_full);
-  pi "jit.super.translations" (fun () -> s.translations_super);
-  pi "jit.promotions" (fun () -> s.promotions);
-  pi "jit.promotions_failed" (fun () -> s.promotions_failed);
-  pi "jit.superblock_aborts" (fun () -> s.superblock_aborts);
-  pL "jit.tier0.cycles" (fun () -> s.jit_cycles_tier0);
+  (* tiered JIT: the cycle split per tier.  "full" cycles cover the
+     optimizing pipeline wherever it ran — promoted retranslations and
+     superblocks included. *)
+  pL "jit.tier0.cycles" tier0_cycles;
   pL "jit.full.cycles" (fun () ->
-      Int64.sub (sumL (fun e -> e.Engine.jit_cycles)) s.jit_cycles_tier0);
+      Int64.sub (sumL (fun e -> e.Engine.jit_cycles)) (tier0_cycles ()));
   for i = 0 to Jit.Pipeline.n_phases - 1 do
-    pL
-      (Printf.sprintf "jit.phase%d.%s.cycles" (i + 1)
-         Jit.Pipeline.phase_names.(i))
-      (fun () -> s.jit_phase_cycles.(i));
-    pL
-      (Printf.sprintf "jit.tier0.phase%d.%s.cycles" (i + 1)
-         Jit.Pipeline.phase_names.(i))
-      (fun () -> s.jit_phase_cycles_tier0.(i))
+    pL phase_keys.(i) (fun () -> s.jit_phase_cycles.(i));
+    pL tier0_phase_keys.(i) (fun () -> s.jit_phase_cycles_tier0.(i))
   done;
   (* dispatcher aggregates over the per-core caches (the per-core view
      is published by each core under [sched.core<i>.dispatch.*]) *)
@@ -364,22 +368,15 @@ let publish_metrics (s : t) =
   pL "dispatch.misses" (fun () -> dsum (fun d -> d.Dispatch.misses));
   pL "dispatch.entries" (fun () -> dsum Dispatch.entries);
   Obs.Registry.fprobe r "dispatch.hit_rate" (fun () ->
-      let hits = dsum (fun d -> d.Dispatch.hits) in
-      let total = dsum Dispatch.entries in
-      if total = 0L then 0.0
-      else Int64.to_float hits /. Int64.to_float total);
-  (* Vgscan: soundness oracle and AOT seeding (only when a scan ran,
-     so default sessions publish an unchanged metric set) *)
+      Dispatch.ratio
+        ~hits:(dsum (fun d -> d.Dispatch.hits))
+        ~entries:(dsum Dispatch.entries));
+  (* the scanned image's shape, when a scan ran *)
   (match s.static_scan with
   | Some cfg ->
       pi "static.insns" (fun () -> cfg.Static.Cfg.n_insns);
       pi "static.weak_insns" (fun () -> cfg.Static.Cfg.n_weak);
-      pi "static.blocks" (fun () -> List.length cfg.Static.Cfg.blocks);
-      pi "static.cfg_checked" (fun () -> s.cfg_checked);
-      pi "static.cfg_miss" (fun () -> s.cfg_miss);
-      pi "jit.aot.seeded" (fun () -> s.aot_seeded);
-      pi "jit.aot.failed" (fun () -> s.aot_failed);
-      pL "jit.aot.cycles" (fun () -> s.aot_cycles)
+      pi "static.blocks" (fun () -> List.length cfg.Static.Cfg.blocks)
   | None -> ());
   Array.iter (fun e -> Engine.publish r e) s.cores;
   Transtab.publish r s.transtab;
@@ -390,6 +387,11 @@ let publish_metrics (s : t) =
       pi "chaos.recoveries" (fun () ->
           List.fold_left (fun a (_, n) -> a + n) 0 (Chaos.recoveries c))
   | None -> ()
+
+(* The integer metric [key] of [s]'s registry; 0 when the session never
+   published it ([static.*] and [jit.aot.*] without a scan). *)
+let metric (s : t) (key : string) : int64 =
+  Option.value (Obs.Registry.find_i64 s.metrics key) ~default:0L
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                         *)
@@ -422,6 +424,16 @@ let create ?(options = default_options) ~(tool : Tool.t)
           ~fast_cost:options.dispatch_fast_cost
           ~slow_cost:Dispatch.default_slow_cost)
   in
+  let static_scan =
+    if options.scan || options.aot_seed then Some (Static.Cfg.scan image)
+    else None
+  in
+  let metrics = Obs.Registry.create () in
+  let counter = Obs.Registry.counter metrics in
+  (* Vgscan's counters are published only when a scan ran *)
+  let scan_counter key =
+    if static_scan = None then { Obs.Registry.n = 0 } else counter key
+  in
   let s =
     {
       opts = options;
@@ -431,7 +443,7 @@ let create ?(options = default_options) ~(tool : Tool.t)
       errors;
       threads;
       transtab =
-        Transtab.create ~events ~capacity:options.transtab_capacity
+        Transtab.create ~capacity:options.transtab_capacity
           ~shards:options.cores ();
       cores;
       active = cores.(0);
@@ -444,20 +456,19 @@ let create ?(options = default_options) ~(tool : Tool.t)
       echo_output = false;
       blocks_executed = 0L;
       translations_made = 0;
-      retranslations_smc = 0;
-      verify_checks = 0;
-      interp_fallbacks = 0;
-      uninstrumented_steps = 0;
-      chaos_flushes = 0;
-      translations_tier0 = 0;
-      translations_full = 0;
-      translations_super = 0;
-      promotions = 0;
-      promotions_failed = 0;
-      superblock_aborts = 0;
-      jit_cycles_tier0 = 0L;
+      retranslations_smc = counter "core.retranslations_smc";
+      verify_checks = counter "core.verify_checks";
+      interp_fallbacks = counter "core.interp_fallbacks";
+      uninstrumented_steps = counter "core.uninstrumented_steps";
+      chaos_flushes = counter "core.chaos_flushes";
+      translations_tier0 = counter "jit.tier0.translations";
+      translations_full = counter "jit.full.translations";
+      translations_super = counter "jit.super.translations";
+      promotions = counter "jit.promotions";
+      promotions_failed = counter "jit.promotions_failed";
+      superblock_aborts = counter "jit.superblock_aborts";
       sysw = Syswrap.fresh_counters ();
-      metrics = Obs.Registry.create ();
+      metrics;
       trace =
         (if options.trace_capacity > 0 then
            Some (Obs.Trace.create ~capacity:options.trace_capacity)
@@ -486,16 +497,12 @@ let create ?(options = default_options) ~(tool : Tool.t)
       thread_exit_tramp = 0L;
       stack_lo = 0L;
       stack_hi = 0L;
-      static_scan =
-        (if options.scan || options.aot_seed then
-           Some (Static.Cfg.scan image)
-         else None);
-      cfg_checked = 0;
-      cfg_miss = 0;
-      aot_seeded = 0;
-      aot_failed = 0;
-      aot_cycles = 0L;
-      in_aot = false;
+      static_scan;
+      cfg_checked = scan_counter "static.cfg_checked";
+      cfg_miss = scan_counter "static.cfg_miss";
+      aot_seeded = scan_counter "jit.aot.seeded";
+      aot_failed = scan_counter "jit.aot.failed";
+      aot_cycles = scan_counter "jit.aot.cycles";
       started = false;
       sched_iters = 0L;
       trans_reqs = 0L;
@@ -555,14 +562,17 @@ let create ?(options = default_options) ~(tool : Tool.t)
   publish_metrics s;
   s
 
-(** A session that replays [log] from its start: the log's core count
-    and recorded translation flags (its "options" meta) over the default
-    options, no chaos, and a fresh player.  Every front end that replays
-    a log builds its session here. *)
-let replaying ~(tool : Tool.t) (image : Guest.Image.t) (log : Replay.log) : t =
+(** The one constructor of a replaying session: [log] from its start,
+    under the log's core count and recorded options (its "options"
+    meta), no chaos, a fresh player and a trace ring of
+    [trace_capacity] events (none by default).  Raises [Replay.Corrupt]
+    when the meta is malformed. *)
+let replaying ?(trace_capacity = 0) ~(tool : Tool.t) (image : Guest.Image.t)
+    (log : Replay.log) : t =
   let options =
     { default_options with
       cores = log.l_cores;
+      trace_capacity;
       rr = Replay.Replay (Replay.player log) }
   in
   let options =
@@ -884,7 +894,7 @@ let translation_checks (s : t) ~(fetch_pc : int64) :
     if s.opts.verify_jit then
       Some
         (Verify.pipeline_checks ~shadow:s.tool.shadow_ranges
-           ~on_check:(fun _ -> s.verify_checks <- s.verify_checks + 1)
+           ~on_check:(fun _ -> s.verify_checks.n <- s.verify_checks.n + 1)
            ())
     else None
   in
@@ -918,21 +928,19 @@ let account_translation (s : t) ~(pc : int64) (t : Jit.Pipeline.translation)
   t.t_core <- s.active.Engine.id;
   s.active.Engine.jit_cycles <-
     Int64.add s.active.Engine.jit_cycles (Int64.of_int cost);
-  (* AOT seeding pays normal jit cycles, but the share is sub-accounted
-     so cold-start cost (total jit minus aot) stays measurable *)
-  if s.in_aot then s.aot_cycles <- Int64.add s.aot_cycles (Int64.of_int cost);
-  (match t.t_tier with
-  | Jit.Pipeline.Tier_quick ->
-      Array.iteri
-        (fun i c ->
-          s.jit_phase_cycles_tier0.(i) <-
-            Int64.add s.jit_phase_cycles_tier0.(i) (Int64.of_int c))
-        t.t_phase_cycles;
-      s.jit_cycles_tier0 <- Int64.add s.jit_cycles_tier0 (Int64.of_int cost);
-      s.translations_tier0 <- s.translations_tier0 + 1
-  | Jit.Pipeline.Tier_full -> s.translations_full <- s.translations_full + 1
-  | Jit.Pipeline.Tier_super ->
-      s.translations_super <- s.translations_super + 1);
+  let made =
+    match t.t_tier with
+    | Jit.Pipeline.Tier_quick ->
+        Array.iteri
+          (fun i c ->
+            s.jit_phase_cycles_tier0.(i) <-
+              Int64.add s.jit_phase_cycles_tier0.(i) (Int64.of_int c))
+          t.t_phase_cycles;
+        s.translations_tier0
+    | Jit.Pipeline.Tier_full -> s.translations_full
+    | Jit.Pipeline.Tier_super -> s.translations_super
+  in
+  made.n <- made.n + 1;
   s.translations_made <- s.translations_made + 1;
   (* trace: one summary slice for the translation plus one slice per
      phase, tiled end to end on the simulated timeline *)
@@ -999,27 +1007,29 @@ let aot_seed_blocks (s : t) : unit =
         if s.opts.tier0 then Jit.Pipeline.Tier_quick
         else Jit.Pipeline.Tier_full
       in
-      s.in_aot <- true;
+      let jit0 = s.active.Engine.jit_cycles in
       (try
          List.iter
            (fun pc ->
-             if s.aot_seeded >= aot_limit then raise Exit;
+             if s.aot_seeded.n >= aot_limit then raise Exit;
              if Transtab.find s.transtab pc = None then
                match translate_tier s ~tier pc with
-               | _ -> s.aot_seeded <- s.aot_seeded + 1
+               | _ -> s.aot_seeded.n <- s.aot_seeded.n + 1
                | exception
                    ( Jit.Pipeline.Translation_failure _
                    | Guest.Decode.Truncated
                    | Guest.Decode.Truncated_at _
                    | Aspace.Fault _ ) ->
-                   s.aot_failed <- s.aot_failed + 1)
+                   s.aot_failed.n <- s.aot_failed.n + 1)
            (Static.Cfg.block_starts cfg)
        with Exit -> ());
-      s.in_aot <- false;
+      (* seeding pays normal JIT cycles; its share is kept apart so
+         cold-start cost (total JIT minus AOT) stays measurable *)
+      s.aot_cycles.n <- Int64.to_int (Int64.sub s.active.Engine.jit_cycles jit0);
       tev s ~cat:"jit" ~name:"aot_seed"
         ~args:
-          [ ("seeded", Obs.Trace.I (Int64.of_int s.aot_seeded));
-            ("failed", Obs.Trace.I (Int64.of_int s.aot_failed)) ]
+          [ ("seeded", Obs.Trace.I (Int64.of_int s.aot_seeded.n));
+            ("failed", Obs.Trace.I (Int64.of_int s.aot_failed.n)) ]
         ()
   | _ -> ()
 
@@ -1195,11 +1205,16 @@ let digests (s : t) : (string * string) list =
     (List.sort
        (fun (a : Threads.thread) (b : Threads.thread) -> compare a.tid b.tid)
        s.threads.threads);
+  (* the tool events, then the chain lifecycle counts: the order every
+     log has hashed them in, so logs recorded earlier still verify *)
   let ev_h =
-    Array.fold_left
+    List.fold_left
       (fun h v -> Replay.fnv_string ~h (Int64.to_string v))
       Replay.fnv_basis
-      (Events.counts s.events)
+      (Events.counts s.events
+      @ List.map (metric s)
+          [ "transtab.chain_links"; "transtab.chain_unlinks";
+            "core.chained_transfers" ])
   in
   [
     ("exit", exit_str);
@@ -1270,7 +1285,7 @@ let promote (s : t) (pc : int64) (t0 : Jit.Pipeline.translation) :
   | exception (Guest.Decode.Truncated | Jit.Pipeline.Translation_failure _)
     ->
       t0.t_no_promote <- true;
-      s.promotions_failed <- s.promotions_failed + 1;
+      s.promotions_failed.n <- s.promotions_failed.n + 1;
       tev s ~cat:"jit" ~name:"promote_failed"
         ~args:[ ("pc", Obs.Trace.I pc) ]
         ();
@@ -1278,7 +1293,7 @@ let promote (s : t) (pc : int64) (t0 : Jit.Pipeline.translation) :
       t0
   | t ->
       t.t_hotness <- t0.t_hotness;
-      s.promotions <- s.promotions + 1;
+      s.promotions.n <- s.promotions.n + 1;
       Dispatch.update s.active.Engine.dispatch pc t;
       tev s ~cat:"jit" ~name:"promote" ~args:[ ("pc", Obs.Trace.I pc) ] ();
       t
@@ -1335,8 +1350,8 @@ let select_trace (s : t) (src : Jit.Pipeline.translation) : int64 list =
 let form_superblock (s : t) (head : Jit.Pipeline.translation) : unit =
   let pc = head.t_guest_addr in
   let path = select_trace s head in
-  if List.length path < 2 then
-    s.superblock_aborts <- s.superblock_aborts + 1
+  let abort () = s.superblock_aborts.n <- s.superblock_aborts.n + 1 in
+  if List.length path < 2 then abort ()
   else
     let fetch addr = Aspace.fetch_u8 s.mem addr in
     let checks = translation_checks s ~fetch_pc:pc in
@@ -1346,12 +1361,12 @@ let form_superblock (s : t) (head : Jit.Pipeline.translation) : unit =
     with
     | exception (Guest.Decode.Truncated | Jit.Pipeline.Translation_failure _)
       ->
-        s.superblock_aborts <- s.superblock_aborts + 1;
+        abort ();
         tev s ~cat:"jit" ~name:"superblock_abort"
           ~args:[ ("pc", Obs.Trace.I pc) ]
           ();
         Chaos.note_recovery s.opts.chaos "superblock_abort"
-    | None -> s.superblock_aborts <- s.superblock_aborts + 1
+    | None -> abort ()
     | Some t ->
         (* SMC policy is per constituent: check whenever any stitched
            range wants it.  [t_guest_ranges] spans every constituent, so
@@ -1399,7 +1414,6 @@ let find_translation (s : t) (pc : int64) : Jit.Pipeline.translation =
           (* patched: control transfers straight to the successor *)
           charge s chain_cost;
           e.Engine.chained_transfers <- e.Engine.chained_transfers + 1;
-          Events.tick_chain_followed s.events;
           note_chained_transfer s src slot;
           t
       | _ ->
@@ -1492,7 +1506,7 @@ let invalid_exec (s : t) (th : Threads.thread) (pc : int64) =
    directly against the ThreadState, uninstrumented.  Only reached when
    even the IR front end (phases 1-4) cannot process the block. *)
 let step_uninstrumented (s : t) (th : Threads.thread) =
-  s.uninstrumented_steps <- s.uninstrumented_steps + 1;
+  s.uninstrumented_steps.n <- s.uninstrumented_steps.n + 1;
   tev s ~cat:"degrade" ~name:"uninstrumented_step"
     ~args:[ ("pc", Obs.Trace.I (Threads.get_eip s.threads th)) ]
     ();
@@ -1536,7 +1550,7 @@ let step_uninstrumented (s : t) (th : Threads.thread) =
    inserted into the translation table: the next visit to this address
    re-enters the JIT (where translation will normally succeed). *)
 let run_block_interp (s : t) (th : Threads.thread) ~(pc : int64) =
-  s.interp_fallbacks <- s.interp_fallbacks + 1;
+  s.interp_fallbacks.n <- s.interp_fallbacks.n + 1;
   s.active.Engine.last_slot <- None;
   tev s ~cat:"degrade" ~name:"interp_fallback"
     ~args:[ ("pc", Obs.Trace.I pc) ]
@@ -1591,7 +1605,7 @@ let acquire_translation (s : t) (pc : int64) : Jit.Pipeline.translation =
        unlinks every chain pointing into the stale translation and marks
        it dead; other cores' caches notice lazily. *)
     Transtab.discard_key s.transtab pc;
-    s.retranslations_smc <- s.retranslations_smc + 1;
+    s.retranslations_smc.n <- s.retranslations_smc.n + 1;
     tev s ~cat:"smc" ~name:"retranslate" ~args:[ ("pc", Obs.Trace.I pc) ] ();
     let t' = translate s pc in
     Dispatch.update s.active.Engine.dispatch pc t';
@@ -1615,9 +1629,9 @@ let run_block (s : t) =
         Int64.unsigned_compare pc cfg.Static.Cfg.text_lo >= 0
         && Int64.unsigned_compare pc cfg.Static.Cfg.text_hi < 0
       then begin
-        s.cfg_checked <- s.cfg_checked + 1;
+        s.cfg_checked.n <- s.cfg_checked.n + 1;
         if not (Static.Cfg.known_insn cfg pc) then
-          s.cfg_miss <- s.cfg_miss + 1
+          s.cfg_miss.n <- s.cfg_miss.n + 1
       end
   | None -> ());
   match acquire_translation s pc with
@@ -1740,7 +1754,7 @@ let step (s : t) : bool =
               Dispatch.flush e.Engine.dispatch;
               e.Engine.last_slot <- None)
             s.cores;
-          s.chaos_flushes <- s.chaos_flushes + 1
+          s.chaos_flushes.n <- s.chaos_flushes.n + 1
         end;
         match pick_core s with
         | -1 -> finish s (Exited 0)
@@ -1844,14 +1858,14 @@ let run (s : t) : exit_reason =
 (* Time travel: seek / back                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* A fresh session over the same log, image, tool and options, not yet
-   started.  Replay is deterministic, so running it forward reaches any
-   earlier point of [s] exactly. *)
+(* A fresh session over the same log, image, tool and trace ring, not
+   yet started.  Replay is deterministic, so running it forward reaches
+   any earlier point of [s] exactly. *)
 let rewound (s : t) : t =
   match s.opts.rr with
   | Replay.Replay p ->
-      let rr = Replay.Replay (Replay.player p.Replay.p_log) in
-      create ~options:{ s.opts with rr } ~tool:s.tool s.image
+      replaying ~trace_capacity:s.opts.trace_capacity ~tool:s.tool s.image
+        p.p_log
   | _ -> invalid_arg "Session: going backwards needs a replaying session"
 
 (** The session at the first block boundary at or after wall-cycle
@@ -1932,57 +1946,59 @@ type stats = {
   st_aot_cycles : int64;  (** the AOT share of [st_jit_cycles] *)
 }
 
+(** A typed view of the registry: every field is the metric under its
+    key, read now. *)
 let stats (s : t) : stats =
-  let sumL f = Array.fold_left (fun acc e -> Int64.add acc (f e)) 0L s.cores in
+  let i64 = metric s in
+  let int k = Int64.to_int (i64 k) in
   {
-    st_blocks = s.blocks_executed;
-    st_host_cycles = sumL (fun e -> e.Engine.cpu.cycles);
-    st_host_insns = sumL (fun e -> e.Engine.cpu.insns);
-    st_overhead_cycles = sumL (fun e -> Int64.of_int e.Engine.overhead_cycles);
-    st_jit_cycles = sumL (fun e -> e.Engine.jit_cycles);
-    st_smc_cycles = sumL (fun e -> e.Engine.smc_cycles);
-    st_total_cycles = total_cycles s;
-    st_cores = Array.length s.cores;
-    st_wall_cycles = wall_cycles s;
-    st_translations = s.translations_made;
-    st_retranslations_smc = s.retranslations_smc;
-    st_verify_checks = s.verify_checks;
-    st_jit_phase_cycles = Array.copy s.jit_phase_cycles;
-    st_translations_tier0 = s.translations_tier0;
-    st_translations_full = s.translations_full;
-    st_translations_super = s.translations_super;
-    st_promotions = s.promotions;
-    st_promotions_failed = s.promotions_failed;
-    st_superblock_aborts = s.superblock_aborts;
-    st_jit_cycles_tier0 = s.jit_cycles_tier0;
-    st_jit_phase_cycles_tier0 = Array.copy s.jit_phase_cycles_tier0;
-    st_dispatch_hits = sumL (fun e -> e.Engine.dispatch.Dispatch.hits);
-    st_dispatch_misses = sumL (fun e -> e.Engine.dispatch.Dispatch.misses);
+    st_blocks = i64 "core.blocks";
+    st_host_cycles = i64 "core.host_cycles";
+    st_host_insns = i64 "core.host_insns";
+    st_overhead_cycles = i64 "core.overhead_cycles";
+    st_jit_cycles = i64 "core.jit_cycles";
+    st_smc_cycles = i64 "core.smc_cycles";
+    st_total_cycles = i64 "core.total_cycles";
+    st_cores = int "sched.cores";
+    st_wall_cycles = i64 "sched.wall_cycles";
+    st_translations = int "core.translations";
+    st_retranslations_smc = int "core.retranslations_smc";
+    st_verify_checks = int "core.verify_checks";
+    st_jit_phase_cycles = Array.map i64 phase_keys;
+    st_translations_tier0 = int "jit.tier0.translations";
+    st_translations_full = int "jit.full.translations";
+    st_translations_super = int "jit.super.translations";
+    st_promotions = int "jit.promotions";
+    st_promotions_failed = int "jit.promotions_failed";
+    st_superblock_aborts = int "jit.superblock_aborts";
+    st_jit_cycles_tier0 = i64 "jit.tier0.cycles";
+    st_jit_phase_cycles_tier0 = Array.map i64 tier0_phase_keys;
+    st_dispatch_hits = i64 "dispatch.hits";
+    st_dispatch_misses = i64 "dispatch.misses";
     st_dispatch_hit_rate =
-      (let hits = sumL (fun e -> e.Engine.dispatch.Dispatch.hits) in
-       let total = sumL (fun e -> Dispatch.entries e.Engine.dispatch) in
-       if total = 0L then 0.0
-       else Int64.to_float hits /. Int64.to_float total);
-    st_dispatch_entries = sumL (fun e -> Dispatch.entries e.Engine.dispatch);
-    st_chained = sumL (fun e -> Int64.of_int e.Engine.chained_transfers);
-    st_chain_patched = s.transtab.n_chain_links;
-    st_chain_unlinked = s.transtab.n_chain_unlinks;
-    st_chain_live = s.transtab.live_chains;
-    st_transtab_used = s.transtab.used;
-    st_transtab_evictions = s.transtab.n_evicted;
-    st_lock_handoffs = s.threads.lock_handoffs;
-    st_interp_fallbacks = s.interp_fallbacks;
-    st_uninstrumented_steps = s.uninstrumented_steps;
-    st_chaos_flushes = s.chaos_flushes;
-    st_syscall_restarts = s.sysw.n_restarts;
-    st_injected_errnos = s.sysw.n_injected_errnos;
-    st_short_io = s.sysw.n_short_io;
-    st_map_retries = s.sysw.n_map_retries;
-    st_cfg_checked = s.cfg_checked;
-    st_cfg_miss = s.cfg_miss;
-    st_aot_seeded = s.aot_seeded;
-    st_aot_failed = s.aot_failed;
-    st_aot_cycles = s.aot_cycles;
+      (match Obs.Registry.find s.metrics "dispatch.hit_rate" with
+      | Some (Obs.Registry.F f) -> f
+      | _ -> 0.0);
+    st_dispatch_entries = i64 "dispatch.entries";
+    st_chained = i64 "core.chained_transfers";
+    st_chain_patched = int "transtab.chain_links";
+    st_chain_unlinked = int "transtab.chain_unlinks";
+    st_chain_live = int "transtab.chain_live";
+    st_transtab_used = int "transtab.used";
+    st_transtab_evictions = int "transtab.evicted";
+    st_lock_handoffs = i64 "core.lock_handoffs";
+    st_interp_fallbacks = int "core.interp_fallbacks";
+    st_uninstrumented_steps = int "core.uninstrumented_steps";
+    st_chaos_flushes = int "core.chaos_flushes";
+    st_syscall_restarts = int "syswrap.restarts";
+    st_injected_errnos = int "syswrap.injected_errnos";
+    st_short_io = int "syswrap.short_io";
+    st_map_retries = int "syswrap.map_retries";
+    st_cfg_checked = int "static.cfg_checked";
+    st_cfg_miss = int "static.cfg_miss";
+    st_aot_seeded = int "jit.aot.seeded";
+    st_aot_failed = int "jit.aot.failed";
+    st_aot_cycles = i64 "jit.aot.cycles";
   }
 
 (** Client console output (via the simulated kernel). *)
@@ -1995,8 +2011,8 @@ let tool_output (s : t) = Buffer.contents s.output_buf
 (* ------------------------------------------------------------------ *)
 
 (** The session's metrics registry: every subsystem's counters, gauges
-    and probes, readable at any time.  The probes read the same mutable
-    fields {!stats} reads, so the two views cannot disagree. *)
+    and probes, readable at any time.  {!stats} is a typed view of it,
+    so the two cannot disagree. *)
 let metrics (s : t) : Obs.Registry.t = s.metrics
 
 (** All metrics as one flat JSON object (sorted keys, one line per

@@ -31,8 +31,8 @@ type counters = {
 let fresh_counters () =
   { n_restarts = 0; n_injected_errnos = 0; n_short_io = 0; n_map_retries = 0 }
 
-(** Publish the wrapper counters into a metrics registry as probes (the
-    registry reads the same mutable fields the stats record does). *)
+(** Publish the wrapper counters into a metrics registry as probes over
+    their mutable fields ([Session.stats] reads them back from there). *)
 let publish (r : Obs.Registry.t) (c : counters) =
   let pi name f = Obs.Registry.probe r name (fun () -> Int64.of_int (f ())) in
   pi "syswrap.restarts" (fun () -> c.n_restarts);

@@ -45,7 +45,6 @@ type t = {
      key of a resident translation to the (source key, slot) pairs core
      [c] patched to jump straight into it *)
   chain_shards : (int64, (int64 * Jit.Pipeline.chain_slot) list) Hashtbl.t array;
-  events : Events.t option;  (** chain lifecycle counters, if plumbed *)
   (* structured tracing (wired post-create by the session, like the
      kernel's [now_cycles]): lifecycle events — chain patch/unlink,
      chunk evictions, discards, flushes — timestamped with the
@@ -57,7 +56,6 @@ type t = {
   mutable retire_list : (int * entry) list;
       (** (retirement epoch, entry), newest first; every e_trans here is
           marked dead and out of the table, awaiting its grace period *)
-  mutable n_retired : int;  (** translations ever pushed to the list *)
   mutable n_retire_freed : int;  (** translations freed after grace *)
   (* statistics *)
   mutable n_inserts : int;
@@ -67,10 +65,9 @@ type t = {
   mutable n_chain_links : int;  (** cumulative slots patched *)
   mutable n_chain_unlinks : int;  (** cumulative slots unlinked *)
   mutable live_chains : int;  (** currently-patched slots *)
-  chain_links_by_shard : int64 array;  (** cumulative patches per core *)
 }
 
-let create ?events ?(capacity = 32768) ?(shards = 1) () =
+let create ?(capacity = 32768) ?(shards = 1) () =
   let shards = max 1 shards in
   {
     slots = Array.make capacity None;
@@ -78,12 +75,10 @@ let create ?events ?(capacity = 32768) ?(shards = 1) () =
     used = 0;
     seq = 0;
     chain_shards = Array.init shards (fun _ -> Hashtbl.create 1024);
-    events;
     trace = None;
     now = (fun () -> 0L);
     epoch = 0;
     retire_list = [];
-    n_retired = 0;
     n_retire_freed = 0;
     n_inserts = 0;
     n_evict_chunks = 0;
@@ -92,7 +87,6 @@ let create ?events ?(capacity = 32768) ?(shards = 1) () =
     n_chain_links = 0;
     n_chain_unlinks = 0;
     live_chains = 0;
-    chain_links_by_shard = Array.make shards 0L;
   }
 
 (** Attach a trace sink and a cycle clock (the session calls this right
@@ -152,12 +146,7 @@ let link ?(core = 0) (t : t) ~(src : Jit.Pipeline.translation)
     let prev = Option.value ~default:[] (Hashtbl.find_opt shard key) in
     Hashtbl.replace shard key ((src.t_guest_addr, slot) :: prev);
     t.n_chain_links <- t.n_chain_links + 1;
-    let c = core mod Array.length t.chain_links_by_shard in
-    t.chain_links_by_shard.(c) <- Int64.add t.chain_links_by_shard.(c) 1L;
     t.live_chains <- t.live_chains + 1;
-    (match t.events with
-    | Some e -> Events.tick_chain_patched e
-    | None -> ());
     tev t ~name:"chain_patch"
       ~args:
         [ ("src", Obs.Trace.I src.t_guest_addr);
@@ -171,9 +160,6 @@ let unlink_slot t (slot : Jit.Pipeline.chain_slot) =
     slot.cs_next <- None;
     t.n_chain_unlinks <- t.n_chain_unlinks + 1;
     t.live_chains <- t.live_chains - 1;
-    (match t.events with
-    | Some e -> Events.tick_chain_unlinked e
-    | None -> ());
     tev t ~name:"chain_unlink"
       ~args:[ ("target", Obs.Trace.I slot.cs_target) ]
       ()
@@ -232,8 +218,7 @@ let on_removed t (removed : entry list) =
     List.iter
       (fun e ->
         e.e_trans.Jit.Pipeline.t_dead <- true;
-        t.retire_list <- (t.epoch, e) :: t.retire_list;
-        t.n_retired <- t.n_retired + 1)
+        t.retire_list <- (t.epoch, e) :: t.retire_list)
       removed
   end
 
@@ -388,8 +373,7 @@ let flush (t : t) =
   List.iter
     (fun e ->
       e.e_trans.Jit.Pipeline.t_dead <- true;
-      t.retire_list <- (t.epoch, e) :: t.retire_list;
-      t.n_retired <- t.n_retired + 1)
+      t.retire_list <- (t.epoch, e) :: t.retire_list)
     resident
 
 let occupancy t = float_of_int t.used /. float_of_int t.capacity
@@ -434,7 +418,7 @@ let hottest (t : t) (n : int) : Jit.Pipeline.translation list =
   |> take n
 
 (** Publish the table's live counters into a metrics registry as probes
-    (reading the same mutable fields the stats record reads). *)
+    over its own mutable fields. *)
 let publish (r : Obs.Registry.t) (t : t) =
   let pi name f = Obs.Registry.probe r name (fun () -> Int64.of_int (f ())) in
   pi "transtab.used" (fun () -> t.used);
@@ -446,7 +430,7 @@ let publish (r : Obs.Registry.t) (t : t) =
   pi "transtab.chain_unlinks" (fun () -> t.n_chain_unlinks);
   pi "transtab.chain_live" (fun () -> t.live_chains);
   pi "transtab.epoch" (fun () -> t.epoch);
-  pi "transtab.retired" (fun () -> t.n_retired);
+  pi "transtab.retired" (fun () -> t.n_retire_freed + retire_pending t);
   pi "transtab.retire_freed" (fun () -> t.n_retire_freed);
   pi "transtab.retire_pending" (fun () -> retire_pending t);
   Obs.Registry.fprobe r "transtab.occupancy" (fun () -> occupancy t)

@@ -296,10 +296,10 @@ let run ?trace_to ?(files = []) (w : way) (tool : Vg_core.Tool.t)
   else
     let chaos = Option.map Chaos.create w.w_chaos in
     let last = ref None in
-    let session ?trace_to ~files ~chaos rr =
-      let trace_capacity =
-        if trace_to = None then w.w_options.trace_capacity else 65536
-      in
+    let trace_capacity =
+      if trace_to = None then w.w_options.trace_capacity else 65536
+    in
+    let session rr =
       let options = { w.w_options with chaos; rr; trace_capacity } in
       let s = S.create ~options ~tool img in
       List.iter (fun (n, c) -> Kernel.add_file s.S.kern n c) files;
@@ -309,13 +309,19 @@ let run ?trace_to ?(files = []) (w : way) (tool : Vg_core.Tool.t)
     let result =
       match
         if not w.w_replay then
-          let s = session ?trace_to ~files ~chaos Replay.No_rr in
+          let s = session Replay.No_rr in
           (s, S.run s)
         else begin
           let rec_ = Replay.recorder () in
-          ignore (S.run (session ~files ~chaos (Replay.Record rec_)));
-          let p = Replay.player_of_string (Replay.to_string rec_) in
-          let s = session ?trace_to ~files:[] ~chaos:None (Replay.Replay p) in
+          Replay.add_meta rec_ "options" (S.encode_options w.w_options);
+          ignore (S.run (session (Replay.Record rec_)));
+          (* the replay is built from the log and a trace ring alone:
+             an option the codec drops fails [Replayed] *)
+          let s =
+            S.replaying ~trace_capacity ~tool img
+              (Replay.decode (Replay.to_string rec_))
+          in
+          last := Some s;
           (s, S.run s)
         end
       with

@@ -4,9 +4,10 @@
     cycles go — dispatch vs. JIT vs. tool instrumentation.  This module
     is the measurement substrate the rest of the core publishes into:
 
-    - {!Registry}: a named-metric registry of {e probes} — pull closures
-      that read a subsystem's own live field, so the registry can never
-      drift from the legacy [stats] record it mirrors;
+    - {!Registry}: a named-metric registry of {e counters} it owns and
+      {e probes} — pull closures that read a subsystem's own live field.
+      Each fact is counted once, where it happens; [Session.stats] is a
+      typed view of the registry, not a second copy of it;
     - {!Trace}: a bounded ring of structured events (translations, chain
       patch/unlink, evictions, chaos faults, signals) exportable as
       JSON-lines or Chrome [trace_event] JSON;
@@ -66,6 +67,15 @@ module Registry = struct
 
   let fprobe (t : t) (name : string) (f : unit -> float) : unit =
     register t name (M_fprobe f)
+
+  (** A counter the registry owns: its one owner bumps [n] in place and
+      every reader samples it under its name. *)
+  type counter = { mutable n : int }
+
+  let counter (t : t) (name : string) : counter =
+    let c = { n = 0 } in
+    probe t name (fun () -> Int64.of_int c.n);
+    c
 
   (** One exported sample. *)
   type sample = I of int64 | F of float

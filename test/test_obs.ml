@@ -168,6 +168,143 @@ let test_stats_consistency () =
               Jit.Pipeline.phase_names.(i))))
     st.st_jit_phase_cycles
 
+(* Every [stats] field is the registry metric under its key, every
+   metric reaches [--stats=json], and every one outside the one-sided
+   chaos.* and replay.* families reaches the replay "stats" digest.  The
+   session lights up every optional family: a scan with AOT seeding, a
+   chaos schedule, two cores, a trace, a profile and a recording. *)
+let test_stats_is_registry_view () =
+  let options =
+    {
+      Vg_core.Session.default_options with
+      cores = 2;
+      scan = true;
+      aot_seed = true;
+      chaos = Some (Chaos.create (Chaos.sharded ~seed:1));
+      trace_capacity = 4096;
+      profile = true;
+      rr = Replay.Record (Replay.recorder ());
+    }
+  in
+  let s =
+    Vg_core.Session.create ~options ~tool:Tools.Lackey.tool
+      (Guest.Asm.assemble Fuzz.Clients.threads4_src)
+  in
+  ignore (Vg_core.Session.run s);
+  let st = Vg_core.Session.stats s in
+  let r = Vg_core.Session.metrics s in
+  let i = Int64.of_int in
+  let phases tier a =
+    List.init Jit.Pipeline.n_phases (fun p ->
+        ( Printf.sprintf "jit.%sphase%d.%s.cycles" tier (p + 1)
+            Jit.Pipeline.phase_names.(p),
+          a.(p) ))
+  in
+  let fields =
+    [
+      ("core.blocks", st.st_blocks);
+      ("core.host_cycles", st.st_host_cycles);
+      ("core.host_insns", st.st_host_insns);
+      ("core.overhead_cycles", st.st_overhead_cycles);
+      ("core.jit_cycles", st.st_jit_cycles);
+      ("core.smc_cycles", st.st_smc_cycles);
+      ("core.total_cycles", st.st_total_cycles);
+      ("sched.cores", i st.st_cores);
+      ("sched.wall_cycles", st.st_wall_cycles);
+      ("core.translations", i st.st_translations);
+      ("core.retranslations_smc", i st.st_retranslations_smc);
+      ("core.verify_checks", i st.st_verify_checks);
+      ("jit.tier0.translations", i st.st_translations_tier0);
+      ("jit.full.translations", i st.st_translations_full);
+      ("jit.super.translations", i st.st_translations_super);
+      ("jit.promotions", i st.st_promotions);
+      ("jit.promotions_failed", i st.st_promotions_failed);
+      ("jit.superblock_aborts", i st.st_superblock_aborts);
+      ("jit.tier0.cycles", st.st_jit_cycles_tier0);
+      ("dispatch.hits", st.st_dispatch_hits);
+      ("dispatch.misses", st.st_dispatch_misses);
+      ("dispatch.entries", st.st_dispatch_entries);
+      ("core.chained_transfers", st.st_chained);
+      ("transtab.chain_links", i st.st_chain_patched);
+      ("transtab.chain_unlinks", i st.st_chain_unlinked);
+      ("transtab.chain_live", i st.st_chain_live);
+      ("transtab.used", i st.st_transtab_used);
+      ("transtab.evicted", i st.st_transtab_evictions);
+      ("core.lock_handoffs", st.st_lock_handoffs);
+      ("core.interp_fallbacks", i st.st_interp_fallbacks);
+      ("core.uninstrumented_steps", i st.st_uninstrumented_steps);
+      ("core.chaos_flushes", i st.st_chaos_flushes);
+      ("syswrap.restarts", i st.st_syscall_restarts);
+      ("syswrap.injected_errnos", i st.st_injected_errnos);
+      ("syswrap.short_io", i st.st_short_io);
+      ("syswrap.map_retries", i st.st_map_retries);
+      ("static.cfg_checked", i st.st_cfg_checked);
+      ("static.cfg_miss", i st.st_cfg_miss);
+      ("jit.aot.seeded", i st.st_aot_seeded);
+      ("jit.aot.failed", i st.st_aot_failed);
+      ("jit.aot.cycles", st.st_aot_cycles);
+    ]
+    @ phases "" st.st_jit_phase_cycles
+    @ phases "tier0." st.st_jit_phase_cycles_tier0
+  in
+  List.iter
+    (fun (k, v) ->
+      Alcotest.(check (option int64)) k (Some v) (Obs.Registry.find_i64 r k))
+    fields;
+  Alcotest.(check bool) "dispatch.hit_rate" true
+    (Obs.Registry.find r "dispatch.hit_rate"
+    = Some (Obs.Registry.F st.st_dispatch_hit_rate));
+  (* the session did light the optional families up *)
+  Alcotest.(check bool) "scanned, seeded, two cores, flushed" true
+    (st.st_cfg_checked > 0 && st.st_aot_seeded > 0 && st.st_cores = 2
+   && st.st_chaos_flushes > 0);
+  let samples = Obs.Registry.samples r in
+  let keys = List.map fst samples in
+  let one_sided k =
+    String.starts_with ~prefix:"chaos." k
+    || String.starts_with ~prefix:"replay." k
+  in
+  Alcotest.(check bool) "chaos.* and replay.* are published" true
+    (List.exists (String.starts_with ~prefix:"chaos.") keys
+    && List.exists (String.starts_with ~prefix:"replay.") keys);
+  (* every metric, with its value, is a line of --stats=json *)
+  let json = Vg_core.Session.stats_json s in
+  let lines =
+    List.map String.trim (String.split_on_char '\n' json)
+  in
+  List.iter
+    (fun (k, v) ->
+      let line =
+        Printf.sprintf "\"%s\": %s" k
+          (match v with
+          | Obs.Registry.I x -> Int64.to_string x
+          | Obs.Registry.F f -> Obs.json_float f)
+      in
+      Alcotest.(check bool) ("stats_json has " ^ k) true
+        (List.mem line lines || List.mem (line ^ ",") lines))
+    samples;
+  (* the replay digest covers exactly the keys both sides publish *)
+  let digested =
+    List.map
+      (fun l -> Scanf.sscanf l "\"%s@\"" Fun.id)
+      (String.split_on_char '\n' (Replay.filter_stats json))
+  in
+  Alcotest.(check (list string)) "filter_stats keeps the two-sided keys"
+    (List.filter (fun k -> not (one_sided k)) keys)
+    digested
+
+let test_registry_counter () =
+  let r = Obs.Registry.create () in
+  let c = Obs.Registry.counter r "a.count" in
+  Alcotest.(check (option int64)) "starts at 0" (Some 0L)
+    (Obs.Registry.find_i64 r "a.count");
+  c.n <- c.n + 3;
+  Alcotest.(check (option int64)) "reads the owner's bumps" (Some 3L)
+    (Obs.Registry.find_i64 r "a.count");
+  Alcotest.check_raises "one owner per name"
+    (Invalid_argument "Obs.Registry: duplicate metric a.count") (fun () ->
+      ignore (Obs.Registry.counter r "a.count"))
+
 let test_exports_deterministic () =
   (* two identical runs: --stats=json, --profile and the trace exports
      must be bit-identical (all timing is simulated cycles) *)
@@ -256,6 +393,9 @@ let tests =
     t "trace: Chrome trace_event shape" test_trace_chrome_shape;
     t "session: per-phase cycles sum to jit_cycles" test_phase_cycles_sum;
     t "session: registry/stats consistency" test_stats_consistency;
+    t "session: every stats field is its registry key"
+      test_stats_is_registry_view;
+    t "registry: a counter the registry owns" test_registry_counter;
     t "session: exports bit-identical across runs" test_exports_deterministic;
     t "session: profile attributes the workload" test_profile_content;
     t "session: observability off by default" test_disabled_by_default;

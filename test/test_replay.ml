@@ -58,6 +58,7 @@ let progs =
 let record_session ?(base = Vg_core.Session.default_options) ?chaos ~tool
     ~cores (pr : prog) : Vg_core.Session.t * string =
   let rec_ = Replay.recorder () in
+  Replay.add_meta rec_ "options" (Vg_core.Session.encode_options base);
   let options = { base with cores; chaos; rr = Replay.Record rec_ } in
   let s = Vg_core.Session.create ~options ~tool (pr.pr_img ()) in
   List.iter (fun (n, c) -> Kernel.add_file s.kern n c) pr.pr_files;
@@ -65,19 +66,10 @@ let record_session ?(base = Vg_core.Session.default_options) ?chaos ~tool
   (s, Replay.to_string rec_)
 
 (* NB: the replay side never sees [pr_files] — recorded syscall effects
-   must reconstruct all client-visible IO, or the digests drift. *)
-let replay_session ?(base = Vg_core.Session.default_options) ~tool
-    (pr : prog) (data : string) : Vg_core.Session.t =
-  let p = Replay.player_of_string data in
-  let options =
-    {
-      base with
-      cores = p.Replay.p_log.Replay.l_cores;
-      chaos = None;
-      rr = Replay.Replay p;
-    }
-  in
-  Vg_core.Session.create ~options ~tool (pr.pr_img ())
+   must reconstruct all client-visible IO, or the digests drift.  Its
+   options come from the log alone. *)
+let replay_session ~tool (pr : prog) (data : string) : Vg_core.Session.t =
+  Vg_core.Session.replaying ~tool (pr.pr_img ()) (Replay.decode data)
 
 (* ---- bit-identity across the full matrix ----------------------------- *)
 
@@ -314,7 +306,7 @@ let test_back_across_superblocks () =
   let _s, data =
     record_session ~base ~tool:Vg_core.Tool.nulgrind ~cores:1 sb
   in
-  let s = replay_session ~base ~tool:Vg_core.Tool.nulgrind sb data in
+  let s = replay_session ~tool:Vg_core.Tool.nulgrind sb data in
   Vg_core.Session.run_to s ~stop:(fun _ -> false);
   let end_insns = Vg_core.Session.host_insns s in
   Alcotest.(check bool) "superblocks formed" true
@@ -399,6 +391,92 @@ let test_every_decision_kind () =
           (List.fold_left (fun n p -> n + List.assoc k p) 0 taken >= 1))
     (List.hd taken)
 
+(* ---- the options codec ----------------------------------------------- *)
+
+let test_options_codec_roundtrip () =
+  let d = Vg_core.Session.default_options in
+  List.iter
+    (fun o ->
+      Alcotest.(check bool) "decode (encode o) = o" true
+        (Vg_core.Session.decode_options (Vg_core.Session.encode_options o) d
+        = o))
+    [
+      (* every field the codec carries, off its default *)
+      {
+        d with
+        chaining = false;
+        verify_jit = false;
+        smc_mode = Vg_core.Session.Smc_all;
+        tier0 = false;
+        promote_threshold = 7;
+        superblocks = false;
+        scan = true;
+        aot_seed = true;
+        timeslice_blocks = 500;
+        transtab_capacity = 256;
+        dispatch_fast_cost = 20;
+        unroll_loops = false;
+        max_blocks = 2_000_000L;
+        interp_fallback = false;
+        trace_threshold = 8;
+        trace_max_blocks = 4;
+      };
+      (* values the engine takes as off, which a recorder may write (the
+         CLI passes --promote-threshold through unchecked), and fuel
+         beyond an int *)
+      {
+        d with
+        promote_threshold = -1;
+        timeslice_blocks = -1;
+        trace_threshold = -1;
+        max_blocks = Int64.max_int;
+      };
+    ]
+
+let test_options_meta_corrupt () =
+  (* the default "options" meta with one field edited: an unreadable
+     value, an unknown key or a table capacity no session runs with
+     makes the log corrupt; none may escape as another exception or
+     decode to a default *)
+  let d = Vg_core.Session.default_options in
+  let meta = Vg_core.Session.encode_options d in
+  List.iter
+    (fun (was, now) ->
+      let bad =
+        String.concat " "
+          (List.map
+             (fun kv -> if kv = was then now else kv)
+             (String.split_on_char ' ' meta))
+      in
+      Alcotest.(check bool) (was ^ " is in the meta") true (bad <> meta);
+      match Vg_core.Session.decode_options bad d with
+      | exception Replay.Corrupt m ->
+          Alcotest.(check string) now ("options meta: bad " ^ now) m
+      | _ -> Alcotest.failf "%s decoded" now)
+    [ ("promote=256", "promote=2x6"); ("super=true", "super=tru3");
+      ("aot=false", "aox=false"); ("transtab=32768", "transtab=0") ]
+
+(* ---- the golden run's trailer digests -------------------------------- *)
+
+let test_golden_digests () =
+  (* the threads4 golden session (lackey, two cores, default options):
+     its trailer digests are pinned, so logs recorded by earlier builds
+     keep verifying and a change to what a digest covers shows here *)
+  let threads4 = List.find (fun p -> p.pr_name = "threads4") progs in
+  let _s, data = record_session ~tool:Tools.Lackey.tool ~cores:2 threads4 in
+  Alcotest.(check (list (pair string string)))
+    "trailer digests"
+    [
+      ("exit", "exited:0");
+      ("threads", "3fc138e1468401a1");
+      ("memory", "1b609dce1422eb3c");
+      ("events", "83720d59c7cd8203");
+      ("stdout", "cbf29ce484222325");
+      ("tool", "5d87e4b6b631f121");
+      ("stats", "b1cc2782937f62e5");
+    ]
+    (Replay.decode data).l_digests
+
 let tests =
   [
     t "record/replay bit-identity: tools x programs x cores" test_matrix;
@@ -410,4 +488,7 @@ let tests =
     t "back steps across superblock formation" test_back_across_superblocks;
     t "log codec round-trips" test_log_codec_roundtrip;
     t "every logged decision kind replays" test_every_decision_kind;
+    t "options codec round-trips every field" test_options_codec_roundtrip;
+    t "malformed options meta is a corrupt log" test_options_meta_corrupt;
+    t "golden run's trailer digests are pinned" test_golden_digests;
   ]
