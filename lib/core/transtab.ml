@@ -6,19 +6,27 @@
     evicted when client code is unmapped or discarded by the
     self-modifying-code machinery.
 
+    {b Removal.}  FIFO chunk eviction, range discard (munmap /
+    discard-translations client request) and single-key discard (SMC
+    invalidation) all go through [remove_at]: backward-shift deletion
+    over the entry's probe run (Knuth's Algorithm R), which leaves every
+    resident key reachable from its home slot through occupied slots.
+    No tombstones, no rebuild: a single-key discard costs its key's
+    probe run and allocates nothing per slot.
+
     The table additionally owns the {b chain index} for direct
     translation chaining (§3.9 extension): a reverse map from a resident
     translation's key to every chain slot (in other translations) that
     has been patched to jump straight into it.  The index is sharded by
     the simulated core that performed the patch, so per-core patch
     traffic stays attributable and a core's chains can be audited
-    independently; removal paths walk every shard.  The invariant is
-    that a patched slot only ever points at a translation currently
-    resident in this table; every removal path — FIFO chunk eviction,
-    range discard (munmap / discard-translations client request),
-    single-key discard (SMC invalidation) and [flush] — unlinks all
-    chains into the removed translations first, so a stale jump into
-    retired code can never be followed.
+    independently.  The invariants: a patched slot only ever points at a
+    translation currently resident in this table, and a slot is recorded
+    in the index if and only if it is patched — exactly once, under its
+    target's key.  So a removal unlinks the chains into its translation
+    from the index entry under its own key and the chains out of it from
+    its own patched exit slots, and a stale jump into retired code can
+    never be followed.
 
     {b Epoch-based retirement.}  With N simulated cores, other cores'
     fast-lookup caches and last-exit records may still reference a
@@ -37,13 +45,14 @@ type entry = {
 }
 
 type t = {
-  mutable slots : entry option array;
+  slots : entry option array;
   capacity : int;
   mutable used : int;
   mutable seq : int;
   (* reverse chain index, sharded by patching core: shard[c] maps the
-     key of a resident translation to the (source key, slot) pairs core
-     [c] patched to jump straight into it *)
+     key of a resident translation to the (owner key, slot) pairs core
+     [c] patched to jump straight into it; [slot] is one of the owner's
+     [t_exits] *)
   chain_shards : (int64, (int64 * Jit.Pipeline.chain_slot) list) Hashtbl.t array;
   (* structured tracing (wired post-create by the session, like the
      kernel's [now_cycles]): lifecycle events — chain patch/unlink,
@@ -64,7 +73,6 @@ type t = {
   mutable n_discards : int;
   mutable n_chain_links : int;  (** cumulative slots patched *)
   mutable n_chain_unlinks : int;  (** cumulative slots unlinked *)
-  mutable live_chains : int;  (** currently-patched slots *)
 }
 
 let create ?(capacity = 32768) ?(shards = 1) () =
@@ -86,7 +94,6 @@ let create ?(capacity = 32768) ?(shards = 1) () =
     n_discards = 0;
     n_chain_links = 0;
     n_chain_unlinks = 0;
-    live_chains = 0;
   }
 
 (** Attach a trace sink and a cycle clock (the session calls this right
@@ -116,6 +123,9 @@ let find (t : t) (key : int64) : Jit.Pipeline.translation option =
   in
   probe (hash t key) 0
 
+(** Currently patched chain slots: every patch is unlinked at most once. *)
+let live_chains t = t.n_chain_links - t.n_chain_unlinks
+
 (* ------------------------------------------------------------------ *)
 (* Chaining                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -125,10 +135,15 @@ let find (t : t) (key : int64) : Jit.Pipeline.translation option =
 let resident t (key : int64) (tr : Jit.Pipeline.translation) : bool =
   match find t key with Some tr' -> tr' == tr | None -> false
 
+(* Is [slot] one of [exits], from index [i] on? *)
+let rec owns (exits : Jit.Pipeline.chain_slot array) slot i =
+  i < Array.length exits && (exits.(i) == slot || owns exits slot (i + 1))
+
 (** Patch [slot] (an exit site of resident translation [src]) to
     transfer straight to [dst], registering the chain in [core]'s shard
     of the reverse index.  Refuses — returning [false] — if the slot is
-    already patched or if either end is not resident (a translation
+    already patched, is not one of [src]'s exits (removing [src] could
+    not find it), or if either end is not resident (a translation
     evicted from the table must not become a chain target: nothing
     would ever unlink it). *)
 let link ?(core = 0) (t : t) ~(src : Jit.Pipeline.translation)
@@ -136,6 +151,7 @@ let link ?(core = 0) (t : t) ~(src : Jit.Pipeline.translation)
     bool =
   if
     slot.cs_next <> None
+    || (not (owns src.t_exits slot 0))
     || (not (resident t src.t_guest_addr src))
     || not (resident t dst.t_guest_addr dst)
   then false
@@ -146,7 +162,6 @@ let link ?(core = 0) (t : t) ~(src : Jit.Pipeline.translation)
     let prev = Option.value ~default:[] (Hashtbl.find_opt shard key) in
     Hashtbl.replace shard key ((src.t_guest_addr, slot) :: prev);
     t.n_chain_links <- t.n_chain_links + 1;
-    t.live_chains <- t.live_chains + 1;
     tev t ~name:"chain_patch"
       ~args:
         [ ("src", Obs.Trace.I src.t_guest_addr);
@@ -159,7 +174,6 @@ let unlink_slot t (slot : Jit.Pipeline.chain_slot) =
   if slot.cs_next <> None then begin
     slot.cs_next <- None;
     t.n_chain_unlinks <- t.n_chain_unlinks + 1;
-    t.live_chains <- t.live_chains - 1;
     tev t ~name:"chain_unlink"
       ~args:[ ("target", Obs.Trace.I slot.cs_target) ]
       ()
@@ -177,50 +191,38 @@ let unlink_into t (key : int64) =
           Hashtbl.remove shard key)
     t.chain_shards
 
-(* Drop reverse-index records whose SOURCE translation is being removed:
-   the slot dies with its owner, so the chain it carried is gone too. *)
-let purge_sources t (dropped : (int64, unit) Hashtbl.t) =
-  Array.iter
-    (fun shard ->
-      let keys = Hashtbl.fold (fun k _ acc -> k :: acc) shard [] in
-      List.iter
-        (fun k ->
-          match Hashtbl.find_opt shard k with
-          | None -> ()
-          | Some pairs ->
-              let keep, drop =
-                List.partition
-                  (fun (src, _) -> not (Hashtbl.mem dropped src))
-                  pairs
-              in
-              if drop <> [] then begin
-                List.iter (fun (_, slot) -> unlink_slot t slot) drop;
-                if keep = [] then Hashtbl.remove shard k
-                else Hashtbl.replace shard k keep
-              end)
-        keys)
-    t.chain_shards
+(* Unlink the patched exit [slot] of a translation being removed, and
+   drop its one record, kept under its target's key in whichever shard
+   patched it. *)
+let unlink_out t (slot : Jit.Pipeline.chain_slot) =
+  match slot.cs_next with
+  | None -> ()
+  | Some dst ->
+      let key = dst.Jit.Pipeline.t_guest_addr in
+      Array.iter
+        (fun shard ->
+          match Hashtbl.find_opt shard key with
+          | Some pairs when List.exists (fun (_, s) -> s == slot) pairs -> (
+              match List.filter (fun (_, s) -> s != slot) pairs with
+              | [] -> Hashtbl.remove shard key
+              | rest -> Hashtbl.replace shard key rest)
+          | _ -> ())
+        t.chain_shards;
+      unlink_slot t slot
 
-(* Chain maintenance for a batch of removed entries — unlink everything
-   into them, then purge chains owned by them — and push them onto the
+(* Retire an entry that has just left the slots: unlink every chain into
+   it and every chain out of it, mark it dead and push it onto the
    epoch-tagged retire list.  Chains are unlinked *eagerly* (a patched
    [cs_next] must never point at a dead translation) but the
-   translations themselves stay allocated until the grace period
-   expires: another core's fast-lookup cache or last-exit record may
-   still hold them, and the [t_dead] mark is what turns those stale
-   references into misses. *)
-let on_removed t (removed : entry list) =
-  if removed <> [] then begin
-    let dropped = Hashtbl.create (List.length removed) in
-    List.iter (fun e -> Hashtbl.replace dropped e.e_key ()) removed;
-    Hashtbl.iter (fun k () -> unlink_into t k) dropped;
-    purge_sources t dropped;
-    List.iter
-      (fun e ->
-        e.e_trans.Jit.Pipeline.t_dead <- true;
-        t.retire_list <- (t.epoch, e) :: t.retire_list)
-      removed
-  end
+   translation itself stays allocated until the grace period expires:
+   another core's fast-lookup cache or last-exit record may still hold
+   it, and the [t_dead] mark is what turns those stale references into
+   misses. *)
+let retire t (e : entry) =
+  unlink_into t e.e_key;
+  Array.iter (unlink_out t) e.e_trans.Jit.Pipeline.t_exits;
+  e.e_trans.Jit.Pipeline.t_dead <- true;
+  t.retire_list <- (t.epoch, e) :: t.retire_list
 
 let retire_pending t = List.length t.retire_list
 
@@ -253,44 +255,81 @@ let advance_epoch ?(delay = false) (t : t) : Jit.Pipeline.translation list =
 (* Insertion and removal                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Rebuild the table from a list of entries (preserving seq). *)
-let rebuild t (entries : entry list) =
-  t.slots <- Array.make t.capacity None;
-  t.used <- 0;
-  List.iter
-    (fun e ->
-      let rec probe i =
-        match t.slots.(i) with
-        | None ->
-            t.slots.(i) <- Some e;
-            t.used <- t.used + 1
-        | Some _ -> probe ((i + 1) mod t.capacity)
-      in
-      probe (hash t e.e_key))
-    entries
-
 let all_entries t =
   Array.to_list t.slots |> List.filter_map Fun.id
 
-(* FIFO chunk eviction: drop the oldest 1/8th of the live entries. *)
+(* The slot holding [key], probing from slot [i] ([n] slots probed so
+   far), or -1. *)
+let rec slot_of t (key : int64) i n =
+  if n > t.capacity then -1
+  else
+    match t.slots.(i) with
+    | None -> -1
+    | Some e when e.e_key = key -> i
+    | Some _ -> slot_of t key ((i + 1) mod t.capacity) (n + 1)
+
+(* Close the empty slot [hole], scanning its probe run from slot [j]:
+   an entry moves back into the hole iff the hole lies on its probe
+   path, cyclically in [home, j), and the hole moves to where it was.
+   The slot value is moved, not rebuilt, so nothing is allocated; the
+   scan ends at the run's first empty slot (in a full table, the hole
+   itself). *)
+let rec shift_back t hole j =
+  match t.slots.(j) with
+  | None -> ()
+  | Some e as v ->
+      let c = t.capacity in
+      let home = hash t e.e_key in
+      if (hole - home + c) mod c < (j - home + c) mod c then begin
+        t.slots.(hole) <- v;
+        t.slots.(j) <- None;
+        shift_back t j ((j + 1) mod c)
+      end
+      else shift_back t hole ((j + 1) mod c)
+
+(** Remove the entry in slot [i] (backward-shift deletion) and retire
+    it.  The one removal primitive. *)
+let remove_at t i =
+  match t.slots.(i) with
+  | None -> ()
+  | Some e ->
+      t.slots.(i) <- None;
+      shift_back t i ((i + 1) mod t.capacity);
+      t.used <- t.used - 1;
+      retire t e
+
+(* Remove every entry [doomed] picks, in one pass over the slots.  A
+   removal at slot [i] moves entries back towards [i] but never past it,
+   so re-examining slot [i] until it keeps its entry visits every entry
+   once at least. *)
+let remove_all t (doomed : entry -> bool) =
+  for i = 0 to t.capacity - 1 do
+    while (match t.slots.(i) with Some e -> doomed e | None -> false) do
+      remove_at t i
+    done
+  done
+
+(* FIFO chunk eviction: drop the oldest 1/8th of the live entries, those
+   whose sequence number is at most the chunk's newest. *)
 let evict_chunk t =
-  let entries =
-    all_entries t |> List.sort (fun a b -> compare a.e_seq b.e_seq)
-  in
-  let n_drop = max 1 (t.capacity / 8) in
-  let rec split n acc = function
-    | rest when n = 0 -> (List.rev acc, rest)
-    | [] -> (List.rev acc, [])
-    | e :: rest -> split (n - 1) (e :: acc) rest
-  in
-  let dropped, kept = split n_drop [] entries in
+  let n_drop = min (max 1 (t.capacity / 8)) t.used in
+  let seqs = Array.make t.used 0 in
+  let k = ref 0 in
+  Array.iter
+    (function
+      | Some e ->
+          seqs.(!k) <- e.e_seq;
+          incr k
+      | None -> ())
+    t.slots;
+  Array.sort Int.compare seqs;
+  let newest = seqs.(n_drop - 1) in
   t.n_evict_chunks <- t.n_evict_chunks + 1;
-  t.n_evicted <- t.n_evicted + List.length dropped;
+  t.n_evicted <- t.n_evicted + n_drop;
   tev t ~name:"evict_chunk"
-    ~args:[ ("dropped", Obs.Trace.I (Int64.of_int (List.length dropped))) ]
+    ~args:[ ("dropped", Obs.Trace.I (Int64.of_int n_drop)) ]
     ();
-  on_removed t dropped;
-  rebuild t kept
+  remove_all t (fun e -> e.e_seq <= newest)
 
 let insert (t : t) (key : int64) (trans : Jit.Pipeline.translation) =
   if t.used * 10 >= t.capacity * 8 then evict_chunk t;
@@ -306,7 +345,7 @@ let insert (t : t) (key : int64) (trans : Jit.Pipeline.translation) =
     | Some old when old.e_key = key ->
         (* replacing a resident translation: chains into the old one
            must not survive onto the new one *)
-        on_removed t [ old ];
+        retire t old;
         t.slots.(i) <- Some e
     | Some _ -> probe ((i + 1) mod t.capacity)
   in
@@ -322,12 +361,12 @@ let discard_range (t : t) (addr : int64) (len : int) : int =
     let ahi = Int64.add a (Int64.of_int l) in
     Int64.unsigned_compare a hi < 0 && Int64.unsigned_compare addr ahi < 0
   in
-  let keep, drop =
-    List.partition
-      (fun e -> not (List.exists intersects e.e_trans.Jit.Pipeline.t_guest_ranges))
-      (all_entries t)
+  let doomed e = List.exists intersects e.e_trans.Jit.Pipeline.t_guest_ranges in
+  let n =
+    Array.fold_left
+      (fun n -> function Some e when doomed e -> n + 1 | _ -> n)
+      0 t.slots
   in
-  let n = List.length drop in
   if n > 0 then begin
     t.n_discards <- t.n_discards + n;
     tev t ~name:"discard_range"
@@ -335,21 +374,17 @@ let discard_range (t : t) (addr : int64) (len : int) : int =
         [ ("addr", Obs.Trace.I addr); ("len", Obs.Trace.I (Int64.of_int len));
           ("dropped", Obs.Trace.I (Int64.of_int n)) ]
       ();
-    on_removed t drop;
-    rebuild t keep
+    remove_all t doomed
   end;
   n
 
 (** Discard a single entry by key (SMC retranslation), unlinking every
-    chain that jumps into it. *)
+    chain into and out of it.  Touches only the key's probe run. *)
 let discard_key (t : t) (key : int64) =
-  let keep, drop =
-    List.partition (fun e -> e.e_key <> key) (all_entries t)
-  in
   t.n_discards <- t.n_discards + 1;
   tev t ~name:"discard_key" ~args:[ ("key", Obs.Trace.I key) ] ();
-  on_removed t drop;
-  rebuild t keep
+  let i = slot_of t key (hash t key) 0 in
+  if i >= 0 then remove_at t i
 
 (** Empty the table completely, unlinking every chain and retiring every
     resident translation (cumulative counters are preserved). *)
@@ -357,24 +392,14 @@ let flush (t : t) =
   tev t ~name:"flush"
     ~args:[ ("resident", Obs.Trace.I (Int64.of_int t.used)) ]
     ();
-  let resident = all_entries t in
-  Array.iter
-    (fun shard ->
-      Hashtbl.iter
-        (fun _ pairs -> List.iter (fun (_, slot) -> unlink_slot t slot) pairs)
-        shard;
-      Hashtbl.reset shard)
-    t.chain_shards;
-  t.live_chains <- 0;
-  t.slots <- Array.make t.capacity None;
-  t.used <- 0;
-  (* chains are already down and the table is empty: just mark and
-     push (on_removed would redo the unlink walk per entry) *)
-  List.iter
-    (fun e ->
-      e.e_trans.Jit.Pipeline.t_dead <- true;
-      t.retire_list <- (t.epoch, e) :: t.retire_list)
-    resident
+  Array.iteri
+    (fun i -> function
+      | Some e ->
+          t.slots.(i) <- None;
+          retire t e
+      | None -> ())
+    t.slots;
+  t.used <- 0
 
 let occupancy t = float_of_int t.used /. float_of_int t.capacity
 
@@ -428,7 +453,7 @@ let publish (r : Obs.Registry.t) (t : t) =
   pi "transtab.discards" (fun () -> t.n_discards);
   pi "transtab.chain_links" (fun () -> t.n_chain_links);
   pi "transtab.chain_unlinks" (fun () -> t.n_chain_unlinks);
-  pi "transtab.chain_live" (fun () -> t.live_chains);
+  pi "transtab.chain_live" (fun () -> live_chains t);
   pi "transtab.epoch" (fun () -> t.epoch);
   pi "transtab.retired" (fun () -> t.n_retire_freed + retire_pending t);
   pi "transtab.retire_freed" (fun () -> t.n_retire_freed);

@@ -132,7 +132,7 @@ let test_chain_link_basics () =
     (Vg_core.Transtab.link tt ~src ~slot ~dst);
   Alcotest.(check bool) "slot patched" true
     (match slot.cs_next with Some t -> t == dst | None -> false);
-  Alcotest.(check int) "one live chain" 1 tt.live_chains;
+  Alcotest.(check int) "one live chain" 1 (Vg_core.Transtab.live_chains tt);
   (* double-patching the same slot is refused *)
   Alcotest.(check bool) "re-link refused" false
     (Vg_core.Transtab.link tt ~src ~slot ~dst)
@@ -156,7 +156,7 @@ let test_chain_unlink_on_eviction () =
     (Vg_core.Transtab.find tt 0x20L = None);
   Alcotest.(check bool) "slot unlinked (no stale jump)" true
     (slot.cs_next = None);
-  Alcotest.(check int) "no live chains" 0 tt.live_chains;
+  Alcotest.(check int) "no live chains" 0 (Vg_core.Transtab.live_chains tt);
   Alcotest.(check bool) "unlink counted" true (tt.n_chain_unlinks >= 1)
 
 let test_chain_unlink_on_discard_range () =
@@ -172,7 +172,7 @@ let test_chain_unlink_on_discard_range () =
   Alcotest.(check bool) "slot unlinked" true (slot.cs_next = None);
   Alcotest.(check bool) "source survives" true
     (Vg_core.Transtab.find tt 0x1000L <> None);
-  Alcotest.(check int) "no live chains" 0 tt.live_chains
+  Alcotest.(check int) "no live chains" 0 (Vg_core.Transtab.live_chains tt)
 
 let test_chain_unlink_on_smc_discard () =
   let tt = Vg_core.Transtab.create ~capacity:64 () in
@@ -184,12 +184,12 @@ let test_chain_unlink_on_smc_discard () =
   Vg_core.Transtab.insert tt 0x300L victim;
   ignore (Vg_core.Transtab.link tt ~src:a ~slot:slot_a ~dst:victim);
   ignore (Vg_core.Transtab.link tt ~src:b ~slot:slot_b ~dst:victim);
-  Alcotest.(check int) "two live chains" 2 tt.live_chains;
+  Alcotest.(check int) "two live chains" 2 (Vg_core.Transtab.live_chains tt);
   (* SMC invalidation discards the victim: EVERY chain into it must go *)
   Vg_core.Transtab.discard_key tt 0x300L;
   Alcotest.(check bool) "slot a unlinked" true (slot_a.cs_next = None);
   Alcotest.(check bool) "slot b unlinked" true (slot_b.cs_next = None);
-  Alcotest.(check int) "no live chains" 0 tt.live_chains;
+  Alcotest.(check int) "no live chains" 0 (Vg_core.Transtab.live_chains tt);
   (* a retranslation under the same key must NOT inherit old chains *)
   let victim' = dummy_trans 0x300L in
   Vg_core.Transtab.insert tt 0x300L victim';
@@ -208,9 +208,297 @@ let test_chain_flush_resets () =
   Alcotest.(check bool) "entries gone" true
     (Vg_core.Transtab.find tt 0x10L = None);
   Alcotest.(check bool) "slot unlinked" true (slot.cs_next = None);
-  Alcotest.(check int) "live chains reset" 0 tt.live_chains;
+  Alcotest.(check int) "live chains reset" 0 (Vg_core.Transtab.live_chains tt);
   Alcotest.(check bool) "cumulative counters preserved" true
     (tt.n_chain_links = 1 && tt.n_chain_unlinks = 1)
+
+(* ---- the table against a model -------------------------------------- *)
+
+type tt_op =
+  | Insert of int
+  | Burst of int * int  (** insert keys [k], [k+1], ...: enough to evict *)
+  | Discard of int
+  | Discard_range of int * int
+  | Link of int * int * int * int
+      (** core, source key, exit (2: a slot the source does not own),
+          target key *)
+  | Flush
+
+let show_tt_op = function
+  | Insert k -> Printf.sprintf "insert %d" k
+  | Burst (k, n) -> Printf.sprintf "burst %d+%d" k n
+  | Discard k -> Printf.sprintf "discard %d" k
+  | Discard_range (a, n) -> Printf.sprintf "discard_range %d+%d" a n
+  | Link (c, s, x, d) -> Printf.sprintf "link core%d %d.%d->%d" c s x d
+  | Flush -> "flush"
+
+(* Dense keys, twice the capacity of them: probe runs collide, wrap past
+   the last slot, and inserts fill the table past its 80% mark. *)
+let tt_case_gen =
+  let open QCheck.Gen in
+  int_range 8 64 >>= fun cap ->
+  let key = int_bound ((2 * cap) - 1) in
+  let op =
+    frequency
+      [
+        (6, map (fun k -> Insert k) key);
+        (1, map2 (fun k n -> Burst (k, n)) key (int_range 1 cap));
+        (3, map (fun k -> Discard k) key);
+        (1, map2 (fun a n -> Discard_range (a, n)) key (int_range 1 8));
+        ( 5,
+          map
+            (fun (c, s, x, d) -> Link (c, s, x, d))
+            (quad (int_bound 1) key (int_bound 2) key) );
+        (1, return Flush);
+      ]
+  in
+  list_size (int_range 1 120) op >|= fun ops -> (cap, ops)
+
+(* The model: resident entries as an association list with FIFO sequence
+   numbers, the same 80% / one-eighth eviction rule, and the patched
+   chains as (owner, slot, target) triples. *)
+type tt_model = {
+  mutable m_entries : (int64 * (Jit.Pipeline.translation * int)) list;
+  mutable m_chains :
+    (Jit.Pipeline.translation * Jit.Pipeline.chain_slot * Jit.Pipeline.translation)
+    list;
+  mutable m_seq : int;
+  mutable m_inserts : int;
+  mutable m_evicted : int;
+  mutable m_discards : int;
+  mutable m_links : int;
+  mutable m_unlinks : int;
+}
+
+let prop_transtab_vs_model =
+  QCheck.Test.make ~count:300 ~name:"transtab matches an association-list model"
+    (QCheck.make
+       ~print:(fun (cap, ops) ->
+         Printf.sprintf "capacity %d: %s" cap
+           (String.concat "; " (List.map show_tt_op ops)))
+       tt_case_gen)
+    (fun (cap, ops) ->
+      let module T = Vg_core.Transtab in
+      let tt = T.create ~capacity:cap ~shards:2 () in
+      let m =
+        { m_entries = []; m_chains = []; m_seq = 0; m_inserts = 0;
+          m_evicted = 0; m_discards = 0; m_links = 0; m_unlinks = 0 }
+      in
+      let made = ref [] and inserted = ref [] in
+      let fresh k =
+        let exit () =
+          { Jit.Pipeline.cs_index = 0; cs_target = 0L;
+            cs_kind = Host.Arch.ek_boring; cs_next = None; cs_hot = 0 }
+        in
+        let tr = dummy_trans_exits (Int64.of_int k) [| exit (); exit () |] in
+        made := tr :: !made;
+        tr
+      in
+      let m_find k = Option.map fst (List.assoc_opt k m.m_entries) in
+      let is tr = function Some t -> t == tr | None -> false in
+      let m_resident (tr : Jit.Pipeline.translation) =
+        is tr (m_find tr.t_guest_addr)
+      in
+      let m_remove k =
+        match m_find k with
+        | None -> ()
+        | Some tr ->
+            let cut, keep =
+              List.partition (fun (o, _, d) -> o == tr || d == tr) m.m_chains
+            in
+            m.m_chains <- keep;
+            m.m_unlinks <- m.m_unlinks + List.length cut;
+            m.m_entries <- List.remove_assoc k m.m_entries
+      in
+      let insert k =
+        let key = Int64.of_int k in
+        if List.length m.m_entries * 10 >= cap * 8 then begin
+          let oldest =
+            List.sort (fun (_, (_, a)) (_, (_, b)) -> compare a b) m.m_entries
+            |> List.filteri (fun i _ -> i < max 1 (cap / 8))
+          in
+          List.iter (fun (k, _) -> m_remove k) oldest;
+          m.m_evicted <- m.m_evicted + List.length oldest
+        end;
+        m_remove key;
+        let tr = fresh k in
+        m.m_seq <- m.m_seq + 1;
+        m.m_inserts <- m.m_inserts + 1;
+        m.m_entries <- (key, (tr, m.m_seq)) :: m.m_entries;
+        inserted := tr :: !inserted;
+        T.insert tt key tr
+      in
+      let step = function
+        | Insert k -> insert k
+        | Burst (k, n) ->
+            for i = 0 to n - 1 do
+              insert ((k + i) mod (2 * cap))
+            done
+        | Discard k ->
+            let key = Int64.of_int k in
+            m.m_discards <- m.m_discards + 1;
+            m_remove key;
+            T.discard_key tt key
+        | Discard_range (a, n) ->
+            let hit (k, _) = Int64.to_int k < a + n && a < Int64.to_int k + 4 in
+            let doomed = List.filter hit m.m_entries in
+            List.iter (fun (k, _) -> m_remove k) doomed;
+            m.m_discards <- m.m_discards + List.length doomed;
+            let got = T.discard_range tt (Int64.of_int a) n in
+            if got <> List.length doomed then
+              QCheck.Test.fail_reportf "discard_range %d+%d: %d, model %d" a n
+                got (List.length doomed)
+        | Link (core, s, x, d) ->
+            let tr k =
+              match m_find (Int64.of_int k) with Some tr -> tr | None -> fresh k
+            in
+            let src = tr s and dst = tr d in
+            let slot = if x < 2 then src.t_exits.(x) else (fresh s).t_exits.(0) in
+            let ok =
+              x < 2
+              && m_resident src && m_resident dst
+              && not (List.exists (fun (_, sl, _) -> sl == slot) m.m_chains)
+            in
+            if ok then begin
+              m.m_chains <- (src, slot, dst) :: m.m_chains;
+              m.m_links <- m.m_links + 1
+            end;
+            if T.link ~core tt ~src ~slot ~dst <> ok then
+              QCheck.Test.fail_reportf "link answered %b, model %b" (not ok) ok
+        | Flush ->
+            List.iter (fun (k, _) -> m_remove k) m.m_entries;
+            T.flush tt
+      in
+      let check op =
+        let fail what =
+          QCheck.Test.fail_reportf "after %s: %s" (show_tt_op op) what
+        in
+        for k = 0 to (2 * cap) - 1 do
+          let key = Int64.of_int k in
+          match (T.find tt key, m_find key) with
+          | None, None -> ()
+          | Some a, Some b when a == b -> ()
+          | _ -> fail (Printf.sprintf "find %d differs" k)
+        done;
+        let counts =
+          [ ("used", tt.used, List.length m.m_entries);
+            ("inserts", tt.n_inserts, m.m_inserts);
+            ("evicted", tt.n_evicted, m.m_evicted);
+            ("discards", tt.n_discards, m.m_discards);
+            ("chain links", tt.n_chain_links, m.m_links);
+            ("chain unlinks", tt.n_chain_unlinks, m.m_unlinks);
+            ("live chains", T.live_chains tt, List.length m.m_chains) ]
+        in
+        List.iter
+          (fun (name, got, want) ->
+            if got <> want then
+              fail (Printf.sprintf "%s %d, model %d" name got want))
+          counts;
+        (* every modelled chain is patched into its resident target, and
+           the reverse index holds exactly one record per chain, under
+           its target's key *)
+        let records =
+          Array.fold_left
+            (fun acc shard ->
+              Hashtbl.fold
+                (fun key pairs acc ->
+                  List.map (fun (owner, s) -> (key, owner, s)) pairs @ acc)
+                shard acc)
+            [] tt.chain_shards
+        in
+        if List.length records <> List.length m.m_chains then
+          fail
+            (Printf.sprintf "%d index records for %d chains"
+               (List.length records) (List.length m.m_chains));
+        List.iter
+          (fun ((o : Jit.Pipeline.translation), (slot : Jit.Pipeline.chain_slot), d)
+             ->
+            if not (is d slot.cs_next) then fail "a modelled chain is not patched";
+            let resident (tr : Jit.Pipeline.translation) =
+              is tr (T.find tt tr.t_guest_addr)
+            in
+            if not (resident o && resident d) then
+              fail "a chain joins a translation that is not resident";
+            match List.filter (fun (_, _, s) -> s == slot) records with
+            | [ (key, owner, _) ]
+              when key = d.t_guest_addr && owner = o.t_guest_addr ->
+                ()
+            | rs ->
+                fail
+                  (Printf.sprintf "a chain has %d index records" (List.length rs)))
+          m.m_chains
+      in
+      (* at the end: no other slot is patched, and a translation is
+         retired iff it was inserted and has left the table *)
+      let check_all () =
+        List.iter
+          (fun (tr : Jit.Pipeline.translation) ->
+            if tr.t_dead <> (List.memq tr !inserted && not (m_resident tr)) then
+              QCheck.Test.fail_reportf "0x%Lx: retirement differs from the model"
+                tr.t_guest_addr;
+            Array.iter
+              (fun (slot : Jit.Pipeline.chain_slot) ->
+                if slot.cs_next <> None
+                   && not (List.exists (fun (_, s, _) -> s == slot) m.m_chains)
+                then
+                  QCheck.Test.fail_reportf "0x%Lx: an unmodelled slot is patched"
+                    tr.t_guest_addr)
+              tr.t_exits)
+          !made
+      in
+      List.iter
+        (fun op ->
+          step op;
+          check op)
+        ops;
+      check_all ();
+      true)
+
+(* ---- an SMC discard does not scale with the table --------------------- *)
+
+(* Minor words and words allocated straight into the major heap by one
+   [discard_key]. *)
+let discard_alloc tt key =
+  let q0 = Gc.quick_stat () in
+  let m0 = Gc.minor_words () in
+  Vg_core.Transtab.discard_key tt key;
+  let m1 = Gc.minor_words () in
+  let q1 = Gc.quick_stat () in
+  ( m1 -. m0,
+    q1.major_words -. q0.major_words -. (q1.promoted_words -. q0.promoted_words) )
+
+let test_discard_cost_flat () =
+  (* the same 40 entries, each chained to the next, in a 64-slot table
+     and in a default-sized one *)
+  let fill capacity =
+    let tt = Vg_core.Transtab.create ~capacity () in
+    let key i = Int64.of_int (0x1000 + (16 * (i mod 40))) in
+    let ts = Array.init 40 (fun i -> dummy_trans_with_exit (key i) (key (i + 1))) in
+    Array.iter
+      (fun ((tr : Jit.Pipeline.translation), _) ->
+        Vg_core.Transtab.insert tt tr.t_guest_addr tr)
+      ts;
+    Array.iteri
+      (fun i (src, slot) ->
+        Alcotest.(check bool) "linked" true
+          (Vg_core.Transtab.link tt ~src ~slot ~dst:(fst ts.((i + 1) mod 40))))
+      ts;
+    tt
+  in
+  let small = fill 64 and large = fill 32768 in
+  List.iter
+    (fun (what, key) ->
+      let ms, ds = discard_alloc small key in
+      let ml, dl = discard_alloc large key in
+      Alcotest.(check (float 0.))
+        (what ^ ": same minor words at either size") ms ml;
+      Alcotest.(check (float 0.)) (what ^ ": nothing straight into the major heap")
+        0. (Float.max ds dl))
+    [ ("resident key", 0x1100L); ("absent key", 0x9999L) ];
+  Alcotest.(check int) "both chains of the discarded entry unlinked" 2
+    large.n_chain_unlinks;
+  Alcotest.(check bool) "discarded" true
+    (Vg_core.Transtab.find large 0x1100L = None)
 
 let test_dispatch_cache () =
   let d = Vg_core.Dispatch.create ~size:16 () in
@@ -369,6 +657,9 @@ let tests =
     t "chaining: discard range unlinks" test_chain_unlink_on_discard_range;
     t "chaining: SMC discard unlinks all" test_chain_unlink_on_smc_discard;
     t "chaining: flush resets chain state" test_chain_flush_resets;
+    t "transtab: SMC discard cost does not grow with capacity"
+      test_discard_cost_flat;
+    QCheck_alcotest.to_alcotest prop_transtab_vs_model;
     t "dispatch: direct-mapped cache" test_dispatch_cache;
     t "dispatch: fresh cache hit rate is 0" test_dispatch_hit_rate_fresh;
     t "errors: dedup" test_errors_dedup;
