@@ -1606,7 +1606,8 @@ let acquire_translation (s : t) (pc : int64) : Jit.Pipeline.translation =
        it dead; other cores' caches notice lazily. *)
     Transtab.discard_key s.transtab pc;
     s.retranslations_smc.n <- s.retranslations_smc.n + 1;
-    tev s ~cat:"smc" ~name:"retranslate" ~args:[ ("pc", Obs.Trace.I pc) ] ();
+    if Option.is_some s.trace then
+      tev s ~cat:"smc" ~name:"retranslate" ~args:[ ("pc", Obs.Trace.I pc) ] ();
     let t' = translate s pc in
     Dispatch.update s.active.Engine.dispatch pc t';
     t'

@@ -102,6 +102,10 @@ let set_observer t ~(trace : Obs.Trace.t option) ~(now : unit -> int64) =
   t.trace <- trace;
   t.now <- now
 
+(* Callers test [tracing] first, so that no argument list is built
+   when no trace is attached. *)
+let tracing t = match t.trace with Some _ -> true | None -> false
+
 let tev t ~name ?(args = []) () =
   match t.trace with
   | None -> ()
@@ -112,16 +116,20 @@ let hash t (key : int64) =
   let h = Int64.mul key 0x9E3779B97F4A7C15L in
   Int64.to_int (Int64.shift_right_logical h 40) mod t.capacity
 
+(* The slot holding [key], probing from slot [i] ([n] slots probed so
+   far), or -1. *)
+let rec slot_of t (key : int64) i n =
+  if n > t.capacity then -1
+  else
+    match t.slots.(i) with
+    | None -> -1
+    | Some e when e.e_key = key -> i
+    | Some _ -> slot_of t key ((i + 1) mod t.capacity) (n + 1)
+
 let find (t : t) (key : int64) : Jit.Pipeline.translation option =
-  let rec probe i n =
-    if n > t.capacity then None
-    else
-      match t.slots.(i) with
-      | None -> None
-      | Some e when e.e_key = key -> Some e.e_trans
-      | Some _ -> probe ((i + 1) mod t.capacity) (n + 1)
-  in
-  probe (hash t key) 0
+  match slot_of t key (hash t key) 0 with
+  | -1 -> None
+  | i -> ( match t.slots.(i) with Some e -> Some e.e_trans | None -> None)
 
 (** Currently patched chain slots: every patch is unlinked at most once. *)
 let live_chains t = t.n_chain_links - t.n_chain_unlinks
@@ -133,7 +141,9 @@ let live_chains t = t.n_chain_links - t.n_chain_unlinks
 (* [tr] is the live translation for [key] (physical equality: a
    retranslation under the same key is a different residency). *)
 let resident t (key : int64) (tr : Jit.Pipeline.translation) : bool =
-  match find t key with Some tr' -> tr' == tr | None -> false
+  match slot_of t key (hash t key) 0 with
+  | -1 -> false
+  | i -> ( match t.slots.(i) with Some e -> e.e_trans == tr | None -> false)
 
 (* Is [slot] one of [exits], from index [i] on? *)
 let rec owns (exits : Jit.Pipeline.chain_slot array) slot i =
@@ -162,11 +172,12 @@ let link ?(core = 0) (t : t) ~(src : Jit.Pipeline.translation)
     let prev = Option.value ~default:[] (Hashtbl.find_opt shard key) in
     Hashtbl.replace shard key ((src.t_guest_addr, slot) :: prev);
     t.n_chain_links <- t.n_chain_links + 1;
-    tev t ~name:"chain_patch"
-      ~args:
-        [ ("src", Obs.Trace.I src.t_guest_addr);
-          ("dst", Obs.Trace.I dst.t_guest_addr) ]
-      ();
+    if tracing t then
+      tev t ~name:"chain_patch"
+        ~args:
+          [ ("src", Obs.Trace.I src.t_guest_addr);
+            ("dst", Obs.Trace.I dst.t_guest_addr) ]
+        ();
     true
   end
 
@@ -174,9 +185,10 @@ let unlink_slot t (slot : Jit.Pipeline.chain_slot) =
   if slot.cs_next <> None then begin
     slot.cs_next <- None;
     t.n_chain_unlinks <- t.n_chain_unlinks + 1;
-    tev t ~name:"chain_unlink"
-      ~args:[ ("target", Obs.Trace.I slot.cs_target) ]
-      ()
+    if tracing t then
+      tev t ~name:"chain_unlink"
+        ~args:[ ("target", Obs.Trace.I slot.cs_target) ]
+        ()
   end
 
 (* Unlink every chain jumping INTO [key] (its translation is being
@@ -243,11 +255,12 @@ let advance_epoch ?(delay = false) (t : t) : Jit.Pipeline.translation list =
   t.epoch <- t.epoch + 1;
   if freed <> [] then begin
     t.n_retire_freed <- t.n_retire_freed + List.length freed;
-    tev t ~name:"retire_free"
-      ~args:
-        [ ("freed", Obs.Trace.I (Int64.of_int (List.length freed)));
-          ("epoch", Obs.Trace.I (Int64.of_int t.epoch)) ]
-      ()
+    if tracing t then
+      tev t ~name:"retire_free"
+        ~args:
+          [ ("freed", Obs.Trace.I (Int64.of_int (List.length freed)));
+            ("epoch", Obs.Trace.I (Int64.of_int t.epoch)) ]
+        ()
   end;
   List.map (fun (_, e) -> e.e_trans) freed
 
@@ -257,16 +270,6 @@ let advance_epoch ?(delay = false) (t : t) : Jit.Pipeline.translation list =
 
 let all_entries t =
   Array.to_list t.slots |> List.filter_map Fun.id
-
-(* The slot holding [key], probing from slot [i] ([n] slots probed so
-   far), or -1. *)
-let rec slot_of t (key : int64) i n =
-  if n > t.capacity then -1
-  else
-    match t.slots.(i) with
-    | None -> -1
-    | Some e when e.e_key = key -> i
-    | Some _ -> slot_of t key ((i + 1) mod t.capacity) (n + 1)
 
 (* Close the empty slot [hole], scanning its probe run from slot [j]:
    an entry moves back into the hole iff the hole lies on its probe
@@ -326,9 +329,10 @@ let evict_chunk t =
   let newest = seqs.(n_drop - 1) in
   t.n_evict_chunks <- t.n_evict_chunks + 1;
   t.n_evicted <- t.n_evicted + n_drop;
-  tev t ~name:"evict_chunk"
-    ~args:[ ("dropped", Obs.Trace.I (Int64.of_int n_drop)) ]
-    ();
+  if tracing t then
+    tev t ~name:"evict_chunk"
+      ~args:[ ("dropped", Obs.Trace.I (Int64.of_int n_drop)) ]
+      ();
   remove_all t (fun e -> e.e_seq <= newest)
 
 let insert (t : t) (key : int64) (trans : Jit.Pipeline.translation) =
@@ -369,11 +373,12 @@ let discard_range (t : t) (addr : int64) (len : int) : int =
   in
   if n > 0 then begin
     t.n_discards <- t.n_discards + n;
-    tev t ~name:"discard_range"
-      ~args:
-        [ ("addr", Obs.Trace.I addr); ("len", Obs.Trace.I (Int64.of_int len));
-          ("dropped", Obs.Trace.I (Int64.of_int n)) ]
-      ();
+    if tracing t then
+      tev t ~name:"discard_range"
+        ~args:
+          [ ("addr", Obs.Trace.I addr); ("len", Obs.Trace.I (Int64.of_int len));
+            ("dropped", Obs.Trace.I (Int64.of_int n)) ]
+        ();
     remove_all t doomed
   end;
   n
@@ -382,16 +387,17 @@ let discard_range (t : t) (addr : int64) (len : int) : int =
     chain into and out of it.  Touches only the key's probe run. *)
 let discard_key (t : t) (key : int64) =
   t.n_discards <- t.n_discards + 1;
-  tev t ~name:"discard_key" ~args:[ ("key", Obs.Trace.I key) ] ();
+  if tracing t then tev t ~name:"discard_key" ~args:[ ("key", Obs.Trace.I key) ] ();
   let i = slot_of t key (hash t key) 0 in
   if i >= 0 then remove_at t i
 
 (** Empty the table completely, unlinking every chain and retiring every
     resident translation (cumulative counters are preserved). *)
 let flush (t : t) =
-  tev t ~name:"flush"
-    ~args:[ ("resident", Obs.Trace.I (Int64.of_int t.used)) ]
-    ();
+  if tracing t then
+    tev t ~name:"flush"
+      ~args:[ ("resident", Obs.Trace.I (Int64.of_int t.used)) ]
+      ();
   Array.iteri
     (fun i -> function
       | Some e ->

@@ -9,7 +9,6 @@
     them in chunks, and so on, as §3.8 describes). *)
 
 open Arch
-open Support
 
 (** [decode] found no instruction at this byte offset: an unknown opcode
     or operand code, an instruction cut off by the end of the code, or a
@@ -85,129 +84,157 @@ let enc_length = function
   | Goto _ -> 3
   | GotoI _ -> 6
 
+(* Field writers for [assemble]: a byte, the low 16 or 32 bits of an
+   [int] or [int64], and two 4-bit register numbers in one byte. *)
+let[@inline] w8 b o x = Bytes.set_uint8 b o x
+let[@inline] w16 b o x = Bytes.set_uint16_le b o x
+let[@inline] w32 b o x = Bytes.set_int32_le b o (Int32.of_int x)
+let[@inline] w32_64 b o x = Bytes.set_int32_le b o (Int64.to_int32 x)
+let[@inline] wrr b o x y = Bytes.set_uint8 b o ((x lsl 4) lor y)
+
 (** Assemble an instruction list (labels resolved to byte offsets) into
-    machine-code bytes. *)
+    machine-code bytes.  Raises [Invalid_argument] on a branch to a label
+    the list does not define, or a memory access size other than 1, 2, 4
+    or 8.  The bytes are written straight into a result of the exact
+    size; a 32-bit field holds the low 32 bits of its value. *)
 let assemble (insns : insn list) : Bytes.t =
-  (* pass 1: label -> byte offset *)
-  let label_off = Hashtbl.create 16 in
+  (* pass 1: the code size and the range of labels defined *)
+  let size = ref 0 and lo = ref max_int and hi = ref min_int in
+  List.iter
+    (fun i ->
+      (match i with
+      | Label l ->
+          if l < !lo then lo := l;
+          if l > !hi then hi := l
+      | _ -> ());
+      size := !size + enc_length i)
+    insns;
+  (* pass 2: label_off.(l - lo) is the byte offset of label l, -1 if l
+     is not defined *)
+  let lo = !lo in
+  let label_off = Array.make (if !hi >= lo then !hi - lo + 1 else 0) (-1) in
   let off = ref 0 in
   List.iter
     (fun i ->
-      (match i with Label l -> Hashtbl.replace label_off l !off | _ -> ());
+      (match i with Label l -> label_off.(l - lo) <- !off | _ -> ());
       off := !off + enc_length i)
     insns;
   let target l =
-    match Hashtbl.find_opt label_off l with
-    | Some o -> Int64.of_int o
-    | None -> invalid_arg (Printf.sprintf "assemble: undefined label %d" l)
+    let o = if l < lo || l - lo >= Array.length label_off then -1 else label_off.(l - lo) in
+    if o < 0 then invalid_arg (Printf.sprintf "assemble: undefined label %d" l);
+    o
   in
-  let b = Buf.create ~capacity:(!off + 8) () in
+  (* pass 3: the bytes *)
+  let b = Bytes.create !size in
+  let p = ref 0 in
   List.iter
     (fun i ->
-      match i with
+      let o = !p in
+      (match i with
       | Movi (d, imm) ->
-          Buf.u8 b 0x01;
-          Buf.u8 b d;
-          Buf.u64 b imm
+          w8 b o 0x01;
+          w8 b (o + 1) d;
+          Bytes.set_int64_le b (o + 2) imm
       | Mov (d, s) ->
-          Buf.u8 b 0x02;
-          Buf.u8 b ((d lsl 4) lor s)
+          w8 b o 0x02;
+          wrr b (o + 1) d s
       | Alu (w, op, d, s1, s2) ->
-          Buf.u8 b (match w with W32 -> 0x03 | W64 -> 0x04);
-          Buf.u8 b (alu_index op);
-          Buf.u8 b ((d lsl 4) lor s1);
-          Buf.u8 b s2
+          w8 b o (match w with W32 -> 0x03 | W64 -> 0x04);
+          w8 b (o + 1) (alu_index op);
+          wrr b (o + 2) d s1;
+          w8 b (o + 3) s2
       | Alui (w, op, d, s1, imm) ->
-          Buf.u8 b (match w with W32 -> 0x05 | W64 -> 0x06);
-          Buf.u8 b (alu_index op);
-          Buf.u8 b ((d lsl 4) lor s1);
-          Buf.u32 b imm;
-          Buf.u8 b 0
+          w8 b o (match w with W32 -> 0x05 | W64 -> 0x06);
+          w8 b (o + 1) (alu_index op);
+          wrr b (o + 2) d s1;
+          w32_64 b (o + 3) imm;
+          w8 b (o + 7) 0
       | Ld (sz, sx, d, base, disp) ->
-          Buf.u8 b 0x07;
-          Buf.u8 b (sz_code sz lor if sx then 0x10 else 0);
-          Buf.u8 b ((d lsl 4) lor base);
-          Buf.u32 b (Int64.of_int disp)
+          w8 b o 0x07;
+          w8 b (o + 1) (sz_code sz lor if sx then 0x10 else 0);
+          wrr b (o + 2) d base;
+          w32 b (o + 3) disp
       | St (sz, s, base, disp) ->
-          Buf.u8 b 0x08;
-          Buf.u8 b (sz_code sz);
-          Buf.u8 b ((s lsl 4) lor base);
-          Buf.u32 b (Int64.of_int disp)
+          w8 b o 0x08;
+          w8 b (o + 1) (sz_code sz);
+          wrr b (o + 2) s base;
+          w32 b (o + 3) disp
       | Cmov (d, c, s) ->
-          Buf.u8 b 0x09;
-          Buf.u8 b ((d lsl 4) lor c);
-          Buf.u8 b s
+          w8 b o 0x09;
+          wrr b (o + 1) d c;
+          w8 b (o + 2) s
       | Falu (op, d, s1, s2) ->
-          Buf.u8 b 0x0A;
-          Buf.u8 b (falu_index op);
-          Buf.u8 b ((d lsl 4) lor s1);
-          Buf.u8 b s2
+          w8 b o 0x0A;
+          w8 b (o + 1) (falu_index op);
+          wrr b (o + 2) d s1;
+          w8 b (o + 3) s2
       | Fun1 (op, d, s) ->
-          Buf.u8 b 0x0B;
-          Buf.u8 b (fun1_index op);
-          Buf.u8 b ((d lsl 4) lor s)
+          w8 b o 0x0B;
+          w8 b (o + 1) (fun1_index op);
+          wrr b (o + 2) d s
       | Vld (d, base, disp) ->
-          Buf.u8 b 0x0C;
-          Buf.u8 b ((d lsl 4) lor base);
-          Buf.u32 b (Int64.of_int disp)
+          w8 b o 0x0C;
+          wrr b (o + 1) d base;
+          w32 b (o + 2) disp
       | Vst (s, base, disp) ->
-          Buf.u8 b 0x0D;
-          Buf.u8 b ((s lsl 4) lor base);
-          Buf.u32 b (Int64.of_int disp)
+          w8 b o 0x0D;
+          wrr b (o + 1) s base;
+          w32 b (o + 2) disp
       | Vmov (d, s) ->
-          Buf.u8 b 0x0E;
-          Buf.u8 b ((d lsl 4) lor s)
+          w8 b o 0x0E;
+          wrr b (o + 1) d s
       | Valu (op, d, s1, s2) ->
-          Buf.u8 b 0x0F;
-          Buf.u8 b (valu_index op);
-          Buf.u8 b ((d lsl 4) lor s1);
-          Buf.u8 b s2
+          w8 b o 0x0F;
+          w8 b (o + 1) (valu_index op);
+          wrr b (o + 2) d s1;
+          w8 b (o + 3) s2
       | Vnot (d, s) ->
-          Buf.u8 b 0x10;
-          Buf.u8 b ((d lsl 4) lor s)
+          w8 b o 0x10;
+          wrr b (o + 1) d s
       | Vsplat32 (d, s) ->
-          Buf.u8 b 0x11;
-          Buf.u8 b ((d lsl 4) lor s)
+          w8 b o 0x11;
+          wrr b (o + 1) d s
       | Vpack (d, hi, lo) ->
-          Buf.u8 b 0x12;
-          Buf.u8 b d;
-          Buf.u8 b ((hi lsl 4) lor lo)
+          w8 b o 0x12;
+          w8 b (o + 1) d;
+          wrr b (o + 2) hi lo
       | Vunpack (d, s, half) ->
-          Buf.u8 b 0x13;
-          Buf.u8 b ((d lsl 4) lor s);
-          Buf.u8 b half
+          w8 b o 0x13;
+          wrr b (o + 1) d s;
+          w8 b (o + 2) half
       | Call (id, nargs, cost) ->
-          Buf.u8 b 0x14;
-          Buf.u16 b id;
-          Buf.u8 b nargs;
-          Buf.u16 b cost
+          w8 b o 0x14;
+          w16 b (o + 1) id;
+          w8 b (o + 3) nargs;
+          w16 b (o + 4) cost
       | Jz (c, l) ->
-          Buf.u8 b 0x15;
-          Buf.u8 b c;
-          Buf.u32 b (target l)
+          w8 b o 0x15;
+          w8 b (o + 1) c;
+          w32 b (o + 2) (target l)
       | Jnz (c, l) ->
-          Buf.u8 b 0x16;
-          Buf.u8 b c;
-          Buf.u32 b (target l)
+          w8 b o 0x16;
+          w8 b (o + 1) c;
+          w32 b (o + 2) (target l)
       | Jmp l ->
-          Buf.u8 b 0x17;
-          Buf.u32 b (target l)
+          w8 b o 0x17;
+          w32 b (o + 1) (target l)
       | Label _ -> ()
       | ExitIf (c, ek, dest) ->
-          Buf.u8 b 0x18;
-          Buf.u8 b c;
-          Buf.u8 b ek;
-          Buf.u32 b dest
+          w8 b o 0x18;
+          w8 b (o + 1) c;
+          w8 b (o + 2) ek;
+          w32_64 b (o + 3) dest
       | Goto (ek, s) ->
-          Buf.u8 b 0x19;
-          Buf.u8 b ek;
-          Buf.u8 b s
+          w8 b o 0x19;
+          w8 b (o + 1) ek;
+          w8 b (o + 2) s
       | GotoI (ek, dest) ->
-          Buf.u8 b 0x1A;
-          Buf.u8 b ek;
-          Buf.u32 b dest)
+          w8 b o 0x1A;
+          w8 b (o + 1) ek;
+          w32_64 b (o + 2) dest);
+      p := o + enc_length i)
     insns;
-  Buf.contents b
+  b
 
 (* Encoded length of the instruction with opcode [op]; 0 if [op] is not
    an opcode. *)

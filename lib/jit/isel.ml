@@ -29,7 +29,8 @@ type ctx = {
   mutable next_int : int;
   mutable next_vec : int;
   mutable next_label : int;
-  tmp_map : (tmp, int) Hashtbl.t;  (** IR temp -> virtual reg (per class) *)
+  tmp_map : int array;
+      (** IR temp -> virtual reg (per class); -1 until the temp is written *)
 }
 
 let emit c i = c.code <- V i :: c.code
@@ -52,6 +53,10 @@ let new_label c =
 let is_vec_ty = function V128 -> true | _ -> false
 
 exception Unrepresentable of string
+
+let vreg_of_tmp c t =
+  if t >= 0 && t < Array.length c.tmp_map && c.tmp_map.(t) >= 0 then c.tmp_map.(t)
+  else raise (Unrepresentable (Fmt.str "use of undefined t%d" t))
 
 let alu_of_binop : binop -> (H.width * H.alu_op) option = function
   | Add32 -> Some (W32, Add)
@@ -131,10 +136,7 @@ let imm_enc (v : int64) = Support.Bits.trunc32 v
 (** Select [e] into an integer virtual register. *)
 let rec sel_int (c : ctx) (e : expr) : int =
   match e with
-  | RdTmp t -> (
-      match Hashtbl.find_opt c.tmp_map t with
-      | Some r -> r
-      | None -> raise (Unrepresentable (Fmt.str "use of undefined t%d" t)))
+  | RdTmp t -> vreg_of_tmp c t
   | Const (CV128 _) -> raise (Unrepresentable "V128 const in int context")
   | Const k ->
       let r = new_int c in
@@ -323,10 +325,7 @@ and sel_binop c op x y : int =
 (** Select [e] into a vector virtual register. *)
 and sel_vec (c : ctx) (e : expr) : int =
   match e with
-  | RdTmp t -> (
-      match Hashtbl.find_opt c.tmp_map t with
-      | Some r -> r
-      | None -> raise (Unrepresentable (Fmt.str "use of undefined t%d" t)))
+  | RdTmp t -> vreg_of_tmp c t
   | Const (CV128 p) ->
       let v = Support.V128.of_pattern16 p in
       let rlo = new_int c in
@@ -413,7 +412,7 @@ let select (b : block) : vinsn list * int * int * int =
       next_int = Host.Arch.n_hregs;
       next_vec = Host.Arch.n_hvregs;
       next_label = 0;
-      tmp_map = Hashtbl.create 64;
+      tmp_map = Array.make (Support.Vec.length b.tyenv) (-1);
     }
   in
   let sel_any ty e = if is_vec_ty ty then sel_vec c e else sel_int c e in
@@ -423,8 +422,7 @@ let select (b : block) : vinsn list * int * int * int =
       | NoOp | IMark _ | AbiHint _ -> ()
       | WrTmp (t, e) ->
           let ty = tmp_ty b t in
-          let r = sel_any ty e in
-          Hashtbl.replace c.tmp_map t r
+          c.tmp_map.(t) <- sel_any ty e
       | Put (off, e) ->
           let ty = type_of b e in
           if is_vec_ty ty then begin
@@ -464,7 +462,7 @@ let select (b : block) : vinsn list * int * int * int =
           let dst = Option.map (fun _ -> new_int c) d.d_tmp in
           c.code <- VCall { callee = d.d_callee; args = ras; dst } :: c.code;
           (match (d.d_tmp, dst) with
-          | Some t, Some r -> Hashtbl.replace c.tmp_map t r
+          | Some t, Some r -> c.tmp_map.(t) <- r
           | _ -> ());
           match skip with Some l -> emit c (Label l) | None -> ())
       | Exit (g, jk, dest) ->

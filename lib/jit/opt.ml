@@ -20,126 +20,176 @@ open Vex_ir.Ir
 module GA = Guest.Arch
 
 (* ------------------------------------------------------------------ *)
-(* Flattening: tree IR -> flat IR                                      *)
+(* Stages                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let is_atom = function RdTmp _ | Const _ -> true | _ -> false
+(* Each forward pass is a stage: it takes a block's statements in order,
+   keeping its own state, and hands what it makes of each one to the
+   stage after it, then the block's successor expression.  A pass
+   decides a statement from the statements before it alone, so stages
+   run in one walk make the block the passes would make one after
+   another, without a block between them.  The stages of a walk share
+   the output block, whose type environment is where flattening adds
+   temporaries. *)
+type stage = { stmt : stmt -> unit; next : expr -> unit }
 
-let rec flatten_expr (b : block) (out : stmt -> unit) (e : expr) : expr =
-  let atom e =
-    let e' = flatten_expr b out e in
-    if is_atom e' then e'
-    else begin
-      let t = new_tmp b (type_of b e') in
-      out (WrTmp (t, e'));
-      RdTmp t
-    end
-  in
-  match e with
-  | Get _ | RdTmp _ | Const _ -> e
-  | Load (ty, a) -> Load (ty, atom a)
-  | Unop (op, a) -> Unop (op, atom a)
-  | Binop (op, x, y) ->
-      let x = atom x in
-      let y = atom y in
-      Binop (op, x, y)
-  | ITE (c, t, f) ->
-      let c = atom c in
-      let t = atom t in
-      let f = atom f in
-      ITE (c, t, f)
-  | CCall (callee, ty, args) -> CCall (callee, ty, List.map atom args)
-
-(* Flatten a rhs that is allowed to remain one operator deep. *)
-let flatten_rhs b out (e : expr) : expr =
-  match e with
-  | Get _ | RdTmp _ | Const _ | Load _ | Unop _ | Binop _ | ITE _ | CCall _ ->
-      flatten_expr b out e
-
-let flatten (b : block) : block =
+(* Run [stages], first first, over [b] into a fresh block. *)
+let walk (stages : (block -> stage -> stage) list) (b : block) : block =
   let nb =
     { tyenv = Support.Vec.copy b.tyenv;
       stmts = Support.Vec.create NoOp;
       next = b.next;
       jumpkind = b.jumpkind }
   in
-  let out s = add_stmt nb s in
-  Support.Vec.iter
-    (fun s ->
-      match s with
-      | NoOp | IMark _ -> out s
-      | AbiHint (e, l) ->
-          let e' = flatten_expr nb out e in
-          let e' = if is_atom e' then e' else begin
-            let t = new_tmp nb (type_of nb e') in
-            out (WrTmp (t, e')); RdTmp t end
-          in
-          out (AbiHint (e', l))
-      | Put (off, e) ->
-          let e' = flatten_expr nb out e in
-          let e' =
-            if is_atom e' then e'
-            else begin
-              let t = new_tmp nb (type_of nb e') in
-              out (WrTmp (t, e'));
-              RdTmp t
-            end
-          in
-          out (Put (off, e'))
-      | WrTmp (t, e) -> out (WrTmp (t, flatten_rhs nb out e))
-      | Store (a, d) ->
-          let fa (e : expr) =
-            let e' = flatten_expr nb out e in
-            if is_atom e' then e'
-            else begin
-              let t = new_tmp nb (type_of nb e') in
-              out (WrTmp (t, e'));
-              RdTmp t
-            end
-          in
-          let a = fa a in
-          let d = fa d in
-          out (Store (a, d))
-      | Dirty d ->
-          let fa (e : expr) =
-            let e' = flatten_expr nb out e in
-            if is_atom e' then e'
-            else begin
-              let t = new_tmp nb (type_of nb e') in
-              out (WrTmp (t, e'));
-              RdTmp t
-            end
-          in
-          let guard = fa d.d_guard in
-          let args = List.map fa d.d_args in
-          let mfx =
-            match d.d_mfx with
-            | Mfx_none -> Mfx_none
-            | Mfx_read (e, n) -> Mfx_read (fa e, n)
-            | Mfx_write (e, n) -> Mfx_write (fa e, n)
-          in
-          out (Dirty { d with d_guard = guard; d_args = args; d_mfx = mfx })
-      | Exit (g, jk, dest) ->
-          let g' = flatten_expr nb out g in
-          let g' =
-            if is_atom g' then g'
-            else begin
-              let t = new_tmp nb I1 in
-              out (WrTmp (t, g'));
-              RdTmp t
-            end
-          in
-          out (Exit (g', jk, dest)))
-    b.stmts;
-  (let e' = flatten_expr nb out nb.next in
-   nb.next <-
-     (if is_atom e' then e'
-      else begin
-        let t = new_tmp nb (type_of nb e') in
-        out (WrTmp (t, e'));
-        RdTmp t
-      end));
+  let sink = { stmt = add_stmt nb; next = (fun e -> nb.next <- e) } in
+  let first = List.fold_right (fun stage down -> stage nb down) stages sink in
+  Support.Vec.iter first.stmt b.stmts;
+  first.next b.next;
   nb
+
+(* A substitution for temporaries.  It grows when an earlier stage of
+   the walk has made temporaries since it was created; [unset] marks a
+   temporary it does not replace. *)
+type subst = { mutable map : expr array }
+
+let unset = RdTmp (-1)
+let subst_create (b : block) = { map = Array.make (Support.Vec.length b.tyenv) unset }
+
+let subst_add m t e =
+  let n = Array.length m.map in
+  if t >= n then begin
+    let a = Array.make (max (t + 1) (2 * n)) unset in
+    Array.blit m.map 0 a 0 n;
+    m.map <- a
+  end;
+  m.map.(t) <- e
+
+let subst_atom m = function
+  | RdTmp t as e when t < Array.length m.map ->
+      let a = m.map.(t) in
+      if a == unset then e else a
+  | e -> e
+
+(* The substitution of atoms [f] (pure) applied to an expression's
+   operands, and to a statement's other than a [WrTmp]'s right-hand
+   side.  What [f] leaves unchanged is returned itself, not rebuilt, so
+   a stage allocates only what it changes. *)
+let map_operands f e =
+  match e with
+  | Get _ | RdTmp _ | Const _ -> e
+  | Load (ty, a) ->
+      let a' = f a in
+      if a' == a then e else Load (ty, a')
+  | Unop (op, a) ->
+      let a' = f a in
+      if a' == a then e else Unop (op, a')
+  | Binop (op, x, y) ->
+      let x' = f x and y' = f y in
+      if x' == x && y' == y then e else Binop (op, x', y')
+  | ITE (c, x, y) ->
+      let c' = f c and x' = f x and y' = f y in
+      if c' == c && x' == x && y' == y then e else ITE (c', x', y')
+  | CCall (callee, ty, args) -> CCall (callee, ty, List.map f args)
+
+let map_stmt_operands f s =
+  match s with
+  | NoOp | IMark _ | WrTmp _ -> s
+  | AbiHint (e, l) ->
+      let e' = f e in
+      if e' == e then s else AbiHint (e', l)
+  | Put (off, e) ->
+      let e' = f e in
+      if e' == e then s else Put (off, e')
+  | Store (a, d) ->
+      let a' = f a and d' = f d in
+      if a' == a && d' == d then s else Store (a', d')
+  | Exit (g, jk, dest) ->
+      let g' = f g in
+      if g' == g then s else Exit (g', jk, dest)
+  | Dirty d ->
+      Dirty
+        {
+          d with
+          d_guard = f d.d_guard;
+          d_args = List.map f d.d_args;
+          d_mfx =
+            (match d.d_mfx with
+            | Mfx_none -> Mfx_none
+            | Mfx_read (e, n) -> Mfx_read (f e, n)
+            | Mfx_write (e, n) -> Mfx_write (f e, n));
+        }
+
+(* ------------------------------------------------------------------ *)
+(* Flattening: tree IR -> flat IR                                      *)
+(* ------------------------------------------------------------------ *)
+
+let is_atom = function RdTmp _ | Const _ -> true | _ -> false
+
+(* [e] with every operand an atom; the operands' own statements go to
+   [out] first *)
+let rec flatten_expr (b : block) (out : stmt -> unit) (e : expr) : expr =
+  match e with
+  | Get _ | RdTmp _ | Const _ -> e
+  | Load (ty, a) -> Load (ty, flatten_atom b out a)
+  | Unop (op, a) -> Unop (op, flatten_atom b out a)
+  | Binop (op, x, y) ->
+      let x = flatten_atom b out x in
+      let y = flatten_atom b out y in
+      Binop (op, x, y)
+  | ITE (c, t, f) ->
+      let c = flatten_atom b out c in
+      let t = flatten_atom b out t in
+      let f = flatten_atom b out f in
+      ITE (c, t, f)
+  | CCall (callee, ty, args) -> CCall (callee, ty, List.map (flatten_atom b out) args)
+
+(* [e] as an atom, bound to a fresh temporary if it is not one *)
+and flatten_atom b out e =
+  let e' = flatten_expr b out e in
+  if is_atom e' then e'
+  else begin
+    let t = new_tmp b (type_of b e') in
+    out (WrTmp (t, e'));
+    RdTmp t
+  end
+
+let flatten_stage (nb : block) (down : stage) : stage =
+  let out = down.stmt in
+  let atom = flatten_atom nb out in
+  let stmt = function
+    | (NoOp | IMark _) as s -> out s
+    | AbiHint (e, l) -> out (AbiHint (atom e, l))
+    | Put (off, e) -> out (Put (off, atom e))
+    | WrTmp (t, e) -> out (WrTmp (t, flatten_expr nb out e))
+    | Store (a, d) ->
+        let a = atom a in
+        let d = atom d in
+        out (Store (a, d))
+    | Dirty d ->
+        let guard = atom d.d_guard in
+        let args = List.map atom d.d_args in
+        let mfx =
+          match d.d_mfx with
+          | Mfx_none -> Mfx_none
+          | Mfx_read (e, n) -> Mfx_read (atom e, n)
+          | Mfx_write (e, n) -> Mfx_write (atom e, n)
+        in
+        out (Dirty { d with d_guard = guard; d_args = args; d_mfx = mfx })
+    | Exit (g, jk, dest) ->
+        let g' = flatten_expr nb out g in
+        let g' =
+          if is_atom g' then g'
+          else begin
+            let t = new_tmp nb I1 in
+            out (WrTmp (t, g'));
+            RdTmp t
+          end
+        in
+        out (Exit (g', jk, dest))
+  in
+  { stmt; next = (fun e -> down.next (atom e)) }
+
+let flatten (b : block) : block = walk [ flatten_stage ] b
 
 (* ------------------------------------------------------------------ *)
 (* Copy/constant propagation and folding (flat IR)                     *)
@@ -207,194 +257,107 @@ let fold_op (b : block) (e : expr) : expr option =
   | Unop (U1to32, Unop (T32to1, _)) -> None (* not equivalent in general *)
   | _ -> None
 
-(* One forward pass of copy/const propagation + folding. *)
-let constprop (b : block) : block =
-  let n = Support.Vec.length b.tyenv in
-  let env : expr option array = Array.make n None in
-  let subst_atom = function
-    | RdTmp t as e -> ( match env.(t) with Some a -> a | None -> e)
-    | e -> e
+(* Copy/const propagation + folding: a pure copy is recorded and
+   dropped, and later uses of its temporary read the copied atom. *)
+let constprop_stage (nb : block) (down : stage) : stage =
+  let env = subst_create nb in
+  let atom = subst_atom env in
+  let rhs (e : expr) : expr =
+    let e = match e with RdTmp _ -> atom e | e -> map_operands atom e in
+    match fold_op nb e with Some e' -> e' | None -> e
   in
-  let subst_rhs (e : expr) : expr =
-    let e =
-      match e with
-      | Get _ | Const _ -> e
-      | RdTmp _ -> subst_atom e
-      | Load (ty, a) -> Load (ty, subst_atom a)
-      | Unop (op, a) -> Unop (op, subst_atom a)
-      | Binop (op, x, y) -> Binop (op, subst_atom x, subst_atom y)
-      | ITE (c, t, f) -> ITE (subst_atom c, subst_atom t, subst_atom f)
-      | CCall (callee, ty, args) -> CCall (callee, ty, List.map subst_atom args)
-    in
-    match fold_op b e with Some e' -> e' | None -> e
+  let stmt s =
+    match s with
+    | NoOp -> ()
+    | WrTmp (t, e) -> (
+        match rhs e with
+        | (Const _ | RdTmp _) as e' -> subst_add env t e'
+        | e' -> down.stmt (if e' == e then s else WrTmp (t, e')))
+    | Exit (g, _, _) -> (
+        match atom g with
+        | Const (CI1 false) -> () (* never taken *)
+        | _ -> down.stmt (map_stmt_operands atom s))
+    | s -> down.stmt (map_stmt_operands atom s)
   in
-  let nb =
-    { tyenv = Support.Vec.copy b.tyenv;
-      stmts = Support.Vec.create NoOp;
-      next = b.next;
-      jumpkind = b.jumpkind }
-  in
-  Support.Vec.iter
-    (fun s ->
-      match s with
-      | NoOp -> ()
-      | IMark _ -> add_stmt nb s
-      | AbiHint (e, l) -> add_stmt nb (AbiHint (subst_atom e, l))
-      | Put (off, e) -> add_stmt nb (Put (off, subst_atom e))
-      | WrTmp (t, e) -> (
-          let e' = subst_rhs e in
-          match e' with
-          | Const _ | RdTmp _ ->
-              (* pure copy: record and drop the statement *)
-              env.(t) <- Some e'
-          | _ -> add_stmt nb (WrTmp (t, e')))
-      | Store (a, d) -> add_stmt nb (Store (subst_atom a, subst_atom d))
-      | Dirty d ->
-          add_stmt nb
-            (Dirty
-               {
-                 d with
-                 d_guard = subst_atom d.d_guard;
-                 d_args = List.map subst_atom d.d_args;
-                 d_mfx =
-                   (match d.d_mfx with
-                   | Mfx_none -> Mfx_none
-                   | Mfx_read (e, n) -> Mfx_read (subst_atom e, n)
-                   | Mfx_write (e, n) -> Mfx_write (subst_atom e, n));
-               })
-      | Exit (g, jk, dest) -> (
-          match subst_atom g with
-          | Const (CI1 false) -> () (* never taken *)
-          | g' -> add_stmt nb (Exit (g', jk, dest))))
-    b.stmts;
-  nb.next <- subst_atom b.next;
-  nb
+  { stmt; next = (fun e -> down.next (atom e)) }
+
+let constprop (b : block) : block = walk [ constprop_stage ] b
 
 (* ------------------------------------------------------------------ *)
 (* Redundant GET elimination and PUT shortcutting (flat IR)            *)
 (* ------------------------------------------------------------------ *)
 
 (* Track known guest-state contents as (offset, ty, atom). *)
-let redundant_getput (b : block) : block =
+let getput_stage (nb : block) (down : stage) : stage =
   let known : (int * ty * expr) list ref = ref [] in
   let overlaps off1 sz1 off2 sz2 = off1 < off2 + sz2 && off2 < off1 + sz1 in
   let invalidate off sz =
     known :=
       List.filter (fun (o, ty, _) -> not (overlaps o (size_of_ty ty) off sz)) !known
   in
-  let invalidate_all () = known := [] in
-  let nb =
-    { tyenv = Support.Vec.copy b.tyenv;
-      stmts = Support.Vec.create NoOp;
-      next = b.next;
-      jumpkind = b.jumpkind }
-  in
   let rewrite_get (e : expr) : expr =
     match e with
     | Get (off, ty) -> (
-        match
-          List.find_opt (fun (o, t, _) -> o = off && t = ty) !known
-        with
+        match List.find_opt (fun (o, t, _) -> o = off && t = ty) !known with
         | Some (_, _, atom) -> atom
         | None -> e)
     | e -> e
   in
-  Support.Vec.iter
-    (fun s ->
-      match s with
-      | NoOp | IMark _ | AbiHint _ | Exit _ -> add_stmt nb s
-      | WrTmp (t, e) ->
-          let e' = rewrite_get e in
-          add_stmt nb (WrTmp (t, e'));
-          (* a GET that survives records the state contents *)
-          (match e' with
-          | Get (off, ty) -> known := (off, ty, RdTmp t) :: !known
-          | _ -> ())
-      | Put (off, atom) ->
-          let sz = size_of_ty (type_of nb atom) in
-          (* put of the very value already known to be there: drop *)
-          let same =
-            List.exists
-              (fun (o, ty, a) -> o = off && size_of_ty ty = sz && a = atom)
-              !known
-          in
-          if not same then begin
-            invalidate off sz;
-            known := (off, type_of nb atom, atom) :: !known;
-            add_stmt nb (Put (off, atom))
-          end
-      | Store _ -> add_stmt nb s
-      | Dirty d ->
-          (* helper may write the guest state it declares; invalidate *)
-          List.iter (fun (o, s) -> invalidate o s) d.d_callee.c_fx_writes;
-          if d.d_callee.c_fx_writes = [] && d.d_callee.c_fx_reads = [] then
-            (* unannotated helper: be conservative *)
-            invalidate_all ();
-          add_stmt nb (Dirty d))
-    b.stmts;
-  nb.next <- rewrite_get b.next;
-  nb
+  let stmt s =
+    match s with
+    | NoOp | IMark _ | AbiHint _ | Exit _ | Store _ -> down.stmt s
+    | WrTmp (t, e) -> (
+        let e' = rewrite_get e in
+        down.stmt (if e' == e then s else WrTmp (t, e'));
+        (* a GET that survives records the state contents *)
+        match e' with
+        | Get (off, ty) -> known := (off, ty, RdTmp t) :: !known
+        | _ -> ())
+    | Put (off, atom) ->
+        let sz = size_of_ty (type_of nb atom) in
+        (* put of the very value already known to be there: drop *)
+        let same =
+          List.exists
+            (fun (o, ty, a) -> o = off && size_of_ty ty = sz && a = atom)
+            !known
+        in
+        if not same then begin
+          invalidate off sz;
+          known := (off, type_of nb atom, atom) :: !known;
+          down.stmt s
+        end
+    | Dirty d ->
+        (* helper may write the guest state it declares; invalidate *)
+        List.iter (fun (o, s) -> invalidate o s) d.d_callee.c_fx_writes;
+        if d.d_callee.c_fx_writes = [] && d.d_callee.c_fx_reads = [] then
+          (* unannotated helper: be conservative *)
+          known := [];
+        down.stmt s
+  in
+  { stmt; next = (fun e -> down.next (rewrite_get e)) }
 
 (* ------------------------------------------------------------------ *)
 (* Common sub-expression elimination (flat IR)                         *)
 (* ------------------------------------------------------------------ *)
 
-let cse (b : block) : block =
+let cse_stage (nb : block) (down : stage) : stage =
   let table : (expr, tmp) Hashtbl.t = Hashtbl.create 64 in
-  let replace : expr option array = Array.make (Support.Vec.length b.tyenv) None in
-  let subst = function
-    | RdTmp t as e -> ( match replace.(t) with Some a -> a | None -> e)
-    | e -> e
+  let replace = subst_create nb in
+  let atom = subst_atom replace in
+  let stmt s =
+    match s with
+    | WrTmp (t, e) -> (
+        let e' = map_operands atom e in
+        (* pure value ops are CSE-able *)
+        let pure = match e' with Unop _ | Binop _ | ITE _ -> true | _ -> false in
+        match if pure then Hashtbl.find_opt table e' else None with
+        | Some t0 -> subst_add replace t (RdTmp t0)
+        | None ->
+            if pure then Hashtbl.replace table e' t;
+            down.stmt (if e' == e then s else WrTmp (t, e')))
+    | s -> down.stmt (map_stmt_operands atom s)
   in
-  let nb =
-    { tyenv = Support.Vec.copy b.tyenv;
-      stmts = Support.Vec.create NoOp;
-      next = b.next;
-      jumpkind = b.jumpkind }
-  in
-  Support.Vec.iter
-    (fun s ->
-      match s with
-      | WrTmp (t, e) -> (
-          let e =
-            match e with
-            | Unop (op, a) -> Unop (op, subst a)
-            | Binop (op, x, y) -> Binop (op, subst x, subst y)
-            | ITE (c, x, y) -> ITE (subst c, subst x, subst y)
-            | CCall (callee, ty, args) -> CCall (callee, ty, List.map subst args)
-            | Load (ty, a) -> Load (ty, subst a)
-            | e -> e
-          in
-          match e with
-          | Unop _ | Binop _ | ITE _ ->
-              (* pure value ops are CSE-able *)
-              (match Hashtbl.find_opt table e with
-              | Some t0 -> replace.(t) <- Some (RdTmp t0)
-              | None ->
-                  Hashtbl.replace table e t;
-                  add_stmt nb (WrTmp (t, e)))
-          | _ -> add_stmt nb (WrTmp (t, e)))
-      | Put (off, a) -> add_stmt nb (Put (off, subst a))
-      | Store (x, y) -> add_stmt nb (Store (subst x, subst y))
-      | AbiHint (e, l) -> add_stmt nb (AbiHint (subst e, l))
-      | Exit (g, jk, d) -> add_stmt nb (Exit (subst g, jk, d))
-      | Dirty d ->
-          add_stmt nb
-            (Dirty
-               {
-                 d with
-                 d_guard = subst d.d_guard;
-                 d_args = List.map subst d.d_args;
-                 d_mfx =
-                   (match d.d_mfx with
-                   | Mfx_none -> Mfx_none
-                   | Mfx_read (e, n) -> Mfx_read (subst e, n)
-                   | Mfx_write (e, n) -> Mfx_write (subst e, n));
-               })
-      | s -> add_stmt nb s)
-    b.stmts;
-  nb.next <- subst b.next;
-  nb
+  { stmt; next = (fun e -> down.next (atom e)) }
 
 (* ------------------------------------------------------------------ *)
 (* Dead code removal (flat IR, backward)                               *)
@@ -416,9 +379,22 @@ let can_fault = function
    stack-pointer write visible to the core's stack-event pass. *)
 let precise_offsets = [ GA.off_eip; GA.off_sp; GA.off_reg GA.reg_fp ]
 
+(* Dead code removal in up to four rounds.  One round is a backward walk:
+   a temporary is live if a kept statement after it reads it, and a PUT
+   is dead if a PUT of at least its size to the same offset follows with
+   no observation of the bytes in between.  Liveness is exact in one
+   round (every use follows its definition); what a round cannot see is
+   that a GET it removes no longer observes the state, so an earlier PUT
+   may be dead in the next round.  A removed NoOp, PUT or other temporary
+   changed nothing the walk tracks, so after a round that removed no
+   [WrTmp (_, Get _)] the next round would keep everything: it is
+   skipped, and the result is the one the rounds would have reached.
+   [b] is consumed: the result shares its type environment. *)
 let dead (b : block) : block =
-  let n = Support.Vec.length b.tyenv in
-  let live = Array.make n false in
+  let stmts = Support.Vec.to_array b.stmts in
+  let n = ref (Array.length stmts) in
+  let live = Array.make (Support.Vec.length b.tyenv) false in
+  let keep = Array.make !n false in
   let mark e =
     let rec go = function
       | RdTmp t -> live.(t) <- true
@@ -436,108 +412,120 @@ let dead (b : block) : block =
     in
     go e
   in
-  let stmts = Array.of_list (stmts b) in
-  let keep = Array.make (Array.length stmts) false in
-  mark b.next;
-  (* Track, walking backwards: has the PC been overwritten (with no
-     intervening faulting statement) — and similarly per guest offset
-     whether a full overwrite follows before any observation. *)
-  let module IMap = Map.Make (Int) in
-  (* overwritten.(off) = Some size: a PUT of [size] bytes at [off] follows
-     with no observation in between *)
-  let overwritten : int IMap.t ref = ref IMap.empty in
-  let observe_all () = overwritten := IMap.empty in
-  let observe_range off sz =
-    overwritten :=
-      IMap.filter
-        (fun o s -> not (o < off + sz && off < o + s))
-        !overwritten
+  (* Walking backwards: the guest-state ranges [ow_off.(i), +ow_sz.(i))
+     for i < !ow_n, at most one per offset, are fully overwritten by a
+     kept PUT with no observation in between. *)
+  let ow_off = Array.make (!n + 1) 0 and ow_sz = Array.make (!n + 1) 0 in
+  let ow_n = ref 0 in
+  let overwritten off =
+    let rec go i = if i >= !ow_n then 0 else if ow_off.(i) = off then ow_sz.(i) else go (i + 1) in
+    go 0
   in
-  for i = Array.length stmts - 1 downto 0 do
-    let s = stmts.(i) in
-    let needed =
-      match s with
-      | NoOp -> false
-      | IMark _ -> true
-      | AbiHint _ -> true
-      | Put (off, e) ->
-          let sz = size_of_ty (type_of b e) in
-          let covered =
-            match IMap.find_opt off !overwritten with
-            | Some s2 -> s2 >= sz
-            | None -> false
-          in
-          not covered
-      | WrTmp (t, e) -> (
-          live.(t)
-          ||
-          match e with
-          | Binop ((DivS32 | DivU32), _, _) -> true (* may trap *)
-          | Load _ -> true
-              (* a load whose value is dead still faults on an unmapped
-                 address: dropping it would swallow the client's SIGSEGV
-                 (found by vgfuzz: ldw into a register that is
-                 overwritten later in the same superblock) *)
-          | _ -> false)
-      | Store _ -> true
-      | Dirty _ -> true
-      | Exit _ -> true
+  let overwrite off sz =
+    let rec go i =
+      if i >= !ow_n then begin
+        ow_off.(i) <- off;
+        ow_sz.(i) <- sz;
+        ow_n := i + 1
+      end
+      else if ow_off.(i) = off then ow_sz.(i) <- sz
+      else go (i + 1)
     in
-    keep.(i) <- needed;
-    (* update overwrite/observation state *)
-    (match s with
-    | Put (off, e) when needed ->
-        let sz = size_of_ty (type_of b e) in
-        overwritten := IMap.add off sz !overwritten
-    | Put _ -> ()
-    | Exit _ -> observe_all ()
-    | Dirty d ->
-        (* helper observes what it declares it reads, plus everything if
-           unannotated *)
-        if d.d_callee.c_fx_reads = [] && d.d_callee.c_fx_writes = [] then
-          observe_all ()
-        else begin
-          List.iter (fun (o, s) -> observe_range o s) d.d_callee.c_fx_reads;
-          (* and its declared writes stop earlier overwrite tracking *)
-          List.iter (fun (o, s) -> observe_range o s) d.d_callee.c_fx_writes
-        end;
-        (* dirty calls can fault / report errors: precise state needed *)
-        List.iter (fun o -> observe_range o 4) precise_offsets
-    | WrTmp (_, Get (off, ty)) -> observe_range off (size_of_ty ty)
-    | _ -> ());
-    if can_fault s then List.iter (fun o -> observe_range o 4) precise_offsets;
-    (* mark uses *)
-    if needed then
-      match s with
-      | Put (_, e) | WrTmp (_, e) | AbiHint (e, _) -> mark e
-      | Store (a, d) ->
-          mark a;
-          mark d
-      | Exit (g, _, _) -> mark g
-      | Dirty d ->
-          mark d.d_guard;
-          List.iter mark d.d_args;
-          (match d.d_mfx with
-          | Mfx_none -> ()
-          | Mfx_read (e, _) | Mfx_write (e, _) -> mark e)
-      | _ -> ()
-  done;
-  let nb =
-    { tyenv = Support.Vec.copy b.tyenv;
-      stmts = Support.Vec.create NoOp;
-      next = b.next;
-      jumpkind = b.jumpkind }
+    go 0
   in
-  Array.iteri (fun i s -> if keep.(i) then add_stmt nb s) stmts;
-  nb
-
-(* Iterate dead removal until it stops helping (liveness is computed in a
-   single backward pass, so chains of dead temps need iteration). *)
-let rec dead_fix ?(rounds = 4) b =
-  let b' = dead b in
-  if rounds <= 1 || Support.Vec.length b'.stmts = Support.Vec.length b.stmts
-  then b'
-  else dead_fix ~rounds:(rounds - 1) b'
+  let observe_range off sz =
+    let j = ref 0 in
+    for i = 0 to !ow_n - 1 do
+      let o = ow_off.(i) and s = ow_sz.(i) in
+      if not (o < off + sz && off < o + s) then begin
+        ow_off.(!j) <- o;
+        ow_sz.(!j) <- s;
+        incr j
+      end
+    done;
+    ow_n := !j
+  in
+  let observe_precise () = List.iter (fun o -> observe_range o 4) precise_offsets in
+  let round () =
+    Array.fill live 0 (Array.length live) false;
+    ow_n := 0;
+    mark b.next;
+    for i = !n - 1 downto 0 do
+      let s = stmts.(i) in
+      let needed =
+        match s with
+        | NoOp -> false
+        | IMark _ | AbiHint _ | Store _ | Dirty _ | Exit _ -> true
+        | Put (off, e) -> overwritten off < size_of_ty (type_of b e)
+        | WrTmp (t, e) -> (
+            live.(t)
+            ||
+            match e with
+            | Binop ((DivS32 | DivU32), _, _) -> true (* may trap *)
+            | Load _ -> true
+                (* a load whose value is dead still faults on an unmapped
+                   address: dropping it would swallow the client's SIGSEGV
+                   (found by vgfuzz: ldw into a register that is
+                   overwritten later in the same superblock) *)
+            | _ -> false)
+      in
+      keep.(i) <- needed;
+      (* update overwrite/observation state *)
+      (match s with
+      | Put (off, e) when needed -> overwrite off (size_of_ty (type_of b e))
+      | Exit _ -> ow_n := 0
+      | Dirty d ->
+          (* helper observes what it declares it reads, plus everything if
+             unannotated *)
+          if d.d_callee.c_fx_reads = [] && d.d_callee.c_fx_writes = [] then
+            ow_n := 0
+          else begin
+            List.iter (fun (o, s) -> observe_range o s) d.d_callee.c_fx_reads;
+            (* and its declared writes stop earlier overwrite tracking *)
+            List.iter (fun (o, s) -> observe_range o s) d.d_callee.c_fx_writes
+          end;
+          (* dirty calls can fault / report errors: precise state needed *)
+          observe_precise ()
+      | WrTmp (_, Get (off, ty)) -> observe_range off (size_of_ty ty)
+      | _ -> ());
+      if can_fault s then observe_precise ();
+      (* mark uses *)
+      if needed then
+        match s with
+        | Put (_, e) | WrTmp (_, e) | AbiHint (e, _) -> mark e
+        | Store (a, d) ->
+            mark a;
+            mark d
+        | Exit (g, _, _) -> mark g
+        | Dirty d ->
+            mark d.d_guard;
+            List.iter mark d.d_args;
+            (match d.d_mfx with
+            | Mfx_none -> ()
+            | Mfx_read (e, _) | Mfx_write (e, _) -> mark e)
+        | _ -> ()
+    done;
+    (* keep the needed statements; report whether a GET went *)
+    let kept = ref 0 and removed_get = ref false in
+    for i = 0 to !n - 1 do
+      if keep.(i) then begin
+        stmts.(!kept) <- stmts.(i);
+        incr kept
+      end
+      else match stmts.(i) with WrTmp (_, Get _) -> removed_get := true | _ -> ()
+    done;
+    let removed = !n - !kept in
+    n := !kept;
+    removed > 0 && !removed_get
+  in
+  let rounds = ref 1 in
+  while round () && !rounds < 4 do
+    incr rounds
+  done;
+  { tyenv = b.tyenv;
+    stmts = Support.Vec.of_array_prefix NoOp stmts !n;
+    next = b.next;
+    jumpkind = b.jumpkind }
 
 (* ------------------------------------------------------------------ *)
 (* Simple intra-block loop unrolling (flat IR)                         *)
@@ -652,20 +640,25 @@ let unroll_self_loop (b : block) : block =
             nb
         | _ -> b)
 
+(* The cheap passes again, over a body [unroll_self_loop] doubled. *)
+let reopt_unrolled (b : block) : block =
+  dead (walk [ constprop_stage; getput_stage; constprop_stage ] b)
+
 (** Phase 2: tree IR -> optimised flat IR.  [unroll] enables the simple
     self-loop unrolling (on by default, as in VEX). *)
 let opt1 ?(unroll = true) (b : block) : block =
   let b =
-    b |> flatten |> constprop |> redundant_getput |> constprop |> cse
-    |> constprop |> dead_fix
+    dead
+      (walk
+         [ flatten_stage; constprop_stage; getput_stage; constprop_stage;
+           cse_stage; constprop_stage ]
+         b)
   in
   if unroll then
     let b' = unroll_self_loop b in
-    if b' != b then
-      (* re-run the cheap passes over the doubled body *)
-      b' |> constprop |> redundant_getput |> constprop |> dead_fix
-    else b
+    if b' != b then reopt_unrolled b' else b
   else b
 
 (** Phase 4: flat IR -> flat IR (folding + dead code only). *)
-let opt2 (b : block) : block = b |> constprop |> cse |> constprop |> dead_fix
+let opt2 (b : block) : block =
+  dead (walk [ constprop_stage; cse_stage; constprop_stage ] b)

@@ -157,6 +157,17 @@ let by_position a b =
   let c = Int.compare a.start b.start in
   if c <> 0 then c else Int.compare a.stop b.stop
 
+(* [List.stable_sort by_position ivs].  Nine translations in ten list
+   their intervals in that order already (a virtual register is mostly
+   first mentioned where isel made it), and then the sort is the
+   identity, so check the order first. *)
+let in_position_order (ivs : interval list) : interval list =
+  let rec ordered = function
+    | a :: (b :: _ as tl) -> by_position a b <= 0 && ordered tl
+    | _ -> true
+  in
+  if ordered ivs then ivs else List.stable_sort by_position ivs
+
 (* The first register that is free for an interval starting at [start]
    and whose caller-saved bit is [saved]; -1 if none is. *)
 let first_free busy caller_saved ~start ~saved =
@@ -168,7 +179,7 @@ let first_free busy caller_saved ~start ~saved =
   if !r < n then !r else -1
 
 let allocate (code : vinsn list) ~(n_int : int) ~(n_vec : int) : assignment =
-  let ivs = List.stable_sort by_position (intervals code ~n_int ~n_vec) in
+  let ivs = in_position_order (intervals code ~n_int ~n_vec) in
   let int_loc = Array.make n_int (Spill (-1)) in
   let vec_loc = Array.make n_vec (Spill (-1)) in
   let spill_int = ref 0 and spill_vec = ref 0 in

@@ -49,4 +49,13 @@ let fold f acc t =
   !acc
 
 let copy t = { data = Array.sub t.data 0 (max 1 t.len); len = t.len; dummy = t.dummy }
+
+(** The first [n] elements of [a] as a vector that takes [a] over (the
+    rest of [a] is cleared). *)
+let of_array_prefix dummy a n =
+  if n < 0 || n > Array.length a then invalid_arg "Vec.of_array_prefix";
+  Array.fill a n (Array.length a - n) dummy;
+  { data = (if Array.length a = 0 then Array.make 1 dummy else a); len = n; dummy }
+
+let to_array t = Array.sub t.data 0 t.len
 let clear t = t.len <- 0

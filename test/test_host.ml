@@ -555,6 +555,204 @@ let prop_decode_total =
       | code -> Array.for_all operands_in_range code
       | exception Host.Encode.Decode_error _ -> true)
 
+(* The assembler as it was before it wrote its result directly: the
+   reference [Host.Encode.assemble] must match byte for byte. *)
+let reference_assemble (insns : insn list) : Bytes.t =
+  let open Support in
+  let open Host.Encode in
+  (* pass 1: label -> byte offset *)
+  let label_off = Hashtbl.create 16 in
+  let off = ref 0 in
+  List.iter
+    (fun i ->
+      (match i with Label l -> Hashtbl.replace label_off l !off | _ -> ());
+      off := !off + enc_length i)
+    insns;
+  let target l =
+    match Hashtbl.find_opt label_off l with
+    | Some o -> Int64.of_int o
+    | None -> invalid_arg (Printf.sprintf "assemble: undefined label %d" l)
+  in
+  let b = Buf.create ~capacity:(!off + 8) () in
+  List.iter
+    (fun i ->
+      match i with
+      | Movi (d, imm) ->
+          Buf.u8 b 0x01;
+          Buf.u8 b d;
+          Buf.u64 b imm
+      | Mov (d, s) ->
+          Buf.u8 b 0x02;
+          Buf.u8 b ((d lsl 4) lor s)
+      | Alu (w, op, d, s1, s2) ->
+          Buf.u8 b (match w with W32 -> 0x03 | W64 -> 0x04);
+          Buf.u8 b (alu_index op);
+          Buf.u8 b ((d lsl 4) lor s1);
+          Buf.u8 b s2
+      | Alui (w, op, d, s1, imm) ->
+          Buf.u8 b (match w with W32 -> 0x05 | W64 -> 0x06);
+          Buf.u8 b (alu_index op);
+          Buf.u8 b ((d lsl 4) lor s1);
+          Buf.u32 b imm;
+          Buf.u8 b 0
+      | Ld (sz, sx, d, base, disp) ->
+          Buf.u8 b 0x07;
+          Buf.u8 b (sz_code sz lor if sx then 0x10 else 0);
+          Buf.u8 b ((d lsl 4) lor base);
+          Buf.u32 b (Int64.of_int disp)
+      | St (sz, s, base, disp) ->
+          Buf.u8 b 0x08;
+          Buf.u8 b (sz_code sz);
+          Buf.u8 b ((s lsl 4) lor base);
+          Buf.u32 b (Int64.of_int disp)
+      | Cmov (d, c, s) ->
+          Buf.u8 b 0x09;
+          Buf.u8 b ((d lsl 4) lor c);
+          Buf.u8 b s
+      | Falu (op, d, s1, s2) ->
+          Buf.u8 b 0x0A;
+          Buf.u8 b (falu_index op);
+          Buf.u8 b ((d lsl 4) lor s1);
+          Buf.u8 b s2
+      | Fun1 (op, d, s) ->
+          Buf.u8 b 0x0B;
+          Buf.u8 b (fun1_index op);
+          Buf.u8 b ((d lsl 4) lor s)
+      | Vld (d, base, disp) ->
+          Buf.u8 b 0x0C;
+          Buf.u8 b ((d lsl 4) lor base);
+          Buf.u32 b (Int64.of_int disp)
+      | Vst (s, base, disp) ->
+          Buf.u8 b 0x0D;
+          Buf.u8 b ((s lsl 4) lor base);
+          Buf.u32 b (Int64.of_int disp)
+      | Vmov (d, s) ->
+          Buf.u8 b 0x0E;
+          Buf.u8 b ((d lsl 4) lor s)
+      | Valu (op, d, s1, s2) ->
+          Buf.u8 b 0x0F;
+          Buf.u8 b (valu_index op);
+          Buf.u8 b ((d lsl 4) lor s1);
+          Buf.u8 b s2
+      | Vnot (d, s) ->
+          Buf.u8 b 0x10;
+          Buf.u8 b ((d lsl 4) lor s)
+      | Vsplat32 (d, s) ->
+          Buf.u8 b 0x11;
+          Buf.u8 b ((d lsl 4) lor s)
+      | Vpack (d, hi, lo) ->
+          Buf.u8 b 0x12;
+          Buf.u8 b d;
+          Buf.u8 b ((hi lsl 4) lor lo)
+      | Vunpack (d, s, half) ->
+          Buf.u8 b 0x13;
+          Buf.u8 b ((d lsl 4) lor s);
+          Buf.u8 b half
+      | Call (id, nargs, cost) ->
+          Buf.u8 b 0x14;
+          Buf.u16 b id;
+          Buf.u8 b nargs;
+          Buf.u16 b cost
+      | Jz (c, l) ->
+          Buf.u8 b 0x15;
+          Buf.u8 b c;
+          Buf.u32 b (target l)
+      | Jnz (c, l) ->
+          Buf.u8 b 0x16;
+          Buf.u8 b c;
+          Buf.u32 b (target l)
+      | Jmp l ->
+          Buf.u8 b 0x17;
+          Buf.u32 b (target l)
+      | Label _ -> ()
+      | ExitIf (c, ek, dest) ->
+          Buf.u8 b 0x18;
+          Buf.u8 b c;
+          Buf.u8 b ek;
+          Buf.u32 b dest
+      | Goto (ek, s) ->
+          Buf.u8 b 0x19;
+          Buf.u8 b ek;
+          Buf.u8 b s
+      | GotoI (ek, dest) ->
+          Buf.u8 b 0x1A;
+          Buf.u8 b ek;
+          Buf.u32 b dest)
+    insns;
+  Buf.contents b
+
+(* Listings of every instruction form: register fields, immediates and
+   displacements over their whole ranges (fields wider than the encoding
+   are truncated alike), labels defined once or twice or not at all, and
+   branches to any label of a small range. *)
+let listing_gen =
+  let open QCheck.Gen in
+  let reg = frequency [ (6, 0 -- 15); (1, 0 -- 255) ] in
+  let imm = oneof [ map Int64.of_int (-40 -- 40); ui64; map Int64.of_int int ] in
+  let disp = oneof [ -64 -- 2048; int ] in
+  let label = 0 -- 6 in
+  let sz = oneofl [ 1; 2; 4; 8 ] in
+  let w = oneofl [ W32; W64 ] in
+  let alu = oneofl [ Add; Sub; And; Or; Xor; Shl; Shr; Sar; Mul; Mulhs; Divs; Divu;
+                     CmpEq; CmpNe; CmpLts; CmpLes; CmpLtu; CmpLeu ] in
+  let falu = oneofl [ FAdd; FSub; FMul; FDiv; FMin; FMax; FCmpEq; FCmpLt; FCmpLe ] in
+  let fun1 = oneofl [ FSqrt; FNeg; FAbs; I32StoF64; F64toI32S; Clz32; Ctz32 ] in
+  let valu = oneofl [ VAnd; VOr; VXor; VAdd32; VSub32; VCmpEq32; VAdd8; VSub8 ] in
+  let insn =
+    oneof
+      [ map2 (fun d i -> Movi (d, i)) reg imm;
+        map2 (fun d s -> Mov (d, s)) reg reg;
+        map3 (fun (w, op) d (s1, s2) -> Alu (w, op, d, s1, s2)) (pair w alu) reg (pair reg reg);
+        map3 (fun (w, op) (d, s) i -> Alui (w, op, d, s, i)) (pair w alu) (pair reg reg) imm;
+        map3 (fun (sz, sx) (d, b) o -> Ld (sz, sx, d, b, o)) (pair sz bool) (pair reg reg) disp;
+        map3 (fun sz (s, b) o -> St (sz, s, b, o)) sz (pair reg reg) disp;
+        map3 (fun d c s -> Cmov (d, c, s)) reg reg reg;
+        map3 (fun op d (s1, s2) -> Falu (op, d, s1, s2)) falu reg (pair reg reg);
+        map3 (fun op d s -> Fun1 (op, d, s)) fun1 reg reg;
+        map3 (fun d b o -> Vld (d, b, o)) reg reg disp;
+        map3 (fun s b o -> Vst (s, b, o)) reg reg disp;
+        map2 (fun d s -> Vmov (d, s)) reg reg;
+        map3 (fun op d (s1, s2) -> Valu (op, d, s1, s2)) valu reg (pair reg reg);
+        map2 (fun d s -> Vnot (d, s)) reg reg;
+        map2 (fun d s -> Vsplat32 (d, s)) reg reg;
+        map3 (fun d hi lo -> Vpack (d, hi, lo)) reg reg reg;
+        map3 (fun d s h -> Vunpack (d, s, h)) reg reg (0 -- 1);
+        map3 (fun id n c -> Call (id, n, c)) (oneof [ 0 -- 70000; int ]) (0 -- 6) (0 -- 70000);
+        map2 (fun c l -> Jz (c, l)) reg label;
+        map2 (fun c l -> Jnz (c, l)) reg label;
+        map (fun l -> Jmp l) label;
+        map (fun l -> Label l) label;
+        map3 (fun c ek d -> ExitIf (c, ek, d)) reg (0 -- 6) imm;
+        map2 (fun ek s -> Goto (ek, s)) (0 -- 6) reg;
+        map2 (fun ek d -> GotoI (ek, d)) (0 -- 6) imm ]
+  in
+  list_size (0 -- 40) insn
+
+(* What an assembler makes of a listing: its bytes, or that it raised
+   [Invalid_argument]. *)
+let assembled f insns =
+  match f insns with
+  | b -> Some (Bytes.to_string b)
+  | exception Invalid_argument _ -> None
+
+let print_listing l = String.concat "\n" (List.map (Fmt.str "%a" pp_insn) l)
+
+(* property: the assembler writes the reference's bytes, and refuses a
+   branch to an undefined label as the reference does *)
+let prop_assemble_reference =
+  QCheck.Test.make ~count:2000 ~name:"assemble = reference assembler"
+    (QCheck.make ~print:print_listing listing_gen)
+    (fun l -> assembled Host.Encode.assemble l = assembled reference_assemble l)
+
+let test_assemble_undefined_label () =
+  List.iter
+    (fun l ->
+      Alcotest.(check bool) "reference raises" true (assembled reference_assemble l = None);
+      Alcotest.check_raises "assemble raises"
+        (Invalid_argument "assemble: undefined label 3")
+        (fun () -> ignore (Host.Encode.assemble l)))
+    [ [ Jz (0, 3) ]; [ Label 0; Jmp 3 ]; [ Label 5; Jnz (1, 3); Label 2 ] ]
+
 let tests =
   [
     t "encode/decode roundtrip" test_roundtrip;
@@ -573,4 +771,6 @@ let tests =
     QCheck_alcotest.to_alcotest prop_alu32;
     QCheck_alcotest.to_alcotest prop_alu64;
     QCheck_alcotest.to_alcotest prop_decode_total;
+    QCheck_alcotest.to_alcotest prop_assemble_reference;
+    t "assemble refuses an undefined label" test_assemble_undefined_label;
   ]

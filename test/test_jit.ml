@@ -632,6 +632,596 @@ let test_translation_digest () =
   Alcotest.(check string) "translation digest" expected_translation_digest
     digest
 
+(* The optimiser as seven whole-block passes, each building a fresh
+   block, before its forward passes became stages of one walk: the
+   reference the stage compositions must equal. *)
+module Ref_opt = struct
+  open Vex_ir.Ir
+
+  let is_atom = function RdTmp _ | Const _ -> true | _ -> false
+
+  let rec flatten_expr (b : block) (out : stmt -> unit) (e : expr) : expr =
+    let atom e =
+      let e' = flatten_expr b out e in
+      if is_atom e' then e'
+      else begin
+        let t = new_tmp b (type_of b e') in
+        out (WrTmp (t, e'));
+        RdTmp t
+      end
+    in
+    match e with
+    | Get _ | RdTmp _ | Const _ -> e
+    | Load (ty, a) -> Load (ty, atom a)
+    | Unop (op, a) -> Unop (op, atom a)
+    | Binop (op, x, y) ->
+        let x = atom x in
+        let y = atom y in
+        Binop (op, x, y)
+    | ITE (c, t, f) ->
+        let c = atom c in
+        let t = atom t in
+        let f = atom f in
+        ITE (c, t, f)
+    | CCall (callee, ty, args) -> CCall (callee, ty, List.map atom args)
+
+  (* Flatten a rhs that is allowed to remain one operator deep. *)
+  let flatten_rhs b out (e : expr) : expr =
+    match e with
+    | Get _ | RdTmp _ | Const _ | Load _ | Unop _ | Binop _ | ITE _ | CCall _ ->
+        flatten_expr b out e
+
+  let flatten (b : block) : block =
+    let nb =
+      { tyenv = Support.Vec.copy b.tyenv;
+        stmts = Support.Vec.create NoOp;
+        next = b.next;
+        jumpkind = b.jumpkind }
+    in
+    let out s = add_stmt nb s in
+    Support.Vec.iter
+      (fun s ->
+        match s with
+        | NoOp | IMark _ -> out s
+        | AbiHint (e, l) ->
+            let e' = flatten_expr nb out e in
+            let e' = if is_atom e' then e' else begin
+              let t = new_tmp nb (type_of nb e') in
+              out (WrTmp (t, e')); RdTmp t end
+            in
+            out (AbiHint (e', l))
+        | Put (off, e) ->
+            let e' = flatten_expr nb out e in
+            let e' =
+              if is_atom e' then e'
+              else begin
+                let t = new_tmp nb (type_of nb e') in
+                out (WrTmp (t, e'));
+                RdTmp t
+              end
+            in
+            out (Put (off, e'))
+        | WrTmp (t, e) -> out (WrTmp (t, flatten_rhs nb out e))
+        | Store (a, d) ->
+            let fa (e : expr) =
+              let e' = flatten_expr nb out e in
+              if is_atom e' then e'
+              else begin
+                let t = new_tmp nb (type_of nb e') in
+                out (WrTmp (t, e'));
+                RdTmp t
+              end
+            in
+            let a = fa a in
+            let d = fa d in
+            out (Store (a, d))
+        | Dirty d ->
+            let fa (e : expr) =
+              let e' = flatten_expr nb out e in
+              if is_atom e' then e'
+              else begin
+                let t = new_tmp nb (type_of nb e') in
+                out (WrTmp (t, e'));
+                RdTmp t
+              end
+            in
+            let guard = fa d.d_guard in
+            let args = List.map fa d.d_args in
+            let mfx =
+              match d.d_mfx with
+              | Mfx_none -> Mfx_none
+              | Mfx_read (e, n) -> Mfx_read (fa e, n)
+              | Mfx_write (e, n) -> Mfx_write (fa e, n)
+            in
+            out (Dirty { d with d_guard = guard; d_args = args; d_mfx = mfx })
+        | Exit (g, jk, dest) ->
+            let g' = flatten_expr nb out g in
+            let g' =
+              if is_atom g' then g'
+              else begin
+                let t = new_tmp nb I1 in
+                out (WrTmp (t, g'));
+                RdTmp t
+              end
+            in
+            out (Exit (g', jk, dest)))
+      b.stmts;
+    (let e' = flatten_expr nb out nb.next in
+     nb.next <-
+       (if is_atom e' then e'
+        else begin
+          let t = new_tmp nb (type_of nb e') in
+          out (WrTmp (t, e'));
+          RdTmp t
+        end));
+    nb
+
+  (* ------------------------------------------------------------------ *)
+  (* Copy/constant propagation and folding (flat IR)                     *)
+  (* ------------------------------------------------------------------ *)
+
+  (* One forward pass of copy/const propagation + folding. *)
+  let constprop (b : block) : block =
+    let n = Support.Vec.length b.tyenv in
+    let env : expr option array = Array.make n None in
+    let subst_atom = function
+      | RdTmp t as e -> ( match env.(t) with Some a -> a | None -> e)
+      | e -> e
+    in
+    let subst_rhs (e : expr) : expr =
+      let e =
+        match e with
+        | Get _ | Const _ -> e
+        | RdTmp _ -> subst_atom e
+        | Load (ty, a) -> Load (ty, subst_atom a)
+        | Unop (op, a) -> Unop (op, subst_atom a)
+        | Binop (op, x, y) -> Binop (op, subst_atom x, subst_atom y)
+        | ITE (c, t, f) -> ITE (subst_atom c, subst_atom t, subst_atom f)
+        | CCall (callee, ty, args) -> CCall (callee, ty, List.map subst_atom args)
+      in
+      match Jit.Opt.fold_op b e with Some e' -> e' | None -> e
+    in
+    let nb =
+      { tyenv = Support.Vec.copy b.tyenv;
+        stmts = Support.Vec.create NoOp;
+        next = b.next;
+        jumpkind = b.jumpkind }
+    in
+    Support.Vec.iter
+      (fun s ->
+        match s with
+        | NoOp -> ()
+        | IMark _ -> add_stmt nb s
+        | AbiHint (e, l) -> add_stmt nb (AbiHint (subst_atom e, l))
+        | Put (off, e) -> add_stmt nb (Put (off, subst_atom e))
+        | WrTmp (t, e) -> (
+            let e' = subst_rhs e in
+            match e' with
+            | Const _ | RdTmp _ ->
+                (* pure copy: record and drop the statement *)
+                env.(t) <- Some e'
+            | _ -> add_stmt nb (WrTmp (t, e')))
+        | Store (a, d) -> add_stmt nb (Store (subst_atom a, subst_atom d))
+        | Dirty d ->
+            add_stmt nb
+              (Dirty
+                 {
+                   d with
+                   d_guard = subst_atom d.d_guard;
+                   d_args = List.map subst_atom d.d_args;
+                   d_mfx =
+                     (match d.d_mfx with
+                     | Mfx_none -> Mfx_none
+                     | Mfx_read (e, n) -> Mfx_read (subst_atom e, n)
+                     | Mfx_write (e, n) -> Mfx_write (subst_atom e, n));
+                 })
+        | Exit (g, jk, dest) -> (
+            match subst_atom g with
+            | Const (CI1 false) -> () (* never taken *)
+            | g' -> add_stmt nb (Exit (g', jk, dest))))
+      b.stmts;
+    nb.next <- subst_atom b.next;
+    nb
+
+  (* ------------------------------------------------------------------ *)
+  (* Redundant GET elimination and PUT shortcutting (flat IR)            *)
+  (* ------------------------------------------------------------------ *)
+
+  (* Track known guest-state contents as (offset, ty, atom). *)
+  let redundant_getput (b : block) : block =
+    let known : (int * ty * expr) list ref = ref [] in
+    let overlaps off1 sz1 off2 sz2 = off1 < off2 + sz2 && off2 < off1 + sz1 in
+    let invalidate off sz =
+      known :=
+        List.filter (fun (o, ty, _) -> not (overlaps o (size_of_ty ty) off sz)) !known
+    in
+    let invalidate_all () = known := [] in
+    let nb =
+      { tyenv = Support.Vec.copy b.tyenv;
+        stmts = Support.Vec.create NoOp;
+        next = b.next;
+        jumpkind = b.jumpkind }
+    in
+    let rewrite_get (e : expr) : expr =
+      match e with
+      | Get (off, ty) -> (
+          match
+            List.find_opt (fun (o, t, _) -> o = off && t = ty) !known
+          with
+          | Some (_, _, atom) -> atom
+          | None -> e)
+      | e -> e
+    in
+    Support.Vec.iter
+      (fun s ->
+        match s with
+        | NoOp | IMark _ | AbiHint _ | Exit _ -> add_stmt nb s
+        | WrTmp (t, e) ->
+            let e' = rewrite_get e in
+            add_stmt nb (WrTmp (t, e'));
+            (* a GET that survives records the state contents *)
+            (match e' with
+            | Get (off, ty) -> known := (off, ty, RdTmp t) :: !known
+            | _ -> ())
+        | Put (off, atom) ->
+            let sz = size_of_ty (type_of nb atom) in
+            (* put of the very value already known to be there: drop *)
+            let same =
+              List.exists
+                (fun (o, ty, a) -> o = off && size_of_ty ty = sz && a = atom)
+                !known
+            in
+            if not same then begin
+              invalidate off sz;
+              known := (off, type_of nb atom, atom) :: !known;
+              add_stmt nb (Put (off, atom))
+            end
+        | Store _ -> add_stmt nb s
+        | Dirty d ->
+            (* helper may write the guest state it declares; invalidate *)
+            List.iter (fun (o, s) -> invalidate o s) d.d_callee.c_fx_writes;
+            if d.d_callee.c_fx_writes = [] && d.d_callee.c_fx_reads = [] then
+              (* unannotated helper: be conservative *)
+              invalidate_all ();
+            add_stmt nb (Dirty d))
+      b.stmts;
+    nb.next <- rewrite_get b.next;
+    nb
+
+  (* ------------------------------------------------------------------ *)
+  (* Common sub-expression elimination (flat IR)                         *)
+  (* ------------------------------------------------------------------ *)
+
+  let cse (b : block) : block =
+    let table : (expr, tmp) Hashtbl.t = Hashtbl.create 64 in
+    let replace : expr option array = Array.make (Support.Vec.length b.tyenv) None in
+    let subst = function
+      | RdTmp t as e -> ( match replace.(t) with Some a -> a | None -> e)
+      | e -> e
+    in
+    let nb =
+      { tyenv = Support.Vec.copy b.tyenv;
+        stmts = Support.Vec.create NoOp;
+        next = b.next;
+        jumpkind = b.jumpkind }
+    in
+    Support.Vec.iter
+      (fun s ->
+        match s with
+        | WrTmp (t, e) -> (
+            let e =
+              match e with
+              | Unop (op, a) -> Unop (op, subst a)
+              | Binop (op, x, y) -> Binop (op, subst x, subst y)
+              | ITE (c, x, y) -> ITE (subst c, subst x, subst y)
+              | CCall (callee, ty, args) -> CCall (callee, ty, List.map subst args)
+              | Load (ty, a) -> Load (ty, subst a)
+              | e -> e
+            in
+            match e with
+            | Unop _ | Binop _ | ITE _ ->
+                (* pure value ops are CSE-able *)
+                (match Hashtbl.find_opt table e with
+                | Some t0 -> replace.(t) <- Some (RdTmp t0)
+                | None ->
+                    Hashtbl.replace table e t;
+                    add_stmt nb (WrTmp (t, e)))
+            | _ -> add_stmt nb (WrTmp (t, e)))
+        | Put (off, a) -> add_stmt nb (Put (off, subst a))
+        | Store (x, y) -> add_stmt nb (Store (subst x, subst y))
+        | AbiHint (e, l) -> add_stmt nb (AbiHint (subst e, l))
+        | Exit (g, jk, d) -> add_stmt nb (Exit (subst g, jk, d))
+        | Dirty d ->
+            add_stmt nb
+              (Dirty
+                 {
+                   d with
+                   d_guard = subst d.d_guard;
+                   d_args = List.map subst d.d_args;
+                   d_mfx =
+                     (match d.d_mfx with
+                     | Mfx_none -> Mfx_none
+                     | Mfx_read (e, n) -> Mfx_read (subst e, n)
+                     | Mfx_write (e, n) -> Mfx_write (subst e, n));
+                 })
+        | s -> add_stmt nb s)
+      b.stmts;
+    nb.next <- subst b.next;
+    nb
+
+  (* ------------------------------------------------------------------ *)
+  (* Dead code removal (flat IR, backward)                               *)
+  (* ------------------------------------------------------------------ *)
+
+  let dead (b : block) : block =
+    let n = Support.Vec.length b.tyenv in
+    let live = Array.make n false in
+    let mark e =
+      let rec go = function
+        | RdTmp t -> live.(t) <- true
+        | Get _ | Const _ -> ()
+        | Load (_, a) -> go a
+        | Unop (_, a) -> go a
+        | Binop (_, x, y) ->
+            go x;
+            go y
+        | ITE (c, t, f) ->
+            go c;
+            go t;
+            go f
+        | CCall (_, _, args) -> List.iter go args
+      in
+      go e
+    in
+    let stmts = Array.of_list (stmts b) in
+    let keep = Array.make (Array.length stmts) false in
+    mark b.next;
+    (* Track, walking backwards: has the PC been overwritten (with no
+       intervening faulting statement) — and similarly per guest offset
+       whether a full overwrite follows before any observation. *)
+    let module IMap = Map.Make (Int) in
+    (* overwritten.(off) = Some size: a PUT of [size] bytes at [off] follows
+       with no observation in between *)
+    let overwritten : int IMap.t ref = ref IMap.empty in
+    let observe_all () = overwritten := IMap.empty in
+    let observe_range off sz =
+      overwritten :=
+        IMap.filter
+          (fun o s -> not (o < off + sz && off < o + s))
+          !overwritten
+    in
+    for i = Array.length stmts - 1 downto 0 do
+      let s = stmts.(i) in
+      let needed =
+        match s with
+        | NoOp -> false
+        | IMark _ -> true
+        | AbiHint _ -> true
+        | Put (off, e) ->
+            let sz = size_of_ty (type_of b e) in
+            let covered =
+              match IMap.find_opt off !overwritten with
+              | Some s2 -> s2 >= sz
+              | None -> false
+            in
+            not covered
+        | WrTmp (t, e) -> (
+            live.(t)
+            ||
+            match e with
+            | Binop ((DivS32 | DivU32), _, _) -> true (* may trap *)
+            | Load _ -> true
+                (* a load whose value is dead still faults on an unmapped
+                   address: dropping it would swallow the client's SIGSEGV
+                   (found by vgfuzz: ldw into a register that is
+                   overwritten later in the same superblock) *)
+            | _ -> false)
+        | Store _ -> true
+        | Dirty _ -> true
+        | Exit _ -> true
+      in
+      keep.(i) <- needed;
+      (* update overwrite/observation state *)
+      (match s with
+      | Put (off, e) when needed ->
+          let sz = size_of_ty (type_of b e) in
+          overwritten := IMap.add off sz !overwritten
+      | Put _ -> ()
+      | Exit _ -> observe_all ()
+      | Dirty d ->
+          (* helper observes what it declares it reads, plus everything if
+             unannotated *)
+          if d.d_callee.c_fx_reads = [] && d.d_callee.c_fx_writes = [] then
+            observe_all ()
+          else begin
+            List.iter (fun (o, s) -> observe_range o s) d.d_callee.c_fx_reads;
+            (* and its declared writes stop earlier overwrite tracking *)
+            List.iter (fun (o, s) -> observe_range o s) d.d_callee.c_fx_writes
+          end;
+          (* dirty calls can fault / report errors: precise state needed *)
+          List.iter (fun o -> observe_range o 4) Jit.Opt.precise_offsets
+      | WrTmp (_, Get (off, ty)) -> observe_range off (size_of_ty ty)
+      | _ -> ());
+      if Jit.Opt.can_fault s then List.iter (fun o -> observe_range o 4) Jit.Opt.precise_offsets;
+      (* mark uses *)
+      if needed then
+        match s with
+        | Put (_, e) | WrTmp (_, e) | AbiHint (e, _) -> mark e
+        | Store (a, d) ->
+            mark a;
+            mark d
+        | Exit (g, _, _) -> mark g
+        | Dirty d ->
+            mark d.d_guard;
+            List.iter mark d.d_args;
+            (match d.d_mfx with
+            | Mfx_none -> ()
+            | Mfx_read (e, _) | Mfx_write (e, _) -> mark e)
+        | _ -> ()
+    done;
+    let nb =
+      { tyenv = Support.Vec.copy b.tyenv;
+        stmts = Support.Vec.create NoOp;
+        next = b.next;
+        jumpkind = b.jumpkind }
+    in
+    Array.iteri (fun i s -> if keep.(i) then add_stmt nb s) stmts;
+    nb
+
+  (* Iterate dead removal until it stops helping (liveness is computed in a
+     single backward pass, so chains of dead temps need iteration). *)
+  let rec dead_fix ?(rounds = 4) b =
+    let b' = dead b in
+    if rounds <= 1 || Support.Vec.length b'.stmts = Support.Vec.length b.stmts
+    then b'
+    else dead_fix ~rounds:(rounds - 1) b'
+
+
+  let rerun_unrolled b = b |> constprop |> redundant_getput |> constprop |> dead_fix
+
+  let opt1 ?(unroll = true) (b : block) : block =
+    let b =
+      b |> flatten |> constprop |> redundant_getput |> constprop |> cse
+      |> constprop |> dead_fix
+    in
+    if unroll then
+      let b' = Jit.Opt.unroll_self_loop b in
+      if b' != b then rerun_unrolled b' else b
+    else b
+
+  let opt2 (b : block) : block = b |> constprop |> cse |> constprop |> dead_fix
+end
+
+(* Two blocks are the same statement for statement, with the same
+   successor, jump kind and temporaries ([compare], so that NaN
+   constants are equal to themselves). *)
+let same_block (a : Vex_ir.Ir.block) (b : Vex_ir.Ir.block) =
+  compare (Support.Vec.to_list a.stmts) (Support.Vec.to_list b.stmts) = 0
+  && compare a.next b.next = 0
+  && a.jumpkind = b.jumpkind
+  && Support.Vec.to_list a.tyenv = Support.Vec.to_list b.tyenv
+
+(* Every stage composition of [Jit.Opt] against the passes it replaces,
+   on the block at [pc]: opt1 with and without unrolling, the re-run
+   after unrolling (over opt1's output and over an unrolled body) and
+   opt2 (over the instrumented block and the uninstrumented one).
+   Returns whether the block disassembled and whether it unrolled. *)
+let check_stage_compositions ~fetch ~instrument pc =
+  match Jit.Disasm.superblock ~fetch pc with
+  | exception e when translation_refused e -> (false, false)
+  | tree, _ ->
+      let same what reference stages b =
+        let r = reference (Vex_ir.Ir.copy_block b)
+        and s = stages (Vex_ir.Ir.copy_block b) in
+        if not (same_block r s) then
+          Alcotest.failf "0x%Lx: %s differs from the passes it replaces" pc what
+      in
+      same "opt1" (Ref_opt.opt1 ~unroll:true) (Jit.Opt.opt1 ~unroll:true) tree;
+      same "opt1 ~unroll:false" (Ref_opt.opt1 ~unroll:false) (Jit.Opt.opt1 ~unroll:false) tree;
+      let flat = Ref_opt.opt1 ~unroll:false tree in
+      same "unroll re-run" Ref_opt.rerun_unrolled Jit.Opt.reopt_unrolled flat;
+      let unrolled = Jit.Opt.unroll_self_loop flat in
+      let loops = unrolled != flat in
+      if loops then
+        same "unroll re-run of an unrolled body" Ref_opt.rerun_unrolled
+          Jit.Opt.reopt_unrolled unrolled;
+      let flat = Ref_opt.opt1 tree in
+      same "opt2" Ref_opt.opt2 Jit.Opt.opt2 (instrument (Vex_ir.Ir.copy_block flat));
+      same "opt2 uninstrumented" Ref_opt.opt2 Jit.Opt.opt2 flat;
+      (true, loops)
+
+(* A block whose dead code takes [k] + 1 rounds to remove: a chain of
+   PUTs through r0..r(k-1), each read back by a GET that feeds the next,
+   then all overwritten.  Each round's removed GET uncovers the PUT
+   before it, and the last round removes the PUT of r0. *)
+let dead_chain k =
+  let open Vex_ir.Ir in
+  let b = new_block () in
+  let c = i32 7L in
+  add_stmt b (Put (0, c));
+  for j = 1 to k do
+    let t = new_tmp b I32 in
+    add_stmt b (WrTmp (t, Get (4 * (j - 1), I32)));
+    if j < k then add_stmt b (Put (4 * j, RdTmp t))
+  done;
+  for j = k - 1 downto 0 do
+    add_stmt b (Put (4 * j, c))
+  done;
+  b.next <- i32 0x1000L;
+  b
+
+let test_stage_compositions () =
+  (* dead code removal stops after the same round as the reference, down
+     to its four-round cap *)
+  for k = 1 to 5 do
+    let b = dead_chain k in
+    let r = Ref_opt.opt2 (Vex_ir.Ir.copy_block b) in
+    if not (same_block r (Jit.Opt.opt2 (Vex_ir.Ir.copy_block b))) then
+      Alcotest.failf "dead chain of %d: opt2 differs from the passes it replaces" k;
+    Alcotest.(check bool)
+      (Printf.sprintf "dead chain of %d shrinks" k)
+      true
+      (Support.Vec.length r.stmts < Support.Vec.length b.stmts)
+  done;
+  let blocks = ref 0 and unrolled = ref 0 in
+  let check (s : Vg_core.Session.t) pc =
+    let fetch addr = Aspace.fetch_u8 s.mem addr in
+    let ok, u =
+      check_stage_compositions ~fetch ~instrument:(Vg_core.Session.instrument_fn s) pc
+    in
+    if ok then incr blocks;
+    if u then incr unrolled
+  in
+  iter_corpus (fun s ~starts -> List.iter (fun (pc, _) -> check s pc) starts);
+  for i = 0 to 199 do
+    let img = Fuzz.Gen.image ~seed:(9000 + i) ~size:40 () in
+    let s = Vg_core.Session.create ~tool:Tools.Memcheck.tool img in
+    Vg_core.Session.startup s;
+    List.iter (check s) (Static.Cfg.block_starts (Static.Cfg.scan img))
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d blocks, %d unrolled" !blocks !unrolled)
+    true
+    (!blocks > 5000 && !unrolled > 0)
+
+(* Intervals with many equal starts and stops, in any order, in
+   position order, or in position order but for one swapped pair. *)
+let intervals_gen =
+  let open QCheck.Gen in
+  let raw =
+    map
+      (List.mapi (fun vreg (cls, (start, len)) ->
+           { Jit.Regalloc.vreg; cls; start; stop = start + len; crosses_call = false }))
+      (list_size (0 -- 30)
+         (pair (oneofl [ Jit.Regalloc.Int; Jit.Regalloc.Vec ]) (pair (0 -- 6) (0 -- 3))))
+  in
+  let ordered = map (List.stable_sort Jit.Regalloc.by_position) raw in
+  let swap_one =
+    map2
+      (fun l k ->
+        match List.length l with
+        | n when n < 2 -> l
+        | n ->
+            let k = k mod (n - 1) in
+            List.mapi (fun i x -> if i = k then List.nth l (k + 1) else if i = k + 1 then List.nth l k else x) l)
+      ordered nat
+  in
+  oneof [ raw; ordered; swap_one ]
+
+let print_intervals l =
+  String.concat " "
+    (List.map (fun (iv : Jit.Regalloc.interval) -> Printf.sprintf "v%d[%d,%d]" iv.vreg iv.start iv.stop) l)
+
+(* property: the allocator's interval order is the stable sort by
+   position, element for element (so ties keep their order) *)
+let prop_position_order =
+  QCheck.Test.make ~count:2000 ~name:"interval order = stable sort by position"
+    (QCheck.make ~print:print_intervals intervals_gen)
+    (fun ivs ->
+      let expected = List.stable_sort Jit.Regalloc.by_position ivs in
+      let got = Jit.Regalloc.in_position_order ivs in
+      List.length got = List.length expected && List.for_all2 ( == ) got expected)
+
 (* The allocator's invariants over the vcode of corpus translations: no
    two overlapping intervals of a class share a host register, no
    interval live across a helper call holds a caller-saved one, and
@@ -888,5 +1478,8 @@ let tests =
     t "regalloc invariants over corpus vcode" test_regalloc_invariants;
     Alcotest.test_case "translation digest is unchanged" `Slow
       test_translation_digest;
+    Alcotest.test_case "opt stage compositions = the passes they replace" `Slow
+      test_stage_compositions;
+    QCheck_alcotest.to_alcotest prop_position_order;
     t "treebuild respects load/store order" test_treebuild_load_store_order;
   ]
