@@ -44,10 +44,14 @@ int main() {
 |}
     (if transposed then 1 else 0)
 
+(* the last run's Cachegrind state, for the annotate-style report *)
+let last = ref None
+
 let run_one label transposed =
   (* a small D1 makes the stride effect visible at this matrix size *)
   let img = Minicc.Driver.compile (client transposed) in
-  let s = Vg_core.Session.create ~tool:Tools.Cachegrind.tool img in
+  let tool = Tools.Cachegrind.with_state (fun st -> last := Some st) in
+  let s = Vg_core.Session.create ~tool img in
   (match Vg_core.Session.run s with
   | Vg_core.Session.Exited 0 -> ()
   | _ -> print_endline "client failed");
@@ -64,7 +68,7 @@ let () =
   print_endline
     "Same arithmetic, same instruction counts — very different D1 read\n\
      miss rates.  This is the analysis Cachegrind exists for.";
-  match Tools.Cachegrind.(!the_state) with
+  match !last with
   | Some st ->
       let hot = Tools.Cachegrind.hottest st 3 in
       print_endline "\nhottest PCs of the last run (annotate-style):";

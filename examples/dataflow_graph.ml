@@ -20,12 +20,14 @@ int main() {
 let () =
   print_endline "Running under Redux (every operation becomes a DAG node):\n";
   let img = Minicc.Driver.compile client in
-  let s = Vg_core.Session.create ~tool:Tools.Redux.tool img in
+  let dag = ref None in
+  let tool = Tools.Redux.with_state (fun st -> dag := Some st) in
+  let s = Vg_core.Session.create ~tool img in
   (match Vg_core.Session.run s with
   | Vg_core.Session.Exited n -> Printf.printf "client exit code: %d\n\n" n
   | _ -> print_endline "unexpected termination");
   print_string (Vg_core.Session.tool_output s);
-  (match Tools.Redux.(!the_state) with
+  (match !dag with
   | Some st ->
       Printf.printf
         "\n(The full DAG has %d nodes — the paper's verdict that Redux is\n\

@@ -54,7 +54,11 @@ int main() {
 let () =
   print_endline "Running a deliberately buggy client under Memcheck:\n";
   let img = Minicc.Driver.compile buggy_client in
-  let s = Vg_core.Session.create ~tool:Tools.Memcheck.tool img in
+  let heap = ref None in
+  let tool =
+    Tools.Memcheck.with_state ~track_origins:false (fun st -> heap := Some st)
+  in
+  let s = Vg_core.Session.create ~tool img in
   (match Vg_core.Session.run s with
   | Vg_core.Session.Exited n -> Printf.printf "client exit code: %d\n\n" n
   | _ -> print_endline "unexpected termination\n");
@@ -62,7 +66,7 @@ let () =
   print_string (Vg_core.Session.client_stdout s);
   print_string "\nMemcheck output:\n";
   print_string (Vg_core.Session.tool_output s);
-  (match Tools.Memcheck.(!last_state) with
+  (match !heap with
   | Some st ->
       let m = Tools.Memcheck.stats_of st in
       Printf.printf

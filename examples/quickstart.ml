@@ -34,23 +34,14 @@ let branch_profiler : Vg_core.Tool.t =
           (* rebuild the block, adding a guarded call at each Exit: the
              guard of the call IS the branch condition, so the helper
              runs exactly when the branch is taken *)
-          let nb =
-            { tyenv = Support.Vec.copy b.tyenv;
-              stmts = Support.Vec.create NoOp;
-              next = b.next;
-              jumpkind = b.jumpkind }
-          in
+          let nb = empty_like b in
           let site = ref 0L in
           Support.Vec.iter
             (fun s ->
               (match s with
               | IMark (addr, _) -> site := addr
               | Exit (guard, _, _) ->
-                  add_stmt nb
-                    (Dirty
-                       { d_guard = guard; d_callee = h_taken;
-                         d_args = [ i32 !site ]; d_tmp = None;
-                         d_mfx = Mfx_none })
+                  add_stmt nb (dirty ~guard h_taken [ i32 !site ])
               | _ -> ());
               add_stmt nb s)
             b.stmts;

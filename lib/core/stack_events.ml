@@ -64,20 +64,10 @@ let classify_sp_change ~(threshold : int64) (regs : registered_stacks)
     Some (new_sp, Int64.to_int abs_delta, true)
   else Some (old_sp, Int64.to_int abs_delta, false)
 
-let dirty callee args =
-  Dirty
-    { d_guard = i1 true; d_callee = callee; d_args = args; d_tmp = None;
-      d_mfx = Mfx_none }
-
 (** Instrument [b] with stack events. Only called when the tool has
     registered new/die_mem_stack callbacks. *)
 let instrument (h : helpers) (b : block) : block =
-  let nb =
-    { tyenv = Support.Vec.copy b.tyenv;
-      stmts = Support.Vec.create NoOp;
-      next = b.next;
-      jumpkind = b.jumpkind }
-  in
+  let nb = empty_like b in
   (* delta of each temp relative to the block-entry SP, if provably
      sp-derived *)
   let deltas : (tmp, int64) Hashtbl.t = Hashtbl.create 16 in

@@ -228,15 +228,7 @@ let dis_insn b (insn : GA.insn) ~(addr : int64) ~(next : int64) : stop =
       put_reg b d (emit_pop b);
       Fallthrough
   | Sysinfo ->
-      add_stmt b
-        (Dirty
-           {
-             d_guard = i1 true;
-             d_callee = Ghelpers.sysinfo;
-             d_args = [];
-             d_tmp = None;
-             d_mfx = Mfx_none;
-           });
+      add_stmt b (dirty Ghelpers.sysinfo []);
       Fallthrough
   | Syscall ->
       add_stmt b (Put (GA.off_eip, i32 next));

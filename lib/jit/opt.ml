@@ -35,12 +35,7 @@ type stage = { stmt : stmt -> unit; next : expr -> unit }
 
 (* Run [stages], first first, over [b] into a fresh block. *)
 let walk (stages : (block -> stage -> stage) list) (b : block) : block =
-  let nb =
-    { tyenv = Support.Vec.copy b.tyenv;
-      stmts = Support.Vec.create NoOp;
-      next = b.next;
-      jumpkind = b.jumpkind }
-  in
+  let nb = empty_like b in
   let sink = { stmt = add_stmt nb; next = (fun e -> nb.next <- e) } in
   let first = List.fold_right (fun stage down -> stage nb down) stages sink in
   Support.Vec.iter first.stmt b.stmts;
@@ -606,16 +601,10 @@ let unroll_self_loop (b : block) : block =
     match first_imark b with
     | None -> b
     | Some start -> (
-        let fresh () =
-          { tyenv = Support.Vec.copy b.tyenv;
-            stmts = Support.Vec.create NoOp;
-            next = b.next;
-            jumpkind = b.jumpkind }
-        in
         match (b.next, b.jumpkind, last_stmt b) with
         (* shape 1: ...; goto start  (unconditional backedge) *)
         | Const (CI32 dest), Jk_boring, _ when dest = start ->
-            let nb = fresh () in
+            let nb = empty_like b in
             Support.Vec.iter (add_stmt nb) b.stmts;
             append_renamed_copy nb b;
             nb
@@ -623,7 +612,7 @@ let unroll_self_loop (b : block) : block =
            conditional-backedge loop, e.g. dec+jne) *)
         | Const (CI32 _after), Jk_boring, Some (Exit (g, Jk_boring, dest))
           when dest = start ->
-            let nb = fresh () in
+            let nb = empty_like b in
             (* copy 1 with the final backedge inverted into a loop-exit *)
             let n = Support.Vec.length b.stmts in
             Support.Vec.iteri

@@ -74,12 +74,7 @@ let count_uses (b : block) : int array =
 
 let build (b : block) : block =
   let uses = count_uses b in
-  let nb =
-    { tyenv = Support.Vec.copy b.tyenv;
-      stmts = Support.Vec.create NoOp;
-      next = b.next;
-      jumpkind = b.jumpkind }
-  in
+  let nb = empty_like b in
   (* pending single-use definitions, oldest first *)
   let pending : (tmp * expr * effects) list ref = ref [] in
   let flush_if cond =

@@ -87,40 +87,16 @@ let register_helpers (st : state) =
 (* Instrumentation: shadow I32 values carry segment ids                 *)
 (* ------------------------------------------------------------------ *)
 
-type ictx = { st : state; nb : block; shadow : (tmp, tmp) Hashtbl.t }
+type ictx = { st : state; nb : block; v : Shadow_ir.plane }
 
 let emit c s = add_stmt c.nb s
-
-let assign c e =
-  let t = new_tmp c.nb (type_of c.nb e) in
-  emit c (WrTmp (t, e));
-  RdTmp t
+let assign c e = Shadow_ir.assign c.nb e
+let shadow_atom c e = Shadow_ir.atom c.v e
 
 (* only I32 values can be pointers; everything else shadows as "not a
-   pointer" of a matching-size zero so the IR stays well-typed *)
-let shadow_ty = function F64 -> I64 | ty -> ty
-
-let zero_shadow = function
-  | I1 -> Const (CI1 false)
-  | I8 -> Const (CI8 0)
-  | I16 -> Const (CI16 0)
-  | I32 -> Const (CI32 0L)
-  | I64 | F64 -> Const (CI64 0L)
-  | V128 -> Const (CV128 0)
-
-let shadow_of_tmp c t =
-  match Hashtbl.find_opt c.shadow t with
-  | Some s -> s
-  | None ->
-      let s = new_tmp c.nb (shadow_ty (tmp_ty c.nb t)) in
-      Hashtbl.replace c.shadow t s;
-      emit c (WrTmp (s, zero_shadow (tmp_ty c.nb t)));
-      s
-
-let shadow_atom c = function
-  | Const k -> zero_shadow (type_of_const k)
-  | RdTmp t -> RdTmp (shadow_of_tmp c t)
-  | _ -> invalid_arg "shadow_atom"
+   pointer", a zero of the value's shadow type, so the IR stays
+   well-typed *)
+let not_a_pointer = Shadow_ir.zero_of
 
 (* segment union: a pointer +/- an integer keeps its tag; two tagged
    pointers combined give the left tag (Annelid's heuristic) *)
@@ -132,48 +108,34 @@ let seg_merge c a b =
 let shadow_rhs c (e : expr) : expr =
   match e with
   | Const _ | RdTmp _ -> shadow_atom c e
-  | Get (off, ty) ->
-      if off >= GA.shadow_offset then zero_shadow ty
-      else Get (GA.shadow_of off, shadow_ty ty)
+  | Get (off, ty) -> Shadow_ir.get c.v off ty
   | Load (I32, addr) ->
       let t = new_tmp c.nb I64 in
-      emit c
-        (Dirty
-           { d_guard = Const (CI1 true); d_callee = c.st.h_load;
-             d_args = [ addr ]; d_tmp = Some t; d_mfx = Mfx_none });
+      emit c (dirty ~tmp:t c.st.h_load [ addr ]);
       Unop (T64to32, RdTmp t)
-  | Load (ty, _) -> zero_shadow ty
+  | Load (ty, _) -> not_a_pointer ty
   | Unop (op, a) -> (
-      let _, rty = unop_sig op in
       match op with
       | Not32 | Neg32 -> shadow_atom c a (* tag survives bit games *)
-      | _ -> zero_shadow (shadow_ty rty))
+      | _ -> not_a_pointer (snd (unop_sig op)))
   | Binop ((Add32 | Sub32), a, b) ->
       let va = assign c (shadow_atom c a) in
       let vb = assign c (shadow_atom c b) in
       seg_merge c va vb
   | Binop (op, _, _) ->
       let _, _, rty = binop_sig op in
-      zero_shadow (shadow_ty rty)
+      not_a_pointer rty
   | ITE (cond, t, f) -> ITE (cond, shadow_atom c t, shadow_atom c f)
-  | CCall (_, ty, _) -> zero_shadow ty
+  | CCall (_, ty, _) -> not_a_pointer ty
 
 let check_mem c (addr : expr) (size : int) =
   let seg = assign c (shadow_atom c addr) in
-  emit c
-    (Dirty
-       { d_guard = Const (CI1 true); d_callee = c.st.h_check;
-         d_args = [ addr; seg; i32 (Int64.of_int size) ]; d_tmp = None;
-         d_mfx = Mfx_none })
+  emit c (dirty c.st.h_check [ addr; seg; i32 (Int64.of_int size) ])
 
 let instrument (st : state) (b : block) : block =
-  let nb =
-    { tyenv = Support.Vec.copy b.tyenv;
-      stmts = Support.Vec.create NoOp;
-      next = b.next;
-      jumpkind = b.jumpkind }
-  in
-  let c = { st; nb; shadow = Hashtbl.create 64 } in
+  let nb = empty_like b in
+  let v = Shadow_ir.plane nb ~ty:Shadow_ir.shadow_ty ~zero:not_a_pointer in
+  let c = { st; nb; v } in
   Support.Vec.iter
     (fun s ->
       match s with
@@ -183,32 +145,22 @@ let instrument (st : state) (b : block) : block =
           (match e with
           | Load (lty, addr) -> check_mem c addr (size_of_ty lty)
           | _ -> ());
-          let se = shadow_rhs c e in
-          let sv = new_tmp nb (shadow_ty (tmp_ty nb t)) in
-          Hashtbl.replace c.shadow t sv;
-          emit c (WrTmp (sv, se));
+          Shadow_ir.define v t (shadow_rhs c e);
           emit c s
       | Put (off, e) ->
-          if off < GA.shadow_offset then
-            emit c (Put (GA.shadow_of off, assign c (shadow_atom c e)));
+          Shadow_ir.put v off e;
           emit c s
       | Store (addr, d) ->
           check_mem c addr (size_of_ty (type_of nb d));
           (if type_of nb d = I32 then
              let sd = assign c (shadow_atom c d) in
              let sd64 = assign c (Unop (U32to64, sd)) in
-             emit c
-               (Dirty
-                  { d_guard = Const (CI1 true); d_callee = st.h_store;
-                    d_args = [ addr; sd64 ]; d_tmp = None; d_mfx = Mfx_none }));
+             emit c (dirty st.h_store [ addr; sd64 ]));
           emit c s
-      | Dirty d ->
+      | Dirty d -> (
           emit c s;
-          (match d.d_tmp with
-          | Some t ->
-              let sv = new_tmp nb (shadow_ty (tmp_ty nb t)) in
-              Hashtbl.replace c.shadow t sv;
-              emit c (WrTmp (sv, zero_shadow (tmp_ty nb t)))
+          match d.d_tmp with
+          | Some t -> Shadow_ir.define v t (not_a_pointer (tmp_ty nb t))
           | None -> ()))
     b.stmts;
   nb
@@ -216,10 +168,6 @@ let instrument (st : state) (b : block) : block =
 (* ------------------------------------------------------------------ *)
 (* Heap tracking                                                        *)
 (* ------------------------------------------------------------------ *)
-
-let read_stack_arg (st : state) (n : int) : int64 =
-  let sp = st.caps.read_guest GA.off_sp 4 in
-  Aspace.read st.caps.mem (Int64.add sp (Int64.of_int (4 * n))) 4
 
 let new_segment (st : state) (base : int64) (size : int) : segment =
   st.caps.charge_cycles (150 + (size / 16));
@@ -234,23 +182,13 @@ let new_segment (st : state) (base : int64) (size : int) : segment =
   seg
 
 let install_heap (st : state) =
-  let set_result v = st.caps.write_guest (GA.off_reg 0) 4 v in
-  let tag_result segid =
-    (* the returned pointer (r0) is tagged in the shadow register file *)
-    st.caps.write_guest (GA.shadow_of (GA.off_reg 0)) 4 (Int64.of_int segid)
-  in
-  (* hand [base] to the client as the pointer of a new segment; a
-     base of 0 (the arena is full) is NULL, which no segment tags *)
-  let return_block base size =
-    if base = 0L then begin
-      set_result 0L;
-      tag_result 0
-    end
-    else begin
-      let seg = new_segment st base size in
-      set_result base;
-      tag_result seg.seg_id
-    end
+  (* hand [base] to the client as the pointer of a new segment, tagged
+     in the shadow register file; a base of 0 (the arena is full) is
+     NULL, which no segment tags *)
+  let new_block base size =
+    let segid = if base = 0L then 0 else (new_segment st base size).seg_id in
+    st.caps.write_guest (GA.shadow_of (GA.off_reg 0)) 4 (Int64.of_int segid);
+    base
   in
   (* a dead segment's region goes back to the core allocator; its id
      stays in the table, so pointers into it are still reported *)
@@ -260,48 +198,28 @@ let install_heap (st : state) =
       st.caps.client_free seg.seg_base seg.seg_size
     end
   in
-  st.caps.replace_function ~symbol:"malloc"
-    ~handler:(fun () ->
-      let size = max 1 (Int64.to_int (read_stack_arg st 1)) in
-      return_block (st.caps.client_alloc size) size);
-  st.caps.replace_function ~symbol:"calloc"
-    ~handler:(fun () ->
-      let n = Int64.to_int (read_stack_arg st 1) in
-      let sz = Int64.to_int (read_stack_arg st 2) in
-      let size = max 1 (n * sz) in
+  let segment_at p =
+    Option.bind (Hashtbl.find_opt st.by_base p) (Hashtbl.find_opt st.segments)
+  in
+  Replace_malloc.install st.caps
+    ~malloc:(fun size ->
+      let size = max 1 size in
+      new_block (st.caps.client_alloc size) size)
+    ~calloc:(fun size ->
+      let size = max 1 size in
       let base = st.caps.client_alloc size in
-      if base <> 0L then
-        for i = 0 to size - 1 do
-          Aspace.write st.caps.mem (Int64.add base (Int64.of_int i)) 1 0L
-        done;
-      return_block base size);
-  st.caps.replace_function ~symbol:"free"
-    ~handler:(fun () ->
-      let p = read_stack_arg st 1 in
-      (match Hashtbl.find_opt st.by_base p with
-      | Some id -> (
-          match Hashtbl.find_opt st.segments id with
-          | Some seg -> kill seg
-          | None -> ())
-      | None -> ());
-      set_result 0L);
-  st.caps.replace_function ~symbol:"realloc"
-    ~handler:(fun () ->
-      let old = read_stack_arg st 1 in
-      let size = max 1 (Int64.to_int (read_stack_arg st 2)) in
+      if base <> 0L then Replace_malloc.zero st.caps base size;
+      new_block base size)
+    ~free:(fun p -> Option.iter kill (segment_at p))
+    ~realloc:(fun old size ->
+      let size = max 1 size in
       let base = st.caps.client_alloc size in
-      (match Hashtbl.find_opt st.by_base old with
-      | Some id when base <> 0L -> (
-          match Hashtbl.find_opt st.segments id with
-          | Some seg ->
-              for i = 0 to min seg.seg_size size - 1 do
-                let b = Aspace.read st.caps.mem (Int64.add old (Int64.of_int i)) 1 in
-                Aspace.write st.caps.mem (Int64.add base (Int64.of_int i)) 1 b
-              done;
-              kill seg
-          | None -> ())
+      (match segment_at old with
+      | Some seg when base <> 0L ->
+          Replace_malloc.copy st.caps ~src:old ~dst:base (min seg.seg_size size);
+          kill seg
       | _ -> ());
-      return_block base size)
+      new_block base size)
 
 let tool : Vg_core.Tool.t =
   {

@@ -23,8 +23,6 @@ type state = {
   track_per_pc : bool;
 }
 
-let the_state : state option ref = ref None
-
 let counts_for (st : state) (pc : int64) : pc_counts =
   match Hashtbl.find_opt st.per_pc pc with
   | Some c -> c
@@ -42,7 +40,9 @@ let hottest (st : state) (n : int) : (int64 * pc_counts) list =
   |> List.sort (fun (_, a) (_, b) -> compare b.c_ir a.c_ir)
   |> List.filteri (fun i _ -> i < n)
 
-let tool : Vg_core.Tool.t =
+(** Cachegrind, handing each session's state to [on_state] at
+    start-up. *)
+let with_state (on_state : state -> unit) : Vg_core.Tool.t =
   {
     name = "cachegrind";
     description = "a cache profiler (I1/D1/L2 simulation)";
@@ -57,7 +57,7 @@ let tool : Vg_core.Tool.t =
             track_per_pc = true;
           }
         in
-        the_state := Some st;
+        on_state st;
         let h_instr =
           caps.register_helper ~name:"cg_instr" ~cost:12 ~nargs:2 (fun args ->
               Cachesim.instr_fetch st.h args.(0) (Int64.to_int args.(1));
@@ -88,19 +88,9 @@ let tool : Vg_core.Tool.t =
               0L)
         in
         let instrument (b : block) : block =
-          let nb =
-            { tyenv = Support.Vec.copy b.tyenv;
-              stmts = Support.Vec.create NoOp;
-              next = b.next;
-              jumpkind = b.jumpkind }
-          in
+          let nb = empty_like b in
           let cur_pc = ref 0L in
-          let call callee args =
-            add_stmt nb
-              (Dirty
-                 { d_guard = i1 true; d_callee = callee; d_args = args;
-                   d_tmp = None; d_mfx = Mfx_none })
-          in
+          let call callee args = add_stmt nb (dirty callee args) in
           Support.Vec.iter
             (fun s ->
               (match s with
@@ -130,3 +120,5 @@ let tool : Vg_core.Tool.t =
           client_request = (fun ~code:_ ~args:_ -> None);
         });
   }
+
+let tool = with_state ignore

@@ -128,19 +128,9 @@ let tool : Vg_core.Tool.t =
               0L)
         in
         let instrument (b : block) : block =
-          let nb =
-            { tyenv = Support.Vec.copy b.tyenv;
-              stmts = Support.Vec.create NoOp;
-              next = b.next;
-              jumpkind = b.jumpkind }
-          in
+          let nb = empty_like b in
           let cur_pc = ref 0L in
-          let call callee args =
-            add_stmt nb
-              (Dirty
-                 { d_guard = i1 true; d_callee = callee; d_args = args;
-                   d_tmp = None; d_mfx = Mfx_none })
-          in
+          let call callee args = add_stmt nb (dirty callee args) in
           Support.Vec.iter
             (fun s ->
               (match s with

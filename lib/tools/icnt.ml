@@ -24,12 +24,7 @@ let icnt_inline : Vg_core.Tool.t =
       (fun caps ->
         Aspace.map caps.mem ~addr:counter_addr ~len:4096 ~perm:Aspace.perm_rw;
         let instrument (b : block) : block =
-          let nb =
-            { tyenv = Support.Vec.copy b.tyenv;
-              stmts = Support.Vec.create NoOp;
-              next = b.next;
-              jumpkind = b.jumpkind }
-          in
+          let nb = empty_like b in
           Support.Vec.iter
             (fun s ->
               add_stmt nb s;
@@ -71,26 +66,12 @@ let icnt_call : Vg_core.Tool.t =
               0L)
         in
         let instrument (b : block) : block =
-          let nb =
-            { tyenv = Support.Vec.copy b.tyenv;
-              stmts = Support.Vec.create NoOp;
-              next = b.next;
-              jumpkind = b.jumpkind }
-          in
+          let nb = empty_like b in
           Support.Vec.iter
             (fun s ->
               add_stmt nb s;
               match s with
-              | IMark _ ->
-                  add_stmt nb
-                    (Dirty
-                       {
-                         d_guard = i1 true;
-                         d_callee = helper;
-                         d_args = [];
-                         d_tmp = None;
-                         d_mfx = Mfx_none;
-                       })
+              | IMark _ -> add_stmt nb (dirty helper [])
               | _ -> ())
             b.stmts;
           nb

@@ -21,9 +21,8 @@ type tstate = {
   limit : int;
 }
 
-let the_state : tstate option ref = ref None
-
-let tool : Vg_core.Tool.t =
+(** Lackey, handing each session's state to [on_state] at start-up. *)
+let with_state (on_state : tstate -> unit) : Vg_core.Tool.t =
   {
     name = "lackey";
     description = "an example memory-access tracer";
@@ -34,7 +33,7 @@ let tool : Vg_core.Tool.t =
           { trace = []; n_loads = 0L; n_stores = 0L; n_instrs = 0L;
             keep_trace = false; limit = 100_000 }
         in
-        the_state := Some st;
+        on_state st;
         let note ~write addr size =
           if write then st.n_stores <- Int64.add st.n_stores 1L
           else st.n_loads <- Int64.add st.n_loads 1L;
@@ -58,18 +57,8 @@ let tool : Vg_core.Tool.t =
               0L)
         in
         let instrument (b : block) : block =
-          let nb =
-            { tyenv = Support.Vec.copy b.tyenv;
-              stmts = Support.Vec.create NoOp;
-              next = b.next;
-              jumpkind = b.jumpkind }
-          in
-          let call callee args =
-            add_stmt nb
-              (Dirty
-                 { d_guard = i1 true; d_callee = callee; d_args = args;
-                   d_tmp = None; d_mfx = Mfx_none })
-          in
+          let nb = empty_like b in
+          let call callee args = add_stmt nb (dirty callee args) in
           Support.Vec.iter
             (fun s ->
               (match s with
@@ -98,3 +87,5 @@ let tool : Vg_core.Tool.t =
           client_request = (fun ~code:_ ~args:_ -> None);
         });
   }
+
+let tool = with_state ignore

@@ -3,8 +3,6 @@
     shadowing anything it tracks live heap volume over time and records
     peak usage and allocation-site totals. *)
 
-module GA = Guest.Arch
-
 type site = { mutable s_bytes : int64; mutable s_blocks : int }
 
 type state = {
@@ -19,12 +17,6 @@ type state = {
 
 (** A timeline snapshot is taken every this many allocations. *)
 let timeline_every = 16
-
-let the_state : state option ref = ref None
-
-let read_stack_arg (st : state) (n : int) : int64 =
-  let sp = st.caps.read_guest GA.off_sp 4 in
-  Aspace.read st.caps.mem (Int64.add sp (Int64.of_int (4 * n))) 4
 
 let note_alloc (st : state) (addr : int64) (size : int) =
   st.caps.charge_cycles (150 + (size / 16));
@@ -53,7 +45,8 @@ let note_free (st : state) (addr : int64) =
       st.caps.client_free addr size;
       st.cur_bytes <- Int64.sub st.cur_bytes (Int64.of_int size)
 
-let tool : Vg_core.Tool.t =
+(** Massif, handing each session's state to [on_state] at start-up. *)
+let with_state (on_state : state -> unit) : Vg_core.Tool.t =
   {
     name = "massif";
     description = "a heap profiler";
@@ -71,48 +64,31 @@ let tool : Vg_core.Tool.t =
             snapshots = [];
           }
         in
-        the_state := Some st;
-        let set_result v = caps.write_guest (GA.off_reg 0) 4 v in
-        caps.replace_function ~symbol:"malloc"
-          ~handler:(fun () ->
-            let size = max 1 (Int64.to_int (read_stack_arg st 1)) in
+        on_state st;
+        (* the block of [size] bytes at [addr] (0: the arena is full) *)
+        let allocated addr size =
+          if addr <> 0L then note_alloc st addr size;
+          addr
+        in
+        Replace_malloc.install caps
+          ~malloc:(fun size ->
+            let size = max 1 size in
+            allocated (caps.client_alloc size) size)
+          ~calloc:(fun size ->
+            let size = max 1 size in
             let addr = caps.client_alloc size in
-            if addr <> 0L then note_alloc st addr size;
-            set_result addr);
-        caps.replace_function ~symbol:"calloc"
-          ~handler:(fun () ->
-            let n = Int64.to_int (read_stack_arg st 1) in
-            let sz = Int64.to_int (read_stack_arg st 2) in
-            let size = max 1 (n * sz) in
-            let addr = caps.client_alloc size in
-            if addr <> 0L then begin
-              for i = 0 to size - 1 do
-                Aspace.write caps.mem (Int64.add addr (Int64.of_int i)) 1 0L
-              done;
-              note_alloc st addr size
-            end;
-            set_result addr);
-        caps.replace_function ~symbol:"free"
-          ~handler:(fun () ->
-            note_free st (read_stack_arg st 1);
-            set_result 0L);
-        caps.replace_function ~symbol:"realloc"
-          ~handler:(fun () ->
-            let old = read_stack_arg st 1 in
-            let size = max 1 (Int64.to_int (read_stack_arg st 2)) in
+            if addr <> 0L then Replace_malloc.zero caps addr size;
+            allocated addr size)
+          ~free:(note_free st)
+          ~realloc:(fun old size ->
+            let size = max 1 size in
             let naddr = caps.client_alloc size in
-            if naddr <> 0L then begin
-              (match Hashtbl.find_opt st.live old with
-              | Some (osize, _) ->
-                  for i = 0 to min osize size - 1 do
-                    let b = Aspace.read caps.mem (Int64.add old (Int64.of_int i)) 1 in
-                    Aspace.write caps.mem (Int64.add naddr (Int64.of_int i)) 1 b
-                  done;
-                  note_free st old
-              | None -> ());
-              note_alloc st naddr size
-            end;
-            set_result naddr);
+            (match Hashtbl.find_opt st.live old with
+            | Some (osize, _) when naddr <> 0L ->
+                Replace_malloc.copy caps ~src:old ~dst:naddr (min osize size);
+                note_free st old
+            | _ -> ());
+            allocated naddr size);
         {
           instrument = (fun b -> b);
           fini =
@@ -155,3 +131,5 @@ let tool : Vg_core.Tool.t =
           client_request = (fun ~code:_ ~args:_ -> None);
         });
   }
+
+let tool = with_state ignore

@@ -235,72 +235,23 @@ let register_helpers (st : state) =
       [ 0; 1; 2; 4; 8; 16 ]
   end
 
-let check_fail_for (st : state) (size : int) : callee =
-  let i =
-    match size with 0 -> 0 | 1 -> 1 | 2 -> 2 | 4 -> 3 | 8 -> 4 | _ -> 5
-  in
-  st.h_check_fail.(i)
+(* index of the check-failure helpers for a value of [size] bytes *)
+let fail_index = function 0 -> 0 | 1 -> 1 | 2 -> 2 | 4 -> 3 | 8 -> 4 | _ -> 5
 
 (* ------------------------------------------------------------------ *)
 (* Instrumentation (phase 3)                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* The shadow of an F64 value is carried as I64 bits; everything else
-   shadows at its own type. *)
-let shadow_ty = function F64 -> I64 | ty -> ty
+(* Two shadow planes: V bits, one per value bit (an F64 is shadowed by
+   I64 bits), and origin tags, an I32 per value where 0 is "no origin". *)
+type ictx = { st : state; nb : block; v : Shadow_ir.plane; o : Shadow_ir.plane }
 
-let zero_shadow_const = function
-  | I1 -> Const (CI1 false)
-  | I8 -> Const (CI8 0)
-  | I16 -> Const (CI16 0)
-  | I32 -> Const (CI32 0L)
-  | I64 | F64 -> Const (CI64 0L)
-  | V128 -> Const (CV128 0)
-
-type ictx = {
-  st : state;
-  nb : block;
-  shadow : (tmp, tmp) Hashtbl.t;
-  origin : (tmp, tmp) Hashtbl.t;  (** tmp -> origin-tag tmp (I32) *)
-}
-
+let otag_ty (_ : ty) = I32
+let no_otag (_ : ty) = Const (CI32 0L)
 let emit c s = add_stmt c.nb s
-
-let assign c (e : expr) : expr =
-  let t = new_tmp c.nb (type_of c.nb e) in
-  emit c (WrTmp (t, e));
-  RdTmp t
-
-let shadow_of_tmp c (t : tmp) : tmp =
-  match Hashtbl.find_opt c.shadow t with
-  | Some s -> s
-  | None ->
-      (* referenced before any definition: conservatively defined *)
-      let s = new_tmp c.nb (shadow_ty (tmp_ty c.nb t)) in
-      Hashtbl.replace c.shadow t s;
-      emit c (WrTmp (s, zero_shadow_const (tmp_ty c.nb t)));
-      s
-
-let shadow_atom c (e : expr) : expr =
-  match e with
-  | Const k -> zero_shadow_const (type_of_const k)
-  | RdTmp t -> RdTmp (shadow_of_tmp c t)
-  | _ -> invalid_arg "shadow_atom: not an atom"
-
-let origin_of_tmp c (t : tmp) : tmp =
-  match Hashtbl.find_opt c.origin t with
-  | Some s -> s
-  | None ->
-      let s = new_tmp c.nb I32 in
-      Hashtbl.replace c.origin t s;
-      emit c (WrTmp (s, Const (CI32 0L)));
-      s
-
-let origin_atom c (e : expr) : expr =
-  match e with
-  | Const _ -> Const (CI32 0L)
-  | RdTmp t -> RdTmp (origin_of_tmp c t)
-  | _ -> invalid_arg "origin_atom: not an atom"
+let assign c e = Shadow_ir.assign c.nb e
+let shadow_atom c e = Shadow_ir.atom c.v e
+let origin_atom c e = Shadow_ir.atom c.o e
 
 (* Pessimistic cast of a shadow value to a target shadow type: result is
    all-zeroes iff the input is (mkPCastTo in Memcheck). *)
@@ -369,62 +320,24 @@ let left c (v : expr) : expr =
    reported alongside when origin tracking is on *)
 let complain_if_undefined ?origin c (v : expr) (size : int) =
   let guard = pcast_to c I1 v in
-  let callee, args =
-    match (c.st.origins, origin) with
-    | true, Some o ->
-        let i =
-          match size with 0 -> 0 | 1 -> 1 | 2 -> 2 | 4 -> 3 | 8 -> 4 | _ -> 5
-        in
-        (c.st.h_check_fail_o.(i), [ o ])
-    | _ -> (check_fail_for c.st size, [])
-  in
+  let i = fail_index size in
   emit c
-    (Dirty
-       {
-         d_guard = guard;
-         d_callee = callee;
-         d_args = args;
-         d_tmp = None;
-         d_mfx = Mfx_none;
-       })
+    (match (c.st.origins, origin) with
+    | true, Some o -> dirty ~guard c.st.h_check_fail_o.(i) [ o ]
+    | _ -> dirty ~guard c.st.h_check_fail.(i) [])
 
 (* shadow of a (flat) rhs expression *)
 let shadow_rhs c (e : expr) : expr =
   match e with
   | Const _ | RdTmp _ -> shadow_atom c e
-  | Get (off, ty) ->
-      if off >= GA.shadow_offset then zero_shadow_const ty
-      else Get (GA.shadow_of off, shadow_ty ty)
+  | Get (off, ty) -> Shadow_ir.get c.v off ty
   | Load (ty, addr) ->
       (* check the address itself is defined (Figure 2, stmts 15–16) *)
       let o =
         if c.st.origins then Some (assign c (origin_atom c addr)) else None
       in
       complain_if_undefined ?origin:o c (shadow_atom c addr) 4;
-      let call n a =
-        let t = new_tmp c.nb I64 in
-        emit c
-          (Dirty
-             {
-               d_guard = Const (CI1 true);
-               d_callee = c.st.h_loadv.(n);
-               d_args = [ a ];
-               d_tmp = Some t;
-               d_mfx = Mfx_none;
-             });
-        RdTmp t
-      in
-      (match ty with
-      | V128 ->
-          let lo = call 3 addr in
-          let hi_addr = assign c (Binop (Add32, addr, Const (CI32 8L))) in
-          let hi = call 3 hi_addr in
-          Binop (Cat64x2, hi, lo)
-      | I64 | F64 -> call 3 addr
-      | I32 -> Unop (T64to32, call 2 addr)
-      | I16 -> Unop (T32to16, assign c (Unop (T64to32, call 1 addr)))
-      | I8 -> Unop (T32to8, assign c (Unop (T64to32, call 0 addr)))
-      | I1 -> invalid_arg "I1 load")
+      Shadow_ir.load c.nb c.st.h_loadv ty addr
   | Unop (op, a) -> (
       let va = shadow_atom c a in
       match op with
@@ -567,15 +480,7 @@ let origin_rhs c (e : expr) : expr =
       else Const (CI32 0L)
   | Load (_, addr) ->
       let t = new_tmp c.nb I64 in
-      emit c
-        (Dirty
-           {
-             d_guard = Const (CI1 true);
-             d_callee = c.st.h_load_origin;
-             d_args = [ addr ];
-             d_tmp = Some t;
-             d_mfx = Mfx_none;
-           });
+      emit c (dirty ~tmp:t c.st.h_load_origin [ addr ]);
       Unop (T64to32, RdTmp t)
   | Unop (_, a) -> origin_atom c a
   | Binop (_, a, b) ->
@@ -592,72 +497,14 @@ let origin_rhs c (e : expr) : expr =
 
 let store_origin_call c (addr : expr) (otag : expr) =
   let o64 = assign c (Unop (U32to64, otag)) in
-  emit c
-    (Dirty
-       {
-         d_guard = Const (CI1 true);
-         d_callee = c.st.h_store_origin;
-         d_args = [ addr; o64 ];
-         d_tmp = None;
-         d_mfx = Mfx_none;
-       })
-
-let storev_call c (addr : expr) (data_shadow : expr) (ty : ty) =
-  let call n a v =
-    emit c
-      (Dirty
-         {
-           d_guard = Const (CI1 true);
-           d_callee = c.st.h_storev.(n);
-           d_args = [ a; v ];
-           d_tmp = None;
-           d_mfx = Mfx_none;
-         })
-  in
-  match ty with
-  | V128 ->
-      let lo = assign c (Unop (V128to64, data_shadow)) in
-      let hi = assign c (Unop (V128HIto64, data_shadow)) in
-      call 3 addr lo;
-      let hi_addr = assign c (Binop (Add32, addr, Const (CI32 8L))) in
-      call 3 hi_addr hi
-  | I64 | F64 ->
-      let v =
-        match type_of c.nb data_shadow with
-        | F64 -> assign c (Unop (ReinterpF64asI64, data_shadow))
-        | _ -> data_shadow
-      in
-      call 3 addr v
-  | I32 -> call 2 addr (assign c (Unop (U32to64, data_shadow)))
-  | I16 ->
-      call 1 addr
-        (assign c (Unop (U32to64, assign c (Unop (U16to32, data_shadow)))))
-  | I8 ->
-      call 0 addr
-        (assign c (Unop (U32to64, assign c (Unop (U8to32, data_shadow)))))
-  | I1 -> invalid_arg "I1 store"
+  emit c (dirty c.st.h_store_origin [ addr; o64 ])
 
 (** Phase-3 instrumentation: flat IR in, flat IR out. *)
 let instrument (st : state) (b : block) : block =
-  let nb =
-    { tyenv = Support.Vec.copy b.tyenv;
-      stmts = Support.Vec.create NoOp;
-      next = b.next;
-      jumpkind = b.jumpkind }
-  in
-  let c = { st; nb; shadow = Hashtbl.create 64; origin = Hashtbl.create 64 } in
-  let define_shadow t se =
-    let sv = new_tmp nb (shadow_ty (tmp_ty nb t)) in
-    Hashtbl.replace c.shadow t sv;
-    emit c (WrTmp (sv, se))
-  in
-  let define_origin t oe =
-    if st.origins then begin
-      let ov = new_tmp nb I32 in
-      Hashtbl.replace c.origin t ov;
-      emit c (WrTmp (ov, oe))
-    end
-  in
+  let nb = empty_like b in
+  let v = Shadow_ir.plane nb ~ty:Shadow_ir.shadow_ty ~zero:Shadow_ir.zero_of in
+  let o = Shadow_ir.plane nb ~ty:otag_ty ~zero:no_otag in
+  let c = { st; nb; v; o } in
   let origin_arg e = if st.origins then Some (assign c (origin_atom c e)) else None in
   Support.Vec.iter
     (fun s ->
@@ -665,21 +512,18 @@ let instrument (st : state) (b : block) : block =
       | NoOp | IMark _ | AbiHint _ -> emit c s
       | WrTmp (t, e) ->
           (* shadow computation precedes the original (Figure 2) *)
-          let se = shadow_rhs c e in
-          define_shadow t se;
-          if st.origins then define_origin t (origin_rhs c e);
+          Shadow_ir.define v t (shadow_rhs c e);
+          if st.origins then Shadow_ir.define o t (origin_rhs c e);
           emit c s
       | Put (off, e) ->
-          if off < GA.shadow_offset then begin
-            emit c (Put (GA.shadow_of off, assign c (shadow_atom c e)));
-            if st.origins && off < GA.guest_state_used then
-              emit c (Put (origin_of off, assign c (origin_atom c e)))
-          end;
+          Shadow_ir.put v off e;
+          if st.origins && off < GA.guest_state_used then
+            emit c (Put (origin_of off, assign c (origin_atom c e)));
           emit c s
       | Store (addr, d) ->
           complain_if_undefined ?origin:(origin_arg addr) c
             (shadow_atom c addr) 4;
-          storev_call c addr (shadow_atom c d) (type_of nb d);
+          Shadow_ir.store nb st.h_storev (type_of nb d) addr (shadow_atom c d);
           if st.origins then
             store_origin_call c addr (assign c (origin_atom c d));
           emit c s
@@ -695,8 +539,8 @@ let instrument (st : state) (b : block) : block =
           (* the result, if any, and written guest state become defined *)
           (match d.d_tmp with
           | Some t ->
-              define_shadow t (zero_shadow_const (tmp_ty nb t));
-              define_origin t (Const (CI32 0L))
+              Shadow_ir.define v t (Shadow_ir.zero_of (tmp_ty nb t));
+              if st.origins then Shadow_ir.define o t (Const (CI32 0L))
           | None -> ());
           List.iter
             (fun (off, size) ->
@@ -715,13 +559,6 @@ let instrument (st : state) (b : block) : block =
 (* Heap replacement (R8)                                                *)
 (* ------------------------------------------------------------------ *)
 
-let read_stack_arg (st : state) (n : int) : int64 =
-  (* inside a replacement stub: [sp] = return address, args above *)
-  let sp = st.caps.read_guest GA.off_sp 4 in
-  Aspace.read st.caps.mem (Int64.add sp (Int64.of_int (4 * n))) 4
-
-let set_result (st : state) (v : int64) = st.caps.write_guest (GA.off_reg 0) 4 v
-
 let do_malloc (st : state) (size : int) ~zero : int64 =
   let size = max size 1 in
   (* a real replacement allocator runs guest-side bookkeeping and paints
@@ -734,9 +571,7 @@ let do_malloc (st : state) (size : int) ~zero : int64 =
     Shadow_mem.make_noaccess st.sm base redzone;
     Shadow_mem.make_noaccess st.sm (Int64.add addr (Int64.of_int size)) redzone;
     if zero then begin
-      for i = 0 to size - 1 do
-        Aspace.write st.caps.mem (Int64.add addr (Int64.of_int i)) 1 0L
-      done;
+      Replace_malloc.zero st.caps addr size;
       Shadow_mem.make_defined st.sm addr size
     end
     else begin
@@ -790,43 +625,28 @@ let do_free (st : state) (addr : int64) =
         st.n_frees <- st.n_frees + 1
 
 let install_heap_replacement (st : state) =
-  st.caps.replace_function ~symbol:"malloc"
-    ~handler:(fun () ->
-      let size = Int64.to_int (read_stack_arg st 1) in
-      set_result st (do_malloc st size ~zero:false));
-  st.caps.replace_function ~symbol:"calloc"
-    ~handler:(fun () ->
-      let n = Int64.to_int (read_stack_arg st 1) in
-      let sz = Int64.to_int (read_stack_arg st 2) in
-      set_result st (do_malloc st (n * sz) ~zero:true));
-  st.caps.replace_function ~symbol:"free"
-    ~handler:(fun () ->
-      do_free st (read_stack_arg st 1);
-      set_result st 0L);
-  st.caps.replace_function ~symbol:"realloc"
-    ~handler:(fun () ->
-      let old = read_stack_arg st 1 in
-      let size = Int64.to_int (read_stack_arg st 2) in
-      if old = 0L then set_result st (do_malloc st size ~zero:false)
+  Replace_malloc.install st.caps
+    ~malloc:(fun size -> do_malloc st size ~zero:false)
+    ~calloc:(fun size -> do_malloc st size ~zero:true)
+    ~free:(do_free st)
+    ~realloc:(fun old size ->
+      if old = 0L then do_malloc st size ~zero:false
       else
         match Hashtbl.find_opt st.live old with
         | None ->
             report st ~kind:"InvalidFree"
               ~msg:(Printf.sprintf "realloc() of invalid pointer\n==err==  %s" (describe_addr st old));
-            set_result st 0L
+            0L
         | Some b ->
             (* like mremap: values and shadow values are copied (R8) *)
             let naddr = do_malloc st size ~zero:false in
             if naddr <> 0L then begin
               let n = min size b.hb_size in
-              for i = 0 to n - 1 do
-                let byte = Aspace.read st.caps.mem (Int64.add old (Int64.of_int i)) 1 in
-                Aspace.write st.caps.mem (Int64.add naddr (Int64.of_int i)) 1 byte
-              done;
+              Replace_malloc.copy st.caps ~src:old ~dst:naddr n;
               Shadow_mem.copy_range st.sm ~src:old ~dst:naddr n;
               do_free st old
             end;
-            set_result st naddr)
+            naddr)
 
 (* ------------------------------------------------------------------ *)
 (* Leak checking                                                        *)
@@ -1078,8 +898,6 @@ type mc_stats = {
   mc_live_blocks : int;
 }
 
-let last_state : state option ref = ref None
-
 let stats_of (st : state) : mc_stats =
   {
     mc_allocs = st.n_allocs;
@@ -1088,7 +906,10 @@ let stats_of (st : state) : mc_stats =
     mc_live_blocks = Hashtbl.length st.live;
   }
 
-let make_tool ~(track_origins : bool) : Vg_core.Tool.t =
+(** Memcheck, with origin tracking if [track_origins], handing each
+    session's state to [on_state] at start-up. *)
+let with_state ~(track_origins : bool) (on_state : state -> unit) :
+    Vg_core.Tool.t =
   {
     name = (if track_origins then "memcheck-origins" else "memcheck");
     description =
@@ -1129,7 +950,7 @@ let make_tool ~(track_origins : bool) : Vg_core.Tool.t =
         register_helpers st;
         install_events st;
         install_heap_replacement st;
-        last_state := Some st;
+        on_state st;
         {
           instrument = (fun b -> instrument st b);
           fini =
@@ -1148,10 +969,10 @@ let make_tool ~(track_origins : bool) : Vg_core.Tool.t =
   }
 
 (** Plain Memcheck. *)
-let tool : Vg_core.Tool.t = make_tool ~track_origins:false
+let tool : Vg_core.Tool.t = with_state ~track_origins:false ignore
 
 (** Memcheck with origin tracking — the --track-origins extension: error
     reports say which allocation created the uninitialised value.  Costs
     roughly another shadow plane of instrumentation, as in the real
     thing. *)
-let tool_origins : Vg_core.Tool.t = make_tool ~track_origins:true
+let tool_origins : Vg_core.Tool.t = with_state ~track_origins:true ignore

@@ -94,50 +94,35 @@ let tag_of_binop = function
 (* Instrumentation                                                      *)
 (* ------------------------------------------------------------------ *)
 
-type ictx = { st : state; nb : block; shadow : (tmp, tmp) Hashtbl.t }
+type ictx = { st : state; nb : block; v : Shadow_ir.plane }
 
 let emit c s = add_stmt c.nb s
-
-let assign c e =
-  let t = new_tmp c.nb (type_of c.nb e) in
-  emit c (WrTmp (t, e));
-  RdTmp t
+let assign c e = Shadow_ir.assign c.nb e
 
 (* every shadow is an I64 node id, regardless of value type: Redux
-   tracks provenance, not representation *)
-let shadow_of_tmp c t =
-  match Hashtbl.find_opt c.shadow t with
-  | Some s -> s
-  | None ->
-      let s = new_tmp c.nb I64 in
-      Hashtbl.replace c.shadow t s;
-      emit c (WrTmp (s, Const (CI64 0L)));
-      s
+   tracks provenance, not representation; node 0 is "unknown origin" *)
+let node_ty (_ : ty) = I64
+let no_node (_ : ty) = Const (CI64 0L)
 
-let shadow_atom c (st : state) = function
-  | Const k -> (
-      match k with
-      | CI32 v | CI64 v -> Const (CI64 (Int64.of_int (const_node st v)))
-      | CI8 v | CI16 v -> Const (CI64 (Int64.of_int (const_node st (Int64.of_int v))))
-      | CI1 b -> Const (CI64 (Int64.of_int (const_node st (if b then 1L else 0L))))
-      | CF64 f -> Const (CI64 (Int64.of_int (const_node st (Int64.bits_of_float f))))
-      | CV128 p -> Const (CI64 (Int64.of_int (const_node st (Int64.of_int p)))))
-  | RdTmp t -> RdTmp (shadow_of_tmp c t)
-  | _ -> invalid_arg "shadow_atom"
+(* a constant's shadow is its interned node *)
+let const_atom st v = Const (CI64 (Int64.of_int (const_node st v)))
+
+let shadow_atom c = function
+  | Const (CI32 v | CI64 v) -> const_atom c.st v
+  | Const (CI8 v | CI16 v) -> const_atom c.st (Int64.of_int v)
+  | Const (CI1 b) -> const_atom c.st (if b then 1L else 0L)
+  | Const (CF64 f) -> const_atom c.st (Int64.bits_of_float f)
+  | Const (CV128 p) -> const_atom c.st (Int64.of_int p)
+  | e -> Shadow_ir.atom c.v e
 
 let call_mk c tag a b =
   let t = new_tmp c.nb I64 in
-  emit c
-    (Dirty
-       { d_guard = Const (CI1 true); d_callee = c.st.h_mk;
-         d_args = [ Const (CI64 (Int64.of_int tag)); a; b ];
-         d_tmp = Some t; d_mfx = Mfx_none });
+  emit c (dirty ~tmp:t c.st.h_mk [ Const (CI64 (Int64.of_int tag)); a; b ]);
   RdTmp t
 
 let shadow_rhs c (e : expr) : expr =
-  let st = c.st in
   match e with
-  | Const _ | RdTmp _ -> shadow_atom c st e
+  | Const _ | RdTmp _ -> shadow_atom c e
   | Get (off, _) ->
       (* node ids are stored 32-bit in the shadow register file, so
          shadows of adjacent 4-byte registers do not overlap *)
@@ -145,13 +130,10 @@ let shadow_rhs c (e : expr) : expr =
       else Unop (U32to64, assign c (Get (GA.shadow_of off, I32)))
   | Load (_, addr) ->
       let t = new_tmp c.nb I64 in
-      emit c
-        (Dirty
-           { d_guard = Const (CI1 true); d_callee = st.h_load;
-             d_args = [ addr ]; d_tmp = Some t; d_mfx = Mfx_none });
+      emit c (dirty ~tmp:t c.st.h_load [ addr ]);
       RdTmp t
   | Unop (op, a) -> (
-      let va = assign c (shadow_atom c st a) in
+      let va = assign c (shadow_atom c a) in
       match op with
       | Neg32 | Neg64 | NegF64 -> call_mk c 9 va va
       | Not32 | Not64 | Not1 | NotV128 -> call_mk c 10 va va
@@ -160,61 +142,47 @@ let shadow_rhs c (e : expr) : expr =
       | T64to32 | T32to8 | T32to16 | T32to1 -> call_mk c 12 va va
       | _ -> call_mk c 17 va va)
   | Binop (op, a, b) ->
-      let va = assign c (shadow_atom c st a) in
-      let vb = assign c (shadow_atom c st b) in
+      let va = assign c (shadow_atom c a) in
+      let vb = assign c (shadow_atom c b) in
       call_mk c (tag_of_binop op) va vb
   | ITE (cond, t, f) ->
-      let vc = assign c (shadow_atom c st cond) in
-      let vt = assign c (shadow_atom c st t) in
-      let vf = assign c (shadow_atom c st f) in
+      let vc = assign c (shadow_atom c cond) in
+      let vt = assign c (shadow_atom c t) in
+      let vf = assign c (shadow_atom c f) in
       let sel = assign c (ITE (cond, vt, vf)) in
       call_mk c 16 vc sel
   | CCall (_, _, args) ->
-      let vs = List.map (fun a -> assign c (shadow_atom c st a)) args in
+      let vs = List.map (fun a -> assign c (shadow_atom c a)) args in
       List.fold_left
-        (fun acc v -> assign c acc |> fun a -> call_mk c 15 a v
-          |> fun r -> r)
+        (fun acc v -> call_mk c 15 (assign c acc) v)
         (Const (CI64 0L)) vs
 
 let instrument (st : state) (b : block) : block =
-  let nb =
-    { tyenv = Support.Vec.copy b.tyenv;
-      stmts = Support.Vec.create NoOp;
-      next = b.next;
-      jumpkind = b.jumpkind }
-  in
-  let c = { st; nb; shadow = Hashtbl.create 64 } in
+  let nb = empty_like b in
+  let v = Shadow_ir.plane nb ~ty:node_ty ~zero:no_node in
+  let c = { st; nb; v } in
   Support.Vec.iter
     (fun s ->
       match s with
       | NoOp | IMark _ | AbiHint _ | Exit _ -> emit c s
       | WrTmp (t, e) ->
-          let se = shadow_rhs c e in
-          let sv = new_tmp nb I64 in
-          Hashtbl.replace c.shadow t sv;
-          emit c (WrTmp (sv, se));
+          Shadow_ir.define v t (shadow_rhs c e);
           emit c s
       | Put (off, e) ->
           if off < GA.shadow_offset then begin
-            let sv = assign c (shadow_atom c st e) in
+            let sv = assign c (shadow_atom c e) in
             let sv32 = assign c (Unop (T64to32, sv)) in
             emit c (Put (GA.shadow_of off, sv32))
           end;
           emit c s
       | Store (addr, d) ->
-          let sd = assign c (shadow_atom c st d) in
-          emit c
-            (Dirty
-               { d_guard = Const (CI1 true); d_callee = st.h_store;
-                 d_args = [ addr; sd ]; d_tmp = None; d_mfx = Mfx_none });
+          let sd = assign c (shadow_atom c d) in
+          emit c (dirty st.h_store [ addr; sd ]);
           emit c s
-      | Dirty d ->
+      | Dirty d -> (
           emit c s;
-          (match d.d_tmp with
-          | Some t ->
-              let sv = new_tmp nb I64 in
-              Hashtbl.replace c.shadow t sv;
-              emit c (WrTmp (sv, Const (CI64 0L)))
+          match d.d_tmp with
+          | Some t -> Shadow_ir.define v t (Const (CI64 0L))
           | None -> ()))
     b.stmts;
   nb
@@ -255,13 +223,12 @@ let dot_of (st : state) (root : int) ?(limit = 200) () : string =
   Buffer.add_string buf "}\n";
   Buffer.contents buf
 
-let the_state : state option ref = ref None
-
 (** Node id currently shadowing guest register [r]. *)
 let reg_node (st : state) (r : int) : int =
   Int64.to_int (st.caps.read_guest (GA.shadow_of (GA.off_reg r)) 4)
 
-let tool : Vg_core.Tool.t =
+(** Redux, handing each session's state to [on_state] at start-up. *)
+let with_state (on_state : state -> unit) : Vg_core.Tool.t =
   {
     name = "redux";
     description = "a dynamic dataflow tracer (provenance DAG, Redux-style)";
@@ -287,7 +254,7 @@ let tool : Vg_core.Tool.t =
         (* node 0: the distinguished "unknown origin" node *)
         ignore (mk_node st "start" [] None);
         register_helpers st;
-        the_state := Some st;
+        on_state st;
         {
           instrument = (fun b -> instrument st b);
           fini =
@@ -304,3 +271,5 @@ let tool : Vg_core.Tool.t =
           client_request = (fun ~code:_ ~args:_ -> None);
         });
   }
+
+let tool = with_state ignore

@@ -65,39 +65,14 @@ let register_helpers (st : state) =
              "Tainted value used as jump target (target 0x%LX)" args.(0));
         0L)
 
-(* taint shadow: F64 carried as I64, like Memcheck *)
-let shadow_ty = function F64 -> I64 | ty -> ty
+(* taint shadows a value bit for bit, F64 as I64 bits, like Memcheck *)
+let shadow_ty = Shadow_ir.shadow_ty
 
-let zero_shadow = function
-  | I1 -> Const (CI1 false)
-  | I8 -> Const (CI8 0)
-  | I16 -> Const (CI16 0)
-  | I32 -> Const (CI32 0L)
-  | I64 | F64 -> Const (CI64 0L)
-  | V128 -> Const (CV128 0)
-
-type ictx = { st : state; nb : block; shadow : (tmp, tmp) Hashtbl.t }
+type ictx = { st : state; nb : block; v : Shadow_ir.plane }
 
 let emit c s = add_stmt c.nb s
-
-let assign c e =
-  let t = new_tmp c.nb (type_of c.nb e) in
-  emit c (WrTmp (t, e));
-  RdTmp t
-
-let shadow_of_tmp c t =
-  match Hashtbl.find_opt c.shadow t with
-  | Some s -> s
-  | None ->
-      let s = new_tmp c.nb (shadow_ty (tmp_ty c.nb t)) in
-      Hashtbl.replace c.shadow t s;
-      emit c (WrTmp (s, zero_shadow (tmp_ty c.nb t)));
-      s
-
-let shadow_atom c = function
-  | Const k -> zero_shadow (type_of_const k)
-  | RdTmp t -> RdTmp (shadow_of_tmp c t)
-  | _ -> invalid_arg "shadow_atom"
+let assign c e = Shadow_ir.assign c.nb e
+let shadow_atom c e = Shadow_ir.atom c.v e
 
 (* union of taint, widened/narrowed as needed; target type [ty].  Any
    pair not handled directly is routed through I64, for which every
@@ -149,50 +124,18 @@ let union c a b =
 let shadow_rhs c (e : expr) : expr =
   match e with
   | Const _ | RdTmp _ -> shadow_atom c e
-  | Get (off, ty) ->
-      if off >= GA.shadow_offset then zero_shadow ty
-      else Get (GA.shadow_of off, shadow_ty ty)
-  | Load (ty, addr) ->
-      let call n a =
-        let t = new_tmp c.nb I64 in
-        emit c
-          (Dirty
-             { d_guard = Const (CI1 true); d_callee = c.st.h_load.(n);
-               d_args = [ a ]; d_tmp = Some t; d_mfx = Mfx_none });
-        RdTmp t
-      in
-      (match ty with
-      | V128 ->
-          let lo = call 3 addr in
-          let hi_addr = assign c (Binop (Add32, addr, Const (CI32 8L))) in
-          let hi = call 3 hi_addr in
-          Binop (Cat64x2, hi, lo)
-      | I64 | F64 -> call 3 addr
-      | I32 -> Unop (T64to32, call 2 addr)
-      | I16 -> Unop (T32to16, assign c (Unop (T64to32, call 1 addr)))
-      | I8 -> Unop (T32to8, assign c (Unop (T64to32, call 0 addr)))
-      | I1 -> invalid_arg "I1 load")
-  | Unop (op, a) -> (
+  | Get (off, ty) -> Shadow_ir.get c.v off ty
+  | Load (ty, addr) -> Shadow_ir.load c.nb c.st.h_load ty addr
+  | Unop (op, a) ->
       let va = shadow_atom c a in
       let _, rty = unop_sig op in
-      match op with
-      | Not1 | Not32 | Not64 | Neg32 | Neg64 | NegF64 | AbsF64 | SqrtF64
-      | ReinterpF64asI64 | ReinterpI64asF64 | NotV128 | Left32 | Left64
-      | CmpwNEZ32 | CmpwNEZ64 | Clz32 | Ctz32 ->
-          taint_cast c (shadow_ty rty) va
-      | _ -> taint_cast c (shadow_ty rty) va)
+      taint_cast c (shadow_ty rty) va
   | Binop (op, a, b) ->
       let va = shadow_atom c a and vb = shadow_atom c b in
       let _, _, rty = binop_sig op in
       let va' = taint_cast c (shadow_ty rty) va in
       let vb' = taint_cast c (shadow_ty rty) vb in
-      RdTmp
-        (match union c va' vb' with
-        | RdTmp t -> t
-        | e ->
-            let t = new_tmp c.nb (type_of c.nb e) in
-            emit c (WrTmp (t, e));
-            t)
+      union c va' vb'
   | ITE (cond, t, f) -> ITE (cond, shadow_atom c t, shadow_atom c f)
   | CCall (_, ty, args) ->
       let parts = List.map (fun a -> taint_cast c I64 (shadow_atom c a)) args in
@@ -201,30 +144,7 @@ let shadow_rhs c (e : expr) : expr =
           (fun acc p -> assign c (Binop (Or64, acc, p)))
           (Const (CI64 0L)) parts
       in
-      (match ty with I32 -> Unop (T64to32, any) | _ -> (match any with RdTmp t -> RdTmp t | e -> e))
-
-let store_taint c addr data_shadow ty =
-  let call n a v =
-    emit c
-      (Dirty
-         { d_guard = Const (CI1 true); d_callee = c.st.h_store.(n);
-           d_args = [ a; v ]; d_tmp = None; d_mfx = Mfx_none })
-  in
-  match ty with
-  | V128 ->
-      let lo = assign c (Unop (V128to64, data_shadow)) in
-      let hi = assign c (Unop (V128HIto64, data_shadow)) in
-      call 3 addr lo;
-      let hi_addr = assign c (Binop (Add32, addr, Const (CI32 8L))) in
-      call 3 hi_addr hi
-  | I64 | F64 -> call 3 addr (taint_cast c I64 data_shadow)
-  | I32 -> call 2 addr (taint_cast c I64 (taint_cast c I32 data_shadow))
-  | I16 | I8 ->
-      call
-        (if ty = I8 then 0 else 1)
-        addr
-        (taint_cast c I64 (taint_cast c I32 data_shadow))
-  | I1 -> invalid_arg "I1 store"
+      (match ty with I32 -> Unop (T64to32, any) | _ -> any)
 
 (* sink check: call tg_tainted_jump if shadow of target is nonzero *)
 let check_sink c (target : expr) (shadow : expr) =
@@ -234,43 +154,29 @@ let check_sink c (target : expr) (shadow : expr) =
     | I64 -> assign c (Unop (CmpNEZ64, shadow))
     | _ -> assign c (Unop (CmpNEZ32, taint_cast c I32 shadow))
   in
-  emit c
-    (Dirty
-       { d_guard = nz; d_callee = c.st.h_sink; d_args = [ target ];
-         d_tmp = None; d_mfx = Mfx_none })
+  emit c (dirty ~guard:nz c.st.h_sink [ target ])
 
 let instrument (st : state) (b : block) : block =
-  let nb =
-    { tyenv = Support.Vec.copy b.tyenv;
-      stmts = Support.Vec.create NoOp;
-      next = b.next;
-      jumpkind = b.jumpkind }
-  in
-  let c = { st; nb; shadow = Hashtbl.create 64 } in
+  let nb = empty_like b in
+  let v = Shadow_ir.plane nb ~ty:shadow_ty ~zero:Shadow_ir.zero_of in
+  let c = { st; nb; v } in
   Support.Vec.iter
     (fun s ->
       match s with
       | NoOp | IMark _ | AbiHint _ | Exit _ -> emit c s
       | WrTmp (t, e) ->
-          let se = shadow_rhs c e in
-          let sv = new_tmp nb (shadow_ty (tmp_ty nb t)) in
-          Hashtbl.replace c.shadow t sv;
-          emit c (WrTmp (sv, se));
+          Shadow_ir.define v t (shadow_rhs c e);
           emit c s
       | Put (off, e) ->
-          if off < GA.shadow_offset then
-            emit c (Put (GA.shadow_of off, assign c (shadow_atom c e)));
+          Shadow_ir.put v off e;
           emit c s
       | Store (addr, d) ->
-          store_taint c addr (shadow_atom c d) (type_of nb d);
+          Shadow_ir.store nb st.h_store (type_of nb d) addr (shadow_atom c d);
           emit c s
-      | Dirty d ->
+      | Dirty d -> (
           emit c s;
-          (match d.d_tmp with
-          | Some t ->
-              let sv = new_tmp nb (shadow_ty (tmp_ty nb t)) in
-              Hashtbl.replace c.shadow t sv;
-              emit c (WrTmp (sv, zero_shadow (tmp_ty nb t)))
+          match d.d_tmp with
+          | Some t -> Shadow_ir.define v t (Shadow_ir.zero_of (tmp_ty nb t))
           | None -> ()))
     b.stmts;
   (* sink: a computed (non-constant) jump target must be untainted *)

@@ -55,28 +55,13 @@ let h_note =
        (fun _env _args -> 0L))
 
 let instrument (b : block) : block =
-  let nb =
-    {
-      tyenv = Support.Vec.copy b.tyenv;
-      stmts = Support.Vec.create NoOp;
-      next = b.next;
-      jumpkind = b.jumpkind;
-    }
-  in
+  let nb = empty_like b in
   Support.Vec.iter
     (fun s ->
       add_stmt nb s;
       match s with
       | IMark _ ->
-          add_stmt nb
-            (Dirty
-               {
-                 d_guard = i1 true;
-                 d_callee = Lazy.force h_note;
-                 d_args = [];
-                 d_tmp = None;
-                 d_mfx = Mfx_none;
-               });
+          add_stmt nb (dirty (Lazy.force h_note) []);
           add_stmt nb (Put (GA.shadow_offset, i32 1L))
       | _ -> ())
     b.stmts;
@@ -122,10 +107,8 @@ let compile_super () : P.phases =
 (* ------------------------------------------------------------------ *)
 
 let with_stmts (b : block) (f : stmt list -> stmt list) : block =
-  let nb = copy_block b in
-  let ss = f (Support.Vec.to_list nb.stmts) in
-  Support.Vec.clear nb.stmts;
-  List.iter (Support.Vec.push nb.stmts) ss;
+  let nb = empty_like b in
+  List.iter (add_stmt nb) (f (stmts b));
   nb
 
 (* drop the first statement matching [p] (assert it exists) *)
@@ -330,17 +313,7 @@ let mutations : mutation list =
             p with
             p_instrumented =
               with_stmts p.p_instrumented (fun ss ->
-                  ss
-                  @ [
-                      Dirty
-                        {
-                          d_guard = i1 true;
-                          d_callee = evil;
-                          d_args = [];
-                          d_tmp = None;
-                          d_mfx = Mfx_none;
-                        };
-                    ]);
+                  ss @ [ dirty evil [] ]);
           });
     };
     {

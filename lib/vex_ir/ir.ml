@@ -220,6 +220,25 @@ let copy_block b =
     jumpkind = b.jumpkind;
   }
 
+(** A block with [b]'s temporaries, successor and jump kind, and no
+    statements: what a pass that rewrites [b] statement by statement
+    builds into (VEX's [deepCopyIRSBExceptStmts]). *)
+let empty_like b =
+  {
+    tyenv = Support.Vec.copy b.tyenv;
+    stmts = Support.Vec.create NoOp;
+    next = b.next;
+    jumpkind = b.jumpkind;
+  }
+
+(** A call of helper [callee] on [args] with no memory effects, made only
+    when [guard] holds (default: always), its result written to [tmp] if
+    given (VEX's [unsafeIRDirty_0_N] and [unsafeIRDirty_1_N]). *)
+let dirty ?(guard = Const (CI1 true)) ?tmp callee args =
+  Dirty
+    { d_guard = guard; d_callee = callee; d_args = args; d_tmp = tmp;
+      d_mfx = Mfx_none }
+
 (** {2 Convenience constructors} *)
 
 let i32 v = Const (CI32 (Support.Bits.trunc32 v))

@@ -41,11 +41,13 @@ let test_memtrace_counts_match_lackey () =
   (match Caa.run e with Native.Exited 0 -> () | _ -> Alcotest.fail "run failed");
   (* the same program under Valgrind's Lackey counts IR-level accesses;
      the counts are the same accesses *)
-  let s = Vg_core.Session.create ~tool:Tools.Lackey.tool img in
+  let lackey = ref None in
+  let tool = Tools.Lackey.with_state (fun st -> lackey := Some st) in
+  let s = Vg_core.Session.create ~tool img in
   (match Vg_core.Session.run s with
   | Vg_core.Session.Exited 0 -> ()
   | _ -> Alcotest.fail "lackey run failed");
-  match Tools.Lackey.(!the_state) with
+  match !lackey with
   | None -> Alcotest.fail "no lackey state"
   | Some st ->
       Alcotest.(check int64) "loads agree" st.n_loads !loads;

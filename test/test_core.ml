@@ -552,14 +552,9 @@ let test_tiered_deterministic () =
   Alcotest.(check string) "bit-identical metrics" (run ()) (run ())
 
 (* A session is collectable once the caller drops it, whether it ran to
-   exit or was stopped half-way: its helpers live in its own table, so
-   nothing global keeps it reachable.  The exceptions keep their last
-   state in a module global that tests and examples read, and that state
-   holds the tool's caps: memcheck (both variants), cachegrind, massif
-   and redux. *)
-let keeps_last_state =
-  [ "memcheck"; "memcheck-origins"; "cachegrind"; "massif"; "redux" ]
-
+   exit or was stopped half-way: its helpers live in its own table and
+   its tool's state is handed only to the caller, so nothing global
+   keeps it reachable. *)
 let loop_src =
   "int main() { int i; int s = 0; for (i = 0; i < 200; i = i + 1) s = s + i; \
    print_int(s); return 0; }"
@@ -587,10 +582,7 @@ let test_finished_session_collectable () =
               Some (name ^ if half then " (stopped half-way)" else "")
             else None)
           [ false; true ])
-      (("witness", Fuzz.Diff.witness)
-      :: List.filter
-           (fun (name, _) -> not (List.mem name keeps_last_state))
-           Tools.Catalog.all)
+      (("witness", Fuzz.Diff.witness) :: Tools.Catalog.all)
   in
   Alcotest.(check (list string)) "no session retained" [] retained
 

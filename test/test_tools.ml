@@ -187,9 +187,10 @@ let test_lackey_counts () =
          return 0;
        } |}
   in
-  let s = run_tool Tools.Lackey.tool src in
+  let lackey = ref None in
+  let s = run_tool (Tools.Lackey.with_state (fun st -> lackey := Some st)) src in
   ignore s;
-  match Tools.Lackey.(!the_state) with
+  match !lackey with
   | None -> Alcotest.fail "no lackey state"
   | Some st ->
       (* at least the array traffic, plus stack traffic *)
@@ -211,9 +212,10 @@ let test_cachegrind_counts () =
          return 0;
        } |}
   in
-  let s = run_tool Tools.Cachegrind.tool src in
+  let cg = ref None in
+  let s = run_tool (Tools.Cachegrind.with_state (fun st -> cg := Some st)) src in
   ignore s;
-  match Tools.Cachegrind.(!the_state) with
+  match !cg with
   | None -> Alcotest.fail "no cachegrind state"
   | Some st ->
       Alcotest.(check bool) "Ir counted" true (Int64.to_int st.h.ir > 30000);
@@ -234,8 +236,10 @@ let test_cachegrind_stride_effect () =
       stride
   in
   let miss_rate stride =
-    ignore (run_tool Tools.Cachegrind.tool (prog stride));
-    match Tools.Cachegrind.(!the_state) with
+    let cg = ref None in
+    ignore
+      (run_tool (Tools.Cachegrind.with_state (fun st -> cg := Some st)) (prog stride));
+    match !cg with
     | Some st -> Int64.to_float st.h.d1r_misses /. Int64.to_float st.h.dr
     | None -> 0.0
   in
@@ -262,8 +266,9 @@ let test_massif_peak () =
          return 0;
        } |}
   in
-  ignore (run_tool Tools.Massif.tool src);
-  match Tools.Massif.(!the_state) with
+  let massif = ref None in
+  ignore (run_tool (Tools.Massif.with_state (fun st -> massif := Some st)) src);
+  match !massif with
   | None -> Alcotest.fail "no massif state"
   | Some st ->
       Alcotest.check i64 "peak" 3000L st.peak_bytes;
@@ -356,12 +361,14 @@ let test_redux_dag () =
        } |}
   in
   let img = Minicc.Driver.compile src in
-  let s = Vg_core.Session.create ~tool:Tools.Redux.tool img in
+  let redux = ref None in
+  let tool = Tools.Redux.with_state (fun st -> redux := Some st) in
+  let s = Vg_core.Session.create ~tool img in
   (match Vg_core.Session.run s with
   | Vg_core.Session.Exited 42 -> ()
   | _ -> Alcotest.fail "redux client should exit 42");
   ignore s;
-  match Tools.Redux.(!the_state) with
+  match !redux with
   | None -> Alcotest.fail "no redux state"
   | Some st ->
       Alcotest.(check bool) "built a dag" true
