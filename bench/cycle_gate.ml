@@ -53,8 +53,8 @@ let run_workload (name : string) : runs =
   in
   let full = go { default with tier0 = false; superblocks = false } in
   let seeded = go { default with scan = true; aot_seed = true } in
-  (* recorded at the defaults and with no "options" meta: the log's size
-     is a gated metric *)
+  (* recorded at the defaults; the log's size, its "options" meta
+     included, is a gated metric *)
   let rec_ = Replay.recorder () in
   let record = go { default with rr = Replay.Record rec_ } in
   let log = Replay.to_string rec_ in

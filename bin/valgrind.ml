@@ -157,7 +157,6 @@ let run tool_name cores no_chaining no_verify smc_mode tier0_only no_tier0
            then "asm"
            else "c");
         Replay.add_meta r "source" (read_file path);
-        Replay.add_meta r "options" (Vg_core.Session.encode_options options);
         Some r
   in
   let options =

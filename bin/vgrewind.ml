@@ -86,7 +86,6 @@ let record tool_name cores chaos_seed chaos_mode workload scale stdin_file out
       rr = Replay.Record rec_;
     }
   in
-  Replay.add_meta rec_ "options" (Vg_core.Session.encode_options options);
   let s = Vg_core.Session.create ~options ~tool img in
   s.echo_output <- true;
   s.kern.stdout_echo <- true;

@@ -58,7 +58,6 @@ let progs =
 let record_session ?(base = Vg_core.Session.default_options) ?chaos ~tool
     ~cores (pr : prog) : Vg_core.Session.t * string =
   let rec_ = Replay.recorder () in
-  Replay.add_meta rec_ "options" (Vg_core.Session.encode_options base);
   let options = { base with cores; chaos; rr = Replay.Record rec_ } in
   let s = Vg_core.Session.create ~options ~tool (pr.pr_img ()) in
   List.iter (fun (n, c) -> Kernel.add_file s.kern n c) pr.pr_files;
