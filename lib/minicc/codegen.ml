@@ -523,7 +523,6 @@ and gen_binop env op a b : ty =
   end
 
 and is_ptr = function Tptr _ -> true | _ -> false
-and elem_ty_opt t = match t with Tptr e -> e | _ -> Tvoid
 
 (* generate a conditional jump to [jump_if_false] when [c] is false *)
 and gen_cond_jump env (c : expr) ~(jump_if_false : string) =
