@@ -50,8 +50,15 @@ let run () =
   let rows =
     [
       ("core (+ JIT + substrates)", core, 173487);
-      ("memcheck", count_file "lib/tools/memcheck.ml"
-                   + count_file "lib/tools/shadow_mem.ml", 10509);
+      (* Memcheck is built from the shadow-plane and allocator modules,
+         so its row counts them, as it counted their code when it lived
+         in memcheck.ml; Massif's row does not count the allocator *)
+      ( "memcheck (+ shadow, malloc)",
+        count_file "lib/tools/memcheck.ml"
+        + count_file "lib/tools/shadow_mem.ml"
+        + count_file "lib/tools/shadow_ir.ml"
+        + count_file "lib/tools/replace_malloc.ml",
+        10509 );
       ("cachegrind", count_file "lib/tools/cachegrind.ml"
                      + count_dir "lib/cachesim", 2431);
       ("massif", count_file "lib/tools/massif.ml", 1764);
