@@ -147,6 +147,11 @@ type engine = {
   icache : (int64, ins_info * analysis list * bool) Hashtbl.t;
 }
 
+(** Total simulated cycles (client + analysis + framework overhead). *)
+let total_cycles (e : engine) : int64 =
+  Int64.add (Native.total_cycles e.native)
+    (Int64.add e.analysis_cycles e.overhead_cycles)
+
 let create (image : Guest.Image.t) (tool : tool) : engine =
   if tool.t_wants_shadow_v128 then
     raise
@@ -154,111 +159,83 @@ let create (image : Guest.Image.t) (tool : tool) : engine =
          (tool.t_name
         ^ ": this framework has no 128-bit virtual registers (cannot fully \
            shadow SIMD state)"));
-  {
-    native = Native.create image;
-    tool;
-    analysis_cycles = 0L;
-    overhead_cycles = 0L;
-    traces_built = 0;
-    icache = Hashtbl.create 4096;
-  }
+  let e =
+    {
+      native = Native.create image;
+      tool;
+      analysis_cycles = 0L;
+      overhead_cycles = 0L;
+      traces_built = 0;
+      icache = Hashtbl.create 4096;
+    }
+  in
+  (* the client's clock counts the analysis and framework cycles too *)
+  e.native.kern.now_cycles <- (fun () -> total_cycles e);
+  e
 
-(** Run to completion; behaves exactly like {!Native.run} plus analysis. *)
-let run ?(max_insns = 0L) (e : engine) : Native.exit_reason =
+(* Before the copied-through instruction at [st.eip] runs: the first
+   visit decodes, classifies and instruments it, paying the trace-build
+   cost; every visit runs the attached analysis, and a branch pays the
+   chained dispatch. *)
+let before_insn (e : engine) (st : Guest.Interp.state) =
   let charge c = e.analysis_cycles <- Int64.add e.analysis_cycles (Int64.of_int c) in
-  let kern = e.native.kern in
-  ignore kern;
-  (* piggy-back on the native engine: we step it manually so analysis can
-     run before each instruction *)
-  let t = e.native in
-  Kernel.set_stdin t.kern "";
-  t.kern.now_cycles <-
-    (fun () ->
-      Int64.add (Native.total_cycles t)
-        (Int64.add e.analysis_cycles e.overhead_cycles));
-  let entry, sp, brk, _ = Guest.Image.load t.image t.mem in
-  Kernel.set_brk_base t.kern brk;
-  let main = t.current in
-  main.st.regs.(reg_sp) <- sp;
-  main.st.regs.(reg_fp) <- sp;
-  main.st.eip <- entry;
-  let handlers = Native.handlers_for t in
-  while t.exit_reason = None do
-    if
-      max_insns > 0L
-      && Int64.unsigned_compare (Native.total_insns t) max_insns > 0
-    then t.exit_reason <- Some Native.Out_of_fuel
-    else begin
-      let th = t.current in
-      let st = th.Native.st in
-      let pc = st.eip in
-      let info, analyses, flags_live =
-        match Hashtbl.find_opt e.icache pc with
-        | Some x -> x
-        | None ->
-            let insn, len = Guest.Decode.decode (Aspace.fetch_u8 t.mem) pc in
-            let info = classify insn ~addr:pc ~len in
-            let analyses = e.tool.t_instrument info in
-            List.iter
-              (fun a ->
-                if a.an_inline && (info.ii_is_fp || info.ii_is_simd) then
-                  raise
-                    (Unsupported
-                       "inline analysis code cannot use FP/SIMD operations \
-                        (write it as a C call)"))
-              analyses;
-            (* flags-liveness approximation: analysis inserted at an
-               instruction inside a flags-live region pays save/restore;
-               we approximate "flags live" as: this or the previous
-               instruction sets flags (a branch usually follows) *)
-            let flags_live = info.ii_sets_flags || info.ii_is_branch in
-            e.traces_built <- e.traces_built + 1;
-            e.overhead_cycles <-
-              Int64.add e.overhead_cycles (Int64.of_int trace_build_cost_per_ins);
-            let x = (info, analyses, flags_live) in
-            Hashtbl.replace e.icache pc x;
-            x
-      in
-      (* run the attached analysis *)
-      if analyses <> [] then begin
-        let cx =
-          {
-            cx_regs = st.regs;
-            cx_addr =
-              (if info.ii_reads_mem || info.ii_writes_mem then
-                 access_addr st info.ii_insn
-               else 0L);
-            cx_pc = pc;
-          }
-        in
+  let pc = st.eip in
+  let info, analyses, flags_live =
+    match Hashtbl.find_opt e.icache pc with
+    | Some x -> x
+    | None ->
+        let insn, len = Guest.Decode.decode (Aspace.fetch_u8 e.native.mem) pc in
+        let info = classify insn ~addr:pc ~len in
+        let analyses = e.tool.t_instrument info in
         List.iter
           (fun a ->
-            a.an_fn cx;
-            if a.an_inline then
-              charge (a.an_cost + if flags_live then flag_save_cost else 0)
-            else charge (call_overhead + a.an_cost))
-          analyses
-      end;
-      (* copied-through original instruction at (near) native cost *)
-      (match Guest.Interp.step th.Native.cache handlers with
-      | () -> ()
-      | exception Aspace.Fault _ -> Native.deliver_signal t th Kernel.Sig.sigsegv
-      | exception Guest.Interp.Sigill _ ->
-          Native.deliver_signal t th Kernel.Sig.sigill
-      | exception Guest.Interp.Sigfpe _ ->
-          Native.deliver_signal t th Kernel.Sig.sigfpe);
-      if info.ii_is_branch then
+            if a.an_inline && (info.ii_is_fp || info.ii_is_simd) then
+              raise
+                (Unsupported
+                   "inline analysis code cannot use FP/SIMD operations \
+                    (write it as a C call)"))
+          analyses;
+        (* flags-liveness approximation: analysis inserted at an
+           instruction inside a flags-live region pays save/restore;
+           we approximate "flags live" as: this or the previous
+           instruction sets flags (a branch usually follows) *)
+        let flags_live = info.ii_sets_flags || info.ii_is_branch in
+        e.traces_built <- e.traces_built + 1;
         e.overhead_cycles <-
-          Int64.add e.overhead_cycles (Int64.of_int trace_dispatch_cost)
-    end
-  done;
-  (match e.tool.t_fini with Some f -> f () | None -> ());
-  Option.value t.exit_reason ~default:(Native.Exited 0)
+          Int64.add e.overhead_cycles (Int64.of_int trace_build_cost_per_ins);
+        let x = (info, analyses, flags_live) in
+        Hashtbl.replace e.icache pc x;
+        x
+  in
+  if analyses <> [] then begin
+    let cx =
+      {
+        cx_regs = st.regs;
+        cx_addr =
+          (if info.ii_reads_mem || info.ii_writes_mem then
+             access_addr st info.ii_insn
+           else 0L);
+        cx_pc = pc;
+      }
+    in
+    List.iter
+      (fun a ->
+        a.an_fn cx;
+        if a.an_inline then
+          charge (a.an_cost + if flags_live then flag_save_cost else 0)
+        else charge (call_overhead + a.an_cost))
+      analyses
+  end;
+  if info.ii_is_branch then
+    e.overhead_cycles <-
+      Int64.add e.overhead_cycles (Int64.of_int trace_dispatch_cost)
 
-(** Total simulated cycles (client + analysis + framework overhead). *)
-let total_cycles (e : engine) : int64 =
-  Int64.add (Native.total_cycles e.native)
-    (Int64.add e.analysis_cycles e.overhead_cycles)
+(** Run to completion: {!Native.run}, with each instruction's analysis
+    run just before it. *)
+let run ?max_insns (e : engine) : Native.exit_reason =
+  let reason = Native.run ?max_insns ~on_insn:(before_insn e) e.native in
+  Option.iter (fun f -> f ()) e.tool.t_fini;
+  reason
 
 (* ------------------------------------------------------------------ *)
 (* Ready-made comparison tools (§5.4)                                   *)

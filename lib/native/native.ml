@@ -70,23 +70,30 @@ let write_tramp (t : t) insns : int64 =
   Aspace.write_bytes t.mem addr bytes;
   addr
 
+(** A fresh engine for [image].  The kernel's clock reads the threads'
+    cycles; an engine that charges more (C&A's analysis code) sets
+    [kern.now_cycles] to its own total. *)
 let create (image : Guest.Image.t) : t =
   let mem = Aspace.create () in
   let kern = Kernel.create mem in
   let main = make_thread_in mem ~tid:1 in
-  {
-    mem;
-    kern;
-    image;
-    threads = [ main ];
-    current = main;
-    next_tid = 2;
-    exit_reason = None;
-    insns_between_switch = 0;
-    sigreturn_tramp = 0L;
-    thread_exit_tramp = 0L;
-    tramp_next = tramp_base;
-  }
+  let t =
+    {
+      mem;
+      kern;
+      image;
+      threads = [ main ];
+      current = main;
+      next_tid = 2;
+      exit_reason = None;
+      insns_between_switch = 0;
+      sigreturn_tramp = 0L;
+      thread_exit_tramp = 0L;
+      tramp_next = tramp_base;
+    }
+  in
+  kern.now_cycles <- (fun () -> total_cycles t);
+  t
 
 let regs_of (th : thread) : Kernel.regs =
   {
@@ -186,10 +193,12 @@ let handlers_for (t : t) : Guest.Interp.handlers =
   }
 
 (** Load and run [image] to completion (or until [max_insns] if given).
-    Returns the exit reason. *)
-let run ?(max_insns = 0L) ?(stdin = "") (t : t) : exit_reason =
+    Returns the exit reason.  [on_insn] sees each thread state just
+    before its next instruction executes; a fault it raises is that
+    instruction's fault. *)
+let run ?(max_insns = 0L) ?(stdin = "") ?(on_insn = ignore) (t : t) :
+    exit_reason =
   Kernel.set_stdin t.kern stdin;
-  t.kern.now_cycles <- (fun () -> total_cycles t);
   t.sigreturn_tramp <-
     (Aspace.map t.mem ~addr:(Aspace.round_down tramp_base) ~len:4096
        ~perm:Aspace.perm_rwx;
@@ -222,7 +231,10 @@ let run ?(max_insns = 0L) ?(stdin = "") (t : t) : exit_reason =
         if not (switch_next t) then t.exit_reason <- Some (Exited 0)
       end
       else begin
-        (match Guest.Interp.step th.cache handlers with
+        (match
+           on_insn th.st;
+           Guest.Interp.step th.cache handlers
+         with
         | () -> ()
         | exception Aspace.Fault _ ->
             deliver_signal t th Kernel.Sig.sigsegv

@@ -12,19 +12,62 @@ let simple_src =
        return 0;
      } |}
 
+(* A worker that returns from its start function ends through the
+   thread-exit trampoline; main yields until it has run, then exits 7. *)
+let thread_return_src =
+  {|
+        .text
+        .global _start
+_start: movi r1, worker       ; thread_create(worker, stack top, 0)
+        movi r2, stk
+        addi r2, 4092
+        movi r3, 0
+        movi r0, 15
+        syscall
+wait:   movi r0, 17           ; yield
+        syscall
+        movi r3, done
+        ldw r4, [r3]
+        cmpi r4, 1
+        jne wait
+        movi r0, 1
+        movi r1, 7
+        syscall
+worker: movi r3, done
+        movi r4, 1
+        stw [r3], r4
+        ret
+        .data
+done:   .word 0
+        .align 4
+stk:    .space 4096
+|}
+
+let exit_string = function
+  | Native.Exited n -> Printf.sprintf "exited %d" n
+  | Native.Fatal_signal n -> Printf.sprintf "signal %d" n
+  | Native.Out_of_fuel -> "out of fuel"
+
+(* The uninstrumented C&A run must end like native: same exit and the
+   same stdout, also where the client takes a signal, a thread returns
+   from its start function or control leaves the image. *)
 let test_transparency () =
-  let img = Minicc.Driver.compile simple_src in
-  let native = Native.create img in
-  (match Native.run native with
-  | Native.Exited 0 -> ()
-  | _ -> Alcotest.fail "native failed");
-  let e = Caa.create img Caa.tool_none in
-  (match Caa.run e with
-  | Native.Exited 0 -> ()
-  | _ -> Alcotest.fail "caa failed");
-  Alcotest.(check string) "stdout preserved"
-    (Native.stdout_contents native)
-    (Native.stdout_contents e.native)
+  List.iter
+    (fun (name, img) ->
+      let native = Native.create img in
+      let nr = Native.run native in
+      let e = Caa.create img Caa.tool_none in
+      Alcotest.(check string) (name ^ ": exit") (exit_string nr)
+        (exit_string (Caa.run e));
+      Alcotest.(check string) (name ^ ": stdout")
+        (Native.stdout_contents native)
+        (Native.stdout_contents e.native))
+    [
+      ("loop", Minicc.Driver.compile simple_src);
+      ("signal", Guest.Asm.assemble Fuzz.Clients.signal_src);
+      ("thread return", Guest.Asm.assemble thread_return_src);
+      ("jump out", Guest.Asm.assemble "_start: jmp 0xDEAD0000\n");
+    ]
 
 let test_icount () =
   let img = Minicc.Driver.compile simple_src in
