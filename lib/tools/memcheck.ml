@@ -243,7 +243,8 @@ let fail_index = function 0 -> 0 | 1 -> 1 | 2 -> 2 | 4 -> 3 | 8 -> 4 | _ -> 5
 (* ------------------------------------------------------------------ *)
 
 (* Two shadow planes: V bits, one per value bit (an F64 is shadowed by
-   I64 bits), and origin tags, an I32 per value where 0 is "no origin". *)
+   I64 bits), and origin tags, an I32 per value where 0 is "no origin".
+   Without origin tracking nothing reads [o], and it is [v]. *)
 type ictx = { st : state; nb : block; v : Shadow_ir.plane; o : Shadow_ir.plane }
 
 let otag_ty (_ : ty) = I32
@@ -503,7 +504,9 @@ let store_origin_call c (addr : expr) (otag : expr) =
 let instrument (st : state) (b : block) : block =
   let nb = empty_like b in
   let v = Shadow_ir.plane nb ~ty:Shadow_ir.shadow_ty ~zero:Shadow_ir.zero_of in
-  let o = Shadow_ir.plane nb ~ty:otag_ty ~zero:no_otag in
+  let o =
+    if st.origins then Shadow_ir.plane nb ~ty:otag_ty ~zero:no_otag else v
+  in
   let c = { st; nb; v; o } in
   let origin_arg e = if st.origins then Some (assign c (origin_atom c e)) else None in
   Support.Vec.iter
