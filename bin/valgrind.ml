@@ -1,136 +1,92 @@
-(** The [valgrind] command-line driver: run a VG32 program under a tool.
+(** The [valgrind] command-line driver: run a VG32 program under a tool,
+    and record the run to a replay log, which [vgrewind] replays.
 
     {v
     valgrind --tool=memcheck prog.c       # mini-C source, compiled on the fly
     valgrind --tool=cachegrind prog.s     # VG32 assembly
     valgrind --tool=nulgrind --no-chaining --smc-check=all prog.c
+    valgrind --workload gcc --chaos-seed 7 --record gcc.vgrw
     v} *)
 
 open Cmdliner
 
+let die fmt =
+  Printf.ksprintf (fun m -> prerr_endline ("valgrind: " ^ m); exit 2) fmt
+
 let read_file p =
-  let ic = open_in_bin p in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+  try In_channel.with_open_bin p In_channel.input_all
+  with Sys_error m -> die "%s" m
 
-let load_image (path : string) : Guest.Image.t =
-  if Filename.check_suffix path ".s" || Filename.check_suffix path ".asm" then
-    Guest.Asm.assemble (read_file path)
-  else Minicc.Driver.compile (read_file path)
+(* The client, named as a replay log's meta names it: a source file
+   (mini-C, or VG32 assembly for .s/.asm) or a corpus workload at scale
+   1.  Returns its name, kind and source. *)
+let program workload path =
+  match (workload, path) with
+  | Some w, None -> (
+      match Workloads.find w with
+      | Some wl -> ("workload:" ^ w, "c", wl.Workloads.w_source ~scale:1)
+      | None ->
+          die "unknown workload '%s' (have: %s)" w
+            (String.concat ", "
+               (List.map (fun w -> w.Workloads.w_name) Workloads.all)))
+  | None, Some p ->
+      let asm = List.exists (Filename.check_suffix p) [ ".s"; ".asm" ] in
+      (Filename.basename p, (if asm then "asm" else "c"), read_file p)
+  | _ -> die "need exactly one of PROGRAM or --workload"
 
-(* --replay: everything comes out of the log — the program source, the
-   tool, the core count and the translation flags — so the replay is a
-   pure function of the .vgrw file. *)
-let run_replay (file : string) stats =
-  let fail fmt =
-    Printf.ksprintf (fun m -> prerr_endline ("valgrind: " ^ m); exit 2) fmt
-  in
-  let log =
-    try Replay.log_of_file file with
-    | Replay.Corrupt m -> fail "%s: corrupt log: %s" file m
-    | Sys_error m -> fail "%s" m
-  in
-  let meta k = List.assoc_opt k log.Replay.l_meta in
-  let src =
-    match meta "source" with
-    | Some s -> s
-    | None -> fail "%s: log carries no program source" file
-  in
-  let img =
-    if meta "kind" = Some "asm" then Guest.Asm.assemble src
-    else Minicc.Driver.compile src
-  in
-  let tool =
-    match List.assoc_opt log.Replay.l_tool Tools.Catalog.all with
-    | Some t -> t
-    | None -> fail "log needs unknown tool '%s'" log.Replay.l_tool
-  in
-  let s =
-    try Vg_core.Session.replaying ~tool img log
-    with Replay.Corrupt m -> fail "%s: corrupt log: %s" file m
-  in
-  s.echo_output <- true;
-  s.kern.stdout_echo <- true;
-  Printf.eprintf "==vg== replaying %s (%s, cores=%d, %d events)\n" file
-    log.Replay.l_tool log.Replay.l_cores (List.length log.Replay.l_events);
-  (try
-     let reason = Vg_core.Session.run s in
-     ignore reason
-   with Replay.Divergence _ as e ->
-     Printf.eprintf "==vg== REPLAY DIVERGED: %s\n" (Printexc.to_string e);
-     exit 1);
-  if stats <> None then print_string (Vg_core.Session.stats_json s);
-  match Vg_core.Session.replay_mismatches s with
-  | [] ->
-      Printf.eprintf "==vg== replay verified: all digests match\n";
-      exit 0
-  | ms ->
-      List.iter
-        (fun (k, want, got) ->
-          Printf.eprintf "==vg== DIGEST MISMATCH %s: recorded %s, replayed %s\n"
-            k want got)
-        ms;
-      exit 1
+let chaos_modes =
+  [
+    ("idempotent", Chaos.idempotent);
+    ("hostile", Chaos.hostile);
+    ("sharded", Chaos.sharded);
+  ]
 
 let run tool_name cores no_chaining no_verify smc_mode tier0_only no_tier0
     promote_threshold scan aot_seed stats profile trace_file stdin_file
-    supp_file record_file replay_file path_opt =
-  (match (record_file, replay_file) with
-  | Some _, Some _ ->
-      prerr_endline "valgrind: --record and --replay are mutually exclusive";
-      exit 2
-  | _ -> ());
-  (match replay_file with Some f -> run_replay f stats | None -> ());
-  let path =
-    match path_opt with
-    | Some p -> p
-    | None ->
-        prerr_endline "valgrind: required PROGRAM argument is missing";
-        exit 2
-  in
+    supp_file record_file workload chaos_seed chaos_mode path =
   let tool =
-    match List.assoc_opt tool_name Tools.Catalog.all with
-    | Some t -> t
-    | None ->
-        Printf.eprintf "valgrind: unknown tool '%s' (have: %s)\n" tool_name
-          (String.concat ", " (Tools.Catalog.names ()));
-        exit 2
+    try Tools.Catalog.find tool_name with Invalid_argument m -> die "%s" m
   in
+  let name, kind, src = program workload path in
   let img =
-    try load_image path with
-    | Minicc.Driver.Compile_error m ->
-        Printf.eprintf "valgrind: %s: %s\n" path m;
-        exit 2
-    | Guest.Asm.Error { line; msg } ->
-        Printf.eprintf "valgrind: %s:%d: %s\n" path line msg;
-        exit 2
-    | Sys_error m ->
-        Printf.eprintf "valgrind: %s\n" m;
-        exit 2
+    try
+      if kind = "asm" then Guest.Asm.assemble src
+      else Minicc.Driver.compile src
+    with
+    | Minicc.Driver.Compile_error m -> die "%s: %s" name m
+    | Guest.Asm.Error { line; msg } -> die "%s:%d: %s" name line msg
   in
-  let smc =
-    match smc_mode with
-    | "none" -> Vg_core.Session.Smc_none
-    | "all" -> Vg_core.Session.Smc_all
-    | _ -> Vg_core.Session.Smc_stack
+  if tier0_only && no_tier0 then
+    die "--tier0-only and --no-tier0 are mutually exclusive";
+  if cores < 1 then die "--cores must be >= 1";
+  (* a recording's meta: the client, then the chaos schedule; the
+     session adds the options that shape the run *)
+  let rec_ =
+    Option.map
+      (fun file ->
+        let r = Replay.recorder () in
+        Replay.add_meta r "program" name;
+        Replay.add_meta r "kind" kind;
+        Replay.add_meta r "source" src;
+        Option.iter
+          (fun seed ->
+            Replay.add_meta r "chaos" (Printf.sprintf "%s:%d" chaos_mode seed))
+          chaos_seed;
+        (r, file))
+      record_file
   in
-  if tier0_only && no_tier0 then begin
-    prerr_endline "valgrind: --tier0-only and --no-tier0 are mutually exclusive";
-    exit 2
-  end;
-  if cores < 1 then begin
-    prerr_endline "valgrind: --cores must be >= 1";
-    exit 2
-  end;
   let options =
     {
       Vg_core.Session.default_options with
       cores;
       chaining = not no_chaining;
-      smc_mode = smc;
+      smc_mode;
       verify_jit = not no_verify;
+      chaos =
+        Option.map
+          (fun seed ->
+            Chaos.create ((List.assoc chaos_mode chaos_modes) ~seed))
+          chaos_seed;
       profile;
       trace_capacity = (if trace_file = None then 0 else 65536);
       tier0 = not no_tier0;
@@ -144,47 +100,22 @@ let run tool_name cores no_chaining no_verify smc_mode tier0_only no_tier0
         && not (tier0_only || no_tier0);
       scan = scan || aot_seed;
       aot_seed;
+      rr =
+        (match rec_ with Some (r, _) -> Replay.Record r | None -> Replay.No_rr);
     }
-  in
-  let rec_ =
-    match record_file with
-    | None -> None
-    | Some _ ->
-        let r = Replay.recorder () in
-        Replay.add_meta r "program" (Filename.basename path);
-        Replay.add_meta r "kind"
-          (if Filename.check_suffix path ".s" || Filename.check_suffix path ".asm"
-           then "asm"
-           else "c");
-        Replay.add_meta r "source" (read_file path);
-        Some r
-  in
-  let options =
-    match rec_ with
-    | Some r -> { options with rr = Replay.Record r }
-    | None -> options
   in
   let s = Vg_core.Session.create ~options ~tool img in
   s.echo_output <- true;
-  (match supp_file with
-  | Some f ->
-      let ic = open_in_bin f in
-      let text = really_input_string ic (in_channel_length ic) in
-      close_in ic;
+  Option.iter
+    (fun f ->
       List.iter
         (Vg_core.Errors.add_suppression s.errors)
-        (Vg_core.Errors.parse_suppressions text)
-  | None -> ());
-  (match stdin_file with
-  | Some f ->
-      let ic = open_in_bin f in
-      let n = in_channel_length ic in
-      Kernel.set_stdin s.kern (really_input_string ic n);
-      close_in ic
-  | None -> ());
+        (Vg_core.Errors.parse_suppressions (read_file f)))
+    supp_file;
+  Option.iter (fun f -> Kernel.set_stdin s.kern (read_file f)) stdin_file;
   s.kern.stdout_echo <- true;
   Printf.eprintf "==vg== %s: %s\n" tool.name tool.description;
-  Printf.eprintf "==vg== running %s\n" path;
+  Printf.eprintf "==vg== running %s\n" name;
   (match s.static_scan with
   | Some cfg ->
       let findings = Static.Lint.run cfg in
@@ -200,14 +131,14 @@ let run tool_name cores no_chaining no_verify smc_mode tier0_only no_tier0
         findings
   | None -> ());
   let reason = Vg_core.Session.run s in
-  (match (rec_, record_file) with
-  | Some r, Some f ->
+  Option.iter
+    (fun (r, f) ->
       Replay.to_file r f;
-      Printf.eprintf "==vg== recorded %d events -> %s\n" (Replay.n_events r) f
-  | _ -> ());
+      Printf.eprintf "==vg== recorded %d events -> %s\n" (Replay.n_events r) f)
+    rec_;
   (match stats with
   | None -> ()
-  | Some "json" ->
+  | Some `Json ->
       (* machine-readable: the full metrics registry, one flat JSON
          object on stdout (the human-readable report stays on stderr).
          If the client's own stdout didn't end in a newline, add one so
@@ -216,7 +147,7 @@ let run tool_name cores no_chaining no_verify smc_mode tier0_only no_tier0
       if String.length out > 0 && out.[String.length out - 1] <> '\n' then
         print_newline ();
       print_string (Vg_core.Session.stats_json s)
-  | Some _ ->
+  | Some `Text ->
       let st = Vg_core.Session.stats s in
       Printf.eprintf
         "==vg== blocks run: %Ld  translations: %d  host cycles: %Ld\n"
@@ -302,10 +233,12 @@ let cmd =
              encoding, plus the tool's instrumentation).")
   in
   let smc =
+    let names = Vg_core.Session.smc_names in
     Arg.(
       value
-      & opt string "stack"
-      & info [ "smc-check" ] ~doc:"Self-modifying-code checks: none|stack|all.")
+      & opt (enum names) Vg_core.Session.Smc_stack
+      & info [ "smc-check" ]
+          ~doc:("Self-modifying-code checks: " ^ doc_alts_enum names ^ "."))
   in
   let tier0_only =
     Arg.(
@@ -356,7 +289,9 @@ let cmd =
   let stats =
     Arg.(
       value
-      & opt ~vopt:(Some "text") (some string) None
+      & opt ~vopt:(Some `Text)
+          (some (enum [ ("text", `Text); ("json", `Json) ]))
+          None
       & info [ "stats" ]
           ~doc:
             "Print core statistics at exit: $(b,--stats) (or \
@@ -406,19 +341,32 @@ let cmd =
             "Record a replay log to $(docv): every non-derivable input \
              (syscall results, signal delivery points, chaos faults) plus \
              the program source and translation flags, sealed with \
-             final-state digests.  Replay with $(b,--replay) or the \
-             $(b,vgrewind) driver.")
+             final-state digests.  Replay it with $(b,vgrewind replay).")
   in
-  let replay_file =
+  let workload =
     Arg.(
       value
       & opt (some string) None
-      & info [ "replay" ] ~docv:"FILE"
+      & info [ "workload" ] ~docv:"NAME"
+          ~doc:"Run a named corpus workload (scale 1) instead of PROGRAM.")
+  in
+  let chaos_seed =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "chaos-seed" ] ~docv:"SEED"
           ~doc:
-            "Re-execute a recording bit-identically.  The program, tool, \
-             core count and translation flags all come from the log; the \
-             final state is checked against the recorded digests and any \
-             mismatch exits non-zero.")
+            "Run under a chaos fault schedule with this seed; a recording \
+             logs the injected faults, and they replay exactly.")
+  in
+  let chaos_mode =
+    let names = List.map (fun (n, _) -> (n, n)) chaos_modes in
+    Arg.(
+      value & opt (enum names) "hostile"
+      & info [ "chaos-mode" ]
+          ~doc:
+            ("Chaos schedule for $(b,--chaos-seed): " ^ doc_alts_enum names
+           ^ "."))
   in
   let path =
     Arg.(value & pos 0 (some string) None & info [] ~docv:"PROGRAM")
@@ -428,7 +376,8 @@ let cmd =
     Term.(
       const run $ tool $ cores $ no_chaining $ no_verify $ smc $ tier0_only
       $ no_tier0 $ promote_threshold $ scan $ aot_seed $ stats $ profile
-      $ trace_file $ stdin_file $ supp $ record_file $ replay_file $ path)
+      $ trace_file $ stdin_file $ supp $ record_file $ workload $ chaos_seed
+      $ chaos_mode $ path)
 
 (* cmdliner's optional-value arguments consume a following bare token,
    so "--stats PROGRAM" would swallow the program path.  Rewrite the

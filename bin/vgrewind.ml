@@ -1,9 +1,9 @@
-(** The [vgrewind] driver: record, replay and time-travel debugging on
-    the deterministic substrate.
+(** The [vgrewind] driver: replay and time-travel debugging of a log
+    that [valgrind --record] wrote.
 
     {v
-    vgrewind record --tool=memcheck -o prog.vgrw prog.c
-    vgrewind record --tool=drd --cores=2 --chaos-seed=3 -o t.vgrw prog.s
+    valgrind --tool=memcheck --record prog.vgrw prog.c
+    valgrind --tool=drd --cores=2 --chaos-seed=3 --record t.vgrw prog.s
     vgrewind replay prog.vgrw            # re-run, verify trailer digests
     vgrewind seek prog.vgrw --cycle N    # time-travel to a wall cycle
     vgrewind back prog.vgrw --insns K    # step backwards K instructions
@@ -17,101 +17,10 @@ open Cmdliner
 
 let die fmt = Printf.ksprintf (fun m -> prerr_endline ("vgrewind: " ^ m); exit 2) fmt
 
-let read_file p =
-  let ic = open_in_bin p in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-let compile_source ~(kind : string) (src : string) : Guest.Image.t =
-  try
-    if kind = "asm" then Guest.Asm.assemble src else Minicc.Driver.compile src
-  with
-  | Minicc.Driver.Compile_error m -> die "compile error: %s" m
-  | Guest.Asm.Error { line; msg } -> die "assembly error at line %d: %s" line msg
-
-let find_tool name =
-  try Tools.Catalog.find name with Invalid_argument m -> die "%s" m
-
-(* --- record ----------------------------------------------------------- *)
-
-let record tool_name cores chaos_seed chaos_mode workload scale stdin_file out
-    path =
-  let tool = find_tool tool_name in
-  if cores < 1 then die "--cores must be >= 1";
-  (* the program: a source file, or a named corpus workload *)
-  let prog_name, kind, src =
-    match (workload, path) with
-    | Some w, None -> (
-        match Workloads.find w with
-        | Some wl -> ("workload:" ^ w, "c", wl.Workloads.w_source ~scale)
-        | None ->
-            die "unknown workload '%s' (have: %s)" w
-              (String.concat ", "
-                 (List.map (fun w -> w.Workloads.w_name) Workloads.all)))
-    | None, Some p ->
-        let kind =
-          if Filename.check_suffix p ".s" || Filename.check_suffix p ".asm"
-          then "asm"
-          else "c"
-        in
-        (Filename.basename p, kind, (try read_file p with Sys_error m -> die "%s" m))
-    | _ -> die "need exactly one of PROGRAM or --workload"
-  in
-  let img = compile_source ~kind src in
-  let rec_ = Replay.recorder () in
-  Replay.add_meta rec_ "program" prog_name;
-  Replay.add_meta rec_ "kind" kind;
-  Replay.add_meta rec_ "source" src;
-  let chaos =
-    match chaos_seed with
-    | None -> None
-    | Some seed ->
-        Replay.add_meta rec_ "chaos" (Printf.sprintf "%s:%d" chaos_mode seed);
-        let cfg =
-          match chaos_mode with
-          | "idempotent" -> Chaos.idempotent ~seed
-          | "hostile" -> Chaos.hostile ~seed
-          | "sharded" -> Chaos.sharded ~seed
-          | m -> die "unknown chaos mode '%s' (idempotent|hostile|sharded)" m
-        in
-        Some (Chaos.create cfg)
-  in
-  let options =
-    {
-      Vg_core.Session.default_options with
-      cores;
-      chaos;
-      rr = Replay.Record rec_;
-    }
-  in
-  let s = Vg_core.Session.create ~options ~tool img in
-  s.echo_output <- true;
-  s.kern.stdout_echo <- true;
-  (match stdin_file with
-  | Some f -> Kernel.set_stdin s.kern (try read_file f with Sys_error m -> die "%s" m)
-  | None -> ());
-  Printf.eprintf "==vgrewind== recording %s under %s (cores=%d%s)\n" prog_name
-    tool.name cores
-    (match chaos_seed with
-    | Some n -> Printf.sprintf ", chaos %s:%d" chaos_mode n
-    | None -> "");
-  let reason = Vg_core.Session.run s in
-  let out =
-    match out with Some o -> o | None -> Filename.remove_extension prog_name ^ ".vgrw"
-  in
-  Replay.to_file rec_ out;
-  Printf.eprintf "==vgrewind== %d events -> %s\n" (Replay.n_events rec_) out;
-  match reason with
-  | Vg_core.Session.Exited n -> exit (n land 0xFF)
-  | Vg_core.Session.Fatal_signal sg -> exit (128 + sg)
-  | Vg_core.Session.Out_of_fuel ->
-      Printf.eprintf "==vgrewind== out of fuel\n";
-      exit 3
-
 (* --- building a session back from a log ------------------------------- *)
 
+(* The one log -> session path: the program and the tool come from the
+   log, and [Session.replaying] restores the recorded options. *)
 let session_of_log (file : string) : Vg_core.Session.t * Replay.log =
   let log =
     try Replay.log_of_file file with
@@ -124,9 +33,19 @@ let session_of_log (file : string) : Vg_core.Session.t * Replay.log =
     | Some s -> s
     | None -> die "%s: log carries no program source" file
   in
-  let kind = Option.value (meta "kind") ~default:"c" in
-  let img = compile_source ~kind src in
-  let tool = find_tool log.Replay.l_tool in
+  let img =
+    try
+      if meta "kind" = Some "asm" then Guest.Asm.assemble src
+      else Minicc.Driver.compile src
+    with
+    | Minicc.Driver.Compile_error m -> die "compile error: %s" m
+    | Guest.Asm.Error { line; msg } ->
+        die "assembly error at line %d: %s" line msg
+  in
+  let tool =
+    try Tools.Catalog.find log.Replay.l_tool
+    with Invalid_argument m -> die "%s" m
+  in
   match Vg_core.Session.replaying ~tool img log with
   | s -> (s, log)
   | exception Replay.Corrupt m -> die "%s: corrupt log: %s" file m
@@ -168,7 +87,7 @@ let with_divergence_report f =
 
 (* --- replay ----------------------------------------------------------- *)
 
-let replay quiet file =
+let replay quiet stats file =
   let s, _ = session_of_log file in
   if not quiet then begin
     s.echo_output <- true;
@@ -176,6 +95,14 @@ let replay quiet file =
   end;
   with_divergence_report (fun () ->
       let reason = Vg_core.Session.run s in
+      (* the replayed registry reads as the recorded run's, plus the
+         replay.* keys; like valgrind's, it starts at column 0 *)
+      if stats <> None then begin
+        let out = Kernel.stdout_contents s.kern in
+        if (not quiet) && out <> "" && out.[String.length out - 1] <> '\n' then
+          print_newline ();
+        print_string (Vg_core.Session.stats_json s)
+      end;
       match Vg_core.Session.replay_mismatches s with
       | [] ->
           Printf.eprintf
@@ -268,62 +195,23 @@ let when_ file =
 let log_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"LOG" ~doc:"Recording (.vgrw) to load.")
 
-let record_cmd =
-  let tool =
-    Arg.(value & opt string "memcheck" & info [ "tool" ] ~doc:"Tool plug-in to record under.")
-  in
-  let cores =
-    Arg.(value & opt int 1 & info [ "cores" ] ~docv:"N" ~doc:"Simulated cores.")
-  in
-  let chaos_seed =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "chaos-seed" ] ~docv:"SEED"
-          ~doc:"Record under a chaos fault schedule with this seed; the injected faults land in the log and replay exactly.")
-  in
-  let chaos_mode =
-    Arg.(
-      value & opt string "hostile"
-      & info [ "chaos-mode" ] ~doc:"Chaos schedule: idempotent|hostile|sharded.")
-  in
-  let workload =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "workload" ] ~docv:"NAME"
-          ~doc:"Record a named corpus workload instead of a source file.")
-  in
-  let scale =
-    Arg.(value & opt int 1 & info [ "scale" ] ~doc:"Workload scale factor.")
-  in
-  let stdin_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "stdin" ] ~doc:"File fed to the client as standard input.")
-  in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Log file to write (default: PROGRAM.vgrw).")
-  in
-  let path = Arg.(value & pos 0 (some string) None & info [] ~docv:"PROGRAM") in
-  Cmd.v
-    (Cmd.info "record" ~doc:"run a program and record a replay log")
-    Term.(
-      const record $ tool $ cores $ chaos_seed $ chaos_mode $ workload $ scale
-      $ stdin_file $ out $ path)
-
 let replay_cmd =
   let quiet =
     Arg.(value & flag & info [ "quiet" ] ~doc:"Suppress client and tool output.")
   in
+  let stats =
+    Arg.(
+      value
+      & opt (some (enum [ ("json", ()) ])) None
+      & info [ "stats" ] ~docv:"json"
+          ~doc:
+            "Print the replayed session's metrics registry at exit, as one \
+             flat JSON object on stdout ($(b,json) is the only format).")
+  in
   Cmd.v
     (Cmd.info "replay"
        ~doc:"re-execute a recording and verify it is bit-identical")
-    Term.(const replay $ quiet $ log_arg)
+    Term.(const replay $ quiet $ stats $ log_arg)
 
 let seek_cmd =
   let cycle =
@@ -356,7 +244,7 @@ let when_cmd =
 let cmd =
   Cmd.group
     (Cmd.info "vgrewind"
-       ~doc:"record/replay and time-travel debugging for VG32 programs")
-    [ record_cmd; replay_cmd; seek_cmd; back_cmd; when_cmd ]
+       ~doc:"replay and time-travel debugging of valgrind recordings")
+    [ replay_cmd; seek_cmd; back_cmd; when_cmd ]
 
 let () = exit (Cmd.eval cmd)
