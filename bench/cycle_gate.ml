@@ -48,10 +48,8 @@ let run_workload (name : string) : runs =
   let go options = of_result (session options img) in
   let plain = go default in
   let unchained = go { default with chaining = false } in
-  let tier0_only =
-    go { default with promote_threshold = 0; superblocks = false }
-  in
-  let full = go { default with tier0 = false; superblocks = false } in
+  let tier0_only = go { default with promote_threshold = 0; trace_threshold = 0 } in
+  let full = go { default with tier0 = false; trace_threshold = 0 } in
   let seeded = go { default with scan = true; aot_seed = true } in
   (* recorded at the defaults; the log's size, its "options" meta
      included, is a gated metric *)

@@ -41,9 +41,11 @@ let chaos_modes =
     ("sharded", Chaos.sharded);
   ]
 
-let run tool_name cores no_chaining no_verify smc_mode tier0_only no_tier0
-    promote_threshold scan aot_seed stats profile trace_file stdin_file
-    supp_file record_file workload chaos_seed chaos_mode path =
+let tiers = [ ("tiered", `Tiered); ("tier0-only", `Tier0_only); ("full", `Full) ]
+
+let run tool_name cores no_chaining no_verify smc_mode tier promote_threshold
+    scan aot_seed stats profile trace_file stdin_file supp_file record_file
+    workload chaos_seed chaos_mode path =
   let tool =
     try Tools.Catalog.find tool_name with Invalid_argument m -> die "%s" m
   in
@@ -56,8 +58,6 @@ let run tool_name cores no_chaining no_verify smc_mode tier0_only no_tier0
     | Minicc.Driver.Compile_error m -> die "%s: %s" name m
     | Guest.Asm.Error { line; msg } -> die "%s:%d: %s" name line msg
   in
-  if tier0_only && no_tier0 then
-    die "--tier0-only and --no-tier0 are mutually exclusive";
   if cores < 1 then die "--cores must be >= 1";
   (* a recording's meta: the client, then the chaos schedule; the
      session adds the options that shape the run *)
@@ -75,9 +75,10 @@ let run tool_name cores no_chaining no_verify smc_mode tier0_only no_tier0
         (r, file))
       record_file
   in
+  let default = Vg_core.Session.default_options in
   let options =
     {
-      Vg_core.Session.default_options with
+      default with
       cores;
       chaining = not no_chaining;
       smc_mode;
@@ -89,15 +90,11 @@ let run tool_name cores no_chaining no_verify smc_mode tier0_only no_tier0
           chaos_seed;
       profile;
       trace_capacity = (if trace_file = None then 0 else 65536);
-      tier0 = not no_tier0;
+      tier0 = tier <> `Full;
       promote_threshold =
-        (if tier0_only then 0
-         else
-           Option.value promote_threshold
-             ~default:Vg_core.Session.default_options.promote_threshold);
-      superblocks =
-        Vg_core.Session.default_options.superblocks
-        && not (tier0_only || no_tier0);
+        (if tier = `Tier0_only then 0
+         else Option.value promote_threshold ~default:default.promote_threshold);
+      trace_threshold = (if tier = `Tiered then default.trace_threshold else 0);
       scan = scan || aot_seed;
       aot_seed;
       rr =
@@ -240,21 +237,19 @@ let cmd =
       & info [ "smc-check" ]
           ~doc:("Self-modifying-code checks: " ^ doc_alts_enum names ^ "."))
   in
-  let tier0_only =
+  let tier =
     Arg.(
-      value & flag
-      & info [ "tier0-only" ]
+      value & opt (enum tiers) `Tiered
+      & info [ "tier" ]
           ~doc:
-            "Stay in the tier-0 quick translator: hot blocks are never \
-             promoted to the optimizing pipeline and no superblocks form.")
-  in
-  let no_tier0 =
-    Arg.(
-      value & flag
-      & info [ "no-tier0" ]
-          ~doc:
-            "Disable the quick tier (the pre-tiering behaviour): every \
-             block pays the full optimizing pipeline up front.")
+            ("Translation tiers: " ^ doc_alts_enum tiers
+           ^ ".  $(b,tiered) (the default) translates a cold block with \
+              the tier-0 quick translator, promotes it to the optimizing \
+              pipeline once hot (see $(b,--promote-threshold)) and \
+              stitches hot paths into superblocks; $(b,tier0-only) stays \
+              in tier 0, with no promotion and no superblocks; $(b,full) \
+              pays the optimizing pipeline for every block up front and \
+              forms no superblocks (the pre-tiering behaviour)."))
   in
   let promote_threshold =
     Arg.(
@@ -263,8 +258,9 @@ let cmd =
       & info [ "promote-threshold" ] ~docv:"N"
           ~doc:
             "Promote a tier-0 translation to the optimizing pipeline once \
-             its block has executed $(docv) times (default \
-             $(b,256); 0 disables promotion).")
+             its block has executed $(docv) times under \
+             $(b,--tier=tiered) (default $(b,256); 0 disables \
+             promotion).")
   in
   let scan =
     Arg.(
@@ -374,10 +370,10 @@ let cmd =
   Cmd.v
     (Cmd.info "valgrind" ~doc:"run a VG32 program under a Valgrind tool")
     Term.(
-      const run $ tool $ cores $ no_chaining $ no_verify $ smc $ tier0_only
-      $ no_tier0 $ promote_threshold $ scan $ aot_seed $ stats $ profile
-      $ trace_file $ stdin_file $ supp $ record_file $ workload $ chaos_seed
-      $ chaos_mode $ path)
+      const run $ tool $ cores $ no_chaining $ no_verify $ smc $ tier
+      $ promote_threshold $ scan $ aot_seed $ stats $ profile $ trace_file
+      $ stdin_file $ supp $ record_file $ workload $ chaos_seed $ chaos_mode
+      $ path)
 
 (* cmdliner's optional-value arguments consume a following bare token,
    so "--stats PROGRAM" would swallow the program path.  Rewrite the

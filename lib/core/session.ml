@@ -58,13 +58,6 @@ type options = {
           session experiences transient syscall errors, mapping denials,
           forced translation failures and cache flushes drawn from the
           [Chaos.t]'s RNG stream.  See {!Chaos}. *)
-  interp_fallback : bool;
-      (** graceful degradation (on by default): a block whose
-          translation fails ([Jit.Pipeline.Translation_failure], which
-          phase 6/7 failures are wrapped into) executes one-shot via the
-          IR evaluator — instrumentation included — instead of killing
-          the session; later blocks re-enter the JIT as usual.  Off:
-          translation failures propagate to the caller. *)
   profile : bool;
       (** build the guest-execution profile (flat + caller/callee, a
           mini-Callgrind) from exact block counters; read it back with
@@ -84,15 +77,11 @@ type options = {
   promote_threshold : int;
       (** executions after which a tier-0 translation is retranslated
           with the optimizing pipeline (0 = never promote) *)
-  superblocks : bool;
-      (** trace superblock formation (on by default): when a chained
-          exit stays hot, stitch the blocks along the hot path into one
-          superblock translation so the optimiser and the tool see
-          across block boundaries *)
   trace_threshold : int;
-      (** chained transfers through one exit site before the path it
-          starts is stitched into a superblock (0 = never) *)
-  trace_max_blocks : int;  (** max constituent blocks per superblock *)
+      (** trace superblock formation: chained transfers through one exit
+          site before the path it starts is stitched into one superblock
+          translation, so the optimiser and the tool see across block
+          boundaries (0 = never) *)
   scan : bool;
       (** static whole-image analysis (Vgscan) before start-up: recover
           the guest CFG and keep it for the soundness oracle — every
@@ -127,14 +116,11 @@ let default_options =
     max_blocks = 0L;
     verify_jit = true;
     chaos = None;
-    interp_fallback = true;
     profile = false;
     trace_capacity = 0;
     tier0 = true;
     promote_threshold = 256;
-    superblocks = true;
     trace_threshold = 16384;
-    trace_max_blocks = 3;
     scan = false;
     aot_seed = false;
     rr = Replay.No_rr;
@@ -149,14 +135,14 @@ let smc_names = [ ("none", Smc_none); ("stack", Smc_stack); ("all", Smc_all) ]
 
 let encode_options (o : options) : string =
   Printf.sprintf
-    "chaining=%b verify=%b smc=%s tier0=%b promote=%d super=%b scan=%b aot=%b \
-     timeslice=%d transtab=%d fast_cost=%d unroll=%b fuel=%Ld fallback=%b \
-     trace_threshold=%d trace_blocks=%d"
+    "chaining=%b verify=%b smc=%s tier0=%b promote=%d scan=%b aot=%b \
+     timeslice=%d transtab=%d fast_cost=%d unroll=%b fuel=%Ld \
+     trace_threshold=%d"
     o.chaining o.verify_jit
     (fst (List.find (fun (_, m) -> m = o.smc_mode) smc_names))
-    o.tier0 o.promote_threshold o.superblocks o.scan o.aot_seed
-    o.timeslice_blocks o.transtab_capacity o.dispatch_fast_cost o.unroll_loops
-    o.max_blocks o.interp_fallback o.trace_threshold o.trace_max_blocks
+    o.tier0 o.promote_threshold o.scan o.aot_seed o.timeslice_blocks
+    o.transtab_capacity o.dispatch_fast_cost o.unroll_loops o.max_blocks
+    o.trace_threshold
 
 (* [s] over [o].  A key the codec does not know, or a value it cannot
    read, makes the log corrupt.  Every int [encode_options] can write
@@ -175,7 +161,6 @@ let decode_options (s : string) (o : options) : options =
           { o with smc_mode = get (Fun.flip List.assoc_opt smc_names) v }
       | [ "tier0"; v ] -> { o with tier0 = b v }
       | [ "promote"; v ] -> { o with promote_threshold = n v }
-      | [ "super"; v ] -> { o with superblocks = b v }
       | [ "scan"; v ] -> { o with scan = b v }
       | [ "aot"; v ] -> { o with aot_seed = b v }
       | [ "timeslice"; v ] -> { o with timeslice_blocks = n v }
@@ -183,9 +168,7 @@ let decode_options (s : string) (o : options) : options =
       | [ "fast_cost"; v ] -> { o with dispatch_fast_cost = n v }
       | [ "unroll"; v ] -> { o with unroll_loops = b v }
       | [ "fuel"; v ] -> { o with max_blocks = get Int64.of_string_opt v }
-      | [ "fallback"; v ] -> { o with interp_fallback = b v }
       | [ "trace_threshold"; v ] -> { o with trace_threshold = n v }
-      | [ "trace_blocks"; v ] -> { o with trace_max_blocks = n v }
       | _ -> corrupt ())
     o
     (String.split_on_char ' ' s)
@@ -404,6 +387,12 @@ let symbolize_with (img : Guest.Image.t) (addr : int64) : string =
       else Printf.sprintf "%s+0x%LX" name (Int64.sub addr base)
   | _ -> Printf.sprintf "0x%LX" addr
 
+(** Symbolise an address: image symbols, plus redirection-stub names. *)
+let symbolize (s : t) (a : int64) : string =
+  match Redirect.stub_name s.redirect a with
+  | Some n -> n
+  | None -> symbolize_with s.image a
+
 (* fast-lookup cache entries per core *)
 let dispatch_size = 8192
 
@@ -547,11 +536,7 @@ let create ?(options = default_options) ~(tool : Tool.t)
       kern.map_allowed <-
         (fun addr len -> base addr len && not (Chaos.map_denied c ~addr ~len))
   | None -> ());
-  errors.symbolize <-
-    (fun a ->
-      match Redirect.stub_name s.redirect a with
-      | Some n -> n
-      | None -> symbolize_with image a);
+  errors.symbolize <- symbolize s;
   errors.output <- (fun msg -> output s msg);
   kern.now_cycles <- (fun () -> total_cycles s);
   Transtab.set_observer s.transtab ~trace:s.trace
@@ -584,12 +569,6 @@ let replaying ?(trace_capacity = 0) ~(tool : Tool.t) (image : Guest.Image.t)
     | None -> options
   in
   create ~options ~tool image
-
-(** Symbolise an address: image symbols, plus redirection-stub names. *)
-let symbolize (s : t) (a : int64) : string =
-  match Redirect.stub_name s.redirect a with
-  | Some n -> n
-  | None -> symbolize_with s.image a
 
 (* The function a block pc belongs to (cached): a redirection stub by
    its own name, else the nearest image symbol at or below.  Local
@@ -711,7 +690,6 @@ let caps_of (s : t) : Tool.caps =
         | Some addr ->
             Redirect.wrap s.redirect ~addr ~arity:4 ~on_enter ~on_exit
         | None -> ());
-    discard_translations = (fun addr len -> on_discard s addr len);
     charge_cycles = (fun c -> charge s c);
     register_helper =
       (fun ?(fx_reads = []) ~name ~cost ~nargs f ->
@@ -1006,17 +984,13 @@ let aot_limit = 8192
 let aot_seed_blocks (s : t) : unit =
   match s.static_scan with
   | Some cfg when s.opts.aot_seed ->
-      let tier =
-        if s.opts.tier0 then Jit.Pipeline.Tier_quick
-        else Jit.Pipeline.Tier_full
-      in
       let jit0 = s.active.Engine.jit_cycles in
       (try
          List.iter
            (fun pc ->
              if s.aot_seeded.n >= aot_limit then raise Exit;
              if Transtab.find s.transtab pc = None then
-               match translate_tier s ~tier pc with
+               match translate s pc with
                | _ -> s.aot_seeded.n <- s.aot_seeded.n + 1
                | exception
                    ( Jit.Pipeline.Translation_failure _
@@ -1305,9 +1279,11 @@ let promote (s : t) (pc : int64) (t0 : Jit.Pipeline.translation) :
    exit just fired, greedily follow the hottest boring chainable exit
    into resident full-tier translations.  Stops at cycles, redirected
    addresses, cold or non-boring exits, missing/other-tier translations,
-   or the length cap.  Everything consulted (slot heat, tier, residency)
-   is a deterministic function of the execution history, so formation
-   replays bit-identically. *)
+   or the length cap ([trace_blocks]).  Everything consulted (slot heat,
+   tier, residency) is a deterministic function of the execution
+   history, so formation replays bit-identically. *)
+let trace_blocks = 3
+
 let select_trace (s : t) (src : Jit.Pipeline.translation) : int64 list =
   (* successors must be at least half as hot as the trigger threshold:
      on a straight hot path the downstream slots trail the trigger by at
@@ -1315,7 +1291,7 @@ let select_trace (s : t) (src : Jit.Pipeline.translation) : int64 list =
   let min_hot = (s.opts.trace_threshold + 1) / 2 in
   let rec go (visited : int64 list) (t : Jit.Pipeline.translation) (n : int)
       : int64 list =
-    if n >= s.opts.trace_max_blocks then List.rev visited
+    if n >= trace_blocks then List.rev visited
     else
       let best =
         Array.fold_left
@@ -1394,7 +1370,7 @@ let note_chained_transfer (s : t) (src : Jit.Pipeline.translation)
     (slot : Jit.Pipeline.chain_slot) : unit =
   slot.cs_hot <- slot.cs_hot + 1;
   if
-    s.opts.superblocks && s.opts.trace_threshold > 0
+    s.opts.trace_threshold > 0
     && slot.cs_hot = s.opts.trace_threshold
     && src.t_tier = Jit.Pipeline.Tier_full
     && slot.cs_kind = HA.ek_boring
@@ -1498,12 +1474,44 @@ let handle_exit (s : t) (th : Threads.thread) ~(ek : int) ~(dest : int64) =
   end
   else if ek = HA.ek_yield then ignore (switch_thread s)
 
-let invalid_exec (s : t) (th : Threads.thread) (pc : int64) =
-  (* jumping to unmapped/non-executable memory faults exactly like
-     native execution: SIGSEGV, not SIGILL from decoding zero bytes *)
+(* The one fault path: a block's memory access faulted, or its code
+   cannot be fetched.  Either faults exactly like native execution:
+   SIGSEGV (not SIGILL from decoding zero bytes). *)
+let invalid_access (s : t) (th : Threads.thread) (kind : Aspace.access_kind)
+    (addr : int64) =
   s.active.Engine.last_slot <- None;
-  output s (Printf.sprintf "==vg== Invalid exec at address 0x%LX\n" pc);
+  output s
+    (Printf.sprintf "==vg== Invalid %s at address 0x%LX\n"
+       (Fmt.str "%a" Aspace.pp_access_kind kind)
+       addr);
   deliver_signal s th Kernel.Sig.sigsegv
+
+(* An integer division by zero inside a block: SIGFPE, as native. *)
+let divide_fault (s : t) (th : Threads.thread) =
+  s.active.Engine.last_slot <- None;
+  deliver_signal s th Kernel.Sig.sigfpe
+
+(* The epilogue of every block that ran to its exit: the global, core
+   and thread block counts (fuel, scheduler poll and timeslice). *)
+let[@inline] count_block (s : t) (th : Threads.thread) =
+  s.blocks_executed <- Int64.add s.blocks_executed 1L;
+  s.active.Engine.blocks_executed <- s.active.Engine.blocks_executed + 1;
+  th.blocks_run <- th.blocks_run + 1
+
+(* The profiler's block hook: [cycles] go to [pc]'s function, and when
+   [call] holds, the call edge to [dest] is counted. *)
+let profile_block (s : t) ~(pc : int64) ~(cycles : int) ~(call : bool)
+    ~(dest : int64) =
+  match s.profiler with
+  | Some p ->
+      let name, base = resolve_fn s pc in
+      Obs.Profile.block p ~core:s.active.Engine.id ~base ~name
+        ~cycles:(Int64.of_int cycles);
+      if call then begin
+        let callee_name, callee_base = resolve_fn s dest in
+        Obs.Profile.call p ~caller:base ~callee_base ~callee_name
+      end
+  | None -> ()
 
 (* Last rung of the degradation ladder: execute one guest instruction
    directly against the ThreadState, uninstrumented.  Only reached when
@@ -1517,24 +1525,14 @@ let step_uninstrumented (s : t) (th : Threads.thread) =
   let get off size = Threads.get_state s.threads th ~off ~size in
   let put off size v = Threads.put_state s.threads th ~off ~size v in
   match Guest.Interp.step_external ~mem:s.mem ~get ~put with
-  | exception Aspace.Fault f ->
-      s.active.Engine.last_slot <- None;
-      output s
-        (Printf.sprintf "==vg== Invalid %s at address 0x%LX\n"
-           (Fmt.str "%a" Aspace.pp_access_kind f.kind)
-           f.addr);
-      deliver_signal s th Kernel.Sig.sigsegv
+  | exception Aspace.Fault f -> invalid_access s th f.kind f.addr
   | exception Guest.Interp.Sigill at ->
       output s (Printf.sprintf "==vg== Illegal instruction at 0x%LX\n" at);
       deliver_signal s th Kernel.Sig.sigill
-  | exception Guest.Interp.Sigfpe _ ->
-      s.active.Engine.last_slot <- None;
-      deliver_signal s th Kernel.Sig.sigfpe
+  | exception Guest.Interp.Sigfpe _ -> divide_fault s th
   | cost, outcome -> (
       charge s cost;
-      s.blocks_executed <- Int64.add s.blocks_executed 1L;
-      s.active.Engine.blocks_executed <- s.active.Engine.blocks_executed + 1;
-      th.blocks_run <- th.blocks_run + 1;
+      count_block s th;
       match outcome with
       | Guest.Interp.X_next -> ()
       | Guest.Interp.X_syscall ->
@@ -1565,7 +1563,7 @@ let run_block_interp (s : t) (th : Threads.thread) ~(pc : int64) =
       ~fetch:(fun a -> Aspace.fetch_u8 s.mem a)
       ~instrument:(instrument_fn s) fetch_pc
   with
-  | exception Guest.Decode.Truncated -> invalid_exec s th pc
+  | exception Guest.Decode.Truncated -> invalid_access s th Aspace.Exec pc
   | exception
       ( Jit.Pipeline.Translation_failure _ | Vex_ir.Typecheck.Ill_typed _
       | Failure _ | Invalid_argument _ | Not_found ) ->
@@ -1575,27 +1573,14 @@ let run_block_interp (s : t) (th : Threads.thread) ~(pc : int64) =
       let interp_cost = 8 * Support.Vec.length ir.Vex_ir.Ir.stmts in
       charge s interp_cost;
       match Vex_ir.Eval.run s.henv ir with
-      | exception Aspace.Fault f ->
-          output s
-            (Printf.sprintf "==vg== Invalid %s at address 0x%LX\n"
-               (Fmt.str "%a" Aspace.pp_access_kind f.kind)
-               f.addr);
-          deliver_signal s th Kernel.Sig.sigsegv
+      | exception Aspace.Fault f -> invalid_access s th f.kind f.addr
       | exception Vex_ir.Eval.Eval_error msg
         when msg = "integer division by zero" ->
           deliver_signal s th Kernel.Sig.sigfpe
       | { Vex_ir.Eval.next_pc; jumpkind } ->
           Threads.put_eip s.threads th next_pc;
-          s.blocks_executed <- Int64.add s.blocks_executed 1L;
-          s.active.Engine.blocks_executed <-
-            s.active.Engine.blocks_executed + 1;
-          th.blocks_run <- th.blocks_run + 1;
-          (match s.profiler with
-          | Some p ->
-              let name, base = resolve_fn s pc in
-              Obs.Profile.block p ~core:s.active.Engine.id ~base ~name
-                ~cycles:(Int64.of_int interp_cost)
-          | None -> ());
+          count_block s th;
+          profile_block s ~pc ~cycles:interp_cost ~call:false ~dest:next_pc;
           handle_exit s th ~ek:(HA.ek_of_jumpkind jumpkind) ~dest:next_pc)
 
 (* Acquire the translation for [pc], including the SMC re-check.  Raises
@@ -1639,10 +1624,8 @@ let run_block (s : t) =
       end
   | None -> ());
   match acquire_translation s pc with
-  | exception Guest.Decode.Truncated -> invalid_exec s th pc
-  | exception (Jit.Pipeline.Translation_failure _ as e) ->
-      if not s.opts.interp_fallback then raise e;
-      run_block_interp s th ~pc
+  | exception Guest.Decode.Truncated -> invalid_access s th Aspace.Exec pc
+  | exception Jit.Pipeline.Translation_failure _ -> run_block_interp s th ~pc
   | t -> (
       (* tiered JIT: a quick translation that crossed the hotness
          threshold is promoted to the optimizing tier before running *)
@@ -1659,35 +1642,18 @@ let run_block (s : t) =
       Host.Interp.set_hreg e.Engine.cpu HA.gsp th.ts_addr;
       let prof_cycles0 = e.Engine.cpu.cycles in
       match Host.Interp.run e.Engine.cpu ~env:s.henv t.t_decoded with
-      | exception Aspace.Fault f ->
-          e.Engine.last_slot <- None;
-          output s
-            (Printf.sprintf "==vg== Invalid %s at address 0x%LX\n"
-               (Fmt.str "%a" Aspace.pp_access_kind f.kind)
-               f.addr);
-          deliver_signal s th Kernel.Sig.sigsegv
-      | exception Host.Interp.Host_sigfpe ->
-          e.Engine.last_slot <- None;
-          deliver_signal s th Kernel.Sig.sigfpe
+      | exception Aspace.Fault f -> invalid_access s th f.kind f.addr
+      | exception Host.Interp.Host_sigfpe -> divide_fault s th
       | ek, dest, exit_site ->
           e.Engine.last_src <- t;
           e.Engine.last_slot <-
             (if s.opts.chaining then Jit.Pipeline.find_chain_slot t exit_site
              else None);
           Threads.put_eip s.threads th dest;
-          s.blocks_executed <- Int64.add s.blocks_executed 1L;
-          e.Engine.blocks_executed <- e.Engine.blocks_executed + 1;
-          th.blocks_run <- th.blocks_run + 1;
-          (match s.profiler with
-          | Some p ->
-              let name, base = resolve_fn s pc in
-              Obs.Profile.block p ~core:e.Engine.id ~base ~name
-                ~cycles:(Int64.sub e.Engine.cpu.cycles prof_cycles0);
-              if ek = HA.ek_call then begin
-                let callee_name, callee_base = resolve_fn s dest in
-                Obs.Profile.call p ~caller:base ~callee_base ~callee_name
-              end
-          | None -> ());
+          count_block s th;
+          profile_block s ~pc
+            ~cycles:(Int64.to_int (Int64.sub e.Engine.cpu.cycles prof_cycles0))
+            ~call:(ek = HA.ek_call) ~dest;
           handle_exit s th ~ek ~dest)
 
 (* Scheduler epoch boundary: free translations retired a full epoch ago

@@ -41,7 +41,6 @@ type caps = {
     symbol:string -> on_enter:(unit -> unit) -> on_exit:(unit -> unit) -> unit;
       (** function wrapping: inspect arguments before and the return
           value after, with the original still executed *)
-  discard_translations : int64 -> int -> unit;
   charge_cycles : int -> unit;
       (** account simulated cycles for work done inside an OCaml-side
           handler (e.g. a replacement allocator's bookkeeping) so tool

@@ -581,7 +581,7 @@ let fuzz_cells (items : item list) : cells =
       way "chaos:7" ~chaos:(Chaos.idempotent ~seed:7) b;
       way "replay" ~replay:true { b with verify_jit = true };
       way "no-chaining" { b with chaining = false };
-      way "tier0-only" { b with promote_threshold = 0; superblocks = false };
+      way "tier0-only" { b with promote_threshold = 0; trace_threshold = 0 };
       way "no-tier0" { b with tier0 = false };
       way "hot" { b with promote_threshold = 1; trace_threshold = 1 };
       way "tiny-transtab" { b with transtab_capacity = 8 };
@@ -640,7 +640,7 @@ let verify () =
   [
     cells (corpus4 ()) Tools.Catalog.all
       [ way "tiered" { base with promote_threshold = 8; trace_threshold = 64 };
-        way "tier0-only" { base with promote_threshold = 0; superblocks = false } ]
+        way "tier0-only" { base with promote_threshold = 0; trace_threshold = 0 } ]
       [ holds Cfg_sound "tiered"; holds Cfg_sound "tier0-only" ];
   ]
 

@@ -34,7 +34,6 @@ type state = {
   mutable n_allocs : int;
   mutable n_frees : int;
   mutable bytes_allocated : int64;
-  leak_check_at_exit : bool;
   (* helpers *)
   mutable h_loadv : Vex_ir.Ir.callee array;  (** indexed by log2 size *)
   mutable h_storev : Vex_ir.Ir.callee array;
@@ -936,7 +935,6 @@ let with_state ~(track_origins : bool) (on_state : state -> unit) :
             n_allocs = 0;
             n_frees = 0;
             bytes_allocated = 0L;
-            leak_check_at_exit = true;
             h_loadv = Array.make 4 dummy;
             h_storev = Array.make 4 dummy;
             h_check_fail = Array.make 6 dummy;
@@ -958,14 +956,12 @@ let with_state ~(track_origins : bool) (on_state : state -> unit) :
           instrument = (fun b -> instrument st b);
           fini =
             (fun ~exit_code:_ ->
-              if st.leak_check_at_exit then begin
-                let blocks, bytes = leak_check st in
-                if blocks > 0 then
-                  caps.output
-                    (Printf.sprintf
-                       "==err== LEAK SUMMARY: definitely lost: %Ld bytes in %d blocks\n"
-                       bytes blocks)
-              end;
+              let blocks, bytes = leak_check st in
+              if blocks > 0 then
+                caps.output
+                  (Printf.sprintf
+                     "==err== LEAK SUMMARY: definitely lost: %Ld bytes in %d blocks\n"
+                     bytes blocks);
               caps.output (Vg_core.Errors.summary caps.errors));
           client_request = (fun ~code ~args -> client_request st ~code ~args);
         });

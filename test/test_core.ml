@@ -455,13 +455,11 @@ let tiered_hot_options =
     Vg_core.Session.default_options with
     tier0 = true;
     promote_threshold = 2;
-    superblocks = true;
     trace_threshold = 8;
-    trace_max_blocks = 4;
   }
 
 let full_only_options =
-  { Vg_core.Session.default_options with tier0 = false; superblocks = false }
+  { Vg_core.Session.default_options with tier0 = false; trace_threshold = 0 }
 
 (* a hot multi-block loop with a conditional side path: every 4th
    iteration takes the fallthrough, the rest branch over it, so a
@@ -491,7 +489,7 @@ let test_promotion_exactly_once () =
      replacement is Tier_full, which the promotion check skips) — so
      promotions = full translations <= quick translations *)
   let options =
-    { tiered_hot_options with promote_threshold = 4; superblocks = false }
+    { tiered_hot_options with promote_threshold = 4; trace_threshold = 0 }
   in
   let s, vr, out = run_valgrind ~options many_blocks_src in
   check_vg_exit "tiered result correct" 4000 vr;

@@ -240,19 +240,24 @@ let test_hostile_lint_classes () =
     (Fuzz.Hostile_guests.all ())
 
 let test_crash_context_on_refused_translation () =
-  (* interp_fallback off + every translation refused: the session cannot
-     make progress.  The escaping error must leave a post-mortem crash
+  (* a tool whose instrumentation raises refuses every translation with
+     an error no recovery path catches, so the session cannot make
+     progress.  The escaping error must leave a post-mortem crash
      context on the tool output stream. *)
   let img =
     Guest.Asm.assemble
       (read_file (Filename.concat corpus_dir "overlap_decode.s"))
   in
-  let tool = Fuzz.Diff.witness in
-  let chaos = Chaos.create refuse_all in
-  let options =
-    { Vg_core.Session.default_options with
-      interp_fallback = false; chaos = Some chaos; verify_jit = false }
+  let exception Refused in
+  let witness = Fuzz.Diff.witness in
+  let tool =
+    { witness with
+      create =
+        (fun caps ->
+          { (witness.create caps) with instrument = (fun _ -> raise Refused) })
+    }
   in
+  let options = { Vg_core.Session.default_options with verify_jit = false } in
   let s = Vg_core.Session.create ~options ~tool img in
   (match Vg_core.Session.run s with
   | _ -> Alcotest.fail "expected the refused translation to escape"
@@ -384,6 +389,112 @@ let test_every_set_smallest_cell () =
         (cells ~seeds:[ 1 ] ~count:1))
     Fuzz.Diff.sets
 
+(* ---- every option reached ------------------------------------------ *)
+
+(* The codec keys that no way of [Fuzz.Diff.sets] moves, each with the
+   user that needs it. *)
+let option_exemptions =
+  [
+    ("timeslice", "test_sched's 64-block fairness pins");
+    ("fast_cost", "the section 3.9 dispatch experiment, bench/dispatch_bench.ml");
+    ("unroll", "the section 3.9 dispatch experiment, bench/dispatch_bench.ml");
+  ]
+
+let test_every_option_reached () =
+  let module S = Vg_core.Session in
+  let d = S.default_options in
+  (* every field, named with no [with], so that a new option does not
+     compile until it is placed here: at the value the way beside it
+     sets, or at its default when it is exempt *)
+  let reached : S.options =
+    {
+      cores = 2 (* c2 *);
+      chaining = false (* no-chaining *);
+      smc_mode = Smc_all (* smc-all *);
+      timeslice_blocks = d.timeslice_blocks (* exempt *);
+      transtab_capacity = 8 (* tiny-transtab *);
+      dispatch_fast_cost = d.dispatch_fast_cost (* exempt *);
+      unroll_loops = d.unroll_loops (* exempt *);
+      max_blocks = 2_000_000L (* the fuzz set's fuel *);
+      verify_jit = false (* the fuzz set's base *);
+      chaos = Some (Chaos.create (Chaos.idempotent ~seed:7)) (* chaos:7 *);
+      profile = true (* observed *);
+      trace_capacity = 4096 (* observed *);
+      tier0 = false (* no-tier0 *);
+      promote_threshold = 0 (* tier0-only *);
+      trace_threshold = 1 (* hot *);
+      scan = true (* aot *);
+      aot_seed = true (* aot *);
+      rr = Replay.Record (Replay.recorder ()) (* replay *);
+    }
+  in
+  let ways =
+    List.concat_map
+      (fun (_, cells) ->
+        List.concat_map
+          (fun (c : Fuzz.Diff.cells) -> c.ways)
+          (cells ~seeds:[ 1 ] ~count:1))
+      Fuzz.Diff.sets
+    |> List.filter (fun (w : Fuzz.Diff.way) -> not w.w_native)
+  in
+  let codec o =
+    List.map
+      (fun kv ->
+        match String.split_on_char '=' kv with
+        | [ k; v ] -> (k, v)
+        | _ -> Alcotest.failf "unreadable codec pair %s" kv)
+      (String.split_on_char ' ' (S.encode_options o))
+  in
+  let at k (w : Fuzz.Diff.way) = List.assoc k (codec w.w_options) in
+  (* each codec key: moved by a way to the literal's value, or exempt,
+     kept at its default and moved by no way *)
+  let in_codec =
+    List.filter_map
+      (fun (k, dv) ->
+        let v = List.assoc k (codec reached) in
+        let setters = List.filter (fun w -> at k w <> dv) ways in
+        match (List.assoc_opt k option_exemptions, setters) with
+        | Some _, (w : Fuzz.Diff.way) :: _ ->
+            Some (Printf.sprintf "%s: exempt, but way %s sets it" k w.w_name)
+        | Some _, [] when v <> dv ->
+            Some (Printf.sprintf "%s: exempt, but the literal moves it" k)
+        | Some _, [] -> None
+        | None, _ when List.exists (fun w -> at k w = v) setters -> None
+        | None, _ ->
+            Some
+              (Printf.sprintf "%s: no way sets %s=%s and no exemption names it"
+                 k k v))
+      (codec d)
+  in
+  let stale =
+    List.filter_map
+      (fun (k, _) ->
+        if List.mem_assoc k (codec d) then None
+        else Some (k ^ ": exempt, but not a codec key"))
+      option_exemptions
+  in
+  (* the fields outside the codec: the ways' options, chaos and replay *)
+  let some p = List.exists p ways in
+  let outside =
+    List.filter_map
+      (fun (field, ok) -> if ok then None else Some (field ^ ": no way sets it"))
+      [
+        ( "cores",
+          reached.cores <> d.cores
+          && some (fun w -> w.w_options.cores = reached.cores) );
+        ( "profile",
+          reached.profile <> d.profile
+          && some (fun w -> w.w_options.profile = reached.profile) );
+        ( "trace_capacity",
+          reached.trace_capacity <> d.trace_capacity
+          && some (fun w -> w.w_options.trace_capacity = reached.trace_capacity) );
+        ("chaos", reached.chaos <> None && some (fun w -> w.w_chaos <> None));
+        ("rr", reached.rr <> Replay.No_rr && some (fun w -> w.w_replay));
+      ]
+  in
+  Alcotest.(check (list string)) "every option reached" []
+    (in_codec @ stale @ outside)
+
 let tests =
   [
     t "generator: deterministic regeneration" test_gen_deterministic;
@@ -401,6 +512,8 @@ let tests =
     t "hostile: crash context on refused translation"
       test_crash_context_on_refused_translation;
     t "oracle: each relation flags exactly its fields" test_comparator_fields;
+    t "oracle: every option is set by a way or exempt"
+      test_every_option_reached;
     Alcotest.test_case "oracle: every set on its smallest cell" `Slow
       test_every_set_smallest_cell;
   ]

@@ -408,7 +408,6 @@ let test_options_codec_roundtrip () =
         smc_mode = Vg_core.Session.Smc_all;
         tier0 = false;
         promote_threshold = 7;
-        superblocks = false;
         scan = true;
         aot_seed = true;
         timeslice_blocks = 500;
@@ -416,9 +415,7 @@ let test_options_codec_roundtrip () =
         dispatch_fast_cost = 20;
         unroll_loops = false;
         max_blocks = 2_000_000L;
-        interp_fallback = false;
         trace_threshold = 8;
-        trace_max_blocks = 4;
       };
       (* values the engine takes as off, which a recorder may write (the
          CLI passes --promote-threshold through unchecked), and fuel
@@ -434,9 +431,9 @@ let test_options_codec_roundtrip () =
 
 let test_options_meta_corrupt () =
   (* the default "options" meta with one field edited: an unreadable
-     value, an unknown key or a table capacity no session runs with
-     makes the log corrupt; none may escape as another exception or
-     decode to a default *)
+     value, an unknown key (a deleted option's among them) or a table
+     capacity no session runs with makes the log corrupt; none may escape
+     as another exception or decode to a default *)
   let d = Vg_core.Session.default_options in
   let meta = Vg_core.Session.encode_options d in
   List.iter
@@ -452,8 +449,9 @@ let test_options_meta_corrupt () =
       | exception Replay.Corrupt m ->
           Alcotest.(check string) now ("options meta: bad " ^ now) m
       | _ -> Alcotest.failf "%s decoded" now)
-    [ ("promote=256", "promote=2x6"); ("super=true", "super=tru3");
-      ("aot=false", "aox=false"); ("transtab=32768", "transtab=0") ]
+    [ ("promote=256", "promote=2x6"); ("unroll=true", "unroll=tru3");
+      ("aot=false", "aox=false"); ("fuel=0", "fallback=true");
+      ("transtab=32768", "transtab=0") ]
 
 (* ---- the golden run's trailer digests -------------------------------- *)
 
