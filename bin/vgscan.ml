@@ -13,9 +13,10 @@
     [static.cfg_miss] soundness-oracle count and client output identical
     to an unseeded run — is the oracle's [aot] set ([vgfuzz aot]).
 
-    [hostile] scans the hand-written hostile fixture images, asserts
-    each produces its expected finding class, and compares the combined
-    report against the committed golden ([--update] rewrites it). *)
+    [hostile] scans every guest of the hostile corpus
+    ({!Static.Hostile}), asserts each produces its expected finding
+    classes, and compares the combined report against the committed
+    golden ([--update] rewrites it). *)
 
 let default_golden = "test/vgscan_hostile_golden.json"
 
@@ -66,12 +67,10 @@ let hostile_report () : string =
   let b = Buffer.create 4096 in
   Buffer.add_string b "{\n";
   List.iteri
-    (fun i fx ->
+    (fun i (g : Static.Hostile.guest) ->
       if i > 0 then Buffer.add_string b ",\n";
-      Buffer.add_string b
-        (Printf.sprintf "\"%s\": " fx.Static.Hostile.fx_name);
-      Buffer.add_string b
-        (scan_report ~blocks:true fx.Static.Hostile.fx_image))
+      Buffer.add_string b (Printf.sprintf "\"%s\": " g.h_name);
+      Buffer.add_string b (scan_report ~blocks:true g.h_image))
     (Static.Hostile.all ());
   Buffer.add_string b "}\n";
   Buffer.contents b
@@ -84,24 +83,23 @@ let read_file path =
   s
 
 let run_hostile ~(update : bool) ~(golden : string) : bool =
-  print_endline "== vgscan: hostile fixture corpus ==";
+  print_endline "== vgscan: hostile corpus ==";
   let ok = ref true in
-  (* every fixture must produce its expected finding classes *)
+  (* every guest must produce its expected finding classes *)
   List.iter
-    (fun fx ->
-      let cfg = Static.Cfg.scan fx.Static.Hostile.fx_image in
+    (fun (g : Static.Hostile.guest) ->
+      let cfg = Static.Cfg.scan g.h_image in
       let classes = Static.Lint.classes_of (Static.Lint.run cfg) in
       List.iter
         (fun want ->
           if not (List.mem want classes) then begin
             ok := false;
             Printf.printf "  FAIL %s: expected class '%s', got [%s]\n"
-              fx.Static.Hostile.fx_name want
+              g.h_name want
               (String.concat ", " classes)
           end)
-        fx.Static.Hostile.fx_expect;
-      Printf.printf "%-16s [%s]\n%!" fx.Static.Hostile.fx_name
-        (String.concat ", " classes))
+        g.h_classes;
+      Printf.printf "%-16s [%s]\n%!" g.h_name (String.concat ", " classes))
     (Static.Hostile.all ());
   let report = hostile_report () in
   if update then begin

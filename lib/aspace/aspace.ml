@@ -28,12 +28,6 @@ let perm_rw = { r = true; w = true; x = false }
 let perm_rx = { r = true; w = false; x = true }
 let perm_none = { r = false; w = false; x = false }
 
-let pp_perm ppf p =
-  Fmt.pf ppf "%c%c%c"
-    (if p.r then 'r' else '-')
-    (if p.w then 'w' else '-')
-    (if p.x then 'x' else '-')
-
 type page = { data : Bytes.t; mutable perm : perm }
 
 type access_kind = Read | Write | Exec | Map
@@ -121,8 +115,6 @@ let page_index (addr : int64) =
   Int64.to_int (Int64.shift_right_logical (Support.Bits.trunc32 addr) page_shift)
 
 let page_offset (addr : int64) = Int64.to_int (Int64.logand addr 0xFFFL)
-
-let is_mapped t addr = lookup t (page_index addr) != no_page
 
 (** Round [len] up and [addr] down to page boundaries; iterate pages. *)
 let iter_pages addr len f =

@@ -159,9 +159,6 @@ let note_recovery (t : t option) kind =
         | None -> (kind, 1) :: t.recoveries)
   | None -> ()
 
-let recovery_count t kind =
-  Option.value (List.assoc_opt kind t.recoveries) ~default:0
-
 let recoveries t = t.recoveries
 
 (* ------------------------------------------------------------------ *)

@@ -431,9 +431,7 @@ let create ?(options = default_options) ~(tool : Tool.t)
       events;
       errors;
       threads;
-      transtab =
-        Transtab.create ~capacity:options.transtab_capacity
-          ~shards:options.cores ();
+      transtab = Transtab.create ~capacity:options.transtab_capacity ();
       cores;
       active = cores.(0);
       redirect = Redirect.create mem;
@@ -577,17 +575,6 @@ let replaying ?(trace_capacity = 0) ~(tool : Tool.t) (image : Guest.Image.t)
 let is_local_label (n : string) =
   String.length n >= 2 && n.[0] = '.' && n.[1] = 'L'
 
-let fn_symbol_for (img : Guest.Image.t) (addr : int64) =
-  List.fold_left
-    (fun best (name, a) ->
-      if is_local_label name then best
-      else if Int64.unsigned_compare a addr <= 0 then
-        match best with
-        | Some (_, ba) when Int64.unsigned_compare ba a >= 0 -> best
-        | _ -> Some (name, a)
-      else best)
-    None img.Guest.Image.symbols
-
 let resolve_fn (s : t) (pc : int64) : string * int64 =
   match Hashtbl.find_opt s.fn_cache pc with
   | Some r -> r
@@ -596,7 +583,7 @@ let resolve_fn (s : t) (pc : int64) : string * int64 =
         match Redirect.stub_name s.redirect pc with
         | Some n -> (n, pc)
         | None -> (
-            match fn_symbol_for s.image pc with
+            match Guest.Image.symbol_for ~skip:is_local_label s.image pc with
             | Some (n, base) -> (n, base)
             | None -> (Printf.sprintf "0x%LX" pc, pc))
       in
@@ -1399,10 +1386,9 @@ let find_translation (s : t) (pc : int64) : Jit.Pipeline.translation =
           (* first warm transit of this exit: dispatch normally, then
              patch the site so the dispatcher is bypassed from now on.
              [Transtab.link] refuses if either translation is no longer
-             resident (nothing would unlink the chain later); the link
-             is recorded in this core's chain shard. *)
+             resident (nothing would unlink the chain later). *)
           let t = lookup_via_dispatcher s pc in
-          ignore (Transtab.link s.transtab ~core:e.Engine.id ~src ~slot ~dst:t);
+          ignore (Transtab.link s.transtab ~src ~slot ~dst:t);
           t)
   | _ -> lookup_via_dispatcher s pc
 
@@ -1580,7 +1566,8 @@ let run_block_interp (s : t) (th : Threads.thread) ~(pc : int64) =
       | { Vex_ir.Eval.next_pc; jumpkind } ->
           Threads.put_eip s.threads th next_pc;
           count_block s th;
-          profile_block s ~pc ~cycles:interp_cost ~call:false ~dest:next_pc;
+          profile_block s ~pc ~cycles:interp_cost
+            ~call:(jumpkind = Vex_ir.Ir.Jk_call) ~dest:next_pc;
           handle_exit s th ~ek:(HA.ek_of_jumpkind jumpkind) ~dest:next_pc)
 
 (* Acquire the translation for [pc], including the SMC re-check.  Raises

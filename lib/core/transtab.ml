@@ -17,12 +17,11 @@
     The table additionally owns the {b chain index} for direct
     translation chaining (§3.9 extension): a reverse map from a resident
     translation's key to every chain slot (in other translations) that
-    has been patched to jump straight into it.  The index is sharded by
-    the simulated core that performed the patch, so per-core patch
-    traffic stays attributable and a core's chains can be audited
-    independently.  The invariants: a patched slot only ever points at a
-    translation currently resident in this table, and a slot is recorded
-    in the index if and only if it is patched — exactly once, under its
+    has been patched to jump straight into it.  One host thread
+    interleaves every simulated core, so one index serves them all.  The
+    invariants: a patched slot only ever points at a translation
+    currently resident in this table, and a slot is recorded in the
+    index if and only if it is patched — exactly once, under its
     target's key.  So a removal unlinks the chains into its translation
     from the index entry under its own key and the chains out of it from
     its own patched exit slots, and a stale jump into retired code can
@@ -49,11 +48,10 @@ type t = {
   capacity : int;
   mutable used : int;
   mutable seq : int;
-  (* reverse chain index, sharded by patching core: shard[c] maps the
-     key of a resident translation to the (owner key, slot) pairs core
-     [c] patched to jump straight into it; [slot] is one of the owner's
-     [t_exits] *)
-  chain_shards : (int64, (int64 * Jit.Pipeline.chain_slot) list) Hashtbl.t array;
+  (* reverse chain index: the key of a resident translation to the
+     (owner key, slot) pairs patched to jump straight into it, newest
+     first; [slot] is one of the owner's [t_exits] *)
+  chains : (int64, (int64 * Jit.Pipeline.chain_slot) list) Hashtbl.t;
   (* structured tracing (wired post-create by the session, like the
      kernel's [now_cycles]): lifecycle events — chain patch/unlink,
      chunk evictions, discards, flushes — timestamped with the
@@ -75,14 +73,13 @@ type t = {
   mutable n_chain_unlinks : int;  (** cumulative slots unlinked *)
 }
 
-let create ?(capacity = 32768) ?(shards = 1) () =
-  let shards = max 1 shards in
+let create ?(capacity = 32768) () =
   {
     slots = Array.make capacity None;
     capacity;
     used = 0;
     seq = 0;
-    chain_shards = Array.init shards (fun _ -> Hashtbl.create 1024);
+    chains = Hashtbl.create 1024;
     trace = None;
     now = (fun () -> 0L);
     epoch = 0;
@@ -150,13 +147,13 @@ let rec owns (exits : Jit.Pipeline.chain_slot array) slot i =
   i < Array.length exits && (exits.(i) == slot || owns exits slot (i + 1))
 
 (** Patch [slot] (an exit site of resident translation [src]) to
-    transfer straight to [dst], registering the chain in [core]'s shard
-    of the reverse index.  Refuses — returning [false] — if the slot is
-    already patched, is not one of [src]'s exits (removing [src] could
-    not find it), or if either end is not resident (a translation
-    evicted from the table must not become a chain target: nothing
-    would ever unlink it). *)
-let link ?(core = 0) (t : t) ~(src : Jit.Pipeline.translation)
+    transfer straight to [dst], registering the chain in the reverse
+    index.  Refuses — returning [false] — if the slot is already
+    patched, is not one of [src]'s exits (removing [src] could not find
+    it), or if either end is not resident (a translation evicted from
+    the table must not become a chain target: nothing would ever unlink
+    it). *)
+let link (t : t) ~(src : Jit.Pipeline.translation)
     ~(slot : Jit.Pipeline.chain_slot) ~(dst : Jit.Pipeline.translation) :
     bool =
   if
@@ -167,10 +164,9 @@ let link ?(core = 0) (t : t) ~(src : Jit.Pipeline.translation)
   then false
   else begin
     slot.cs_next <- Some dst;
-    let shard = t.chain_shards.(core mod Array.length t.chain_shards) in
     let key = dst.t_guest_addr in
-    let prev = Option.value ~default:[] (Hashtbl.find_opt shard key) in
-    Hashtbl.replace shard key ((src.t_guest_addr, slot) :: prev);
+    let prev = try Hashtbl.find t.chains key with Not_found -> [] in
+    Hashtbl.replace t.chains key ((src.t_guest_addr, slot) :: prev);
     t.n_chain_links <- t.n_chain_links + 1;
     if tracing t then
       tev t ~name:"chain_patch"
@@ -192,34 +188,27 @@ let unlink_slot t (slot : Jit.Pipeline.chain_slot) =
   end
 
 (* Unlink every chain jumping INTO [key] (its translation is being
-   removed), across every core's shard. *)
+   removed). *)
 let unlink_into t (key : int64) =
-  Array.iter
-    (fun shard ->
-      match Hashtbl.find_opt shard key with
-      | None -> ()
-      | Some pairs ->
-          List.iter (fun (_, slot) -> unlink_slot t slot) pairs;
-          Hashtbl.remove shard key)
-    t.chain_shards
+  match Hashtbl.find_opt t.chains key with
+  | None -> ()
+  | Some pairs ->
+      List.iter (fun (_, slot) -> unlink_slot t slot) pairs;
+      Hashtbl.remove t.chains key
 
 (* Unlink the patched exit [slot] of a translation being removed, and
-   drop its one record, kept under its target's key in whichever shard
-   patched it. *)
+   drop its one record, kept under its target's key. *)
 let unlink_out t (slot : Jit.Pipeline.chain_slot) =
   match slot.cs_next with
   | None -> ()
   | Some dst ->
       let key = dst.Jit.Pipeline.t_guest_addr in
-      Array.iter
-        (fun shard ->
-          match Hashtbl.find_opt shard key with
-          | Some pairs when List.exists (fun (_, s) -> s == slot) pairs -> (
-              match List.filter (fun (_, s) -> s != slot) pairs with
-              | [] -> Hashtbl.remove shard key
-              | rest -> Hashtbl.replace shard key rest)
-          | _ -> ())
-        t.chain_shards;
+      (match Hashtbl.find_opt t.chains key with
+      | Some pairs -> (
+          match List.filter (fun (_, s) -> s != slot) pairs with
+          | [] -> Hashtbl.remove t.chains key
+          | rest -> Hashtbl.replace t.chains key rest)
+      | None -> ());
       unlink_slot t slot
 
 (* Retire an entry that has just left the slots: unlink every chain into

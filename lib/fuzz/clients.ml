@@ -76,7 +76,9 @@ int main() {
 (** Four compute-bound threads: main spawns three workers (threads 2..4
     land on cores 1..3 at four cores), runs its own loop, then
     spin-waits on the workers' done counter.  [bench/workloads/threads4.s]
-    is the same program, for the driver-level [--stats=json] golden. *)
+    is the same program, for the driver-level [--stats=json] golden; the
+    [sched] test "threads4.s and its inline copy are one image" holds
+    the two together. *)
 let threads4_src =
   {|
         .text

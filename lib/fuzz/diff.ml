@@ -540,12 +540,6 @@ let signal () =
   item ~exit:42 "signal"
     (once (fun () -> Guest.Asm.assemble Clients.signal_src))
 
-let hostile_guests () =
-  List.map
-    (fun (g : Hostile_guests.guest) ->
-      item ~exit:g.g_exit g.g_name (once (fun () -> Hostile_guests.image g)))
-    (Hostile_guests.all ())
-
 (** Generated program [i] of base seed [s] comes from seed
     [s * 1_000_003 + i] at size [1 + i mod 20]; every 10th may fault on
     purpose.  [count] programs are split across the base seeds. *)
@@ -656,18 +650,26 @@ let aot () =
       [ holds Aot_sound "seeded"; vs Result "seeded" "unseeded" ];
   ]
 
-(* The hostile suite: every guest reaches its exit natively and under
-   every tool, reruns exactly, and keeps its result under an idempotent
-   schedule. *)
+(* The hostile corpus ({!Static.Hostile}): every guest reaches its exit
+   natively and under every tool, reruns exactly, keeps its result under
+   an idempotent schedule, and a scanning session with the JIT verifiers
+   on takes no block the static CFG missed, so hostile code the
+   executors accept is fully covered. *)
 let hostile () =
   let base =
     { S.default_options with max_blocks = 200_000L; verify_jit = false;
       transtab_capacity = 256 }
   in
   [
-    cells (hostile_guests ()) Tools.Catalog.all
-      [ native; way "plain" base; way "idempotent" ~chaos:(Chaos.idempotent ~seed:3) base ]
-      [ holds Rerun "plain"; vs Result "idempotent" "plain" ];
+    cells
+      (List.map
+         (fun (g : Static.Hostile.guest) ->
+           item ?exit:g.h_exit g.h_name (fun () -> g.h_image))
+         (Static.Hostile.all ()))
+      Tools.Catalog.all
+      [ native; way "plain" base; way "idempotent" ~chaos:(Chaos.idempotent ~seed:3) base;
+        way "scan" { base with scan = true; verify_jit = true } ]
+      [ holds Rerun "plain"; vs Result "idempotent" "plain"; holds Cfg_sound "scan" ];
   ]
 
 (* Sharded scheduling: a single-threaded and a four-thread client give

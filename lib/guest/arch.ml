@@ -82,9 +82,7 @@ let rec offset_name off =
 (** Memory operand: [disp(base, index, scale)], scale in {1,2,4,8}. *)
 type mem = { base : reg option; index : (reg * int) option; disp : int64 }
 
-let mem_abs disp = { base = None; index = None; disp }
 let mem_b base disp = { base = Some base; index = None; disp }
-let mem_bi base index scale disp = { base = Some base; index = Some (index, scale); disp }
 
 type alu_op = ADD | SUB | AND | OR | XOR | SHL | SHR | SAR | MUL | DIVS | DIVU
 

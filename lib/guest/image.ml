@@ -70,11 +70,14 @@ let load (img : t) (mem : Aspace.t) :
   in
   (img.entry, sp, brk, mapped)
 
-(** Find the symbol at or nearest below [addr], for stack traces. *)
-let symbol_for (img : t) (addr : int64) : (string * int64) option =
+(** Find the symbol at or nearest below [addr], for stack traces,
+    passing over the names [skip] holds. *)
+let symbol_for ?(skip = fun _ -> false) (img : t) (addr : int64) :
+    (string * int64) option =
   List.fold_left
     (fun best (name, a) ->
-      if Int64.unsigned_compare a addr <= 0 then
+      if skip name then best
+      else if Int64.unsigned_compare a addr <= 0 then
         match best with
         | Some (_, ba) when Int64.unsigned_compare ba a >= 0 -> best
         | _ -> Some (name, a)

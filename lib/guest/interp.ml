@@ -101,9 +101,6 @@ type handlers = {
       (** client request; default native behaviour is r0 := 0 *)
 }
 
-let default_handlers =
-  { on_syscall = (fun _ -> ()); on_clreq = (fun st -> set_reg st 0 0L) }
-
 (* Decode cache, invalidated on stores into cached pages (self-modifying
    code works natively too, which the SMC tests rely on). *)
 type cached_interp = {

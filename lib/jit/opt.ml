@@ -276,8 +276,6 @@ let constprop_stage (nb : block) (down : stage) : stage =
   in
   { stmt; next = (fun e -> down.next (atom e)) }
 
-let constprop (b : block) : block = walk [ constprop_stage ] b
-
 (* ------------------------------------------------------------------ *)
 (* Redundant GET elimination and PUT shortcutting (flat IR)            *)
 (* ------------------------------------------------------------------ *)

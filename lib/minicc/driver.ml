@@ -2,37 +2,22 @@
 
 exception Compile_error of string
 
-(** Compile [src] (one translation unit; the libc is appended unless
-    [with_libc] is false) into an image ready for {!Native} or
-    {!Vg_core.Session}. *)
-let compile ?(with_libc = true) (src : string) : Guest.Image.t =
-  let full = if with_libc then src ^ "\n" ^ Libc.source else src in
-  let asm_text =
-    try Codegen.compile_to_asm full with
-    | Codegen.Error m -> raise (Compile_error m)
-    | Parser.Error { line; msg } ->
-        raise (Compile_error (Printf.sprintf "parse error at line %d: %s" line msg))
-    | Lexer.Error { line; msg } ->
-        raise (Compile_error (Printf.sprintf "lex error at line %d: %s" line msg))
-  in
-  let full_asm = Libc.startup_asm ^ "\n" ^ asm_text in
-  try Guest.Asm.assemble full_asm
-  with Guest.Asm.Error { line; msg } ->
-    raise
-      (Compile_error
-         (Printf.sprintf "internal: generated assembly rejected at line %d: %s"
-            line msg))
+let fail fmt = Printf.ksprintf (fun m -> raise (Compile_error m)) fmt
 
-(** Compile to assembly text only (startup + program + libc), without
-    assembling — for inspection, or for linking extra hand-written
-    assembly before a final {!Guest.Asm.assemble}. *)
+(** Compile to assembly text only (startup + program + libc; the libc is
+    appended unless [with_libc] is false), without assembling — for
+    inspection, or for linking extra hand-written assembly before a
+    final {!Guest.Asm.assemble}. *)
 let to_asm ?(with_libc = true) (src : string) : string =
   let full = if with_libc then src ^ "\n" ^ Libc.source else src in
-  let asm_text = Codegen.compile_to_asm full in
-  Libc.startup_asm ^ "\n" ^ asm_text
+  try Libc.startup_asm ^ "\n" ^ Codegen.compile_to_asm full with
+  | Codegen.Error m -> fail "%s" m
+  | Parser.Error { line; msg } -> fail "parse error at line %d: %s" line msg
+  | Lexer.Error { line; msg } -> fail "lex error at line %d: %s" line msg
 
-(** Compile and also return the generated assembly (for inspection). *)
-let compile_with_asm ?(with_libc = true) (src : string) :
-    Guest.Image.t * string =
-  let full_asm = to_asm ~with_libc src in
-  (Guest.Asm.assemble full_asm, full_asm)
+(** Compile [src] (one translation unit) into an image ready for
+    {!Native} or {!Vg_core.Session}. *)
+let compile ?with_libc (src : string) : Guest.Image.t =
+  try Guest.Asm.assemble (to_asm ?with_libc src)
+  with Guest.Asm.Error { line; msg } ->
+    fail "internal: generated assembly rejected at line %d: %s" line msg

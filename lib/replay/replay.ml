@@ -578,8 +578,6 @@ let player (l : log) : player =
     p_dec_i = Array.make (Array.length points) 0;
   }
 
-let player_of_string s = player (decode s)
-
 let diverged ~cycle ~expected ~got =
   raise (Divergence { dv_cycle = cycle; dv_expected = expected; dv_got = got })
 

@@ -5,24 +5,8 @@
     string — the CI scanner job asserts this by running every workload
     twice and comparing outputs bit for bit. *)
 
-let hex (a : int64) = Printf.sprintf "0x%Lx" a
-
-let json_escape (s : string) : string =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (** Machine-readable scan report.  [blocks] additionally embeds the full
-    basic-block list (large for real workloads; the fixture golden uses
+    basic-block list (large for real workloads; the hostile golden uses
     it). *)
 let to_json ?(blocks = false) (cfg : Cfg.t) (findings : Lint.finding list) :
     string =
@@ -30,9 +14,9 @@ let to_json ?(blocks = false) (cfg : Cfg.t) (findings : Lint.finding list) :
   let b = Buffer.create 4096 in
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   add "{\n";
-  add "  \"text_lo\": \"%s\",\n" (hex cfg.text_lo);
+  add "  \"text_lo\": \"%s\",\n" (Lint.hex cfg.text_lo);
   add "  \"text_len\": %Ld,\n" (Int64.sub cfg.text_hi cfg.text_lo);
-  add "  \"entry\": \"%s\",\n" (hex cfg.image.Guest.Image.entry);
+  add "  \"entry\": \"%s\",\n" (Lint.hex cfg.image.Guest.Image.entry);
   add "  \"insns\": %d,\n" cfg.n_insns;
   add "  \"weak_insns\": %d,\n" cfg.n_weak;
   add "  \"coverage_bytes\": %d,\n" cfg.coverage_bytes;
@@ -47,7 +31,7 @@ let to_json ?(blocks = false) (cfg : Cfg.t) (findings : Lint.finding list) :
     (fun i (a, len) ->
       add "%s{\"addr\": \"%s\", \"len\": %d}"
         (if i = 0 then "" else ", ")
-        (hex a) len)
+        (Lint.hex a) len)
     cfg.unreached;
   add "],\n";
   add "  \"findings\": [";
@@ -55,9 +39,9 @@ let to_json ?(blocks = false) (cfg : Cfg.t) (findings : Lint.finding list) :
     (fun i (f : Lint.finding) ->
       add "%s\n    {\"class\": \"%s\", \"addr\": \"%s\", \"aux\": \"%s\", \"msg\": \"%s\"}"
         (if i = 0 then "" else ",")
-        (json_escape f.Lint.f_class)
-        (hex f.Lint.f_addr) (hex f.Lint.f_aux)
-        (json_escape f.Lint.f_msg))
+        (Obs.json_escape f.Lint.f_class)
+        (Lint.hex f.Lint.f_addr) (Lint.hex f.Lint.f_aux)
+        (Obs.json_escape f.Lint.f_msg))
     findings;
   add "%s],\n" (if findings = [] then "" else "\n  ");
   if blocks then begin
@@ -66,13 +50,13 @@ let to_json ?(blocks = false) (cfg : Cfg.t) (findings : Lint.finding list) :
       (fun i blk ->
         add "%s\n    {\"addr\": \"%s\", \"len\": %d, \"insns\": %d, \"term\": \"%s\", \"succs\": ["
           (if i = 0 then "" else ",")
-          (hex blk.bk_addr) blk.bk_len blk.bk_insns
-          (json_escape blk.bk_term);
+          (Lint.hex blk.bk_addr) blk.bk_len blk.bk_insns
+          (Obs.json_escape blk.bk_term);
         List.iteri
           (fun j (s, k) ->
             add "%s{\"addr\": \"%s\", \"kind\": \"%s\"}"
               (if j = 0 then "" else ", ")
-              (hex s) (edge_name k))
+              (Lint.hex s) (edge_name k))
           blk.bk_succs;
         add "]}")
       cfg.blocks;
@@ -80,7 +64,7 @@ let to_json ?(blocks = false) (cfg : Cfg.t) (findings : Lint.finding list) :
   end;
   add "  \"finding_classes\": [";
   List.iteri
-    (fun i c -> add "%s\"%s\"" (if i = 0 then "" else ", ") (json_escape c))
+    (fun i c -> add "%s\"%s\"" (if i = 0 then "" else ", ") (Obs.json_escape c))
     (Lint.classes_of findings);
   add "]\n}\n";
   Buffer.contents b
@@ -91,7 +75,7 @@ let human (cfg : Cfg.t) (findings : Lint.finding list) : string =
   let b = Buffer.create 1024 in
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   let text_len = Int64.to_int (Int64.sub cfg.text_hi cfg.text_lo) in
-  add "vgscan: text %s..%s (%d bytes)\n" (hex cfg.text_lo) (hex cfg.text_hi)
+  add "vgscan: text %s..%s (%d bytes)\n" (Lint.hex cfg.text_lo) (Lint.hex cfg.text_hi)
     text_len;
   add "  %d instructions (%d weak), %d/%d bytes reached (%.1f%%)\n"
     cfg.n_insns cfg.n_weak cfg.coverage_bytes text_len
@@ -108,7 +92,7 @@ let human (cfg : Cfg.t) (findings : Lint.finding list) : string =
     add "  %d findings:\n" (List.length findings);
     List.iter
       (fun (f : Lint.finding) ->
-        add "    [%s] %s: %s\n" f.Lint.f_class (hex f.Lint.f_addr)
+        add "    [%s] %s: %s\n" f.Lint.f_class (Lint.hex f.Lint.f_addr)
           f.Lint.f_msg)
       findings
   end;

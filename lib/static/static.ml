@@ -3,8 +3,8 @@
     {!Cfg} recovers a sound whole-image control-flow graph by recursive
     traversal, {!Lint} turns the recovered facts into hostile-code
     findings, {!Report} serialises both deterministically, and
-    {!Hostile} carries the hand-written hostile fixture images used by
-    tests and CI goldens. *)
+    {!Hostile} is the hostile corpus that [vgscan hostile], its golden, the
+    oracle's [hostile] set and the tests read. *)
 
 module Cfg = Cfg
 module Lint = Lint

@@ -49,20 +49,10 @@ let u64 t (v : int64) =
 (** Contents so far, as fresh [Bytes.t]. *)
 let contents t = Bytes.sub t.data 0 t.len
 
-(** Overwrite the 32-bit LE value at [pos] (for branch back-patching). *)
-let patch_u32 t pos (v : int64) =
-  let v = Int64.to_int (Bits.trunc32 v) in
-  Bytes.set t.data pos (Char.chr (v land 0xFF));
-  Bytes.set t.data (pos + 1) (Char.chr ((v lsr 8) land 0xFF));
-  Bytes.set t.data (pos + 2) (Char.chr ((v lsr 16) land 0xFF));
-  Bytes.set t.data (pos + 3) (Char.chr ((v lsr 24) land 0xFF))
-
 (** {2 Reading back} *)
 
 (** [read_u8 b pos] reads an unsigned byte from raw [Bytes.t]. *)
 let read_u8 (b : Bytes.t) pos = Char.code (Bytes.get b pos)
-
-let read_u16 b pos = read_u8 b pos lor (read_u8 b (pos + 1) lsl 8)
 
 let read_u32 b pos : int64 =
   let a = read_u8 b pos
@@ -70,6 +60,3 @@ let read_u32 b pos : int64 =
   and c = read_u8 b (pos + 2)
   and d = read_u8 b (pos + 3) in
   Int64.of_int (a lor (b1 lsl 8) lor (c lsl 16) lor (d lsl 24))
-
-let read_u64 b pos : int64 =
-  Int64.logor (read_u32 b pos) (Int64.shift_left (read_u32 b (pos + 4)) 32)

@@ -161,5 +161,3 @@ let pp_block ppf (b : block) =
     (fun i s -> Fmt.pf ppf "%3d: %a@." (i + 1) pp_stmt s)
     b.stmts;
   Fmt.pf ppf "     goto {%s} %a@." (jk_name b.jumpkind) pp_expr b.next
-
-let block_to_string b = Fmt.str "%a" pp_block b

@@ -40,7 +40,7 @@ after:  .byte 1
   let doff = Int64.to_int (Int64.sub (sym img "dbl") img.data_addr) in
   Alcotest.(check (float 0.0001))
     "f64 value" 2.5
-    (Int64.float_of_bits (Support.Buf.read_u64 img.data doff));
+    (Int64.float_of_bits (Bytes.get_int64_le img.data doff));
   (* space reserves 10 bytes *)
   Alcotest.check i64 "space length" 10L
     (Int64.sub (sym img "after") (sym img "buf"))

@@ -22,6 +22,10 @@ let quiet ~seed =
     max_injections = 0;
   }
 
+(* how often the core took recovery path [kind] *)
+let recovery_count c kind =
+  Option.value (List.assoc_opt kind (Chaos.recoveries c)) ~default:0
+
 let loop_src =
   {|
         .text
@@ -69,7 +73,7 @@ let test_hot_block_interp_fallback () =
   (* the session did not abort: the block ran interpreted exactly once... *)
   Alcotest.(check int) "one interp fallback" 1 st.st_interp_fallbacks;
   Alcotest.(check int) "fallback was recovered" 1
-    (Chaos.recovery_count c "interp_fallback");
+    (recovery_count c "interp_fallback");
   (* ...subsequent blocks re-entered the JIT... *)
   Alcotest.(check bool) "JIT re-entered" true (st.st_translations > 0);
   (* ...and the tool saw every instruction: icnt counts match the JIT run *)
@@ -229,7 +233,7 @@ let test_eintr_restart_and_map_retry () =
   Alcotest.(check bool) "map retries ran" true (st.st_map_retries > 0);
   Alcotest.(check int) "restarts recovered"
     st.st_syscall_restarts
-    (Chaos.recovery_count c "syscall_restart");
+    (recovery_count c "syscall_restart");
   (* ...and the client never noticed: same bytes read, same mappings *)
   Alcotest.(check string) "client stdout identical"
     (Vg_core.Session.client_stdout s0)

@@ -219,9 +219,9 @@ type tt_op =
   | Burst of int * int  (** insert keys [k], [k+1], ...: enough to evict *)
   | Discard of int
   | Discard_range of int * int
-  | Link of int * int * int * int
-      (** core, source key, exit (2: a slot the source does not own),
-          target key *)
+  | Link of int * int * int
+      (** source key, exit (2: a slot the source does not own), target
+          key *)
   | Flush
 
 let show_tt_op = function
@@ -229,7 +229,7 @@ let show_tt_op = function
   | Burst (k, n) -> Printf.sprintf "burst %d+%d" k n
   | Discard k -> Printf.sprintf "discard %d" k
   | Discard_range (a, n) -> Printf.sprintf "discard_range %d+%d" a n
-  | Link (c, s, x, d) -> Printf.sprintf "link core%d %d.%d->%d" c s x d
+  | Link (s, x, d) -> Printf.sprintf "link %d.%d->%d" s x d
   | Flush -> "flush"
 
 (* Dense keys, twice the capacity of them: probe runs collide, wrap past
@@ -245,10 +245,7 @@ let tt_case_gen =
         (1, map2 (fun k n -> Burst (k, n)) key (int_range 1 cap));
         (3, map (fun k -> Discard k) key);
         (1, map2 (fun a n -> Discard_range (a, n)) key (int_range 1 8));
-        ( 5,
-          map
-            (fun (c, s, x, d) -> Link (c, s, x, d))
-            (quad (int_bound 1) key (int_bound 2) key) );
+        (5, map (fun (s, x, d) -> Link (s, x, d)) (triple key (int_bound 2) key));
         (1, return Flush);
       ]
   in
@@ -279,7 +276,7 @@ let prop_transtab_vs_model =
        tt_case_gen)
     (fun (cap, ops) ->
       let module T = Vg_core.Transtab in
-      let tt = T.create ~capacity:cap ~shards:2 () in
+      let tt = T.create ~capacity:cap () in
       let m =
         { m_entries = []; m_chains = []; m_seq = 0; m_inserts = 0;
           m_evicted = 0; m_discards = 0; m_links = 0; m_unlinks = 0 }
@@ -348,7 +345,7 @@ let prop_transtab_vs_model =
             if got <> List.length doomed then
               QCheck.Test.fail_reportf "discard_range %d+%d: %d, model %d" a n
                 got (List.length doomed)
-        | Link (core, s, x, d) ->
+        | Link (s, x, d) ->
             let tr k =
               match m_find (Int64.of_int k) with Some tr -> tr | None -> fresh k
             in
@@ -363,7 +360,7 @@ let prop_transtab_vs_model =
               m.m_chains <- (src, slot, dst) :: m.m_chains;
               m.m_links <- m.m_links + 1
             end;
-            if T.link ~core tt ~src ~slot ~dst <> ok then
+            if T.link tt ~src ~slot ~dst <> ok then
               QCheck.Test.fail_reportf "link answered %b, model %b" (not ok) ok
         | Flush ->
             List.iter (fun (k, _) -> m_remove k) m.m_entries;
@@ -398,13 +395,10 @@ let prop_transtab_vs_model =
            the reverse index holds exactly one record per chain, under
            its target's key *)
         let records =
-          Array.fold_left
-            (fun acc shard ->
-              Hashtbl.fold
-                (fun key pairs acc ->
-                  List.map (fun (owner, s) -> (key, owner, s)) pairs @ acc)
-                shard acc)
-            [] tt.chain_shards
+          Hashtbl.fold
+            (fun key pairs acc ->
+              List.map (fun (owner, s) -> (key, owner, s)) pairs @ acc)
+            tt.chains []
         in
         if List.length records <> List.length m.m_chains then
           fail

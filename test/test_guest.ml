@@ -18,15 +18,15 @@ let sample_insns =
     Nop;
     Mov (0, 7);
     Movi (3, 0xDEADBEEFL);
-    Lea (1, mem_bi 2 3 4 (-20L));
+    Lea (1, { base = Some 2; index = Some (3, 4); disp = -20L });
     Ld (W1, Zx, 0, mem_b 1 5L);
     Ld (W1, Sx, 0, mem_b 1 5L);
-    Ld (W2, Zx, 2, mem_abs 0x1000L);
-    Ld (W2, Sx, 2, mem_abs 0x1000L);
-    Ld (W4, Zx, 4, mem_bi 5 6 8 12L);
+    Ld (W2, Zx, 2, { base = None; index = None; disp = 0x1000L });
+    Ld (W2, Sx, 2, { base = None; index = None; disp = 0x1000L });
+    Ld (W4, Zx, 4, { base = Some 5; index = Some (6, 8); disp = 12L });
     St (W1, mem_b 7 (-4L), 3);
     St (W2, mem_b 7 (-4L), 3);
-    St (W4, mem_bi 0 1 2 100L, 2);
+    St (W4, { base = Some 0; index = Some (1, 2); disp = 100L }, 2);
     Alu (ADD, 1, 2);
     Alu (DIVU, 5, 6);
     Alui (XOR, 3, 0xFFL);
@@ -219,7 +219,10 @@ _start: movi r0, 10
   st.regs.(reg_sp) <- sp;
   st.eip <- entry;
   let cached = Guest.Interp.with_cache st in
-  let h = Guest.Interp.default_handlers in
+  let h =
+    { Guest.Interp.on_syscall = (fun _ -> ());
+      on_clreq = (fun st -> Guest.Interp.set_reg st 0 0L) }
+  in
   Guest.Interp.step cached h;
   Guest.Interp.step cached h;
   (try

@@ -376,7 +376,7 @@ let test_pp_smoke () =
   add_stmt b (WrTmp (t0, Binop (Add32, Get (0, I32), i32 1L)));
   add_stmt b (Exit (Unop (CmpNEZ32, RdTmp t0), Jk_boring, 0x2000L));
   b.next <- i32 0x1004L;
-  let s = Pp.block_to_string b in
+  let s = Fmt.str "%a" Pp.pp_block b in
   Alcotest.(check bool) "mentions Add32" true (contains s "Add32");
   Alcotest.(check bool) "mentions IMark" true (contains s "IMark")
 

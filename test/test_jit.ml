@@ -30,6 +30,7 @@ let gen_program (rng : Support.Rng.t) : insn list =
   let vreg () = R.int rng 4 in
   let imm () = Int64.of_int (R.int rng 0x10000 - 0x8000) in
   let disp () = Int64.of_int (4 * R.int rng 200) in
+  let mem_bi base index scale disp = { base = Some base; index = Some (index, scale); disp } in
   let alu () =
     List.nth [ ADD; SUB; AND; OR; XOR; SHL; SHR; SAR; MUL ] (R.int rng 9)
   in
@@ -449,7 +450,7 @@ let test_fold_self_cancelling () =
       Alcotest.(check bool) "folds to zero" true
         (Jit.Opt.fold_op b (Binop (op, RdTmp t0, RdTmp t0))
         = Some (Const zero));
-      let opt = Jit.Opt.constprop b in
+      let opt = Jit.Opt.(walk [ constprop_stage ] b) in
       (* Eval-equivalence under an arbitrary guest value *)
       let run blk =
         let guest = Bytes.make 64 '\x00' in
@@ -648,7 +649,7 @@ let instrumentation_digests () =
       instrumentation_tools
   in
   let add buf (b : Vex_ir.Ir.block) =
-    Buffer.add_string buf (Vex_ir.Pp.block_to_string b);
+    Buffer.add_string buf (Fmt.str "%a" Vex_ir.Pp.pp_block b);
     Support.Vec.iter
       (fun ty -> Buffer.add_string buf (Fmt.str "%a " Vex_ir.Pp.pp_ty ty))
       b.tyenv;

@@ -98,10 +98,10 @@ let loopy_src =
        return 0;
      } |}
 
-let run_session ?(profile = true) ?(trace_capacity = 4096) () =
+let run_session ?(profile = true) ?(trace_capacity = 4096) ?chaos () =
   let img = Minicc.Driver.compile loopy_src in
   let options =
-    { Vg_core.Session.default_options with profile; trace_capacity }
+    { Vg_core.Session.default_options with profile; trace_capacity; chaos }
   in
   let s = Vg_core.Session.create ~options ~tool:Vg_core.Tool.nulgrind img in
   (match Vg_core.Session.run s with
@@ -378,6 +378,21 @@ let test_profile_content () =
       Alcotest.(check int64) "phase slices tile translate slices"
         sum_translates sum_phases
 
+(* every translation refused at instruction selection: each block runs
+   through the IR evaluator, which still counts the call edge *)
+let test_profile_interp_call_edge () =
+  let chaos =
+    Chaos.create
+      { (Chaos.idempotent ~seed:1) with
+        p_eintr = 0.0; p_map_denial = 0.0; p_flush = 0.0;
+        p_translation_failure = 1.0; force_phase = Some 6 }
+  in
+  let s = run_session ~trace_capacity:0 ~chaos () in
+  Alcotest.(check bool) "blocks ran in the IR evaluator" true
+    (Vg_core.Session.metric s "core.interp_fallbacks" > 0L);
+  Alcotest.(check bool) "call edge main -> work" true
+    (contains ~needle:"main -> work" (Vg_core.Session.profile_report s))
+
 let test_disabled_by_default () =
   let s = run_session ~profile:false ~trace_capacity:0 () in
   Alcotest.(check bool) "no trace" true (Vg_core.Session.trace s = None);
@@ -398,5 +413,7 @@ let tests =
     t "registry: a counter the registry owns" test_registry_counter;
     t "session: exports bit-identical across runs" test_exports_deterministic;
     t "session: profile attributes the workload" test_profile_content;
+    t "session: profile call edges from the IR evaluator"
+      test_profile_interp_call_edge;
     t "session: observability off by default" test_disabled_by_default;
   ]

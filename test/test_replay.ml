@@ -332,7 +332,7 @@ let test_log_codec_roundtrip () =
   let io = List.find (fun p -> p.pr_name = "io") progs in
   let c = Chaos.create (Chaos.hostile ~seed:9) in
   let _s, data = record_session ~chaos:c ~tool:Tools.Drd.tool ~cores:1 io in
-  let log = (Replay.player_of_string data).Replay.p_log in
+  let log = (Replay.player (Replay.decode data)).Replay.p_log in
   Alcotest.(check string) "tool" "drd" log.Replay.l_tool;
   Alcotest.(check int) "cores" 1 log.Replay.l_cores;
   Alcotest.(check bool) "has events" true (log.Replay.l_events <> []);
@@ -340,7 +340,7 @@ let test_log_codec_roundtrip () =
   (* decode(encode(decode(x))) = decode(x) *)
   let data2 = Replay.encode log in
   Alcotest.(check string) "codec is a fixpoint" data2
-    (Replay.encode (Replay.player_of_string data2).Replay.p_log)
+    (Replay.encode (Replay.player (Replay.decode data2)).Replay.p_log)
 
 (* ---- every logged decision kind replays ------------------------------ *)
 

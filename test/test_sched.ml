@@ -263,6 +263,23 @@ let test_four_cores_speedup () =
        st1.st_wall_cycles
     < 0)
 
+(* The same program is kept twice: bench/workloads/threads4.s feeds CI's
+   stats golden, replay and refused-flag steps, and the inline copy
+   feeds the oracle, the cycle gate and these tests.  Both must
+   assemble to one image. *)
+let test_threads4_twin () =
+  let path =
+    let p = "bench/workloads/threads4.s" in
+    if Sys.file_exists ("../" ^ p) then "../" ^ p else p
+  in
+  let file = Guest.Asm.assemble (In_channel.with_open_bin path In_channel.input_all) in
+  let inline = Guest.Asm.assemble four_thread_src in
+  Alcotest.(check string) "text" (Bytes.to_string inline.text) (Bytes.to_string file.text);
+  Alcotest.(check string) "data" (Bytes.to_string inline.data) (Bytes.to_string file.data);
+  Alcotest.(check int) "bss" inline.bss_len file.bss_len;
+  Alcotest.check i64 "entry" inline.entry file.entry;
+  Alcotest.(check (list (pair string i64))) "symbols" inline.symbols file.symbols
+
 let tests =
   [
     t "switch_to_next: single runnable" test_switch_single_runnable;
@@ -275,4 +292,5 @@ let tests =
     t "single-threaded identical across cores" test_single_thread_cores_identical;
     t "threaded replays at fixed cores" test_multithread_replays;
     t "four threads speed up on four cores" test_four_cores_speedup;
+    t "threads4.s and its inline copy are one image" test_threads4_twin;
   ]

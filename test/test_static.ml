@@ -72,57 +72,30 @@ let test_iter_block_stops () =
   | Guest.Decode.S_known -> ()
   | _ -> Alcotest.fail "expected S_known"
 
-(* ---- hostile fixtures --------------------------------------------- *)
+(* ---- hostile corpus ------------------------------------------------ *)
 
-let classes_of_image img =
-  Static.Lint.classes_of (Static.Lint.run (Static.Cfg.scan img))
-
-let test_fixture_findings () =
+(* every guest of the corpus raises each class it is built to show *)
+let test_hostile_findings () =
   List.iter
-    (fun fx ->
-      let classes = classes_of_image fx.Static.Hostile.fx_image in
+    (fun (g : Static.Hostile.guest) ->
+      let classes =
+        Static.Lint.classes_of (Static.Lint.run (Static.Cfg.scan g.h_image))
+      in
       List.iter
         (fun want ->
           if not (List.mem want classes) then
-            Alcotest.failf "%s: expected class %s, got [%s]"
-              fx.Static.Hostile.fx_name want (String.concat "," classes))
-        fx.Static.Hostile.fx_expect)
+            Alcotest.failf "%s: expected class %s, got [%s]" g.h_name want
+              (String.concat "," classes))
+        g.h_classes)
     (Static.Hostile.all ())
 
-(* runnable fixtures reach their exit natively and in a scanning
-   session, and even hostile-but-runnable code is fully covered: a taken
-   branch into an instruction body was statically decoded as a second
-   stream *)
-let test_fixture_differential () =
-  let c =
-    Fuzz.Diff.cells
-      (List.filter_map
-         (fun (fx : Static.Hostile.fixture) ->
-           Option.map
-             (fun exit -> Fuzz.Diff.item ~exit fx.fx_name (fun () -> fx.fx_image))
-             fx.fx_runnable)
-         (Static.Hostile.all ()))
-      (Tools.Catalog.pick [ "nulgrind" ])
-      [ Fuzz.Diff.native;
-        Fuzz.Diff.way "scan" { Vg_core.Session.default_options with scan = true } ]
-      [ Fuzz.Diff.holds Cfg_sound "scan" ]
-  in
-  List.iter
-    (fun (it : Fuzz.Diff.item) ->
-      match Fuzz.Diff.run_cell c it (List.hd c.tools) with
-      | [] -> ()
-      | divs ->
-          Alcotest.failf "%s: %s" it.i_name
-            (String.concat "; " (List.map Fuzz.Diff.pp_divergence divs)))
-    c.items
-
 let test_jump_table_recovery () =
-  let fx =
+  let g =
     List.find
-      (fun f -> f.Static.Hostile.fx_name = "jump-table")
+      (fun (g : Static.Hostile.guest) -> g.h_name = "jump-table")
       (Static.Hostile.all ())
   in
-  let cfg = Static.Cfg.scan fx.Static.Hostile.fx_image in
+  let cfg = Static.Cfg.scan g.h_image in
   match cfg.Static.Cfg.tables with
   | [ tb ] ->
       Alcotest.(check bool) "bounded" true tb.Static.Cfg.tb_bounded;
@@ -197,8 +170,7 @@ let tests =
   [
     t "decode: truncated exact offset" test_truncated_exact;
     t "decode: iter_block stop reasons" test_iter_block_stops;
-    t "hostile: expected finding classes" test_fixture_findings;
-    t "hostile: differential execution" test_fixture_differential;
+    t "hostile: expected finding classes" test_hostile_findings;
     t "hostile: bounded jump-table recovery" test_jump_table_recovery;
     t "benign: deterministic report" test_scan_deterministic;
     t "benign: zero findings" test_benign_no_findings;
